@@ -28,7 +28,13 @@ from .errors import (
     PumpSupportViolationError,
 )
 from .evolution import GeneratorBundle, evolve, populations, trajectory_to_csv
-from .floquet import build_howland, floquet_spectrum, kato_block, monodromy, resonance_report
+from .floquet import (
+    build_howland,
+    floquet_spectrum,
+    kato_order_check,
+    monodromy,
+    resonance_report,
+)
 from .lindblad import check_assumptions, reservoir_lindbladian, resolvent_oracle
 from .operator_core import (
     atomic_lindbladian,
@@ -95,9 +101,18 @@ def load_config(path):
 
 
 def _require_finite(value, what):
-    if not isinstance(value, (int, float)) or not np.isfinite(value):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not np.isfinite(value)):
         raise ConfigError(f"{what}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _require_int(value, what, minimum):
+    """An integer >= `minimum`; integral floats (as sweeps write them) pass."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer() or value < minimum):
+        raise ConfigError(f"{what}: expected an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 class RunSetup:
@@ -185,8 +200,9 @@ class RunSetup:
         self.rtol = float(sim.get("rtol", 1e-8))
         self.atol = float(sim.get("atol", 1e-10))
         flo = cfg.get("floquet", {})
-        self.n_modes = int(flo.get("n_modes", 32))
-        self.contour_points = int(flo.get("contour_points", 64))
+        self.n_modes = _require_int(flo.get("n_modes", 32), "floquet.n_modes", 2)
+        self.contour_points = _require_int(flo.get("contour_points", 64),
+                                           "floquet.contour_points", 1)
         self.seed = int(cfg.get("seed", 0))
 
         self._data = None
@@ -204,14 +220,12 @@ class RunSetup:
             self._pump = validate_pump(self.atom, self.h_p)
         return self._pump
 
-    def bundle(self, lam=None, eta=None):
-        lam = self.res.lam if lam is None else lam
-        eta = self.eta if eta is None else eta
+    def bundle(self):
         return GeneratorBundle(
             l_at=atomic_lindbladian(self.atom),
             l_p=self.pump.lindbladian,
             l_r=self.data.l_r,
-            lam=lam, eta=eta, omega=self.omega,
+            lam=self.res.lam, eta=self.eta, omega=self.omega,
         )
 
     def initial_state(self):
@@ -244,7 +258,7 @@ def _write_json(path, payload):
 
 def _run_check(setup, out_dir):
     report = check_assumptions(setup.atom, setup.res, setup.h_p, setup.eta,
-                               seed=setup.seed)
+                               seed=setup.seed, data=setup.data, pump=setup.pump)
     payload = report.to_dict()
     payload["warnings"] = setup.warnings
     _write_json(out_dir / "report.json", payload)
@@ -311,8 +325,9 @@ def _do_floquet(cfg, out_dir, force=False, order_check=False, **_kw):
     f_state = build_howland(bundle, setup.n_modes, picture="state")
     spec_state = floquet_spectrum(f_state)
     f_heis = build_howland(bundle, setup.n_modes, picture="heisenberg")
-    resonances = resonance_report(f_heis)
-    mono = monodromy(bundle, n_modes=setup.n_modes, rtol=min(setup.rtol, 1e-10))
+    resonances = resonance_report(f_heis, eigenvalues=np.conj(spec_state.eigenvalues))
+    mono = monodromy(bundle, n_modes=setup.n_modes, rtol=min(setup.rtol, 1e-10),
+                     eigenvalues=spec_state.eigenvalues)
 
     interior_eigs = spec_state.eigenvalues[spec_state.interior]
     payload = {
@@ -329,22 +344,9 @@ def _do_floquet(cfg, out_dir, force=False, order_check=False, **_kw):
     if spec_state.degenerate:
         click.echo("warning: zero spectral gap (degenerate case)", err=True)
     if order_check:
-        lam = setup.res.lam
-        residuals = {}
-        for scale in (1.0, 0.5):
-            b = setup.bundle(lam=lam * scale, eta=setup.eta * scale**2)
-            f1 = build_howland(b, setup.n_modes, picture="state")
-            f0 = build_howland(
-                GeneratorBundle(l_at=b.l_at, l_p=b.l_p, l_r=b.l_r,
-                                lam=0.0, eta=0.0, omega=b.omega),
-                setup.n_modes, picture="state")
-            kb = kato_block(f1, f0, 0.0, m_points=setup.contour_points)
-            residuals[scale] = kb.residual
-        payload["order_check"] = {
-            "residual_at_lambda": residuals[1.0],
-            "residual_at_half_lambda": residuals[0.5],
-            "ratio": residuals[0.5] / residuals[1.0] if residuals[1.0] else None,
-        }
+        payload["order_check"] = kato_order_check(
+            bundle, setup.n_modes, m_points=setup.contour_points,
+            f_op=f_state, eigenvalues=spec_state.eigenvalues)
     _write_json(out_dir / "floquet.json", payload)
     return EXIT_OK
 

@@ -62,6 +62,11 @@ class NonOrthogonalFamilyError(PumpedLindbladError):
     """Form factors are not pairwise L2-orthogonal but closed forms need it."""
 
 
+class GeneratorStructureError(PumpedLindbladError):
+    """Assembled generator breaks a structural identity (unital adjoint,
+    Lamb shift commuting with the atomic Hamiltonian)."""
+
+
 # --- evolution --------------------------------------------------------------
 
 class StepSizeUnderflowError(PumpedLindbladError):

@@ -27,7 +27,7 @@ semigroup with analytic tail corrections.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import expm, sqrtm
@@ -59,6 +59,7 @@ __all__ = [
     "eigenprojection_direct",
     "floquet_spectrum",
     "kato_block",
+    "kato_order_check",
     "monodromy",
     "pair_transform",
     "resonance_report",
@@ -184,13 +185,16 @@ def floquet_spectrum(f_op, resonance_tol=1e-8):
     )
 
 
-def resonance_report(f_op, disc_radius=1e-8):
+def resonance_report(f_op, disc_radius=1e-8, eigenvalues=None):
     """Exact-resonance diagnostics on the heisenberg-side operator.
 
     For each mode p the candidate eigenvector delta_{k,p} (x) vec(1) is
     applied directly (residual of the i p omega eigenvalue claim,
     |p| <= N-1), and the eigenvalue count inside the `disc_radius` disc
     around i p omega is taken from the dense solver (interior p only).
+    The heisenberg operator is the mode-reversed adjoint of the state
+    operator, so a caller holding the state spectrum may pass its complex
+    conjugate as `eigenvalues` instead of solving again.
     """
     if f_op.picture != "heisenberg":
         raise DimensionMismatchError("resonance candidates live on the heisenberg side")
@@ -203,7 +207,7 @@ def resonance_report(f_op, disc_radius=1e-8):
         x = np.zeros((2 * n + 1) * d2, dtype=complex)
         x[(p + n) * d2:(p + n + 1) * d2] = one
         residuals[p] = float(np.linalg.norm(f_op.matrix @ x - 1j * f_op.omega * p * x))
-    w = np.linalg.eigvals(f_op.matrix)
+    w = np.linalg.eigvals(f_op.matrix) if eigenvalues is None else eigenvalues
     counts = {}
     for p in range(-(n - 2), n - 1):
         counts[p] = int(np.sum(np.abs(w - 1j * f_op.omega * p) <= disc_radius))
@@ -291,7 +295,8 @@ class KatoBlock:
     radius: float
 
 
-def kato_block(f_op, f0_op, center, radius=None, m_points=64):
+def kato_block(f_op, f0_op, center, radius=None, m_points=64, p0=None,
+               eigenvalues=None):
     """Compression P F P against its first-order model around one resonance.
 
     P and P0 are the Riesz projections of the perturbed and unperturbed
@@ -300,9 +305,13 @@ def kato_block(f_op, f0_op, center, radius=None, m_points=64):
         residual = || P F P - center P0 - P0 (F - F0) P0 ||_2 ,
 
     the defect of the first-order expansion of the compressed generator.
+    A caller may pass P0 (`p0`, whose contour then replaces `radius` and
+    `m_points`) and the spectrum of F (`eigenvalues`) when it has them.
     """
-    p0 = riesz_projection(f0_op, center, radius=radius, m_points=m_points)
-    p = riesz_projection(f_op, center, radius=p0.radius, m_points=m_points)
+    if p0 is None:
+        p0 = riesz_projection(f0_op, center, radius=radius, m_points=m_points)
+    p = riesz_projection(f_op, center, radius=p0.radius, m_points=p0.m_points,
+                         eigenvalues=eigenvalues)
     diff = p.matrix - p0.matrix
     sep = np.linalg.norm(diff @ diff, 2)
     if sep >= 1.0:
@@ -314,6 +323,30 @@ def kato_block(f_op, f0_op, center, radius=None, m_points=64):
     residual = float(np.linalg.norm(block - center * p0.matrix - first, 2))
     return KatoBlock(block=block, first_order=first, residual=residual,
                      center=complex(center), radius=p0.radius)
+
+
+def kato_order_check(bundle, n_modes, m_points=64, f_op=None, eigenvalues=None):
+    """Halving ratio of the center-0 Kato-block residual in the coupling.
+
+    Residuals of :func:`kato_block` at (lambda, eta) and (lambda/2, eta/4),
+    so that eta stays proportional to lambda^2, both against the one
+    unperturbed operator F0 (lambda = eta = 0) and its Riesz projection P0,
+    each built once.  `f_op` and `eigenvalues` may pass the Howland
+    operator of `bundle` itself and its spectrum when already computed.
+    """
+    f0 = build_howland(replace(bundle, lam=0.0, eta=0.0), n_modes)
+    p0 = riesz_projection(f0, 0.0, m_points=m_points)
+    if f_op is None:
+        f_op = build_howland(bundle, n_modes)
+    at_lambda = kato_block(f_op, f0, 0.0, p0=p0, eigenvalues=eigenvalues).residual
+    half = build_howland(replace(bundle, lam=bundle.lam * 0.5, eta=bundle.eta * 0.25),
+                         n_modes)
+    at_half = kato_block(half, f0, 0.0, p0=p0).residual
+    return {
+        "residual_at_lambda": at_lambda,
+        "residual_at_half_lambda": at_half,
+        "ratio": at_half / at_lambda if at_lambda else None,
+    }
 
 
 # --------------------------------------------------------------------------
@@ -380,22 +413,24 @@ class MonodromyReport:
     n_modes: int
 
 
-def monodromy(bundle, n_modes=32, rtol=1e-10):
+def monodromy(bundle, n_modes=32, rtol=1e-10, eigenvalues=None):
     """One-period propagator vs Floquet exponents of the Howland operator.
 
     Each eigenvalue of tau(T, 0) must coincide with e^{T mu} for some
     truncated-Howland eigenvalue mu (the mode shift +i omega k drops out of
     the exponential).  The assignment minimizing the total distance is
     computed by the Hungarian method on the rectangular cost matrix.
+    `eigenvalues` may pass the spectrum of the state-picture Howland
+    operator of `bundle` at `n_modes` when already computed.
     """
     tau = monodromy_interval(bundle, rtol=rtol)
     mono_eigs = np.linalg.eigvals(tau.matrix)
     order = np.lexsort((mono_eigs.real, mono_eigs.imag))
     mono_eigs = mono_eigs[order]
 
-    f_op = build_howland(bundle, n_modes, picture="state")
-    mu = np.linalg.eigvals(f_op.matrix)
-    candidates = np.exp(bundle.period * mu)
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvals(build_howland(bundle, n_modes).matrix)
+    candidates = np.exp(bundle.period * eigenvalues)
     cost = np.abs(mono_eigs[:, None] - candidates[None, :])
     rows, cols = linear_sum_assignment(cost)
     matched = candidates[cols]

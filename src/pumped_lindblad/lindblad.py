@@ -37,13 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .errors import QuadratureNonConvergenceError
+from .errors import GeneratorStructureError, NonHermitianError, QuadratureNonConvergenceError
 from .operator_core import Superoperator, multiplication_superops, validate_pump
 from .reservoir import (
-    check_strip_analyticity,
     pv_coefficient,
     rate_coefficient,
     spectral_density,
+    strip_analyticity_ladder,
 )
 
 __all__ = [
@@ -150,10 +150,11 @@ class LindbladData:
         eye = np.eye(d, dtype=complex)
         h = np.asarray(self.lamb)
         if np.linalg.norm(h - h.conj().T, "fro") > 1e-12 * max(1.0, np.linalg.norm(h, "fro")):
-            raise ValueError("Lamb shift not Hermitian")
+            raise NonHermitianError("Lamb shift not Hermitian")
         unital = np.linalg.norm(self.l_r.adjoint()(eye), "fro")
         if unital > 1e-12 * max(1.0, np.linalg.norm(self.l_r.matrix, 2)):
-            raise ValueError(f"adjoint generator does not annihilate identity: {unital:.3e}")
+            raise GeneratorStructureError(
+                f"adjoint generator does not annihilate identity: {unital:.3e}")
 
 
 def reservoir_lindbladian(atom, res):
@@ -178,7 +179,8 @@ def reservoir_lindbladian(atom, res):
     lamb = lamb_shift(atom, res)
     comm_norm = np.linalg.norm(lamb @ atom.h_at - atom.h_at @ lamb, "fro")
     if comm_norm > 1e-10 * max(1.0, np.linalg.norm(lamb, "fro")):
-        raise ValueError(f"[H_Lamb, H_at] = {comm_norm:.3e} — block structure broken")
+        raise GeneratorStructureError(
+            f"[H_Lamb, H_at] = {comm_norm:.3e} — block structure broken")
     l_d = dissipator(atom, res)
     jumps = tuple(
         (v, c, label)
@@ -407,8 +409,13 @@ class AssumptionReport:
 
 
 def check_assumptions(atom, res, h_p, eta, gap_floor=1e-3,
-                      moderate_const=1.0, zero_tol=1e-10, seed=0):
+                      moderate_const=1.0, zero_tol=1e-10, seed=0,
+                      data=None, pump=None):
     """Verify the standing assumptions; report-only (never raises on fail).
+
+    `data` (``reservoir_lindbladian(atom, res)``) and `pump`
+    (``validate_pump(atom, h_p)``) are built here unless the caller passes
+    the ones it already has.
 
     Records, in order:
       reservoir-analyticity : strip integrability of the glued functions,
@@ -436,14 +443,11 @@ def check_assumptions(atom, res, h_p, eta, gap_floor=1e-3,
         beta = _effective_beta(res.beta)
         ladder = [r for r in (0.05, 0.1, 0.2, 0.4, 0.5) if r < 0.98 * np.pi / beta]
         best_r, best_val = 0.0, 0.0
-        for r in ladder:
-            reports = [check_strip_analyticity(ff, res.beta, r, n_lines=5)
-                       for ff in res.form_factors]
+        rungs = strip_analyticity_ladder(res.form_factors, res.beta, ladder, n_lines=5)
+        for r, reports in zip(ladder, rungs):
             if all(rep.verdict == "finite" for rep in reports):
                 best_r = r
                 best_val = max(rep.max_line_value for rep in reports)
-            else:
-                break
         records.append({
             "name": "reservoir-analyticity",
             "verdict": "pass" if best_r > 0 else "fail",
@@ -467,8 +471,10 @@ def check_assumptions(atom, res, h_p, eta, gap_floor=1e-3,
     })
 
     # --- spectral gap of the averaged generator ----------------------------
-    data = reservoir_lindbladian(atom, res)
-    pump = validate_pump(atom, h_p)
+    if data is None:
+        data = reservoir_lindbladian(atom, res)
+    if pump is None:
+        pump = validate_pump(atom, h_p)
     if lam == 0:
         records.append({
             "name": "spectral-gap", "verdict": "attested",

@@ -58,6 +58,7 @@ __all__ = [
     "pv_coefficient",
     "rate_coefficient",
     "spectral_density",
+    "strip_analyticity_ladder",
 ]
 
 _MIN_BETA = 1e-12
@@ -161,8 +162,7 @@ class ReservoirSpec:
             if self.orthogonal is None:
                 object.__setattr__(self, "orthogonal", False)
             return
-        if _effective_beta(self.beta) <= 0:
-            raise InvalidFormFactorError("beta must be nonnegative")
+        _effective_beta(self.beta)
         ffs = tuple(self.form_factors)
         qs = tuple(np.asarray(q, dtype=complex) for q in self.couplings)
         if len(ffs) == 0 or len(ffs) != len(qs):
@@ -313,58 +313,89 @@ def check_strip_analyticity(ff, beta, r_max, n_lines=9, bound_ceiling=1e12):
     Values above `bound_ceiling` (or non-finite) flag the report as
     exceeding the practical bound; that is a verdict, not an exception.
     """
+    return strip_analyticity_ladder((ff,), beta, (r_max,), n_lines=n_lines,
+                                    bound_ceiling=bound_ceiling)[0][0]
+
+
+def strip_analyticity_ladder(form_factors, beta, radii, n_lines=9, bound_ceiling=1e12):
+    """``check_strip_analyticity`` for every form factor at each half-width in `radii`.
+
+    Returns one tuple of reports (one per form factor) per rung, in order,
+    and stops after the first rung at which some report is not "finite":
+    no line beyond that rung is integrated.  Each report equals the one-off
+    call's, but a line shared by several rungs is integrated once per form
+    factor, and the y=0 Simpson cross-check runs once per form factor.
+    """
     beta = _effective_beta(beta)
-    if not r_max > 0:
-        raise InvalidFormFactorError(f"strip half-width r_max={r_max} must be > 0")
-    ys = np.linspace(-r_max, r_max, n_lines) * (1.0 - 1e-12)
-    if 0.0 not in ys:
-        ys = np.sort(np.append(ys, 0.0))
-    lines = []
-    exceeded = False
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for y in ys:
-            h = _line_integrand(ff, beta, y)
-            x_max = _line_cutoff(ff, beta, y)
-            try:
-                val, err = integrate.quad(h, -x_max, x_max, limit=300)
-            except (OverflowError, FloatingPointError):
-                val, err = np.inf, np.inf
-            if not np.isfinite(val) or val > bound_ceiling:
-                exceeded = True
-            elif err > max(1e-6 * abs(val), 1e-10):
-                raise QuadratureNonConvergenceError(
-                    f"line y={y:.4g}: quad error {err:.3e} for value {val:.6e}"
-                )
-            lines.append((float(y), float(val)))
+    line_values = [{} for _ in form_factors]     # per form factor: y -> integral
+    rel_errs = [None] * len(form_factors)
+    rungs = []
+    for r_max in radii:
+        if not r_max > 0:
+            raise InvalidFormFactorError(f"strip half-width r_max={r_max} must be > 0")
+        ys = np.linspace(-r_max, r_max, n_lines) * (1.0 - 1e-12)
+        if 0.0 not in ys:
+            ys = np.sort(np.append(ys, 0.0))
+        ys = [float(y) for y in ys]
+        notes = ""
+        if r_max >= np.pi / beta:
+            notes = (f"strip reaches the branch line |Im z| = pi/beta = {np.pi/beta:.6g}; "
+                     "values beyond it use the principal square-root branch")
+        reports = []
+        for i, ff in enumerate(form_factors):
+            values = line_values[i]
+            for y in ys:
+                if y not in values:
+                    values[y] = _line_integral(ff, beta, y, bound_ceiling)
+            if rel_errs[i] is None:
+                rel_errs[i] = _simpson_rel_err(ff, beta, values[0.0])
+            vals = np.array([values[y] for y in ys])
+            k = int(np.nanargmax(vals))
+            exceeded = bool(np.any(~np.isfinite(vals) | (vals > bound_ceiling)))
+            reports.append(AnalyticityReport(
+                verdict="exceeds-bound" if exceeded else "finite",
+                r_max=float(r_max),
+                n_lines=len(ys),
+                max_line_value=float(vals[k]),
+                argmax_y=ys[k],
+                lines=tuple((y, values[y]) for y in ys),
+                crosscheck_rel_err=rel_errs[i],
+                bound_ceiling=float(bound_ceiling),
+                notes=notes,
+            ))
+        rungs.append(tuple(reports))
+        if any(rep.verdict != "finite" for rep in reports):
+            break
+    return rungs
 
-    vals = np.array([v for (_, v) in lines])
-    k = int(np.nanargmax(vals))
 
-    # independent fixed-grid Simpson check on the real line
-    h0 = _line_integrand(ff, beta, 0.0)
+def _simpson_rel_err(ff, beta, ref):
+    """Independent fixed-grid Simpson value of the y=0 line, relative to `ref`."""
     x_max = _line_cutoff(ff, beta, 0.0)
     grid = np.linspace(-x_max, x_max, 4097)
-    simpson_val = integrate.simpson(np.array([h0(x) for x in grid]), x=grid)
-    ref = dict(lines)[0.0]
-    rel = abs(simpson_val - ref) / max(abs(ref), 1e-300)
+    simpson_val = integrate.simpson(_line_integrand(ff, beta, 0.0)(grid), x=grid)
+    return float(abs(simpson_val - ref) / max(abs(ref), 1e-300))
 
-    verdict = "exceeds-bound" if exceeded else "finite"
-    notes = ""
-    if r_max >= np.pi / beta:
-        notes = (f"strip reaches the branch line |Im z| = pi/beta = {np.pi/beta:.6g}; "
-                 "values beyond it use the principal square-root branch")
-    return AnalyticityReport(
-        verdict=verdict,
-        r_max=float(r_max),
-        n_lines=int(len(ys)),
-        max_line_value=float(vals[k]),
-        argmax_y=float(lines[k][0]),
-        lines=tuple(lines),
-        crosscheck_rel_err=float(rel),
-        bound_ceiling=float(bound_ceiling),
-        notes=notes,
-    )
+
+def _line_integral(ff, beta, y, bound_ceiling):
+    """Adaptive integral of the strip integrand along Im z = y.
+
+    Overflow gives inf; a finite value within `bound_ceiling` must meet
+    the quadrature tolerance or QuadratureNonConvergence is raised.
+    """
+    h = _line_integrand(ff, beta, y)
+    x_max = _line_cutoff(ff, beta, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        try:
+            val, err = integrate.quad(h, -x_max, x_max, limit=300)
+        except (OverflowError, FloatingPointError):
+            val, err = np.inf, np.inf
+    if np.isfinite(val) and val <= bound_ceiling and err > max(1e-6 * abs(val), 1e-10):
+        raise QuadratureNonConvergenceError(
+            f"line y={y:.4g}: quad error {err:.3e} for value {val:.6e}"
+        )
+    return float(val)
 
 
 # --------------------------------------------------------------------------

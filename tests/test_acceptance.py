@@ -31,7 +31,7 @@ from pumped_lindblad import (
     eigenprojection_direct,
     evolve,
     floquet_spectrum,
-    kato_block,
+    kato_order_check,
     lamb_shift,
     monodromy,
     pair_transform,
@@ -157,21 +157,16 @@ def test_07_monodromy_consistency(three_level):
 
 def test_08_compressed_block_order(three_level):
     chk = _Check(8, "compressed-block-order", 2e-1, 60.0)
-    n = 32
-    b0 = three_level.make_bundle(0.0, 0.0)
-    f0 = build_howland(b0, n, picture="state")
-    residuals = {}
-    for scale in (1.0, 0.5):
-        b = three_level.make_bundle(0.1 * scale, 0.01 * scale**2)
-        f1 = build_howland(b, n, picture="state")
-        residuals[scale] = kato_block(f1, f0, 0.0).residual
-    ratio = residuals[0.5] / residuals[1.0]
+    ratio = kato_order_check(three_level.bundle, 32)["ratio"]
     # The asserted window [1/12, 1/5] brackets third-order residual scaling
-    # (nominal ratio 1/8).  On this instance the zeroth-order projection
-    # commutes with the unperturbed operator, so the second-order term of
-    # the compressed block vanishes and the measured ratio sits at ~1/16:
-    # fourth-order scaling, below the window's lower edge.  The measurement
-    # is reported as is (the unit suite locks the quartic behavior).
+    # (nominal ratio 1/8).  The residual is the remainder of the first-order
+    # expansion in F - F0 = lambda^2 L_R + eta * pump, which is O(lambda^2)
+    # for every instance of this model (the effective generator has no
+    # lambda-linear term, and eta ~ lambda^2), so the remainder is
+    # O(lambda^4) and the measured ratio sits at ~1/16, below the window's
+    # lower edge.  This is generic, not special to the bundled instance.
+    # The measurement is reported as is (the unit suite locks the quartic
+    # behavior).
     chk.finish(ratio, 1.0 / 12.0 <= ratio <= 1.0 / 5.0)
 
 

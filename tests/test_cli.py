@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from pumped_lindblad.cli import main
+from pumped_lindblad.cli import RunSetup, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -123,6 +123,30 @@ def test_config_error_nonfinite_entry(runner, tmp_path):
     p.write_text(text)
     result = runner.invoke(main, ["check", str(p), "--out", str(tmp_path / "out")])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("pump", "eta", True),
+    ("floquet", "n_modes", 1),
+    ("floquet", "n_modes", 2.5),
+    ("floquet", "contour_points", 0),
+    ("floquet", "contour_points", "64"),
+])
+def test_config_error_bad_scalar(runner, tmp_path, section, key, value):
+    cfg = _two_level_cfg()
+    cfg[section][key] = value
+    result = runner.invoke(main, ["floquet", _write(tmp_path, cfg),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), result.output
+
+
+def test_integral_float_mode_count_accepted():
+    # --sweep writes every value as a float
+    cfg = _two_level_cfg()
+    cfg["floquet"]["n_modes"] = 8.0
+    assert RunSetup(cfg).n_modes == 8
 
 
 def test_config_error_unreadable_file(runner, tmp_path):

@@ -38,6 +38,7 @@ from pumped_lindblad import (
     eigenprojection_direct,
     floquet_spectrum,
     kato_block,
+    kato_order_check,
     monodromy,
     pair_transform,
     resonance_report,
@@ -102,6 +103,16 @@ def test_heisenberg_resonances_exact(three_level):
     assert set(rep["residuals"]) == set(range(-7, 8))
     assert set(rep["disc_counts"]) == set(range(-6, 7))
     assert all(c == 1 for c in rep["disc_counts"].values())
+
+
+def test_resonance_counts_from_conjugated_state_spectrum(three_level):
+    # the heisenberg operator is the mode-reversed adjoint of the state one
+    f_heis = build_howland(three_level.bundle, 8, picture="heisenberg")
+    spec = floquet_spectrum(build_howland(three_level.bundle, 8))
+    reused = resonance_report(f_heis, eigenvalues=np.conj(spec.eigenvalues))
+    direct = resonance_report(f_heis)
+    assert reused["disc_counts"] == direct["disc_counts"]
+    assert reused["residuals"] == direct["residuals"]
 
 
 def test_resonance_report_needs_heisenberg_side(three_level):
@@ -204,6 +215,20 @@ def test_kato_block_residual_scaling(three_level):
     assert res[0.1] <= 1e-3
 
 
+def test_kato_order_check_matches_independent_blocks(three_level):
+    n = 8
+    check = kato_order_check(three_level.bundle, n)
+    f0 = build_howland(three_level.make_bundle(0.0, 0.0), n)
+    independent = [
+        kato_block(build_howland(three_level.make_bundle(0.1 * s, 0.01 * s**2), n),
+                   f0, 0.0).residual
+        for s in (1.0, 0.5)
+    ]
+    assert check["residual_at_lambda"] == independent[0]
+    assert check["residual_at_half_lambda"] == independent[1]
+    assert check["ratio"] == independent[1] / independent[0]
+
+
 # --------------------------------------------------------------------------
 # pairs of near projections
 # --------------------------------------------------------------------------
@@ -257,6 +282,10 @@ def test_monodromy_matches_floquet_exponents(three_level):
     assert rep.eigenvalues.shape == (9,)
     # the stationary direction: one multiplier equals 1
     assert np.min(np.abs(rep.eigenvalues - 1.0)) <= 1e-8
+    # reusing the Howland spectrum from floquet_spectrum gives the same match
+    spec = floquet_spectrum(build_howland(three_level.bundle, 16))
+    reused = monodromy(three_level.bundle, n_modes=16, eigenvalues=spec.eigenvalues)
+    assert abs(reused.max_match_error - rep.max_match_error) <= 1e-12
 
 
 # --------------------------------------------------------------------------

@@ -20,13 +20,19 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from pumped_lindblad import lindblad
 from pumped_lindblad import (
     FormFactor,
+    GeneratorStructureError,
     InvalidFormFactorError,
+    LindbladData,
+    NonHermitianError,
+    PumpedLindbladError,
     ReservoirSpec,
     Superoperator,
     algebra_dimension,
     check_assumptions,
+    check_strip_analyticity,
     choi_matrix,
     commutant_dimension,
     decompose_atom,
@@ -180,6 +186,29 @@ def test_couplings_must_be_adjoint_closed():
                       couplings=(raising,))
 
 
+def test_negative_beta_rejected():
+    with pytest.raises(InvalidFormFactorError):
+        ReservoirSpec(beta=-1.0, lam=0.1,
+                      form_factors=(FormFactor(((1.0, 1, 1.0),)),),
+                      couplings=(SIGMA_X,))
+
+
+def test_generator_defects_raise_typed_errors(two_level, monkeypatch):
+    data = two_level.data
+    assert issubclass(GeneratorStructureError, PumpedLindbladError)
+    with pytest.raises(NonHermitianError):
+        LindbladData(jumps=(), lamb=np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+                     l_d=data.l_d, l_r=data.l_r)
+    # L(rho) = -rho is not trace preserving: its adjoint maps 1 to -1
+    with pytest.raises(GeneratorStructureError):
+        LindbladData(jumps=(), lamb=data.lamb, l_d=data.l_d,
+                     l_r=Superoperator(-np.eye(4, dtype=complex)))
+    # a Lamb shift that does not commute with H_at
+    monkeypatch.setattr(lindblad, "lamb_shift", lambda atom, res: SIGMA_X.copy())
+    with pytest.raises(GeneratorStructureError):
+        reservoir_lindbladian(two_level.atom, two_level.res)
+
+
 def test_gks_route_builds_pure_dissipator(two_level):
     lowering = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     res = ReservoirSpec(beta=1.0, lam=0.1, form_factors=(), couplings=(),
@@ -245,6 +274,24 @@ def test_assumptions_pass_on_bundled_instance(three_level):
     assert abs(gap - 0.0023530464012103394) <= 1e-12
     d = rep.to_dict()
     assert d["all_pass"] and len(d["assumptions"]) == 5
+
+
+@pytest.mark.parametrize("name", ["two_level", "three_level"])
+def test_analyticity_ladder_matches_rung_by_rung_checks(name, request):
+    inst = request.getfixturevalue(name)
+    report = check_assumptions(inst.atom, inst.res, inst.h_p, inst.eta,
+                               data=inst.data, pump=inst.pump)
+    evidence = report["reservoir-analyticity"]["evidence"]
+    best_r, best_val = 0.0, 0.0
+    for r in evidence["ladder"]:
+        reports = [check_strip_analyticity(ff, inst.res.beta, r, n_lines=5)
+                   for ff in inst.res.form_factors]
+        if not all(rep.verdict == "finite" for rep in reports):
+            break
+        best_r, best_val = r, max(rep.max_line_value for rep in reports)
+    assert evidence["largest_passing_half_width"] == best_r
+    assert evidence["max_line_integral"] == best_val
+    assert best_r == 0.5
 
 
 def test_assumptions_flag_reducible_gks_set(two_level):

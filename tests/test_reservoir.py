@@ -28,7 +28,9 @@ from pumped_lindblad import (
     pv_coefficient,
     rate_coefficient,
     spectral_density,
+    strip_analyticity_ladder,
 )
+from pumped_lindblad.reservoir import _line_cutoff, _line_integrand
 
 
 def _random_form_factor(rng, n_terms=2, complex_weights=False):
@@ -193,6 +195,39 @@ def test_strip_analyticity_pinned_form_factor():
     assert rep.notes == ""
     d = rep.to_dict()
     assert d["verdict"] == "finite" and len(d["lines"]) == rep.n_lines
+
+
+def test_strip_ladder_reports_equal_one_off_reports(three_level):
+    beta = three_level.beta
+    radii = (0.05, 0.1, 0.2, 0.4, 0.5)
+    rungs = strip_analyticity_ladder(three_level.res.form_factors, beta, radii,
+                                     n_lines=5)
+    assert len(rungs) == len(radii)
+    for r, reports in zip(radii, rungs):
+        for ff, rep in zip(three_level.res.form_factors, reports):
+            assert rep == check_strip_analyticity(ff, beta, r, n_lines=5)
+    # the two-term form factor passes the Simpson cross-check on every rung
+    assert all(reports[1].crosscheck_rel_err <= 1e-6 for reports in rungs)
+
+
+def test_strip_ladder_stops_at_first_failing_rung():
+    ff = FormFactor(((1.0, 1, 1.0),))
+    low = check_strip_analyticity(ff, 1.0, 0.1, n_lines=5).max_line_value
+    high = check_strip_analyticity(ff, 1.0, 0.4, n_lines=5).max_line_value
+    assert high > low
+    rungs = strip_analyticity_ladder((ff,), 1.0, (0.1, 0.4, 0.8), n_lines=5,
+                                     bound_ceiling=0.5 * (low + high))
+    assert [reports[0].verdict for reports in rungs] == ["finite", "exceeds-bound"]
+
+
+def test_vectorized_line_integrand_matches_pointwise_loop(three_level):
+    # the Simpson cross-check evaluates the y=0 integrand on a whole grid
+    for ff in three_level.res.form_factors:
+        h0 = _line_integrand(ff, three_level.beta, 0.0)
+        x_max = _line_cutoff(ff, three_level.beta, 0.0)
+        grid = np.linspace(-x_max, x_max, 4097)
+        loop = np.array([h0(x) for x in grid])
+        assert np.allclose(h0(grid), loop, rtol=1e-14, atol=1e-300)
 
 
 def test_strip_analyticity_branch_line_note():
