@@ -100,10 +100,11 @@ def load_config(path):
     return cfg
 
 
-def _require_finite(value, what):
+def _require_finite(value, what, positive=False):
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not np.isfinite(value)):
-        raise ConfigError(f"{what}: expected a finite number, got {value!r}")
+            or not np.isfinite(value) or (positive and not value > 0)):
+        kind = "positive" if positive else "finite"
+        raise ConfigError(f"{what}: expected a {kind} number, got {value!r}")
     return float(value)
 
 
@@ -113,6 +114,20 @@ def _require_int(value, what, minimum):
             or not float(value).is_integer() or value < minimum):
         raise ConfigError(f"{what}: expected an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _require_list(value, what):
+    if not isinstance(value, list):
+        raise ConfigError(f"{what}: expected a list, got {value!r}")
+    return value
+
+
+def _section(cfg, name):
+    """An optional config section: absent means empty, anything else must be an object."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{name}' section: expected an object, got {section!r}")
+    return section
 
 
 class RunSetup:
@@ -130,11 +145,13 @@ class RunSetup:
         if has_levels == has_matrix:
             raise ConfigError("atom: give exactly one of 'energies' or 'matrix'")
         if has_levels:
-            energies = [_require_finite(e, "atom.energies") for e in atom_cfg["energies"]]
-            degs = atom_cfg.get("degeneracies", [1] * len(energies))
+            energies = [_require_finite(e, "atom.energies")
+                        for e in _require_list(atom_cfg["energies"], "atom.energies")]
+            degs = [_require_int(n, "atom.degeneracies", 1) for n in _require_list(
+                atom_cfg.get("degeneracies", [1] * len(energies)), "atom.degeneracies")]
             if len(degs) != len(energies):
                 raise ConfigError("atom: degeneracies length mismatch")
-            diag = np.concatenate([[e] * int(n) for e, n in zip(energies, degs)])
+            diag = np.concatenate([[e] * n for e, n in zip(energies, degs)])
             h_at = np.diag(diag.astype(complex))
         else:
             h_at = _as_matrix(atom_cfg["matrix"], "atom.matrix")
@@ -165,10 +182,13 @@ class RunSetup:
                 terms = item if isinstance(item, list) else [item]
                 parsed = []
                 for term in terms:
+                    what = f"form_factors[{i}]"
+                    if not isinstance(term, dict):
+                        raise ConfigError(f"{what}: expected an object, got {term!r}")
                     parsed.append((
-                        _as_complex(term.get("weight"), f"form_factors[{i}].weight"),
-                        int(term.get("exponent_p", 1)),
-                        _require_finite(term.get("decay_c"), f"form_factors[{i}].decay_c"),
+                        _as_complex(term.get("weight"), f"{what}.weight"),
+                        _require_int(term.get("exponent_p", 1), f"{what}.exponent_p", 1),
+                        _require_finite(term.get("decay_c"), f"{what}.decay_c"),
                     ))
                 ffs.append(FormFactor(tuple(parsed)))
             qs = [_as_matrix(q, "reservoir.couplings_Q") for q in q_cfg]
@@ -194,16 +214,20 @@ class RunSetup:
                     f"pump frequency {self.omega} detuned from level spread {natural}"
                 )
 
-        sim = cfg.get("sim", {})
+        sim = _section(cfg, "sim")
         self.t_end = sim.get("t_end")
-        self.n_out = int(sim.get("n_out", 201))
-        self.rtol = float(sim.get("rtol", 1e-8))
-        self.atol = float(sim.get("atol", 1e-10))
-        flo = cfg.get("floquet", {})
+        if self.t_end is not None:
+            self.t_end = _require_finite(self.t_end, "sim.t_end", positive=True)
+        self.n_out = _require_int(sim.get("n_out", 201), "sim.n_out", 2)
+        self.rtol = _require_finite(sim.get("rtol", 1e-8), "sim.rtol", positive=True)
+        self.atol = _require_finite(sim.get("atol", 1e-10), "sim.atol")
+        if self.atol < 0:
+            raise ConfigError(f"sim.atol: expected a number >= 0, got {self.atol!r}")
+        flo = _section(cfg, "floquet")
         self.n_modes = _require_int(flo.get("n_modes", 32), "floquet.n_modes", 2)
         self.contour_points = _require_int(flo.get("contour_points", 64),
                                            "floquet.contour_points", 1)
-        self.seed = int(cfg.get("seed", 0))
+        self.seed = _require_int(cfg.get("seed", 0), "seed", 0)
 
         self._data = None
         self._pump = None
@@ -229,7 +253,7 @@ class RunSetup:
         )
 
     def initial_state(self):
-        rho0_cfg = self.cfg.get("sim", {}).get("rho0")
+        rho0_cfg = _section(self.cfg, "sim").get("rho0")
         if rho0_cfg is None:
             p1 = self.atom.projections[0]
             return p1 / np.trace(p1)
@@ -297,8 +321,8 @@ def _do_evolve(cfg, out_dir, force=False, **_kw):
         return EXIT_ASSUMPTION
     if setup.t_end is None:
         raise ConfigError("sim.t_end is required for evolve")
-    grid = np.linspace(0.0, float(setup.t_end), setup.n_out)
-    traj = evolve(setup.bundle(), setup.initial_state(), float(setup.t_end),
+    grid = np.linspace(0.0, setup.t_end, setup.n_out)
+    traj = evolve(setup.bundle(), setup.initial_state(), setup.t_end,
                   output_grid=grid, rtol=setup.rtol, atol=setup.atol)
     trajectory_to_csv(setup.atom, traj, out_dir / "trajectory.csv")
     pops = populations(setup.atom, traj)
@@ -306,7 +330,7 @@ def _do_evolve(cfg, out_dir, force=False, **_kw):
         "final_populations": [float(x) for x in pops[-1]],
         "max_trace_drift": float(np.max(traj.trace_error)),
         "min_eigenvalue": float(np.min(traj.min_eig)),
-        "t_end": float(setup.t_end),
+        "t_end": setup.t_end,
         "n_out": setup.n_out,
         "rtol": setup.rtol,
         "atol": setup.atol,

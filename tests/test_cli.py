@@ -125,19 +125,38 @@ def test_config_error_nonfinite_entry(runner, tmp_path):
     assert result.exit_code == 1
 
 
-@pytest.mark.parametrize("section, key, value", [
-    ("pump", "eta", True),
-    ("floquet", "n_modes", 1),
-    ("floquet", "n_modes", 2.5),
-    ("floquet", "contour_points", 0),
-    ("floquet", "contour_points", "64"),
-])
-def test_config_error_bad_scalar(runner, tmp_path, section, key, value):
+MALFORMED = [
+    (("pump", "eta"), True),
+    (("floquet", "n_modes"), 1),
+    (("floquet", "n_modes"), 2.5),
+    (("floquet", "contour_points"), 0),
+    (("floquet", "contour_points"), "64"),
+    (("sim", "rtol"), "abc"),
+    (("sim", "t_end"), "x"),
+    (("sim", "n_out"), 0),
+    (("sim", "n_out"), 2.5),
+    (("sim", "atol"), -1),
+    (("seed",), [1]),
+    (("sim",), "x"),
+    (("floquet",), "x"),
+    (("reservoir", "form_factors", 0), 5),
+    (("reservoir", "form_factors", 0, "exponent_p"), "x"),
+    (("atom", "degeneracies"), [1, -1]),
+]
+
+
+@pytest.mark.parametrize("path, value", MALFORMED,
+                         ids=["-".join(map(str, p + (v,))) for p, v in MALFORMED])
+def test_config_error_bad_scalar(runner, tmp_path, path, value):
+    # every field is validated in RunSetup, before any subcommand-specific work
     cfg = _two_level_cfg()
-    cfg[section][key] = value
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
     result = runner.invoke(main, ["floquet", _write(tmp_path, cfg),
                                   "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1
+    assert result.exit_code == 1, result.output
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), result.output
 

@@ -13,6 +13,8 @@ under test:
 * away from the resonance copies, interior eigenvalues sit at distance
   >= O(lambda^2) left of the imaginary axis, with gap/lambda^2 stable
   under lambda -> lambda/2 (eta proportional to lambda^2);
+* the contour resolvent sum built by block-tridiagonal elimination equals
+  the dense one and factors nothing wider than one block;
 * contour-integral Riesz projections agree with eigensolver projections,
   and the compressed block P F P matches its first-order model
   center P0 + P0 (F - F0) P0 with a residual falling like lambda^4
@@ -44,6 +46,7 @@ from pumped_lindblad import (
     resonance_report,
     riesz_projection,
 )
+from pumped_lindblad.floquet import _resolvent_sum
 
 # Frozen: interior spectral gap of the bundled three-level instance at
 # lambda = 0.1, eta = 0.01 (converged in N by N = 16).
@@ -195,6 +198,69 @@ def test_riesz_projections_resolve_resonance_copies(three_level):
     assert np.linalg.norm(p0.matrix @ p1.matrix, 2) <= 1e-7
 
 
+def _contour(center, radius, m_points=64):
+    phases = np.exp(2j * np.pi * (np.arange(m_points) + 0.5) / m_points)
+    return center + radius * phases, radius * phases
+
+
+@pytest.mark.parametrize("n_modes", [2, 8])
+@pytest.mark.parametrize("picture", ["state", "heisenberg", "conjugated"])
+@pytest.mark.parametrize("eta", [0.01, 0.0])
+@pytest.mark.parametrize("at_omega", [False, True])
+def test_structured_resolvent_sum_equals_dense(three_level, n_modes, picture, eta,
+                                               at_omega):
+    bundle = three_level.make_bundle(0.1, eta)
+    f_op = build_howland(bundle, n_modes, picture=picture, rho_ref=three_level.rho_g)
+    center = 1j * bundle.omega if at_omega else 0.0
+    # the default-radius contour of riesz_projection and a wide one
+    w = np.linalg.eigvals(f_op.matrix)
+    dist = np.abs(w - center)
+    tight = 0.45 * float(np.min(dist[dist > 1e-6]))
+    eye = np.eye(f_op.matrix.shape[0])
+    # 17 and 25 nodes end in a partial chunk of 1 and of block_size nodes
+    for radius, m_points in ((tight, 64), (0.3, 64), (tight, 17), (0.3, 25)):
+        nodes, weights = _contour(center, radius, m_points)
+        dense = sum(wj * np.linalg.solve(zj * eye - f_op.matrix, eye)
+                    for zj, wj in zip(nodes, weights))
+        got = _resolvent_sum(f_op, nodes, weights)
+        assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_riesz_projection_factors_only_blocks(three_level, monkeypatch):
+    f_op = build_howland(three_level.bundle, 8)
+    widths = []
+    for name in ("solve", "inv"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _original=original, **kwargs):
+            widths.append(np.shape(a)[-1])
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    proj = riesz_projection(f_op, 0.0)
+    assert widths and max(widths) <= f_op.block_size
+    assert proj.rank == 1
+
+
+def test_singular_block_pivot_is_contour_hit(three_level):
+    # lambda = eta = 0: the blocks decouple and D_0(0) = -L_at is singular
+    f0 = build_howland(three_level.make_bundle(0.0, 0.0), 4)
+    with pytest.raises(ContourHitsSpectrumError):
+        _resolvent_sum(f0, [0.0], [1.0])
+
+
+def test_riesz_and_kato_need_a_howland_operator(three_level):
+    f_op = build_howland(three_level.bundle, 4)
+    with pytest.raises(DimensionMismatchError):
+        riesz_projection(f_op.matrix, 0.0)
+    with pytest.raises(DimensionMismatchError):
+        kato_block(f_op.matrix, f_op, 0.0)
+    with pytest.raises(DimensionMismatchError):
+        kato_block(f_op, f_op.matrix, 0.0)
+    # the independent eigensolver route keeps taking plain arrays
+    assert eigenprojection_direct(f_op.matrix, 0.0, 1e-3).shape == f_op.matrix.shape
+
+
 # --------------------------------------------------------------------------
 # Kato block: first-order model and measured residual order
 # --------------------------------------------------------------------------
@@ -227,6 +293,14 @@ def test_kato_order_check_matches_independent_blocks(three_level):
     assert check["residual_at_lambda"] == independent[0]
     assert check["residual_at_half_lambda"] == independent[1]
     assert check["ratio"] == independent[1] / independent[0]
+
+
+def test_kato_order_check_ratio_is_none_at_roundoff(two_level):
+    # eta = 0: the Davies L_R commutes with L_at, so P = P0 and the
+    # first-order model is exact; both residuals are rounding noise
+    check = kato_order_check(two_level.bundle, 8)
+    assert check["residual_at_lambda"] <= 1e-13
+    assert check["ratio"] is None
 
 
 # --------------------------------------------------------------------------
