@@ -324,8 +324,8 @@ def _do_evolve(cfg, out_dir, force=False, **_kw):
     grid = np.linspace(0.0, setup.t_end, setup.n_out)
     traj = evolve(setup.bundle(), setup.initial_state(), setup.t_end,
                   output_grid=grid, rtol=setup.rtol, atol=setup.atol)
-    trajectory_to_csv(setup.atom, traj, out_dir / "trajectory.csv")
     pops = populations(setup.atom, traj)
+    trajectory_to_csv(setup.atom, traj, out_dir / "trajectory.csv", pops=pops)
     summary = {
         "final_populations": [float(x) for x in pops[-1]],
         "max_trace_drift": float(np.max(traj.trace_error)),

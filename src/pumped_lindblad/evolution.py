@@ -4,16 +4,24 @@ The generator is the T-periodic family
 
     L_t = L_at + eta cos(omega t) L_p + lambda^2 L_R,      T = 2 pi / omega,
 
-acting on vectorized states.  `evolve` integrates the initial-value
-problem with an adaptive embedded Runge-Kutta 4(5) scheme; a fixed-step
-commutator-free 4th-order exponential (Magnus-type) integrator is provided
-as an independent cross-check.  The trace is conserved structurally (every
-Runge-Kutta stage lies in the kernel of the trace functional because the
-adjoint generator annihilates the identity), so trace drift is a pure
-roundoff health metric and is never renormalized away.
+acting on vectorized states.  The dynamics is linear and T-periodic, so
 
-`propagator` integrates the superoperator-valued equation
-d/dt tau(t,s) = L_t tau(t,s), tau(s,s) = 1, whose value over one period is
+    rho(n T + s) = tau(s, 0) M^n rho_0,      M = tau(T, 0),
+
+and `evolve` by default ("stroboscopic") integrates the superoperator flow
+tau(s, 0) once over a single period with dense output, at rtol <= 1e-10
+and atol <= 1e-12, then reaches every output time by powers of the
+monodromy M and one interpolated phase.  Its cost does not grow with
+t_end.  The adaptive embedded Runge-Kutta 4(5) scheme over the whole
+interval ("rk45") and a fixed-step commutator-free 4th-order exponential
+(Magnus-type) integrator ("magnus-cf4") stay as independent cross-checks.
+The trace is conserved structurally (every Runge-Kutta stage lies in the
+kernel of the trace functional because the adjoint generator annihilates
+the identity), so trace drift is a pure roundoff health metric and is
+never renormalized away.
+
+`propagator` integrates the same superoperator-valued equation
+d/dt tau(t,s) = L_t tau(t,s), tau(s,s) = 1; its value over one period is
 the monodromy map used by the Floquet cross-checks.
 """
 
@@ -91,7 +99,12 @@ def averaged_generator(bundle):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States on an increasing time grid with per-point health metrics."""
+    """States on an increasing time grid with per-point health metrics.
+
+    `meta` holds the method, the requested tolerances and, for the
+    "rk45" and "stroboscopic" methods, `rhs_evals` (the integrator's
+    right-hand-side evaluations).
+    """
 
     times: np.ndarray
     states: np.ndarray        # shape (n, d, d)
@@ -100,27 +113,52 @@ class Trajectory:
     purity: np.ndarray
     meta: dict = field(default_factory=dict, compare=False)
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.size > 1 and np.any(np.diff(t) <= 0):
-            raise DimensionMismatchError("output grid must be strictly increasing")
-
 
 def _diagnose(states):
-    tr_err = np.array([abs(np.trace(r) - 1.0) for r in states])
-    min_eig = np.array([
-        float(np.linalg.eigvalsh(0.5 * (r + r.conj().T)).min()) for r in states
-    ])
-    purity = np.array([float(np.trace(r @ r).real) for r in states])
+    tr_err = np.abs(np.trace(states, axis1=1, axis2=2) - 1.0)
+    herm = states.conj().transpose(0, 2, 1)     # a fresh copy, updated in place
+    herm += states
+    herm *= 0.5
+    min_eig = np.linalg.eigvalsh(herm)[:, 0]
+    purity = np.einsum("nij,nji->n", states, states).real
     return tr_err, min_eig, purity
 
 
+def _unvec_rows(rows, d):
+    """`unvec` of each row of an (n, d^2) array, as an (n, d, d) array."""
+    return np.asarray(rows).reshape(-1, d, d).transpose(0, 2, 1)
+
+
+def _output_grid(t_end, output_grid):
+    """The validated output grid: 1-D, strictly increasing, inside [0, t_end]."""
+    if output_grid is None:
+        return np.linspace(0.0, t_end, 201)
+    grid = np.asarray(output_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise DimensionMismatchError(
+            f"output grid must be a non-empty 1-D array, got shape {grid.shape}")
+    if not np.all(np.diff(grid) > 0):
+        raise DimensionMismatchError("output grid must be strictly increasing")
+    if not (grid[0] >= 0.0 and grid[-1] <= t_end):
+        raise DimensionMismatchError(
+            f"output grid [{grid[0]:.6g}, {grid[-1]:.6g}] is not inside [0, {t_end:.6g}]")
+    return grid
+
+
 def evolve(bundle, rho0, t_end, output_grid=None, rtol=1e-8, atol=1e-10,
-           method="rk45", n_steps=None):
+           method="stroboscopic", n_steps=None):
     """Integrate rho' = L_t rho from the validated state rho0 over [0, t_end].
 
-    method="rk45" (default): adaptive embedded Runge-Kutta with dense
-    output sampled on `output_grid` (default: 201 uniform points).
+    The output grid (default: 201 uniform points) must be strictly
+    increasing and inside [0, t_end]; otherwise DimensionMismatch.
+
+    method="stroboscopic" (default): integrate the superoperator flow
+    tau(s, 0) once over one period T with dense output, at
+    rtol=min(rtol, 1e-10) and atol=min(atol, 1e-12), and return
+    tau(phase, 0) M^cycles rho0 at each t = cycles*T + phase, where
+    M = tau(T, 0) is applied one cycle at a time.  Cost is flat in t_end.
+    method="rk45": adaptive embedded Runge-Kutta over all of [0, t_end]
+    with dense output sampled on the grid (cross-check mode).
     method="magnus-cf4": fixed-step commutator-free exponential integrator
     with `n_steps` uniform steps (cross-check mode; output grid is the step
     grid).
@@ -133,24 +171,21 @@ def evolve(bundle, rho0, t_end, output_grid=None, rtol=1e-8, atol=1e-10,
     d = rho0.shape[0]
     if not t_end > 0:
         raise DimensionMismatchError(f"t_end={t_end} must be positive")
-    if output_grid is None:
-        output_grid = np.linspace(0.0, t_end, 201)
-    output_grid = np.asarray(output_grid, dtype=float)
+    times = _output_grid(t_end, output_grid)
+    meta = {"method": method, "rtol": rtol, "atol": atol}
 
-    if method == "rk45":
-        static = bundle.static_matrix
-        pump = bundle.l_p.matrix
-        eta, omega = bundle.eta, bundle.omega
-
-        def rhs(t, y):
-            return static @ y + (eta * np.cos(omega * t)) * (pump @ y)
-
-        sol = solve_ivp(rhs, (0.0, t_end), vec(rho0), method="RK45",
-                        t_eval=output_grid, rtol=rtol, atol=atol)
+    if method == "stroboscopic":
+        rows, meta["rhs_evals"] = _stroboscopic(bundle, vec(rho0), times,
+                                                min(rtol, 1e-10), min(atol, 1e-12))
+        states = _unvec_rows(rows, d)
+    elif method == "rk45":
+        sol = solve_ivp(_rhs(bundle), (0.0, t_end), vec(rho0), method="RK45",
+                        t_eval=times, rtol=rtol, atol=atol)
         if not sol.success:
             raise StepSizeUnderflowError(f"integrator failed: {sol.message}")
-        states = np.array([unvec(sol.y[:, i], d) for i in range(sol.y.shape[1])])
+        states = _unvec_rows(sol.y.T, d)
         times = sol.t
+        meta["rhs_evals"] = int(sol.nfev)
     elif method == "magnus-cf4":
         if n_steps is None:
             n_steps = max(int(np.ceil(200 * t_end / bundle.period)), 100)
@@ -174,8 +209,29 @@ def evolve(bundle, rho0, t_end, output_grid=None, rtol=1e-8, atol=1e-10,
             t=float(times[worst]), min_eig=float(min_eig[worst]),
         )
     return Trajectory(times=times, states=states, trace_error=tr_err,
-                      min_eig=min_eig, purity=purity,
-                      meta={"method": method, "rtol": rtol, "atol": atol})
+                      min_eig=min_eig, purity=purity, meta=meta)
+
+
+def _stroboscopic(bundle, v, times, rtol, atol):
+    """Rows tau(phase, 0) M^cycles v for t = cycles*T + phase, and the RHS count.
+
+    `times` must be increasing, so the walk applies M = tau(T, 0) one cycle
+    at a time; the one-period interpolant is freed on return.
+    """
+    period = bundle.period
+    n = v.size
+    sol = _flow(bundle, 0.0, period, rtol, atol, dense_output=True)
+    mono = sol.y[:, -1].reshape(n, n)
+    cycles = np.floor(times / period)
+    phases = np.clip(times - cycles * period, 0.0, period)
+    rows = np.empty((times.size, n), dtype=complex)
+    done = 0
+    for i, (c, phase) in enumerate(zip(cycles, phases)):
+        while done < c:
+            v = mono @ v
+            done += 1
+        rows[i] = sol.sol(phase).reshape(n, n) @ v
+    return rows, int(sol.nfev)
 
 
 # 4th-order commutator-free scheme on the two Gauss nodes
@@ -199,6 +255,37 @@ def _cf4_step(bundle, t, h):
 # propagator and monodromy interval
 # --------------------------------------------------------------------------
 
+def _rhs(bundle):
+    """y -> L_t y for a vectorized state, or for the row-flattened columns
+    of a d^2 x k matrix such as the propagator."""
+    static = bundle.static_matrix
+    pump = bundle.l_p.matrix
+    eta, omega = bundle.eta, bundle.omega
+    n = static.shape[0]
+
+    def rhs(t, y):
+        u = y.reshape(n, -1)
+        du = static @ u + (eta * np.cos(omega * t)) * (pump @ u)
+        return du.reshape(-1)
+
+    return rhs
+
+
+def _flow(bundle, s, t, rtol, atol, dense_output=False):
+    """RK45 solution of d/dt tau = L_t tau, tau(s) = 1, on [s, t].
+
+    Each `y` is tau with its rows flattened; `dense_output=True` adds the
+    interpolant `sol.sol`.
+    """
+    n = bundle.l_at.dim ** 2
+    y0 = np.eye(n, dtype=complex).reshape(-1)
+    sol = solve_ivp(_rhs(bundle), (s, t), y0, method="RK45", rtol=rtol,
+                    atol=atol, dense_output=dense_output)
+    if not sol.success:
+        raise StepSizeUnderflowError(f"propagator integration failed: {sol.message}")
+    return sol
+
+
 def propagator(bundle, s, t, rtol=1e-10, atol=1e-12):
     """Two-parameter propagator tau(t, s) as a superoperator.
 
@@ -208,23 +295,10 @@ def propagator(bundle, s, t, rtol=1e-10, atol=1e-12):
     if t < s:
         raise DimensionMismatchError(f"need t >= s, got s={s}, t={t}")
     d = bundle.l_at.dim
-    n = d * d
     if t == s:
         return Superoperator.identity(d)
-    static = bundle.static_matrix
-    pump = bundle.l_p.matrix
-    eta, omega = bundle.eta, bundle.omega
-
-    def rhs(tt, y):
-        u = y.reshape(n, n)
-        du = static @ u + (eta * np.cos(omega * tt)) * (pump @ u)
-        return du.reshape(-1)
-
-    y0 = np.eye(n, dtype=complex).reshape(-1)
-    sol = solve_ivp(rhs, (s, t), y0, method="RK45", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise StepSizeUnderflowError(f"propagator integration failed: {sol.message}")
-    return Superoperator(sol.y[:, -1].reshape(n, n))
+    n = d * d
+    return Superoperator(_flow(bundle, s, t, rtol, atol).y[:, -1].reshape(n, n))
 
 
 def monodromy_interval(bundle, rtol=1e-10):
@@ -238,24 +312,25 @@ def monodromy_interval(bundle, rtol=1e-10):
 
 def populations(atom, traj):
     """Level populations Tr(P_k rho(t)) as an (n_times, N) real table."""
-    table = np.empty((len(traj.times), atom.n_levels))
-    for i, rho in enumerate(traj.states):
-        for k, p in enumerate(atom.projections):
-            table[i, k] = float(np.trace(p @ rho).real)
-    return table
+    return np.einsum("kij,nji->nk", np.array(atom.projections), traj.states).real
 
 
-def trajectory_to_csv(atom, traj, path):
-    """Write `t,pop_1..pop_N,trace,min_eig,purity` with 17-digit floats, LF."""
-    pops = populations(atom, traj)
+def trajectory_to_csv(atom, traj, path, pops=None):
+    """Write `t,pop_1..pop_N,trace,min_eig,purity` with 17-digit floats, LF.
+
+    `pops` is the `populations(atom, traj)` table when the caller already
+    has it.
+    """
+    if pops is None:
+        pops = populations(atom, traj)
     n = atom.n_levels
     header = "t," + ",".join(f"pop_{k}" for k in range(1, n + 1)) + ",trace,min_eig,purity"
+    trace = np.trace(traj.states, axis1=1, axis2=2).real
+    table = np.column_stack([traj.times, pops, trace, traj.min_eig, traj.purity])
+    row = ",".join(["%.17g"] * table.shape[1])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for i, t in enumerate(traj.times):
-            trace = float(np.trace(traj.states[i]).real)
-            row = [t, *pops[i], trace, traj.min_eig[i], traj.purity[i]]
-            fh.write(",".join("%.17g" % x for x in row) + "\n")
+        fh.writelines(row % tuple(r) + "\n" for r in table)
 
 
 # --------------------------------------------------------------------------

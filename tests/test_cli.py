@@ -197,6 +197,7 @@ def test_evolve_two_level_reaches_gibbs(runner, tmp_path):
     assert np.allclose(summary["final_populations"], gibbs, atol=1e-4)
     assert summary["max_trace_drift"] <= 1e-9
     assert summary["min_eigenvalue"] >= -1e-9
+    assert summary["method"] == "stroboscopic"
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,pop_1,pop_2,trace,min_eig,purity"
     assert len(lines) == 202

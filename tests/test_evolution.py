@@ -10,7 +10,10 @@ coherences and obey the scalar rate equation
 an exact closed form used as the oracle for the adaptive integrator.  The
 autonomous case is also compared against a direct matrix exponential, and
 the fixed-step commutator-free exponential integrator is verified to be
-fourth-order against a tight reference.
+fourth-order against a tight reference.  The default stroboscopic route
+(one period of the propagator, then monodromy powers) is compared against
+adaptive Runge-Kutta over the whole interval on grids that do and do not
+fit the period.
 """
 
 import numpy as np
@@ -134,6 +137,69 @@ def test_evolve_input_validation(two_level):
         evolve(two_level.bundle, _ground(2), 1.0, method="rk99")
 
 
+METHODS = ("stroboscopic", "rk45", "magnus-cf4")
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("grid", [
+    [0.0, 0.5, 1.5],          # past t_end
+    [-0.1, 0.5, 1.0],         # before 0
+    [0.0, 0.7, 0.3, 1.0],     # unsorted
+    [0.0, 0.5, 0.5, 1.0],     # repeated point
+    [],                       # empty
+    [[0.0, 1.0]],             # not 1-D
+], ids=["past-end", "negative", "unsorted", "repeated", "empty", "2d"])
+def test_evolve_rejects_bad_grid(two_level, method, grid):
+    with pytest.raises(DimensionMismatchError):
+        evolve(two_level.bundle, _ground(2), 1.0, output_grid=grid,
+               method=method, n_steps=4)
+
+
+# --------------------------------------------------------------------------
+# stroboscopic default against adaptive Runge-Kutta
+# --------------------------------------------------------------------------
+
+def _grids(period):
+    kt = period * np.arange(0, 9)
+    return {
+        "uneven-uniform": (7.3 * period, np.linspace(0.0, 7.3 * period, 53)),
+        "multiples-of-T": (kt[-1], kt),
+        "shorter-than-T": (0.7 * period, np.linspace(0.0, 0.7 * period, 11)),
+        "non-uniform": (5.2 * period, 5.2 * period * np.linspace(0.0, 1.0, 40)**2),
+    }
+
+
+@pytest.mark.parametrize("case", ["uneven-uniform", "multiples-of-T",
+                                  "shorter-than-T", "non-uniform"])
+def test_stroboscopic_matches_rk45(three_level, case):
+    bundle = three_level.make_bundle(0.1, 0.04)   # strong drive
+    t_end, grid = _grids(bundle.period)[case]
+    if case == "multiples-of-T":
+        # some k T round to a cycle count of k - 1 and a phase of about T
+        assert np.any(np.floor(grid / bundle.period) < np.arange(grid.size))
+    strobe = evolve(bundle, _ground(3), t_end, output_grid=grid)
+    ref = evolve(bundle, _ground(3), t_end, output_grid=grid, method="rk45",
+                 rtol=1e-12, atol=1e-13)
+    assert strobe.meta["method"] == "stroboscopic"
+    assert np.array_equal(strobe.times, grid)
+    err = np.linalg.norm(strobe.states - ref.states, axis=(1, 2))
+    assert err.max() <= 1e-8, f"max state error {err.max():.3e}"
+    assert np.max(strobe.trace_error) <= 1e-12
+    assert np.min(strobe.min_eig) >= -1e-10
+
+
+def test_stroboscopic_cost_is_flat_in_t_end(three_level):
+    bundle = three_level.bundle
+    evals = []
+    for cycles in (20, 200):
+        t_end = cycles * bundle.period
+        traj = evolve(bundle, _ground(3), t_end)
+        evals.append(traj.meta["rhs_evals"])
+    assert evals[0] == evals[1] > 0
+    rk = evolve(bundle, _ground(3), 20 * bundle.period, method="rk45")
+    assert rk.meta["rhs_evals"] > evals[0]
+
+
 def test_bundle_validation(two_level):
     with pytest.raises(DimensionMismatchError):
         GeneratorBundle(l_at=two_level.l_at, l_p=two_level.pump.lindbladian,
@@ -195,6 +261,23 @@ def test_populations_and_csv_roundtrip(tmp_path, three_level):
     path2 = tmp_path / "traj2.csv"
     trajectory_to_csv(three_level.atom, traj, path2)
     assert path.read_bytes() == path2.read_bytes()
+    # a precomputed population table writes the same bytes
+    path3 = tmp_path / "traj3.csv"
+    trajectory_to_csv(three_level.atom, traj, path3, pops=pops)
+    assert path.read_bytes() == path3.read_bytes()
+
+
+def test_batched_tables_match_per_state_loops(three_level):
+    traj = evolve(three_level.make_bundle(0.1, 0.04), _ground(3), 10.0,
+                  output_grid=np.linspace(0.0, 10.0, 7))
+    pops = populations(three_level.atom, traj)
+    for i, rho in enumerate(traj.states):
+        for k, p in enumerate(three_level.atom.projections):
+            assert abs(pops[i, k] - np.trace(p @ rho).real) <= 1e-15
+        herm = 0.5 * (rho + rho.conj().T)
+        assert traj.min_eig[i] == np.linalg.eigvalsh(herm).min()
+        assert abs(traj.trace_error[i] - abs(np.trace(rho) - 1.0)) <= 1e-16
+        assert abs(traj.purity[i] - np.trace(rho @ rho).real) <= 1e-15
 
 
 # --------------------------------------------------------------------------
