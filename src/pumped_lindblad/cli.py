@@ -16,7 +16,6 @@ enter file contents.
 
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -202,6 +201,7 @@ class RunSetup:
         if not isinstance(pump_cfg, dict):
             raise ConfigError("missing 'pump' section")
         self.h_p = _as_matrix(pump_cfg.get("h_p"), "pump.h_p")
+        self.pump = validate_pump(self.atom, self.h_p)
         self.eta = _require_finite(pump_cfg.get("eta", 0.0), "pump.eta")
         omega = pump_cfg.get("omega")
         natural = self.atom.pump_freq
@@ -230,19 +230,12 @@ class RunSetup:
         self.seed = _require_int(cfg.get("seed", 0), "seed", 0)
 
         self._data = None
-        self._pump = None
 
     @property
     def data(self):
         if self._data is None:
             self._data = reservoir_lindbladian(self.atom, self.res)
         return self._data
-
-    @property
-    def pump(self):
-        if self._pump is None:
-            self._pump = validate_pump(self.atom, self.h_p)
-        return self._pump
 
     def bundle(self):
         return GeneratorBundle(
@@ -304,23 +297,17 @@ def _guard_assumptions(setup, out_dir, force):
 
 
 # --------------------------------------------------------------------------
-# subcommand bodies (shared by direct invocation and sweeps)
+# subcommand bodies: each takes a validated RunSetup and an existing out_dir
 # --------------------------------------------------------------------------
 
-def _do_check(cfg, out_dir, **_kw):
-    setup = RunSetup(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _do_check(setup, out_dir, **_kw):
     report = _run_check(setup, out_dir)
     return EXIT_OK if report.hard_pass else EXIT_ASSUMPTION
 
 
-def _do_evolve(cfg, out_dir, force=False, **_kw):
-    setup = RunSetup(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _do_evolve(setup, out_dir, force=False, **_kw):
     if not _guard_assumptions(setup, out_dir, force):
         return EXIT_ASSUMPTION
-    if setup.t_end is None:
-        raise ConfigError("sim.t_end is required for evolve")
     grid = np.linspace(0.0, setup.t_end, setup.n_out)
     traj = evolve(setup.bundle(), setup.initial_state(), setup.t_end,
                   output_grid=grid, rtol=setup.rtol, atol=setup.atol)
@@ -340,9 +327,7 @@ def _do_evolve(cfg, out_dir, force=False, **_kw):
     return EXIT_OK
 
 
-def _do_floquet(cfg, out_dir, force=False, order_check=False, **_kw):
-    setup = RunSetup(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _do_floquet(setup, out_dir, force=False, order_check=False, **_kw):
     if not _guard_assumptions(setup, out_dir, force):
         return EXIT_ASSUMPTION
     bundle = setup.bundle()
@@ -375,13 +360,9 @@ def _do_floquet(cfg, out_dir, force=False, order_check=False, **_kw):
     return EXIT_OK
 
 
-def _do_oracle(cfg, out_dir, force=False, **_kw):
-    setup = RunSetup(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _do_oracle(setup, out_dir, force=False, **_kw):
     if not _guard_assumptions(setup, out_dir, force):
         return EXIT_ASSUMPTION
-    if setup.res.gks_jumps is not None:
-        raise ConfigError("oracle needs the form-factor route, not raw GKS jumps")
     data = setup.data
     ladder = [1e-2, 5e-3, 2.5e-3]
     mats = []
@@ -437,43 +418,59 @@ _SWEEP_PATHS = {
 
 def _apply_sweep_value(cfg, key, raw):
     import copy
-    new = copy.deepcopy(cfg)
     if key in _SWEEP_PATHS:
         section, field = _SWEEP_PATHS[key]
-    elif "." in key:
-        section, field = key.split(".", 1)
     else:
-        raise ConfigError(f"unknown sweep key {key!r}")
+        section, dot, field = key.partition(".")
+        if not (dot and section and field):
+            raise ConfigError(f"unknown sweep key {key!r}")
     try:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"sweep value {raw!r} is not a number") from None
-    new.setdefault(section, {})[field] = value
+    new = copy.deepcopy(cfg)
+    target = new.setdefault(section, {})
+    if not isinstance(target, dict):
+        raise ConfigError(f"sweep key {key!r}: '{section}' is not an object")
+    target[field] = value
     return new
 
 
+def _points(cfg, out_dir, sweep):
+    """(config, out_dir) of every run: the config itself, or one per sweep value."""
+    if not sweep:
+        return [(cfg, out_dir)]
+    if "=" not in sweep:
+        raise ConfigError("--sweep expects key=v1,v2,...")
+    key, _, values = sweep.partition("=")
+    tokens = [v for v in values.split(",") if v]
+    if not tokens:
+        raise ConfigError("--sweep got an empty value list")
+    return [(_apply_sweep_value(cfg, key, tok), out_dir / f"sweep-{key}-{tok}")
+            for tok in tokens]
+
+
+def _validated_setup(command, cfg):
+    """RunSetup plus the subcommand's own config requirements."""
+    setup = RunSetup(cfg)
+    if command == "evolve" and setup.t_end is None:
+        raise ConfigError("sim.t_end is required for evolve")
+    if command == "oracle" and setup.res.gks_jumps is not None:
+        raise ConfigError("oracle needs the form-factor route, not raw GKS jumps")
+    return setup
+
+
 def _dispatch(command, config_path, out, force, order_check, sweep):
+    """Validate every point of the run, then run them in order on this thread."""
     try:
-        cfg = load_config(config_path)
-        out_dir = Path(out)
-        body = _COMMANDS[command]
-        if sweep:
-            if "=" not in sweep:
-                raise ConfigError("--sweep expects key=v1,v2,...")
-            key, _, values = sweep.partition("=")
-            tokens = [v for v in values.split(",") if v]
-            if not tokens:
-                raise ConfigError("--sweep got an empty value list")
-            jobs = []
-            with ThreadPoolExecutor(max_workers=min(4, len(tokens))) as pool:
-                for tok in tokens:
-                    sub_cfg = _apply_sweep_value(cfg, key, tok)
-                    sub_dir = out_dir / f"sweep-{key}-{tok}"
-                    jobs.append(pool.submit(body, sub_cfg, sub_dir,
-                                            force=force, order_check=order_check))
-                codes = [j.result() for j in jobs]
-            return max(codes)
-        return body(cfg, out_dir, force=force, order_check=order_check)
+        points = [(_validated_setup(command, cfg), out_dir)
+                  for cfg, out_dir in _points(load_config(config_path), Path(out), sweep)]
+        code = EXIT_OK
+        for setup, out_dir in points:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            code = max(code, _COMMANDS[command](setup, out_dir, force=force,
+                                                order_check=order_check))
+        return code
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         return EXIT_CONFIG
@@ -492,7 +489,8 @@ def _common_options(fn):
     fn = click.option("--force", is_flag=True,
                       help="run even if assumption checks fail")(fn)
     fn = click.option("--sweep", default=None, metavar="KEY=V1,V2,...",
-                      help="fan out over a parameter (lambda, eta, beta, t_end)")(fn)
+                      help="run once per value of lambda, eta, beta, t_end or a "
+                           "dotted config path such as pump.omega, in order")(fn)
     return fn
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "Trajectory",
     "averaged_generator",
     "evolve",
-    "generator_at",
     "monodromy_interval",
     "populations",
     "propagator",
@@ -79,12 +78,6 @@ class GeneratorBundle:
     @property
     def static_matrix(self):
         return self.l_at.matrix + self.lam**2 * self.l_r.matrix
-
-
-def generator_at(bundle, t):
-    """L_t = L_at + eta cos(omega t) L_p + lambda^2 L_R."""
-    drive = bundle.eta * np.cos(bundle.omega * t)
-    return Superoperator(bundle.static_matrix + drive * bundle.l_p.matrix)
 
 
 def averaged_generator(bundle):
@@ -244,8 +237,9 @@ _CF4_C2 = 0.5 + np.sqrt(3.0) / 6.0
 
 
 def _cf4_step(bundle, t, h):
-    a1 = generator_at(bundle, t + _CF4_C1 * h).matrix
-    a2 = generator_at(bundle, t + _CF4_C2 * h).matrix
+    static, l_p = bundle.static_matrix, bundle.l_p.matrix
+    a1 = static + bundle.eta * np.cos(bundle.omega * (t + _CF4_C1 * h)) * l_p
+    a2 = static + bundle.eta * np.cos(bundle.omega * (t + _CF4_C2 * h)) * l_p
     first = expm(h * (_CF4_F2 * a1 + _CF4_F1 * a2))
     second = expm(h * (_CF4_F1 * a1 + _CF4_F2 * a2))
     return second @ first

@@ -249,11 +249,42 @@ def test_evolve_sweep_fans_out(runner, tmp_path):
         assert (sub / "summary.json").exists()
 
 
-def test_sweep_rejects_unknown_key(runner, tmp_path):
+@pytest.mark.parametrize("sweep", ["nonsense", "seed.x=1", ".x=1", "sim.=1"])
+def test_sweep_rejects_unknown_key(runner, tmp_path, sweep):
     result = runner.invoke(main, ["evolve", str(CONFIG_DIR / "two_level.json"),
                                   "--out", str(tmp_path / "out"),
-                                  "--sweep", "nonsense"])
+                                  "--sweep", sweep])
     assert result.exit_code == 1
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), result.output
+
+
+def test_sweep_runs_in_order_like_direct_runs(runner, tmp_path):
+    path = str(CONFIG_DIR / "two_level.json")
+    out = tmp_path / "sweep"
+    result = runner.invoke(main, ["check", path, "--out", str(out),
+                                  "--sweep", "pump.omega=0.9,1.1"])
+    assert result.exit_code == 0, result.output
+    detuned = [line for line in result.stderr.splitlines() if "detuned" in line]
+    assert len(detuned) == 2
+    assert "frequency 0.9 " in detuned[0] and "frequency 1.1 " in detuned[1]
+    for token in ("0.9", "1.1"):
+        cfg = _two_level_cfg()
+        cfg["pump"]["omega"] = float(token)
+        direct = tmp_path / f"direct-{token}"
+        result = runner.invoke(main, ["check", _write(tmp_path, cfg),
+                                      "--out", str(direct)])
+        assert result.exit_code == 0, result.output
+        assert ((out / f"sweep-pump.omega-{token}" / "report.json").read_bytes()
+                == (direct / "report.json").read_bytes())
+
+    # a malformed last value stops the sweep before any point runs
+    bad = tmp_path / "bad"
+    result = runner.invoke(main, ["check", path, "--out", str(bad),
+                                  "--sweep", "floquet.n_modes=8,1.5"])
+    assert result.exit_code == 1
+    assert result.stderr.strip().startswith("config error:"), result.output
+    assert not list(bad.glob("sweep-*"))
 
 
 # --------------------------------------------------------------------------
@@ -330,3 +361,17 @@ def test_oracle_rejects_gks_route(runner, tmp_path):
     result = runner.invoke(main, ["oracle", _write(tmp_path, cfg),
                                   "--out", str(tmp_path / "out")])
     assert result.exit_code == 1
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), result.output
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_evolve_requires_t_end(runner, tmp_path):
+    cfg = _two_level_cfg()
+    del cfg["sim"]["t_end"]
+    result = runner.invoke(main, ["evolve", _write(tmp_path, cfg),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), result.output
+    assert not (tmp_path / "out" / "report.json").exists()
