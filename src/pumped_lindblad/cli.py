@@ -226,7 +226,11 @@ class RunSetup:
         flo = _section(cfg, "floquet")
         self.n_modes = _require_int(flo.get("n_modes", 32), "floquet.n_modes", 2)
         self.contour_points = _require_int(flo.get("contour_points", 64),
-                                           "floquet.contour_points", 1)
+                                           "floquet.contour_points", 2)
+        if self.contour_points % 2:
+            # the order check compares the rule with its every-second-node half
+            raise ConfigError("floquet.contour_points: expected an even integer >= 2, "
+                              f"got {flo['contour_points']!r}")
         self.seed = _require_int(cfg.get("seed", 0), "seed", 0)
 
         self._data = None
@@ -408,28 +412,33 @@ _COMMANDS = {
     "oracle": _do_oracle,
 }
 
-_SWEEP_PATHS = {
-    "lambda": ("reservoir", "lambda"),
-    "beta": ("reservoir", "beta"),
-    "eta": ("pump", "eta"),
-    "t_end": ("sim", "t_end"),
+# config paths of the numeric scalars RunSetup reads (`seed` is top level)
+_SWEEP_FIELDS = {
+    "reservoir.beta", "reservoir.lambda", "pump.eta", "pump.omega",
+    "sim.t_end", "sim.n_out", "sim.rtol", "sim.atol",
+    "floquet.n_modes", "floquet.contour_points", "seed",
+}
+_SWEEP_ALIASES = {
+    "lambda": "reservoir.lambda",
+    "beta": "reservoir.beta",
+    "eta": "pump.eta",
+    "t_end": "sim.t_end",
 }
 
 
 def _apply_sweep_value(cfg, key, raw):
     import copy
-    if key in _SWEEP_PATHS:
-        section, field = _SWEEP_PATHS[key]
-    else:
-        section, dot, field = key.partition(".")
-        if not (dot and section and field):
-            raise ConfigError(f"unknown sweep key {key!r}")
+    path = _SWEEP_ALIASES.get(key, key)
+    if path not in _SWEEP_FIELDS:
+        raise ConfigError(f"unknown sweep key {key!r} (sweepable: "
+                          f"{', '.join(sorted(_SWEEP_FIELDS | set(_SWEEP_ALIASES)))})")
     try:
         value = float(raw)
     except ValueError:
         raise ConfigError(f"sweep value {raw!r} is not a number") from None
     new = copy.deepcopy(cfg)
-    target = new.setdefault(section, {})
+    section, _, field = path.rpartition(".")
+    target = new.setdefault(section, {}) if section else new
     if not isinstance(target, dict):
         raise ConfigError(f"sweep key {key!r}: '{section}' is not an object")
     target[field] = value
@@ -446,8 +455,11 @@ def _points(cfg, out_dir, sweep):
     tokens = [v for v in values.split(",") if v]
     if not tokens:
         raise ConfigError("--sweep got an empty value list")
-    return [(_apply_sweep_value(cfg, key, tok), out_dir / f"sweep-{key}-{tok}")
-            for tok in tokens]
+    points = [(_apply_sweep_value(cfg, key, tok), out_dir / f"sweep-{key}-{tok}")
+              for tok in tokens]
+    if len({float(tok) for tok in tokens}) < len(tokens):
+        raise ConfigError(f"--sweep repeats a value of {key}: {values}")
+    return points
 
 
 def _validated_setup(command, cfg):
@@ -490,7 +502,7 @@ def _common_options(fn):
                       help="run even if assumption checks fail")(fn)
     fn = click.option("--sweep", default=None, metavar="KEY=V1,V2,...",
                       help="run once per value of lambda, eta, beta, t_end or a "
-                           "dotted config path such as pump.omega, in order")(fn)
+                           "numeric config field such as pump.omega, in order")(fn)
     return fn
 
 

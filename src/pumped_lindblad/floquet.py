@@ -25,6 +25,13 @@ block-tridiagonal elimination, never a dense solve), first-order
 perturbation blocks, the pair-of-projections similarity, the monodromy
 cross-check against the propagator, and a Bromwich-line evaluation of the
 semigroup with analytic tail corrections.
+
+The perturbation block never forms an (n s) x (n s) matrix.  P0 of the
+free operator is exact (one Hermitian eigensolve of its d^2 x d^2 block),
+and P is probed on Range(P0) by block-Thomas solves with rank P0
+right-hand sides (Kato's pairs of projections; the thin contour-integral
+pattern of Beyn, Lin. Alg. Appl. 436, 3839 (2012)); every norm is taken
+on a 2r x 2r core.
 """
 
 import math
@@ -41,6 +48,7 @@ from .errors import (
     DimensionMismatchError,
     DisagreementBetweenRulesError,
     EigensolverFailureError,
+    GeneratorStructureError,
     IdempotencyFailureError,
     NearSingularPairError,
     ProjectionPairTooFarError,
@@ -53,6 +61,7 @@ __all__ = [
     "FloquetOperator",
     "FloquetSpectrum",
     "KatoBlock",
+    "LowRank",
     "MonodromyReport",
     "RieszProjection",
     "bromwich_expm",
@@ -245,6 +254,36 @@ def _require_howland(f_op):
     return f_op
 
 
+def _howland_blocks(f_op, adjoint=False):
+    """Mode shifts i omega k, diagonal block B and coupling H of F (or of F^H)."""
+    shifts = 1j * f_op.omega * np.arange(-f_op.n_modes, f_op.n_modes + 1)
+    if adjoint:
+        return shifts.conj(), f_op.base.conj().T, f_op.coupling.conj().T
+    return shifts, f_op.base, f_op.coupling
+
+
+def _diagonal_blocks(z, shifts, base):
+    """D_k = (z - shift_k) - B for a batch of nodes: shape (nodes, modes, s, s)."""
+    eye = np.eye(base.shape[0], dtype=complex)
+    return (z[:, None] - shifts)[:, :, None, None] * eye - base
+
+
+def _left_sweep(d, h):
+    """Left Schur complements L_k = D_k - H L_{k-1}^{-1} H of a node batch.
+
+    Returns L_k for every mode and x_k = L_k^{-1} H for k < n - 1.
+    """
+    n = d.shape[1]
+    left = np.empty_like(d)
+    x = np.empty_like(d)
+    hb = np.broadcast_to(h, d.shape[:1] + h.shape)   # one H per node
+    left[:, 0] = d[:, 0]
+    for k in range(n - 1):
+        x[:, k] = np.linalg.solve(left[:, k], hb)
+        left[:, k + 1] = d[:, k + 1] - h @ x[:, k]
+    return left, x
+
+
 def _resolvent_sum(f_op, nodes, weights):
     """sum_j weights[j] (nodes[j] - F)^{-1} by block-tridiagonal elimination.
 
@@ -265,9 +304,7 @@ def _resolvent_sum(f_op, nodes, weights):
     factored.  A singular block pivot raises ContourHitsSpectrum.
     """
     n, s = 2 * f_op.n_modes + 1, f_op.block_size
-    shifts = 1j * f_op.omega * np.arange(-f_op.n_modes, f_op.n_modes + 1)
-    eye = np.eye(s, dtype=complex)
-    h = f_op.coupling
+    shifts, base, h = _howland_blocks(f_op)
     nodes = np.asarray(nodes, dtype=complex)
     weights = np.asarray(weights, dtype=complex)
     acc = np.zeros((n, s, n, s), dtype=complex)
@@ -275,16 +312,11 @@ def _resolvent_sum(f_op, nodes, weights):
     for start in range(0, nodes.size, _NODE_CHUNK):
         z = nodes[start:start + _NODE_CHUNK]
         w = weights[start:start + _NODE_CHUNK]
-        d = (z[:, None] - shifts)[:, :, None, None] * eye - f_op.base
-        left = np.empty_like(d)     # L_k
-        x = np.empty_like(d)        # L_k^{-1} H
+        d = _diagonal_blocks(z, shifts, base)
         y = np.empty_like(d)        # R_k^{-1} H
         hb = np.broadcast_to(h, d.shape[:1] + h.shape)   # one H per node
         try:
-            left[:, 0] = d[:, 0]
-            for k in range(n - 1):
-                x[:, k] = np.linalg.solve(left[:, k], hb)
-                left[:, k + 1] = d[:, k + 1] - h @ x[:, k]
+            left, x = _left_sweep(d, h)   # L_k and L_k^{-1} H
             right = d[:, n - 1]
             for k in range(n - 1, 0, -1):
                 y[:, k] = np.linalg.solve(right, hb)
@@ -304,6 +336,69 @@ def _resolvent_sum(f_op, nodes, weights):
     return acc.reshape(n * s, n * s)
 
 
+def _resolvent_apply(f_op, nodes, weights, rhs, adjoint=False):
+    """sum_j weights[..., j] (nodes[j] - F)^{-1} rhs by block-Thomas solves.
+
+    `rhs` has n s rows and r columns.  Forward elimination runs on the left
+    Schur complements of :func:`_resolvent_sum`,
+
+        u_k = L_k^{-1} (rhs_k + H u_{k-1}),
+
+    and back substitution gives X_k = u_k + (L_k^{-1} H) X_{k+1}.  Leading
+    axes of `weights` stack several rules over the same nodes at no extra
+    solve.  With `adjoint` the blocks of F^H are used and the nodes and
+    weights are conjugated, which returns (sum_j w_j rhs^H (z_j - F)^{-1})^H.
+    Cost is O(M n s^2 (s + r)); a singular block pivot raises
+    ContourHitsSpectrum.
+    """
+    n, s = 2 * f_op.n_modes + 1, f_op.block_size
+    shifts, base, h = _howland_blocks(f_op, adjoint)
+    nodes = np.asarray(nodes, dtype=complex)
+    weights = np.asarray(weights, dtype=complex)
+    if adjoint:
+        nodes, weights = nodes.conj(), weights.conj()
+    rhs = np.asarray(rhs, dtype=complex).reshape(n, s, -1)
+    acc = np.zeros(weights.shape[:-1] + rhs.shape, dtype=complex)
+    for start in range(0, nodes.size, _NODE_CHUNK):
+        z = nodes[start:start + _NODE_CHUNK]
+        d = _diagonal_blocks(z, shifts, base)
+        u = np.empty(z.shape + rhs.shape, dtype=complex)
+        try:
+            left, x = _left_sweep(d, h)
+            u[:, 0] = np.linalg.solve(left[:, 0], np.broadcast_to(rhs[0], u[:, 0].shape))
+            for k in range(1, n):
+                u[:, k] = np.linalg.solve(left[:, k], rhs[k] + h @ u[:, k - 1])
+        except np.linalg.LinAlgError as exc:
+            raise ContourHitsSpectrumError(
+                f"singular block pivot on the contour: {exc}") from None
+        for k in range(n - 2, -1, -1):
+            u[:, k] += x[:, k] @ u[:, k + 1]
+        acc += np.tensordot(weights[..., start:start + _NODE_CHUNK], u, axes=1)
+    return acc.reshape(weights.shape[:-1] + (n * s, rhs.shape[-1]))
+
+
+def _contour_radius(eigenvalues, center, radius=None):
+    """Radius rule and annulus guard; returns the radius and the enclosed count.
+
+    Default radius: 0.45 times the isolation distance of the cluster at
+    `center`, capped at 0.45.  An eigenvalue inside the annulus
+    [0.5 r, 1.5 r] aborts with ContourHitsSpectrum.
+    """
+    dist = np.abs(eigenvalues - center)
+    if radius is None:
+        outside = dist[dist > 1e-6]
+        isolation = float(np.min(outside)) if outside.size else np.inf
+        radius = min(0.45 * isolation, 0.45)
+        if not radius > 0:
+            raise ContourHitsSpectrumError("no isolated cluster at the requested center")
+    in_annulus = np.sum((dist >= 0.5 * radius) & (dist <= 1.5 * radius))
+    if in_annulus:
+        raise ContourHitsSpectrumError(
+            f"{in_annulus} eigenvalue(s) inside the [0.5r, 1.5r] annulus at r={radius:.3g}"
+        )
+    return radius, int(np.sum(dist < radius))
+
+
 def riesz_projection(f_op, center, radius=None, m_points=64, eigenvalues=None):
     """Contour-quadrature Riesz projection of `f_op` around `center`.
 
@@ -317,18 +412,7 @@ def riesz_projection(f_op, center, radius=None, m_points=64, eigenvalues=None):
     f_op = _require_howland(f_op)
     if eigenvalues is None:
         eigenvalues = np.linalg.eigvals(f_op.matrix)
-    dist = np.abs(eigenvalues - center)
-    if radius is None:
-        outside = dist[dist > 1e-6]
-        isolation = float(np.min(outside)) if outside.size else np.inf
-        radius = min(0.45 * isolation, 0.45)
-        if not radius > 0:
-            raise ContourHitsSpectrumError("no isolated cluster at the requested center")
-    in_annulus = np.sum((dist >= 0.5 * radius) & (dist <= 1.5 * radius))
-    if in_annulus:
-        raise ContourHitsSpectrumError(
-            f"{in_annulus} eigenvalue(s) inside the [0.5r, 1.5r] annulus at r={radius:.3g}"
-        )
+    radius, _ = _contour_radius(eigenvalues, center, radius)
     phases = np.exp(2j * np.pi * (np.arange(m_points) + 0.5) / m_points)
     p = _resolvent_sum(f_op, center + radius * phases, radius * phases) / m_points
     defect = float(np.linalg.norm(p @ p - p, 2))
@@ -356,41 +440,141 @@ def eigenprojection_direct(f_op, center, radius):
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class LowRank:
+    """An n s x n s operator kept as thin factors: left @ core @ right."""
+    left: np.ndarray          # (n s, r)
+    core: np.ndarray          # (r, r)
+    right: np.ndarray         # (r, n s)
+
+    def dense(self):
+        return self.left @ self.core @ self.right
+
+
+@dataclass(frozen=True)
 class KatoBlock:
-    block: np.ndarray         # P F P
-    first_order: np.ndarray   # P0 (F - F0) P0
+    block: LowRank            # P F P
+    first_order: LowRank      # P0 (F - F0) P0
+    projection: LowRank       # P = X K^{-1} Y on the probe Range(P0)
     residual: float
+    separation: float         # ||(P - P0)^2||_2
+    idempotency_defect: float
+    quadrature_gap: float     # M-node vs every-second-node probe, relative
     center: complex
     radius: float
 
 
-def kato_block(f_op, f0_op, center, radius=None, m_points=64, p0=None,
-               eigenvalues=None):
+def _free_basis(f0_op, center, radius=None):
+    """Orthonormal basis Q0 of Range(P0) and the contour radius, exactly.
+
+    F0 (lambda = eta = 0) is block diagonal with skew-Hermitian blocks
+    i omega k + B0, so one Hermitian eigensolve of i B0 gives its whole
+    spectrum eig(B0) + i omega k for the radius rule and an orthonormal
+    eigenbasis; P0 = Q0 Q0^H.  Any other operator raises
+    GeneratorStructure: there is no dense fallback.
+    """
+    f0_op = _require_howland(f0_op)
+    b0 = f0_op.base
+    if np.any(f0_op.coupling) or (np.linalg.norm(b0 + b0.conj().T)
+                                  > 1e-12 * max(1.0, np.linalg.norm(b0))):
+        raise GeneratorStructureError(
+            "F0 must be block diagonal with skew-Hermitian blocks (lambda = eta = 0)")
+    mu, vecs = np.linalg.eigh(1j * b0)                    # B0 v = -i mu v
+    shifts, _, _ = _howland_blocks(f0_op)
+    eigs = shifts[:, None] - 1j * mu                      # (modes, s), row order of F0
+    radius, _ = _contour_radius(eigs.ravel(), center, radius)
+    modes, cols = np.nonzero(np.abs(eigs - center) < radius)
+    s = f0_op.block_size
+    q0 = np.zeros((eigs.size, modes.size), dtype=complex)
+    for j, (k, c) in enumerate(zip(modes, cols)):
+        q0[k * s:(k + 1) * s, j] = vecs[:, c]
+    return q0, radius
+
+
+def kato_block(f_op, f0_op, center, radius=None, m_points=64, eigenvalues=None):
     """Compression P F P against its first-order model around one resonance.
 
     P and P0 are the Riesz projections of the perturbed and unperturbed
-    operators around `center` (same contour).  Returns the blocks and
+    operators around `center` (same contour).  Returns the thin factors of
+    the blocks and
 
         residual = || P F P - center P0 - P0 (F - F0) P0 ||_2 ,
 
     the defect of the first-order expansion of the compressed generator.
-    A caller may pass P0 (`p0`, whose contour then replaces `radius` and
-    `m_points`) and the spectrum of F (`eigenvalues`) when it has them.
+    Nothing of size n s x n s is formed.  P0 = Q0 Q0^H is exact
+    (:func:`_free_basis`), and P is probed on Range(P0): by Kato's pair of
+    projections, P maps Range(P0) onto Range(P) while ||(P - P0)^2|| < 1,
+    so with X = P Q0, Y = Q0^H P and K = Q0^H X, P = X K^{-1} Y.  X and Y
+    are contour sums of block-Thomas solves (:func:`_resolvent_apply`).
+    The residual, the pair separation and the idempotency defect are
+    2-norms of 2r x 2r cores of the thin QRs of [X, Q0] and [Y^H, Q0].
+    The thin form cannot see quadrature error off Range(P0), so X and Y are
+    also summed over every second node (a rotated M/2-point rule, needing
+    an even M): a relative gap above 1e-6, like a core defect above 1e-6,
+    raises IdempotencyFailure.  A count of F's eigenvalues inside the
+    contour (`eigenvalues`, else solved here) other than rank P0, a
+    singular K, or a separation >= 1 raises ProjectionPairTooFar.
     """
-    mf, mf0 = _require_howland(f_op).matrix, _require_howland(f0_op).matrix
-    if p0 is None:
-        p0 = riesz_projection(f0_op, center, radius=radius, m_points=m_points)
-    p = riesz_projection(f_op, center, radius=p0.radius, m_points=p0.m_points,
-                         eigenvalues=eigenvalues)
-    diff = p.matrix - p0.matrix
-    sep = np.linalg.norm(diff @ diff, 2)
+    f_op, f0_op = _require_howland(f_op), _require_howland(f0_op)
+    if m_points < 2 or m_points % 2:
+        raise DimensionMismatchError(
+            f"the Kato probe needs an even number of contour nodes >= 2, got {m_points!r}")
+    q0, radius = _free_basis(f0_op, center, radius)
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvals(f_op.matrix)
+    _, enclosed = _contour_radius(eigenvalues, center, radius)
+    r = q0.shape[1]
+    if enclosed != r:
+        raise ProjectionPairTooFarError(
+            f"{enclosed} eigenvalue(s) of F inside the contour against rank P0 = {r}")
+
+    phases = np.exp(2j * np.pi * (np.arange(m_points) + 0.5) / m_points)
+    w = radius * phases / m_points
+    rules = np.stack([w, np.where(np.arange(m_points) % 2, 0.0, 2.0 * w)])
+    nodes = center + radius * phases
+    x, x_half = _resolvent_apply(f_op, nodes, rules, q0)               # P Q0
+    yh, yh_half = _resolvent_apply(f_op, nodes, rules, q0, adjoint=True)  # P^H Q0
+    gap = max((np.linalg.norm(full - half) / np.linalg.norm(full) if r else 0.0)
+              for full, half in ((x, x_half), (yh, yh_half)))
+    if gap > 1e-6:
+        raise IdempotencyFailureError(
+            f"M={m_points} and M/2 node probes differ by {gap:.3e}")
+
+    y = yh.conj().T                                      # Q0^H P
+    k = q0.conj().T @ x                                  # Q0^H P Q0
+    try:
+        k_inv = np.linalg.inv(k)
+    except np.linalg.LinAlgError:
+        raise ProjectionPairTooFarError("Q0^H P Q0 is singular") from None
+    yx = y @ x
+    rank = int(round(np.trace(k_inv @ yx).real))
+    if rank != r:
+        raise ProjectionPairTooFarError(f"rank P = {rank} against rank P0 = {r}")
+
+    # P - P0 = [X, Q0] diag(K^{-1}, -1) [Y; Q0^H]: every norm is that of a
+    # 2r x 2r core between the triangular factors of [X, Q0] and [Y^H, Q0].
+    qa, ra = np.linalg.qr(np.hstack([x, q0]))
+    qb, rb = np.linalg.qr(np.hstack([yh, q0]))
+    eye = np.eye(r, dtype=complex)
+    zero = np.zeros((r, r), dtype=complex)
+
+    def core(upper, lower):
+        return ra @ np.block([[upper, zero], [zero, lower]]) @ rb.conj().T
+
+    defect = float(np.linalg.norm(core(k_inv @ (yx - k) @ k_inv, zero), 2))
+    if defect > 1e-6:
+        raise IdempotencyFailureError(f"projection defect {defect:.3e} at M={m_points}")
+    diff = core(k_inv, -eye)
+    sep = float(np.linalg.norm(diff @ (qb.conj().T @ qa) @ diff, 2))
     if sep >= 1.0:
         raise ProjectionPairTooFarError(f"||(P - P0)^2|| = {sep:.3f} >= 1")
-    block = p.matrix @ mf @ p.matrix
-    first = p0.matrix @ (mf - mf0) @ p0.matrix
-    residual = float(np.linalg.norm(block - center * p0.matrix - first, 2))
-    return KatoBlock(block=block, first_order=first, residual=residual,
-                     center=complex(center), radius=p0.radius)
+    block = k_inv @ (y @ (f_op.matrix @ x)) @ k_inv
+    first = q0.conj().T @ (f_op.matrix @ q0 - f0_op.matrix @ q0)
+    residual = float(np.linalg.norm(core(block, -center * eye - first), 2))
+    return KatoBlock(
+        block=LowRank(x, block, y), first_order=LowRank(q0, first, q0.conj().T),
+        projection=LowRank(x, k_inv, y), residual=residual, separation=sep,
+        idempotency_defect=defect, quadrature_gap=float(gap),
+        center=complex(center), radius=float(radius))
 
 
 def kato_order_check(bundle, n_modes, m_points=64, f_op=None, eigenvalues=None):
@@ -398,20 +582,20 @@ def kato_order_check(bundle, n_modes, m_points=64, f_op=None, eigenvalues=None):
 
     Residuals of :func:`kato_block` at (lambda, eta) and (lambda/2, eta/4),
     so that eta stays proportional to lambda^2, both against the one
-    unperturbed operator F0 (lambda = eta = 0) and its Riesz projection P0,
-    each built once.  `f_op` and `eigenvalues` may pass the Howland
-    operator of `bundle` itself and its spectrum when already computed.
+    unperturbed operator F0 (lambda = eta = 0).  `f_op` and `eigenvalues`
+    may pass the Howland operator of `bundle` itself and its spectrum when
+    already computed.
     When both residuals sit at roundoff (<= 1e-13 ||F||_inf, as when the
     first-order model is exact), their quotient is noise and `ratio` is None.
     """
     f0 = build_howland(replace(bundle, lam=0.0, eta=0.0), n_modes)
-    p0 = riesz_projection(f0, 0.0, m_points=m_points)
     if f_op is None:
         f_op = build_howland(bundle, n_modes)
-    at_lambda = kato_block(f_op, f0, 0.0, p0=p0, eigenvalues=eigenvalues).residual
+    at_lambda = kato_block(f_op, f0, 0.0, m_points=m_points,
+                           eigenvalues=eigenvalues).residual
     half = build_howland(replace(bundle, lam=bundle.lam * 0.5, eta=bundle.eta * 0.25),
                          n_modes)
-    at_half = kato_block(half, f0, 0.0, p0=p0).residual
+    at_half = kato_block(half, f0, 0.0, m_points=m_points).residual
     floor = 1e-13 * np.linalg.norm(f_op.matrix, np.inf)
     noise = at_lambda <= floor and at_half <= floor
     return {

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from pumped_lindblad.cli import RunSetup, main
+from pumped_lindblad.cli import RunSetup, _points, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -130,6 +130,8 @@ MALFORMED = [
     (("floquet", "n_modes"), 1),
     (("floquet", "n_modes"), 2.5),
     (("floquet", "contour_points"), 0),
+    (("floquet", "contour_points"), 1),
+    (("floquet", "contour_points"), 63),
     (("floquet", "contour_points"), "64"),
     (("sim", "rtol"), "abc"),
     (("sim", "t_end"), "x"),
@@ -249,7 +251,8 @@ def test_evolve_sweep_fans_out(runner, tmp_path):
         assert (sub / "summary.json").exists()
 
 
-@pytest.mark.parametrize("sweep", ["nonsense", "seed.x=1", ".x=1", "sim.=1"])
+@pytest.mark.parametrize("sweep", ["nonsense", "seed.x=1", ".x=1", "sim.=1",
+                                   "pump.omgea=0.9,1.1", "lambda=0.1,0.10,1e-1"])
 def test_sweep_rejects_unknown_key(runner, tmp_path, sweep):
     result = runner.invoke(main, ["evolve", str(CONFIG_DIR / "two_level.json"),
                                   "--out", str(tmp_path / "out"),
@@ -257,6 +260,34 @@ def test_sweep_rejects_unknown_key(runner, tmp_path, sweep):
     assert result.exit_code == 1
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), result.output
+    assert not (tmp_path / "out").exists()
+
+
+SWEEPABLE = [
+    ("lambda", "0.05", lambda s: s.res.lam),
+    ("beta", "1.5", lambda s: s.res.beta),
+    ("eta", "0.02", lambda s: s.eta),
+    ("t_end", "5", lambda s: s.t_end),
+    ("reservoir.lambda", "0.05", lambda s: s.res.lam),
+    ("reservoir.beta", "1.5", lambda s: s.res.beta),
+    ("pump.eta", "0.02", lambda s: s.eta),
+    ("pump.omega", "1.1", lambda s: s.omega),
+    ("sim.t_end", "5", lambda s: s.t_end),
+    ("sim.n_out", "11", lambda s: s.n_out),
+    ("sim.rtol", "1e-7", lambda s: s.rtol),
+    ("sim.atol", "1e-11", lambda s: s.atol),
+    ("floquet.n_modes", "8", lambda s: s.n_modes),
+    ("floquet.contour_points", "16", lambda s: s.contour_points),
+    ("seed", "3", lambda s: s.seed),
+]
+
+
+@pytest.mark.parametrize("key, token, read", SWEEPABLE,
+                         ids=[k for k, *_ in SWEEPABLE])
+def test_sweep_sets_every_numeric_field(key, token, read):
+    [(cfg, out_dir)] = _points(_two_level_cfg(), Path("out"), f"{key}={token}")
+    assert read(RunSetup(cfg)) == float(token)
+    assert out_dir == Path("out") / f"sweep-{key}-{token}"
 
 
 def test_sweep_runs_in_order_like_direct_runs(runner, tmp_path):
@@ -331,6 +362,24 @@ def test_floquet_order_check_records_quartic_ratio(runner, tmp_path):
     oc = _load(out / "floquet.json")["order_check"]
     assert 0.05 <= oc["ratio"] <= 0.08      # measured quartic scaling (~1/16)
     assert oc["residual_at_half_lambda"] < oc["residual_at_lambda"]
+
+
+def test_floquet_order_check_values_on_three_level(runner, tmp_path):
+    # the bundled config as is (n_modes = 32, 64 contour nodes); the values
+    # are those of the dense Riesz/Kato route the thin probe replaced
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["floquet", str(CONFIG_DIR / "three_level.json"),
+                                  "--out", str(out), "--order-check"])
+    assert result.exit_code == 0, result.output
+    oc = _load(out / "floquet.json")["order_check"]
+    expected = {
+        "residual_at_lambda": 1.0296288580843247e-04,
+        "residual_at_half_lambda": 6.446203204185966e-06,
+        "ratio": 0.06260705645119004,
+    }
+    assert set(oc) == set(expected)
+    for key, value in expected.items():
+        assert abs(oc[key] - value) <= 1e-10 * value, (key, oc[key])
 
 
 # --------------------------------------------------------------------------

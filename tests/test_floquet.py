@@ -19,6 +19,9 @@ under test:
   and the compressed block P F P matches its first-order model
   center P0 + P0 (F - F0) P0 with a residual falling like lambda^4
   (two orders beyond the O(lambda^2) perturbation);
+* the Kato block probed on Range(P0) (P = X K^{-1} Y with thin factors)
+  equals the dense projections and norms, factors nothing wider than
+  max(d^2, 2 rank P0), and rejects a contour rule its M/2 half disowns;
 * eigenvalues of the one-period propagator are e^{T mu} for Howland
   eigenvalues mu, matched by the Hungarian assignment;
 * the Bromwich-line semigroup representation reproduces expm, improving
@@ -34,7 +37,10 @@ from pumped_lindblad import (
     AbscissaTooLowError,
     ContourHitsSpectrumError,
     DimensionMismatchError,
+    GeneratorStructureError,
+    IdempotencyFailureError,
     NearSingularPairError,
+    ProjectionPairTooFarError,
     bromwich_expm,
     build_howland,
     eigenprojection_direct,
@@ -46,7 +52,7 @@ from pumped_lindblad import (
     resonance_report,
     riesz_projection,
 )
-from pumped_lindblad.floquet import _resolvent_sum
+from pumped_lindblad.floquet import _resolvent_apply, _resolvent_sum
 
 # Frozen: interior spectral gap of the bundled three-level instance at
 # lambda = 0.1, eta = 0.01 (converged in N by N = 16).
@@ -226,6 +232,21 @@ def test_structured_resolvent_sum_equals_dense(three_level, n_modes, picture, et
         assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
+@pytest.mark.parametrize("adjoint", [False, True], ids=["F", "adjoint"])
+def test_block_thomas_apply_equals_dense(three_level, adjoint):
+    f_op = build_howland(three_level.bundle, 4)
+    rng = np.random.default_rng(61)
+    rhs = rng.standard_normal((f_op.matrix.shape[0], 3)) + 0j
+    # 17 nodes end in a partial chunk; two stacked rules share the solves
+    nodes, w = _contour(0.0, 0.3, 17)
+    rules = np.stack([w, np.where(np.arange(17) % 2, 0.0, 2.0 * w)])
+    got = _resolvent_apply(f_op, nodes, rules, rhs, adjoint=adjoint)
+    for rule, thin in zip(rules, got):
+        dense = _resolvent_sum(f_op, nodes, rule)
+        want = (rhs.conj().T @ dense).conj().T if adjoint else dense @ rhs
+        assert np.linalg.norm(thin - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_riesz_projection_factors_only_blocks(three_level, monkeypatch):
     f_op = build_howland(three_level.bundle, 8)
     widths = []
@@ -301,6 +322,101 @@ def test_kato_order_check_ratio_is_none_at_roundoff(two_level):
     check = kato_order_check(two_level.bundle, 8)
     assert check["residual_at_lambda"] <= 1e-13
     assert check["ratio"] is None
+
+
+@pytest.mark.parametrize("at_omega", [False, True], ids=["center-0", "center-omega"])
+@pytest.mark.parametrize("scale", [1.0, 0.5], ids=["lambda", "half-lambda"])
+def test_thin_kato_block_equals_dense_route(three_level, at_omega, scale):
+    bundle = three_level.make_bundle(0.1 * scale, 0.01 * scale**2)
+    center = 1j * bundle.omega if at_omega else 0.0
+    f_op = build_howland(bundle, 8)
+    f0 = build_howland(three_level.make_bundle(0.0, 0.0), 8)
+    kb = kato_block(f_op, f0, center)
+    assert kb.projection.left.shape == (f_op.matrix.shape[0], 5)
+    # the dense route: both projections materialized by the structured sum
+    p = riesz_projection(f_op, center, radius=kb.radius).matrix
+    p0 = riesz_projection(f0, center, radius=kb.radius).matrix
+    m, m0 = f_op.matrix, f0.matrix
+
+    def close(thin, dense, rel):
+        return np.linalg.norm(thin - dense, 2) <= rel * np.linalg.norm(dense, 2)
+
+    assert close(kb.projection.dense(), p, 1e-12)
+    assert close(kb.block.dense(), p @ m @ p, 1e-12)
+    assert close(kb.first_order.dense(), p0 @ (m - m0) @ p0, 1e-12)
+    residual = np.linalg.norm(p @ m @ p - center * p0 - p0 @ (m - m0) @ p0, 2)
+    separation = np.linalg.norm((p - p0) @ (p - p0), 2)
+    assert abs(kb.residual - residual) <= 1e-10 * residual
+    assert abs(kb.separation - separation) <= 1e-10 * separation
+    assert kb.idempotency_defect <= 1e-12 and kb.quadrature_gap <= 1e-12
+
+
+def test_kato_probe_needs_an_even_converged_rule(three_level):
+    f_op = build_howland(three_level.bundle, 8)
+    f0 = build_howland(three_level.make_bundle(0.0, 0.0), 8)
+    fine = kato_block(f_op, f0, 0.0)
+    # M = 16: the dense projection misses its 1e-6 idempotency limit, while
+    # the probe passes and states its error estimate, the M vs M/2 gap
+    with pytest.raises(IdempotencyFailureError):
+        riesz_projection(f_op, 0.0, radius=fine.radius, m_points=16)
+    coarse = kato_block(f_op, f0, 0.0, m_points=16)
+    assert 1e-10 <= coarse.quadrature_gap <= 1e-6
+    assert abs(coarse.residual - fine.residual) <= 1e-10 * fine.residual
+    with pytest.raises(IdempotencyFailureError):
+        kato_block(f_op, f0, 0.0, m_points=8)
+    for m_points in (63, 1, 0):
+        with pytest.raises(DimensionMismatchError):
+            kato_block(f_op, f0, 0.0, m_points=m_points)
+    with pytest.raises(DimensionMismatchError):
+        kato_order_check(three_level.bundle, 8, m_points=63)
+
+
+def test_kato_needs_a_free_f0_and_equal_ranks(three_level):
+    f_op = build_howland(three_level.bundle, 4)
+    with pytest.raises(GeneratorStructureError):
+        kato_block(f_op, f_op, 0.0)              # coupled: not block diagonal
+    damped = build_howland(three_level.make_bundle(0.1, 0.0), 4)
+    with pytest.raises(GeneratorStructureError):
+        kato_block(f_op, damped, 0.0)            # blocks not skew-Hermitian
+    # a spectrum of F with one eigenvalue fewer inside the contour than rank P0
+    f0 = build_howland(three_level.make_bundle(0.0, 0.0), 4)
+    w = np.linalg.eigvals(f_op.matrix)
+    w = np.delete(w, np.argmin(np.abs(w)))
+    with pytest.raises(ProjectionPairTooFarError):
+        kato_block(f_op, f0, 0.0, eigenvalues=w)
+    # a contour around no eigenvalue: P = P0 = 0 and the block is empty
+    empty = kato_block(f_op, f0, 0.3j, radius=0.1)
+    assert empty.projection.left.shape[1] == 0
+    assert empty.residual == empty.quadrature_gap == 0.0
+
+
+def test_kato_order_check_factors_only_small_matrices(three_level, monkeypatch):
+    bundle = three_level.bundle
+    f_op = build_howland(bundle, 32)
+    half = build_howland(three_level.make_bundle(0.05, 0.0025), 32)
+    spectrum = np.linalg.eigvals(f_op.matrix)
+    calls = []
+    for name in ("svd", "solve", "inv", "qr", "eig", "eigvals", "eigh", "norm"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _name=name, _original=original, **kwargs):
+            order = args[0] if args else kwargs.get("ord")
+            # Frobenius and infinity norms factor nothing; a 2-norm is an SVD
+            if _name != "norm" or order == 2:
+                calls.append((_name, np.asarray(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    check = kato_order_check(bundle, 32, f_op=f_op, eigenvalues=spectrum)
+    rows = f_op.matrix.shape[0]
+    full = [a for name, a in calls if name == "eigvals" and a.shape[-1] == rows]
+    assert len(full) == 1 and np.array_equal(full[0], half.matrix)
+    rank = 5                                  # of P0 at center 0 on three_level
+    widest = max(a.shape[-1] for name, a in calls
+                 if a.shape[-1] == a.shape[-2] and a.shape[-1] != rows)
+    assert widest <= max(f_op.block_size, 2 * rank)
+    assert sum(a.shape[-1] == rows for _, a in calls) == 1
+    assert 0.06 <= check["ratio"] <= 0.065
 
 
 # --------------------------------------------------------------------------
