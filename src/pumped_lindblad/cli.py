@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    InvalidDensityMatrixError,
     PumpedLindbladError,
     PumpSupportViolationError,
 )
@@ -39,6 +40,7 @@ from .operator_core import (
     atomic_lindbladian,
     decompose_atom,
     validate_pump,
+    validate_state,
 )
 from .reservoir import FormFactor, ReservoirSpec
 
@@ -54,29 +56,33 @@ SCHEMA_VERSION = "1"
 # config parsing
 # --------------------------------------------------------------------------
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_complex(value, what):
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(x, (int, float)) for x in value)):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{what}: expected number or [re, im], got {value!r}")
+    if _is_number(value):
+        z = complex(value)
+    elif (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(_is_number(x) for x in value)):
+        z = complex(value[0], value[1])
+    else:
+        raise ConfigError(f"{what}: expected number or [re, im], got {value!r}")
+    if not np.isfinite(z):
+        raise ConfigError(f"{what}: non-finite entry {value!r}")
+    return z
 
 
 def _as_matrix(rows, what):
     try:
         mat = np.array([[_as_complex(x, what) for x in row] for row in rows])
-    except (TypeError, ConfigError) as exc:
+    except TypeError as exc:
         raise ConfigError(f"{what}: {exc}") from None
+    except ValueError:
+        raise ConfigError(f"{what}: rows of unequal length") from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError(f"{what}: expected a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat.view(float))):
-        raise ConfigError(f"{what}: non-finite entries")
     return mat
-
-
-def _matrix_rows(mat):
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(mat)]
 
 
 def _complex_pairs(values):
@@ -100,8 +106,8 @@ def load_config(path):
 
 
 def _require_finite(value, what, positive=False):
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not np.isfinite(value) or (positive and not value > 0)):
+    if (not _is_number(value) or not np.isfinite(value)
+            or (positive and not value > 0)):
         kind = "positive" if positive else "finite"
         raise ConfigError(f"{what}: expected a {kind} number, got {value!r}")
     return float(value)
@@ -109,8 +115,7 @@ def _require_finite(value, what, positive=False):
 
 def _require_int(value, what, minimum):
     """An integer >= `minimum`; integral floats (as sweeps write them) pass."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not float(value).is_integer() or value < minimum):
+    if not _is_number(value) or not float(value).is_integer() or value < minimum:
         raise ConfigError(f"{what}: expected an integer >= {minimum}, got {value!r}")
     return int(value)
 
@@ -168,12 +173,13 @@ class RunSetup:
                 "reservoir: give exactly one of (form_factors + couplings_Q) or gks_jumps"
             )
         if has_gks:
-            jumps = [_as_matrix(v, "reservoir.gks_jumps") for v in res_cfg["gks_jumps"]]
+            jumps = [self._atom_matrix(v, "reservoir.gks_jumps")
+                     for v in _require_list(res_cfg["gks_jumps"], "reservoir.gks_jumps")]
             self.res = ReservoirSpec(beta=beta, lam=lam, form_factors=(),
                                      couplings=(), gks_jumps=tuple(jumps))
         else:
-            ff_cfg = res_cfg.get("form_factors", [])
-            q_cfg = res_cfg.get("couplings_Q", [])
+            ff_cfg = _require_list(res_cfg.get("form_factors", []), "reservoir.form_factors")
+            q_cfg = _require_list(res_cfg.get("couplings_Q", []), "reservoir.couplings_Q")
             if not ff_cfg or len(ff_cfg) != len(q_cfg):
                 raise ConfigError("reservoir: need matching form_factors and couplings_Q")
             ffs = []
@@ -190,17 +196,14 @@ class RunSetup:
                         _require_finite(term.get("decay_c"), f"{what}.decay_c"),
                     ))
                 ffs.append(FormFactor(tuple(parsed)))
-            qs = [_as_matrix(q, "reservoir.couplings_Q") for q in q_cfg]
-            for q in qs:
-                if q.shape[0] != self.atom.dim:
-                    raise ConfigError("couplings_Q dimension differs from atom")
+            qs = [self._atom_matrix(q, "reservoir.couplings_Q") for q in q_cfg]
             self.res = ReservoirSpec(beta=beta, lam=lam, form_factors=tuple(ffs),
                                      couplings=tuple(qs))
 
         pump_cfg = cfg.get("pump")
         if not isinstance(pump_cfg, dict):
             raise ConfigError("missing 'pump' section")
-        self.h_p = _as_matrix(pump_cfg.get("h_p"), "pump.h_p")
+        self.h_p = self._atom_matrix(pump_cfg.get("h_p"), "pump.h_p")
         self.pump = validate_pump(self.atom, self.h_p)
         self.eta = _require_finite(pump_cfg.get("eta", 0.0), "pump.eta")
         omega = pump_cfg.get("omega")
@@ -208,7 +211,7 @@ class RunSetup:
         if omega is None:
             self.omega = natural
         else:
-            self.omega = _require_finite(omega, "pump.omega")
+            self.omega = _require_finite(omega, "pump.omega", positive=True)
             if abs(self.omega - natural) > 1e-9 * max(1.0, abs(natural)):
                 self.warnings.append(
                     f"pump frequency {self.omega} detuned from level spread {natural}"
@@ -235,6 +238,14 @@ class RunSetup:
 
         self._data = None
 
+    def _atom_matrix(self, rows, what):
+        """A d x d matrix, d the atomic dimension."""
+        mat = _as_matrix(rows, what)
+        d = self.atom.dim
+        if mat.shape != (d, d):
+            raise ConfigError(f"{what}: expected a {d} x {d} matrix, got shape {mat.shape}")
+        return mat
+
     @property
     def data(self):
         if self._data is None:
@@ -250,11 +261,16 @@ class RunSetup:
         )
 
     def initial_state(self):
+        """sim.rho0 as a validated d x d density matrix (default: ground state)."""
         rho0_cfg = _section(self.cfg, "sim").get("rho0")
         if rho0_cfg is None:
             p1 = self.atom.projections[0]
             return p1 / np.trace(p1)
-        return _as_matrix(rho0_cfg, "sim.rho0")
+        rho0 = self._atom_matrix(rho0_cfg, "sim.rho0")
+        try:
+            return validate_state(rho0)
+        except InvalidDensityMatrixError as exc:
+            raise ConfigError(f"sim.rho0: {exc}") from None
 
 
 def _sanitize(obj):
@@ -313,7 +329,7 @@ def _do_evolve(setup, out_dir, force=False, **_kw):
     if not _guard_assumptions(setup, out_dir, force):
         return EXIT_ASSUMPTION
     grid = np.linspace(0.0, setup.t_end, setup.n_out)
-    traj = evolve(setup.bundle(), setup.initial_state(), setup.t_end,
+    traj = evolve(setup.bundle(), setup.rho0, setup.t_end,
                   output_grid=grid, rtol=setup.rtol, atol=setup.atol)
     pops = populations(setup.atom, traj)
     trajectory_to_csv(setup.atom, traj, out_dir / "trajectory.csv", pops=pops)
@@ -465,8 +481,10 @@ def _points(cfg, out_dir, sweep):
 def _validated_setup(command, cfg):
     """RunSetup plus the subcommand's own config requirements."""
     setup = RunSetup(cfg)
-    if command == "evolve" and setup.t_end is None:
-        raise ConfigError("sim.t_end is required for evolve")
+    if command == "evolve":
+        if setup.t_end is None:
+            raise ConfigError("sim.t_end is required for evolve")
+        setup.rho0 = setup.initial_state()
     if command == "oracle" and setup.res.gks_jumps is not None:
         raise ConfigError("oracle needs the form-factor route, not raw GKS jumps")
     return setup

@@ -6,13 +6,11 @@ T-periodic dynamics is block tridiagonal,
     (F x)_k = (i omega k + B) x_k + (eta/2) C (x_{k-1} + x_{k+1}),
 
 because the cos(omega t) drive splits into the two mode shifts with weight
-1/2.  Three pictures of the same operator are built and must agree
+1/2.  Two pictures of the same operator are built and must agree
 spectrally:
 
   state       B = L_at + lambda^2 L_R,          C = L_p;
-  heisenberg  B, C replaced by their HS-adjoints (same +i omega k shift);
-  conjugated  heisenberg blocks similarity-transformed by
-              Z: A -> A rho_ref^{1/2}  (a reference-state weighting).
+  heisenberg  B, C replaced by their HS-adjoints (same +i omega k shift).
 
 On the heisenberg side the vectors delta_{k,p} (x) vec(1) are *exact*
 eigenvectors with eigenvalue i p omega (the adjoint blocks annihilate the
@@ -20,25 +18,27 @@ identity), which pins the resonance structure; everything else hangs off
 those points with a spectral gap of order lambda^2.
 
 The remaining tools are standard spectral calculus made concrete: Riesz
-projections by contour quadrature of the resolvent (summed by
-block-tridiagonal elimination, never a dense solve), first-order
+projections by contour quadrature of the resolvent, first-order
 perturbation blocks, the pair-of-projections similarity, the monodromy
 cross-check against the propagator, and a Bromwich-line evaluation of the
 semigroup with analytic tail corrections.
 
-The perturbation block never forms an (n s) x (n s) matrix.  P0 of the
-free operator is exact (one Hermitian eigensolve of its d^2 x d^2 block),
-and P is probed on Range(P0) by block-Thomas solves with rank P0
-right-hand sides (Kato's pairs of projections; the thin contour-integral
-pattern of Beyn, Lin. Alg. Appl. 436, 3839 (2012)); every norm is taken
-on a 2r x 2r core.
+Every contour sum goes through one kernel, block-Thomas elimination of
+z - F with a block of right-hand sides (:func:`_resolvent_apply`); no
+(n s) x (n s) matrix is ever factored.  The dense Riesz projection is that
+sum applied to the identity.  The perturbation block never forms an
+(n s) x (n s) matrix at all: P0 of the free operator is exact (one
+Hermitian eigensolve of its d^2 x d^2 block), and P is probed on
+Range(P0) with rank P0 right-hand sides (Kato's pairs of projections; the
+thin contour-integral pattern of Beyn, Lin. Alg. Appl. 436, 3839 (2012));
+every norm is taken on a 2r x 2r core.
 """
 
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import expm, sqrtm
+from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 from scipy.special import binom
 
@@ -97,33 +97,18 @@ class FloquetOperator:
     def block_size(self):
         return self.dim * self.dim
 
-    def mode_range(self):
-        return range(-self.n_modes, self.n_modes + 1)
 
-
-def build_howland(bundle, n_modes, picture="state", rho_ref=None):
+def build_howland(bundle, n_modes, picture="state"):
     """Assemble the truncated block-tridiagonal Howland operator."""
     if n_modes < 2:
         raise DimensionMismatchError(f"need n_modes >= 2, got {n_modes}")
     d = bundle.l_at.dim
     b = bundle.l_at.matrix + bundle.lam**2 * bundle.l_r.matrix
     c = bundle.l_p.matrix
-    if picture == "state":
-        pass
-    elif picture == "heisenberg":
+    if picture == "heisenberg":
         b = b.conj().T
         c = c.conj().T
-    elif picture == "conjugated":
-        if rho_ref is None:
-            raise DimensionMismatchError("conjugated picture needs a reference state")
-        b = b.conj().T
-        c = c.conj().T
-        root = sqrtm(np.asarray(rho_ref, dtype=complex))
-        z = np.kron(root.T, np.eye(d, dtype=complex))   # A -> A root, vectorized
-        z_inv = np.linalg.inv(z)
-        b = z @ b @ z_inv
-        c = z @ c @ z_inv
-    else:
+    elif picture != "state":
         raise DimensionMismatchError(f"unknown picture {picture!r}")
 
     n = 2 * n_modes + 1
@@ -147,6 +132,10 @@ def build_howland(bundle, n_modes, picture="state", rho_ref=None):
 # spectrum and resonance structure
 # --------------------------------------------------------------------------
 
+_RESONANCE_TOL = 1e-8   # distance from i omega Z that marks a resonance copy
+_DISC_RADIUS = 1e-8     # disc around i p omega in which resonance_report counts
+
+
 @dataclass(frozen=True)
 class FloquetSpectrum:
     eigenvalues: np.ndarray
@@ -159,12 +148,13 @@ class FloquetSpectrum:
     meta: dict = field(default_factory=dict, compare=False)
 
 
-def floquet_spectrum(f_op, resonance_tol=1e-8):
+def floquet_spectrum(f_op):
     """Dense eigensolve with interior-mode bookkeeping and gap report.
 
     The gap is min |Re mu| over eigenvalues whose eigenvector lives on
     interior modes (|k| <= N-2; shift truncation pollutes the outer two)
-    and which are not resonance copies (within `resonance_tol` of i omega Z).
+    and which are not resonance copies (within `_RESONANCE_TOL` of
+    i omega Z).
     """
     try:
         w, v = np.linalg.eig(f_op.matrix)
@@ -181,7 +171,7 @@ def floquet_spectrum(f_op, resonance_tol=1e-8):
 
     omega = f_op.omega
     nearest = np.round(w.imag / omega)
-    on_resonance = np.abs(w - 1j * omega * nearest) <= resonance_tol
+    on_resonance = np.abs(w - 1j * omega * nearest) <= _RESONANCE_TOL
     candidates = interior & ~on_resonance
     if np.any(candidates):
         gap = float(np.min(np.abs(w.real[candidates])))
@@ -194,16 +184,16 @@ def floquet_spectrum(f_op, resonance_tol=1e-8):
         interior=interior, gap=gap,
         gap_over_lambda2=gap / lam2 if lam2 > 0 else np.inf,
         degenerate=degenerate,
-        meta={"picture": f_op.picture, "n_modes": n, "resonance_tol": resonance_tol},
+        meta={"picture": f_op.picture, "n_modes": n, "resonance_tol": _RESONANCE_TOL},
     )
 
 
-def resonance_report(f_op, disc_radius=1e-8, eigenvalues=None):
+def resonance_report(f_op, eigenvalues=None):
     """Exact-resonance diagnostics on the heisenberg-side operator.
 
     For each mode p the candidate eigenvector delta_{k,p} (x) vec(1) is
     applied directly (residual of the i p omega eigenvalue claim,
-    |p| <= N-1), and the eigenvalue count inside the `disc_radius` disc
+    |p| <= N-1), and the eigenvalue count inside the `_DISC_RADIUS` disc
     around i p omega is taken from the dense solver (interior p only).
     The heisenberg operator is the mode-reversed adjoint of the state
     operator, so a caller holding the state spectrum may pass its complex
@@ -223,10 +213,10 @@ def resonance_report(f_op, disc_radius=1e-8, eigenvalues=None):
     w = np.linalg.eigvals(f_op.matrix) if eigenvalues is None else eigenvalues
     counts = {}
     for p in range(-(n - 2), n - 1):
-        counts[p] = int(np.sum(np.abs(w - 1j * f_op.omega * p) <= disc_radius))
+        counts[p] = int(np.sum(np.abs(w - 1j * f_op.omega * p) <= _DISC_RADIUS))
     return {"residuals": residuals, "disc_counts": counts,
             "max_residual": max(residuals.values()),
-            "disc_radius": disc_radius}
+            "disc_radius": _DISC_RADIUS}
 
 
 # --------------------------------------------------------------------------
@@ -268,88 +258,23 @@ def _diagonal_blocks(z, shifts, base):
     return (z[:, None] - shifts)[:, :, None, None] * eye - base
 
 
-def _left_sweep(d, h):
-    """Left Schur complements L_k = D_k - H L_{k-1}^{-1} H of a node batch.
-
-    Returns L_k for every mode and x_k = L_k^{-1} H for k < n - 1.
-    """
-    n = d.shape[1]
-    left = np.empty_like(d)
-    x = np.empty_like(d)
-    hb = np.broadcast_to(h, d.shape[:1] + h.shape)   # one H per node
-    left[:, 0] = d[:, 0]
-    for k in range(n - 1):
-        x[:, k] = np.linalg.solve(left[:, k], hb)
-        left[:, k + 1] = d[:, k + 1] - h @ x[:, k]
-    return left, x
-
-
-def _resolvent_sum(f_op, nodes, weights):
-    """sum_j weights[j] (nodes[j] - F)^{-1} by block-tridiagonal elimination.
-
-    z - F has diagonal blocks D_k = (z - i omega k) - B and every
-    off-diagonal block equal to -H.  The left and right Schur complements
-
-        L_k = D_k - H L_{k-1}^{-1} H,    R_k = D_k - H R_{k+1}^{-1} H
-
-    give the diagonal blocks G_kk = (L_k - H R_{k+1}^{-1} H)^{-1} of the
-    inverse, and the others follow one block diagonal at a time,
-
-        G_kj = (L_k^{-1} H) G_{k+1,j}  (k < j),
-        G_kj = (R_k^{-1} H) G_{k-1,j}  (k > j),
-
-    batched over a chunk of nodes and over the whole diagonal.  Cost is
-    O(M n^2 s^3) for M nodes, n modes and block size s, against
-    O(M (n s)^3) for dense solves; nothing wider than one block is ever
-    factored.  A singular block pivot raises ContourHitsSpectrum.
-    """
-    n, s = 2 * f_op.n_modes + 1, f_op.block_size
-    shifts, base, h = _howland_blocks(f_op)
-    nodes = np.asarray(nodes, dtype=complex)
-    weights = np.asarray(weights, dtype=complex)
-    acc = np.zeros((n, s, n, s), dtype=complex)
-    ks = np.arange(n)
-    for start in range(0, nodes.size, _NODE_CHUNK):
-        z = nodes[start:start + _NODE_CHUNK]
-        w = weights[start:start + _NODE_CHUNK]
-        d = _diagonal_blocks(z, shifts, base)
-        y = np.empty_like(d)        # R_k^{-1} H
-        hb = np.broadcast_to(h, d.shape[:1] + h.shape)   # one H per node
-        try:
-            left, x = _left_sweep(d, h)   # L_k and L_k^{-1} H
-            right = d[:, n - 1]
-            for k in range(n - 1, 0, -1):
-                y[:, k] = np.linalg.solve(right, hb)
-                right = d[:, k - 1] - h @ y[:, k]
-            left[:, :-1] -= h @ y[:, 1:]
-            up = down = np.linalg.inv(left)          # G_kk
-        except np.linalg.LinAlgError as exc:
-            raise ContourHitsSpectrumError(
-                f"singular block pivot on the contour: {exc}") from None
-        acc[ks, :, ks, :] += np.tensordot(w, up, axes=1)
-        for off in range(1, n):
-            k = ks[:n - off]
-            up = x[:, :n - off] @ up[:, 1:]          # G_{k, k+off}
-            down = y[:, off:] @ down[:, :n - off]    # G_{k+off, k}
-            acc[k, :, k + off, :] += np.tensordot(w, up, axes=1)
-            acc[k + off, :, k, :] += np.tensordot(w, down, axes=1)
-    return acc.reshape(n * s, n * s)
-
-
 def _resolvent_apply(f_op, nodes, weights, rhs, adjoint=False):
     """sum_j weights[..., j] (nodes[j] - F)^{-1} rhs by block-Thomas solves.
 
-    `rhs` has n s rows and r columns.  Forward elimination runs on the left
-    Schur complements of :func:`_resolvent_sum`,
+    z - F has diagonal blocks D_k = (z - i omega k) - B and every
+    off-diagonal block equal to -H.  `rhs` has n s rows and r columns.
+    Forward elimination runs on the left Schur complements
 
-        u_k = L_k^{-1} (rhs_k + H u_{k-1}),
+        L_k = D_k - H L_{k-1}^{-1} H,    u_k = L_k^{-1} (rhs_k + H u_{k-1}),
 
-    and back substitution gives X_k = u_k + (L_k^{-1} H) X_{k+1}.  Leading
-    axes of `weights` stack several rules over the same nodes at no extra
-    solve.  With `adjoint` the blocks of F^H are used and the nodes and
-    weights are conjugated, which returns (sum_j w_j rhs^H (z_j - F)^{-1})^H.
-    Cost is O(M n s^2 (s + r)); a singular block pivot raises
-    ContourHitsSpectrum.
+    and back substitution gives X_k = u_k + (L_k^{-1} H) X_{k+1}, batched
+    over a chunk of nodes.  Leading axes of `weights` stack several rules
+    over the same nodes at no extra solve.  With `adjoint` the blocks of
+    F^H are used and the nodes and weights are conjugated, which returns
+    (sum_j w_j rhs^H (z_j - F)^{-1})^H.  Cost is O(M n s^2 (s + r)) for M
+    nodes, n modes and block size s, against O(M (n s)^3) for dense
+    solves; nothing wider than one block is ever factored.  A singular
+    block pivot raises ContourHitsSpectrum.
     """
     n, s = 2 * f_op.n_modes + 1, f_op.block_size
     shifts, base, h = _howland_blocks(f_op, adjoint)
@@ -362,12 +287,16 @@ def _resolvent_apply(f_op, nodes, weights, rhs, adjoint=False):
     for start in range(0, nodes.size, _NODE_CHUNK):
         z = nodes[start:start + _NODE_CHUNK]
         d = _diagonal_blocks(z, shifts, base)
+        hb = np.broadcast_to(h, z.shape + h.shape)   # one H per node
+        x = np.empty_like(d[:, 1:])                  # L_k^{-1} H
         u = np.empty(z.shape + rhs.shape, dtype=complex)
         try:
-            left, x = _left_sweep(d, h)
-            u[:, 0] = np.linalg.solve(left[:, 0], np.broadcast_to(rhs[0], u[:, 0].shape))
+            left = d[:, 0]
+            u[:, 0] = np.linalg.solve(left, np.broadcast_to(rhs[0], u[:, 0].shape))
             for k in range(1, n):
-                u[:, k] = np.linalg.solve(left[:, k], rhs[k] + h @ u[:, k - 1])
+                x[:, k - 1] = np.linalg.solve(left, hb)
+                left = d[:, k] - h @ x[:, k - 1]
+                u[:, k] = np.linalg.solve(left, rhs[k] + h @ u[:, k - 1])
         except np.linalg.LinAlgError as exc:
             raise ContourHitsSpectrumError(
                 f"singular block pivot on the contour: {exc}") from None
@@ -399,22 +328,21 @@ def _contour_radius(eigenvalues, center, radius=None):
     return radius, int(np.sum(dist < radius))
 
 
-def riesz_projection(f_op, center, radius=None, m_points=64, eigenvalues=None):
+def riesz_projection(f_op, center, radius=None, m_points=64):
     """Contour-quadrature Riesz projection of `f_op` around `center`.
 
     Trapezoid rule on the circle of the given radius (default: 0.45 times
     the isolation distance of the enclosed cluster, capped at 0.45).  An
     eigenvalue inside the annulus [0.5 r, 1.5 r] aborts with
     ContourHitsSpectrum; an idempotency defect above 1e-6 aborts with
-    IdempotencyFailure.  The resolvent sum is built from the block
-    structure of the Howland operator (:func:`_resolvent_sum`).
+    IdempotencyFailure.  The resolvent sum is the block-Thomas kernel
+    :func:`_resolvent_apply` with the identity as right-hand side.
     """
     f_op = _require_howland(f_op)
-    if eigenvalues is None:
-        eigenvalues = np.linalg.eigvals(f_op.matrix)
-    radius, _ = _contour_radius(eigenvalues, center, radius)
+    radius, _ = _contour_radius(np.linalg.eigvals(f_op.matrix), center, radius)
     phases = np.exp(2j * np.pi * (np.arange(m_points) + 0.5) / m_points)
-    p = _resolvent_sum(f_op, center + radius * phases, radius * phases) / m_points
+    eye = np.eye(f_op.matrix.shape[0], dtype=complex)
+    p = _resolvent_apply(f_op, center + radius * phases, radius * phases, eye) / m_points
     defect = float(np.linalg.norm(p @ p - p, 2))
     if defect > 1e-6:
         raise IdempotencyFailureError(f"projection defect {defect:.3e} at M={m_points}")

@@ -45,11 +45,9 @@ __all__ = [
     "PumpOperator",
     "Superoperator",
     "atomic_lindbladian",
-    "block_diag_projection",
     "bohr_spectrum",
     "decompose_atom",
     "gibbs_state",
-    "hs_inner",
     "multiplication_superops",
     "spectral_projection",
     "unvec",
@@ -77,11 +75,6 @@ def unvec(v, d=None):
     if d * d != v.size:
         raise DimensionMismatchError(f"vector of size {v.size} is not d^2")
     return v.reshape(d, d, order="F")
-
-
-def hs_inner(a, b):
-    """Hilbert-Schmidt inner product Tr(a^* b), antilinear in `a`."""
-    return np.trace(np.conj(a.T) @ b)
 
 
 # --------------------------------------------------------------------------
@@ -146,10 +139,6 @@ class Superoperator:
     @staticmethod
     def identity(d):
         return Superoperator(np.eye(d * d, dtype=complex))
-
-    @staticmethod
-    def zero(d):
-        return Superoperator(np.zeros((d * d, d * d), dtype=complex))
 
 
 def multiplication_superops(a, lindblad_form=False):
@@ -393,11 +382,6 @@ def spectral_projection(atom, eps, bohr=None):
         pk = atom.projections[k - 1]
         m += np.kron(pk.T, pj)
     return Superoperator(m)
-
-
-def block_diag_projection(atom):
-    """P_D = P_at^(0): keep only the within-level blocks of a matrix."""
-    return spectral_projection(atom, 0.0)
 
 
 # --------------------------------------------------------------------------

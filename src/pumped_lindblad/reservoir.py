@@ -54,7 +54,6 @@ __all__ = [
     "check_strip_analyticity",
     "glued_g",
     "glued_g_continued",
-    "glued_g_sharp",
     "pv_coefficient",
     "rate_coefficient",
     "spectral_density",
@@ -180,10 +179,6 @@ class ReservoirSpec:
         if self.orthogonal is None:
             object.__setattr__(self, "orthogonal", _verify_orthogonality(ffs))
 
-    @property
-    def n_channels(self):
-        return len(self.form_factors)
-
     def require_orthogonal(self):
         if not self.orthogonal:
             raise NonOrthogonalFamilyError(
@@ -213,11 +208,6 @@ def glued_g(ff, beta, x):
     fvals = np.where(x >= 0, fvals, np.conj(fvals))
     out = np.abs(x) * fermi * fvals
     return out if out.shape else complex(out)
-
-
-def glued_g_sharp(ff, beta, x):
-    """g#(x) = i * conj(g(-x))."""
-    return 1j * np.conj(glued_g(ff, beta, -np.asarray(x, dtype=float)))
 
 
 def glued_g_continued(ff, beta, z):

@@ -6,6 +6,7 @@ schema_version field, plus CSV trajectories with 17-significant-digit
 floats; byte-identical across reruns of the same config and seed.
 """
 
+import copy
 import json
 from pathlib import Path
 
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from pumped_lindblad.cli import RunSetup, _points, main
+from pumped_lindblad import PumpedLindbladError
+from pumped_lindblad.cli import RunSetup, _points, _validated_setup, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -39,6 +41,34 @@ def _two_level_cfg():
 
 def _three_level_cfg():
     return _load(CONFIG_DIR / "three_level.json")
+
+
+def _gks_two_level_cfg():
+    # the bundled two-level atom with raw GKS jumps sigma_- and sigma_+
+    cfg = _two_level_cfg()
+    cfg["reservoir"] = {
+        "beta": 1.0, "lambda": 0.1,
+        "gks_jumps": [
+            [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+            [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+        ],
+    }
+    return cfg
+
+
+def _set(cfg, path, value):
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return cfg
+
+
+def _assert_one_config_error(result, out):
+    assert result.exit_code == 1, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), result.output
+    assert not Path(out).exists()
 
 
 # --------------------------------------------------------------------------
@@ -143,7 +173,16 @@ MALFORMED = [
     (("floquet",), "x"),
     (("reservoir", "form_factors", 0), 5),
     (("reservoir", "form_factors", 0, "exponent_p"), "x"),
+    (("reservoir", "form_factors", 0, "weight"), float("nan")),
+    (("reservoir", "couplings_Q", 0, 0, 1), [float("inf"), 0.0]),
     (("atom", "degeneracies"), [1, -1]),
+    (("pump", "omega"), 0),
+    (("pump", "omega"), -1),
+    (("reservoir", "form_factors"), 5),
+    (("reservoir", "couplings_Q"), 5),
+    (("reservoir", "couplings_Q", 0, 0), [[1.0, 0.0]]),
+    (("pump", "h_p", 0), [[0.0, 0.0]]),
+    (("pump", "h_p", 0, 0, 0), True),
 ]
 
 
@@ -151,16 +190,58 @@ MALFORMED = [
                          ids=["-".join(map(str, p + (v,))) for p, v in MALFORMED])
 def test_config_error_bad_scalar(runner, tmp_path, path, value):
     # every field is validated in RunSetup, before any subcommand-specific work
-    cfg = _two_level_cfg()
-    parent = cfg
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    result = runner.invoke(main, ["floquet", _write(tmp_path, cfg),
-                                  "--out", str(tmp_path / "out")])
-    assert result.exit_code == 1, result.output
-    lines = result.output.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("config error:"), result.output
+    cfg = _set(_two_level_cfg(), path, value)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["floquet", _write(tmp_path, cfg), "--out", str(out)])
+    _assert_one_config_error(result, out)
+
+
+@pytest.mark.parametrize("jumps", [
+    5,
+    [[[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]] * 3],     # a 3 x 3 jump on a 2-level atom
+], ids=["not-a-list", "3x3-jump"])
+def test_config_error_bad_gks_jumps(runner, tmp_path, jumps):
+    cfg = _set(_gks_two_level_cfg(), ("reservoir", "gks_jumps"), jumps)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["check", _write(tmp_path, cfg), "--out", str(out)])
+    _assert_one_config_error(result, out)
+
+
+MUTATION_VALUES = [None, True, -1, 0, 2.5, "x", [], {}, [[1]], float("nan")]
+
+
+def _mutation_paths(node, prefix=()):
+    """Every dict key and every first list element, depth first."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list) and node:
+        keys = [0]
+    else:
+        keys = []
+    for key in keys:
+        yield prefix + (key,)
+        yield from _mutation_paths(node[key], prefix + (key,))
+
+
+@pytest.mark.parametrize("make_cfg", [_two_level_cfg, _gks_two_level_cfg],
+                         ids=["form-factors", "gks"])
+def test_single_field_mutations_raise_only_library_errors(make_cfg):
+    # every malformed field ends in a typed error (the CLI maps ConfigError
+    # to exit 1 and the rest to exit 3), never in a bare TypeError/ValueError
+    base = make_cfg()
+    paths = list(_mutation_paths(base)) + [("sim", "rho0"), ("pump", "omega")]
+    escaped = []
+    for path in paths:
+        for value in MUTATION_VALUES:
+            cfg = _set(copy.deepcopy(base), path, value)
+            try:
+                _validated_setup("evolve", cfg)
+            except PumpedLindbladError:
+                pass
+            except Exception as exc:   # collected, so one run reports them all
+                escaped.append((path, value, f"{type(exc).__name__}: {exc}"))
+    assert len(paths) * len(MUTATION_VALUES) >= 180
+    assert not escaped, escaped
 
 
 def test_integral_float_mode_count_accepted():
@@ -235,6 +316,28 @@ def test_evolve_deterministic_reruns(runner, tmp_path):
         outs.append(out)
     for fname in ("trajectory.csv", "summary.json", "report.json"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+@pytest.mark.parametrize("rho0", [
+    [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]] * 3,               # 3 x 3 on two levels
+    [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],      # trace 2
+], ids=["3x3", "trace-2"])
+def test_evolve_rejects_bad_initial_state(runner, tmp_path, rho0):
+    cfg = _set(_two_level_cfg(), ("sim", "rho0"), rho0)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["evolve", _write(tmp_path, cfg), "--out", str(out)])
+    _assert_one_config_error(result, out)
+
+
+def test_evolve_takes_the_validated_initial_state(runner, tmp_path):
+    cfg = _two_level_cfg()
+    cfg["sim"]["t_end"] = 5.0
+    cfg["sim"]["rho0"] = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["evolve", _write(tmp_path, cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert rows[0, 1] == 0.0 and rows[0, 2] == 1.0     # starts in the excited level
 
 
 def test_evolve_sweep_fans_out(runner, tmp_path):

@@ -8,13 +8,14 @@ under test:
 * heisenberg side: delta_{k,p} (x) vec(1) is an *exact* eigenvector with
   eigenvalue i p omega for |p| <= N-1, because the adjoint of every
   generator part annihilates the identity;
-* the three pictures (state, heisenberg, conjugated by the reference-state
-  square root) are similar, so their spectra coincide;
+* the heisenberg picture is the HS-adjoint of the state picture, so their
+  spectra are complex conjugate;
 * away from the resonance copies, interior eigenvalues sit at distance
   >= O(lambda^2) left of the imaginary axis, with gap/lambda^2 stable
   under lambda -> lambda/2 (eta proportional to lambda^2);
-* the contour resolvent sum built by block-tridiagonal elimination equals
-  the dense one and factors nothing wider than one block;
+* the contour resolvent sum built by block-Thomas elimination equals the
+  dense one, for the identity and for a few right-hand sides, and factors
+  nothing wider than one block;
 * contour-integral Riesz projections agree with eigensolver projections,
   and the compressed block P F P matches its first-order model
   center P0 + P0 (F - F0) P0 with a residual falling like lambda^4
@@ -52,7 +53,7 @@ from pumped_lindblad import (
     resonance_report,
     riesz_projection,
 )
-from pumped_lindblad.floquet import _resolvent_apply, _resolvent_sum
+from pumped_lindblad.floquet import _resolvent_apply
 
 # Frozen: interior spectral gap of the bundled three-level instance at
 # lambda = 0.1, eta = 0.01 (converged in N by N = 16).
@@ -96,7 +97,7 @@ def test_howland_requires_two_modes(three_level):
     with pytest.raises(DimensionMismatchError):
         build_howland(three_level.bundle, 1)
     with pytest.raises(DimensionMismatchError):
-        build_howland(three_level.bundle, 4, picture="conjugated")  # no rho_ref
+        build_howland(three_level.bundle, 4, picture="conjugated")  # not built
     with pytest.raises(DimensionMismatchError):
         build_howland(three_level.bundle, 4, picture="schroedinger")
 
@@ -136,11 +137,6 @@ def test_three_pictures_are_isospectral(three_level):
     w_state = np.linalg.eigvals(build_howland(bundle, n).matrix)
     w_heis = np.linalg.eigvals(
         build_howland(bundle, n, picture="heisenberg").matrix)
-    w_conj = np.linalg.eigvals(
-        build_howland(bundle, n, picture="conjugated",
-                      rho_ref=three_level.rho_g).matrix)
-    # conjugation by the invertible Z preserves the spectrum exactly
-    assert _matched_distance(w_conj, w_heis) <= 1e-9
     # the heisenberg side is the HS-adjoint: spectra are complex conjugate
     assert _matched_distance(w_state, np.conj(w_heis)) <= 1e-9
 
@@ -180,6 +176,12 @@ def test_riesz_projection_against_eigensolver(three_level):
     assert proj.rank == 1
     direct = eigenprojection_direct(f_op, 0.0, proj.radius)
     assert np.linalg.norm(proj.matrix - direct, 2) <= 1e-7
+    # the block-Thomas sum is the dense-solve contour sum of the same rule
+    nodes, weights = _contour(0.0, proj.radius)
+    eye = np.eye(f_op.matrix.shape[0])
+    dense = sum(wj * np.linalg.solve(zj * eye - f_op.matrix, eye)
+                for zj, wj in zip(nodes, weights)) / nodes.size
+    assert np.linalg.norm(proj.matrix - dense) <= 1e-12 * np.linalg.norm(dense)
     # quadrature-order stability: doubling the contour points changes nothing
     proj2 = riesz_projection(f_op, 0.0, radius=proj.radius, m_points=128)
     assert np.linalg.norm(proj.matrix - proj2.matrix, 2) <= 1e-9
@@ -210,13 +212,13 @@ def _contour(center, radius, m_points=64):
 
 
 @pytest.mark.parametrize("n_modes", [2, 8])
-@pytest.mark.parametrize("picture", ["state", "heisenberg", "conjugated"])
+@pytest.mark.parametrize("picture", ["state", "heisenberg"])
 @pytest.mark.parametrize("eta", [0.01, 0.0])
 @pytest.mark.parametrize("at_omega", [False, True])
 def test_structured_resolvent_sum_equals_dense(three_level, n_modes, picture, eta,
                                                at_omega):
     bundle = three_level.make_bundle(0.1, eta)
-    f_op = build_howland(bundle, n_modes, picture=picture, rho_ref=three_level.rho_g)
+    f_op = build_howland(bundle, n_modes, picture=picture)
     center = 1j * bundle.omega if at_omega else 0.0
     # the default-radius contour of riesz_projection and a wide one
     w = np.linalg.eigvals(f_op.matrix)
@@ -228,7 +230,7 @@ def test_structured_resolvent_sum_equals_dense(three_level, n_modes, picture, et
         nodes, weights = _contour(center, radius, m_points)
         dense = sum(wj * np.linalg.solve(zj * eye - f_op.matrix, eye)
                     for zj, wj in zip(nodes, weights))
-        got = _resolvent_sum(f_op, nodes, weights)
+        got = _resolvent_apply(f_op, nodes, weights, eye)
         assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
@@ -241,8 +243,10 @@ def test_block_thomas_apply_equals_dense(three_level, adjoint):
     nodes, w = _contour(0.0, 0.3, 17)
     rules = np.stack([w, np.where(np.arange(17) % 2, 0.0, 2.0 * w)])
     got = _resolvent_apply(f_op, nodes, rules, rhs, adjoint=adjoint)
+    eye = np.eye(f_op.matrix.shape[0])
     for rule, thin in zip(rules, got):
-        dense = _resolvent_sum(f_op, nodes, rule)
+        dense = sum(wj * np.linalg.solve(zj * eye - f_op.matrix, eye)
+                    for zj, wj in zip(nodes, rule))
         want = (rhs.conj().T @ dense).conj().T if adjoint else dense @ rhs
         assert np.linalg.norm(thin - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -267,7 +271,7 @@ def test_singular_block_pivot_is_contour_hit(three_level):
     # lambda = eta = 0: the blocks decouple and D_0(0) = -L_at is singular
     f0 = build_howland(three_level.make_bundle(0.0, 0.0), 4)
     with pytest.raises(ContourHitsSpectrumError):
-        _resolvent_sum(f0, [0.0], [1.0])
+        _resolvent_apply(f0, [0.0], [1.0], np.eye(f0.matrix.shape[0]))
 
 
 def test_riesz_and_kato_need_a_howland_operator(three_level):

@@ -21,11 +21,9 @@ from pumped_lindblad import (
     ScalarHamiltonianError,
     Superoperator,
     atomic_lindbladian,
-    block_diag_projection,
     bohr_spectrum,
     decompose_atom,
     gibbs_state,
-    hs_inner,
     multiplication_superops,
     spectral_projection,
     unvec,
@@ -70,8 +68,9 @@ def test_hs_adjoint_moves_across_inner_product():
         d = rng.integers(2, 6)
         sup = Superoperator(_random_matrix(rng, d * d))
         a, b = _random_matrix(rng, d), _random_matrix(rng, d)
-        lhs = hs_inner(a, sup(b))
-        rhs = hs_inner(sup.adjoint()(a), b)
+        # <X, Y> = Tr(X^* Y), antilinear in X
+        lhs = np.trace(a.conj().T @ sup(b))
+        rhs = np.trace(sup.adjoint()(a).conj().T @ b)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -208,7 +207,7 @@ def test_block_diag_projection_keeps_level_blocks():
     assert atom.multiplicities == (2, 1)
     rng = np.random.default_rng(18)
     x = _random_matrix(rng, 3)
-    y = block_diag_projection(atom)(x)
+    y = spectral_projection(atom, 0.0)(x)       # P_D = P_at^(0)
     # the 2x2 ground block and the scalar top block survive; cross blocks die
     assert np.linalg.norm(y[:2, :2] - x[:2, :2]) <= 1e-12
     assert abs(y[2, 2] - x[2, 2]) <= 1e-12

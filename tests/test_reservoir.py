@@ -24,7 +24,6 @@ from pumped_lindblad import (
     check_strip_analyticity,
     glued_g,
     glued_g_continued,
-    glued_g_sharp,
     pv_coefficient,
     rate_coefficient,
     spectral_density,
@@ -114,16 +113,6 @@ def test_glued_g_definition_and_density_relation():
             lhs = spectral_density(ff, beta, pts)
             rhs = 4.0 * np.pi * np.abs(glued_g(ff, beta, pts)) ** 2
             assert np.linalg.norm(lhs - rhs) <= 1e-11 * max(1.0, np.linalg.norm(rhs))
-
-
-def test_g_sharp_is_i_conj_g_reflected():
-    rng = np.random.default_rng(23)
-    ff = _random_form_factor(rng, complex_weights=True)
-    beta = 1.3
-    x = rng.uniform(-3.0, 3.0, size=31)
-    lhs = glued_g_sharp(ff, beta, x)
-    rhs = 1j * np.conj(glued_g(ff, beta, -x))
-    assert np.linalg.norm(lhs - rhs) <= 1e-13
 
 
 def test_continuation_agrees_on_the_real_axis():
