@@ -21,20 +21,9 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    InvalidDensityMatrixError,
-    PumpedLindbladError,
-    PumpSupportViolationError,
-)
+from .errors import ConfigError, InvalidDensityMatrixError, PumpedLindbladError
 from .evolution import GeneratorBundle, evolve, populations, trajectory_to_csv
-from .floquet import (
-    build_howland,
-    floquet_spectrum,
-    kato_order_check,
-    monodromy,
-    resonance_report,
-)
+from .floquet import build_howland, floquet_spectrum, kato_order_check, monodromy
 from .lindblad import check_assumptions, reservoir_lindbladian, resolvent_oracle
 from .operator_core import (
     atomic_lindbladian,
@@ -351,31 +340,28 @@ def _do_floquet(setup, out_dir, force=False, order_check=False, **_kw):
     if not _guard_assumptions(setup, out_dir, force):
         return EXIT_ASSUMPTION
     bundle = setup.bundle()
-    f_state = build_howland(bundle, setup.n_modes, picture="state")
-    spec_state = floquet_spectrum(f_state)
-    f_heis = build_howland(bundle, setup.n_modes, picture="heisenberg")
-    resonances = resonance_report(f_heis, eigenvalues=np.conj(spec_state.eigenvalues))
+    f_op = build_howland(bundle, setup.n_modes)
+    spec = floquet_spectrum(f_op)
     mono = monodromy(bundle, n_modes=setup.n_modes, rtol=min(setup.rtol, 1e-10),
-                     eigenvalues=spec_state.eigenvalues)
+                     eigenvalues=spec.eigenvalues)
 
-    interior_eigs = spec_state.eigenvalues[spec_state.interior]
     payload = {
         "n_modes": setup.n_modes,
         "omega": setup.omega,
-        "gap": spec_state.gap,
-        "gap_over_lambda2": spec_state.gap_over_lambda2,
-        "degenerate": bool(spec_state.degenerate),
-        "interior_eigenvalues": _complex_pairs(interior_eigs),
-        "resonance_max_residual": resonances["max_residual"],
-        "resonance_disc_counts": {str(p): c for p, c in resonances["disc_counts"].items()},
+        "gap": spec.gap,
+        "gap_over_lambda2": spec.gap_over_lambda2,
+        "degenerate": bool(spec.degenerate),
+        "interior_eigenvalues": _complex_pairs(spec.eigenvalues[spec.interior]),
+        "resonance_max_residual": max(spec.resonance_residuals.values()),
+        "resonance_disc_counts": {str(p): c for p, c in spec.disc_counts.items()},
         "monodromy_max_match_error": mono.max_match_error,
     }
-    if spec_state.degenerate:
+    if spec.degenerate:
         click.echo("warning: zero spectral gap (degenerate case)", err=True)
     if order_check:
         payload["order_check"] = kato_order_check(
             bundle, setup.n_modes, m_points=setup.contour_points,
-            f_op=f_state, eigenvalues=spec_state.eigenvalues)
+            f_op=f_op, eigenvalues=spec.eigenvalues)
     _write_json(out_dir / "floquet.json", payload)
     return EXIT_OK
 
@@ -479,8 +465,16 @@ def _points(cfg, out_dir, sweep):
 
 
 def _validated_setup(command, cfg):
-    """RunSetup plus the subcommand's own config requirements."""
-    setup = RunSetup(cfg)
+    """RunSetup plus the subcommand's own config requirements.
+
+    Any model the library refuses while RunSetup builds it is a config error.
+    """
+    try:
+        setup = RunSetup(cfg)
+    except ConfigError:
+        raise
+    except PumpedLindbladError as exc:
+        raise ConfigError(f"{type(exc).__name__}: {exc}") from None
     if command == "evolve":
         if setup.t_end is None:
             raise ConfigError("sim.t_end is required for evolve")
@@ -503,9 +497,6 @@ def _dispatch(command, config_path, out, force, order_check, sweep):
         return code
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
-        return EXIT_CONFIG
-    except PumpSupportViolationError as exc:
-        click.echo(f"invalid pump operator: {exc}", err=True)
         return EXIT_CONFIG
     except PumpedLindbladError as exc:
         click.echo(f"numerical failure: {type(exc).__name__}: {exc}", err=True)

@@ -331,7 +331,10 @@ def trajectory_to_csv(atom, traj, path, pops=None):
 # stationary states
 # --------------------------------------------------------------------------
 
-def stationary_state(superop, kernel_tol=1e-12):
+_KERNEL_TOL = 1e-12   # singular values below this (relative) span the kernel
+
+
+def stationary_state(superop):
     """Normalized positive kernel element of a generator.
 
     The kernel is found by SVD; it must be one-dimensional
@@ -342,7 +345,7 @@ def stationary_state(superop, kernel_tol=1e-12):
     m = superop.matrix
     d = superop.dim
     _u, s, vh = np.linalg.svd(m)
-    cutoff = kernel_tol * max(1.0, s[0])
+    cutoff = _KERNEL_TOL * max(1.0, s[0])
     n_null = int(np.sum(s <= cutoff))
     if n_null != 1:
         raise DegenerateKernelError(

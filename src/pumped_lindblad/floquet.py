@@ -6,16 +6,15 @@ T-periodic dynamics is block tridiagonal,
     (F x)_k = (i omega k + B) x_k + (eta/2) C (x_{k-1} + x_{k+1}),
 
 because the cos(omega t) drive splits into the two mode shifts with weight
-1/2.  Two pictures of the same operator are built and must agree
-spectrally:
-
-  state       B = L_at + lambda^2 L_R,          C = L_p;
-  heisenberg  B, C replaced by their HS-adjoints (same +i omega k shift).
-
-On the heisenberg side the vectors delta_{k,p} (x) vec(1) are *exact*
-eigenvectors with eigenvalue i p omega (the adjoint blocks annihilate the
-identity), which pins the resonance structure; everything else hangs off
-those points with a spectral gap of order lambda^2.
+1/2, with B = L_at + lambda^2 L_R and C = L_p.  Every part of the generator
+preserves the trace, so its HS-adjoint annihilates the identity: the
+vectors x_p = delta_{k,p} (x) vec(1) are *exact* left eigenvectors,
+x_p^H F = i p omega x_p^H, which pins the resonance structure; everything
+else hangs off those points with a spectral gap of order lambda^2.  The
+adjoint F^H (the Heisenberg picture, whose spectrum is the complex
+conjugate) is never assembled: the spectrum report applies the left
+eigenvector claim to F itself, and the Kato probe runs the adjoint blocks
+inside the block-Thomas kernel.
 
 The remaining tools are standard spectral calculus made concrete: Riesz
 projections by contour quadrature of the resolvent, first-order
@@ -35,7 +34,7 @@ every norm is taken on a 2r x 2r core.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -72,7 +71,6 @@ __all__ = [
     "kato_order_check",
     "monodromy",
     "pair_transform",
-    "resonance_report",
     "riesz_projection",
 ]
 
@@ -86,10 +84,8 @@ class FloquetOperator:
     matrix: np.ndarray
     n_modes: int
     omega: float
-    picture: str
     dim: int                  # atomic dimension d
     lam: float
-    eta: float
     base: np.ndarray          # B: diagonal block without its i omega k shift
     coupling: np.ndarray      # H = (eta/2) C: every off-diagonal block
 
@@ -98,18 +94,13 @@ class FloquetOperator:
         return self.dim * self.dim
 
 
-def build_howland(bundle, n_modes, picture="state"):
+def build_howland(bundle, n_modes):
     """Assemble the truncated block-tridiagonal Howland operator."""
     if n_modes < 2:
         raise DimensionMismatchError(f"need n_modes >= 2, got {n_modes}")
     d = bundle.l_at.dim
     b = bundle.l_at.matrix + bundle.lam**2 * bundle.l_r.matrix
     c = bundle.l_p.matrix
-    if picture == "heisenberg":
-        b = b.conj().T
-        c = c.conj().T
-    elif picture != "state":
-        raise DimensionMismatchError(f"unknown picture {picture!r}")
 
     n = 2 * n_modes + 1
     d2 = d * d
@@ -124,8 +115,7 @@ def build_howland(bundle, n_modes, picture="state"):
             m[sl, sr] = half_pump
             m[sr, sl] = half_pump
     return FloquetOperator(matrix=m, n_modes=n_modes, omega=bundle.omega,
-                           picture=picture, dim=d, lam=bundle.lam, eta=bundle.eta,
-                           base=b, coupling=half_pump)
+                           dim=d, lam=bundle.lam, base=b, coupling=half_pump)
 
 
 # --------------------------------------------------------------------------
@@ -133,28 +123,30 @@ def build_howland(bundle, n_modes, picture="state"):
 # --------------------------------------------------------------------------
 
 _RESONANCE_TOL = 1e-8   # distance from i omega Z that marks a resonance copy
-_DISC_RADIUS = 1e-8     # disc around i p omega in which resonance_report counts
 
 
 @dataclass(frozen=True)
 class FloquetSpectrum:
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    dominant_mode: np.ndarray   # mode index k of the largest block per eigenvector
     interior: np.ndarray        # |k| <= N-2 mask
     gap: float
     gap_over_lambda2: float
     degenerate: bool
-    meta: dict = field(default_factory=dict, compare=False)
+    resonance_residuals: dict   # p -> ||F^H x_p + i omega p x_p||, |p| <= N-1
+    disc_counts: dict           # p -> eigenvalues within _RESONANCE_TOL of i omega p
 
 
 def floquet_spectrum(f_op):
-    """Dense eigensolve with interior-mode bookkeeping and gap report.
+    """Dense eigensolve with interior-mode bookkeeping, gap and resonances.
 
     The gap is min |Re mu| over eigenvalues whose eigenvector lives on
     interior modes (|k| <= N-2; shift truncation pollutes the outer two)
     and which are not resonance copies (within `_RESONANCE_TOL` of
-    i omega Z).
+    i omega Z).  The resonance structure comes with it: for |p| <= N-1 the
+    residual of the exact left eigenvector claim x_p^H F = i p omega x_p^H,
+    x_p = delta_{k,p} (x) vec(1)/sqrt(d), applied to the assembled matrix,
+    and for interior p the number of eigenvalues within `_RESONANCE_TOL`
+    of i p omega.
     """
     try:
         w, v = np.linalg.eig(f_op.matrix)
@@ -164,59 +156,30 @@ def floquet_spectrum(f_op):
     w, v = w[order], v[:, order]
 
     n, d2 = f_op.n_modes, f_op.block_size
-    weights = np.abs(v.reshape(2 * n + 1, d2, -1)) ** 2
-    block_mass = weights.sum(axis=1)                  # (modes, n_eigs)
-    dominant = block_mass.argmax(axis=0) - n
-    interior = np.abs(dominant) <= n - 2
+    block_mass = (np.abs(v.reshape(2 * n + 1, d2, -1)) ** 2).sum(axis=1)
+    interior = np.abs(block_mass.argmax(axis=0) - n) <= n - 2
 
     omega = f_op.omega
     nearest = np.round(w.imag / omega)
     on_resonance = np.abs(w - 1j * omega * nearest) <= _RESONANCE_TOL
     candidates = interior & ~on_resonance
-    if np.any(candidates):
-        gap = float(np.min(np.abs(w.real[candidates])))
-    else:
-        gap = 0.0
-    degenerate = gap < 1e-12
+    gap = float(np.min(np.abs(w.real[candidates]))) if np.any(candidates) else 0.0
     lam2 = f_op.lam**2
-    return FloquetSpectrum(
-        eigenvalues=w, eigenvectors=v, dominant_mode=dominant,
-        interior=interior, gap=gap,
-        gap_over_lambda2=gap / lam2 if lam2 > 0 else np.inf,
-        degenerate=degenerate,
-        meta={"picture": f_op.picture, "n_modes": n, "resonance_tol": _RESONANCE_TOL},
-    )
 
-
-def resonance_report(f_op, eigenvalues=None):
-    """Exact-resonance diagnostics on the heisenberg-side operator.
-
-    For each mode p the candidate eigenvector delta_{k,p} (x) vec(1) is
-    applied directly (residual of the i p omega eigenvalue claim,
-    |p| <= N-1), and the eigenvalue count inside the `_DISC_RADIUS` disc
-    around i p omega is taken from the dense solver (interior p only).
-    The heisenberg operator is the mode-reversed adjoint of the state
-    operator, so a caller holding the state spectrum may pass its complex
-    conjugate as `eigenvalues` instead of solving again.
-    """
-    if f_op.picture != "heisenberg":
-        raise DimensionMismatchError("resonance candidates live on the heisenberg side")
-    n, d2 = f_op.n_modes, f_op.block_size
-    d = f_op.dim
-    one = vec(np.eye(d, dtype=complex))
-    one = one / np.linalg.norm(one)
+    one = vec(np.eye(f_op.dim, dtype=complex)) / np.sqrt(f_op.dim)   # real: x_p^H = x_p^T
     residuals = {}
     for p in range(-(n - 1), n):
-        x = np.zeros((2 * n + 1) * d2, dtype=complex)
-        x[(p + n) * d2:(p + n + 1) * d2] = one
-        residuals[p] = float(np.linalg.norm(f_op.matrix @ x - 1j * f_op.omega * p * x))
-    w = np.linalg.eigvals(f_op.matrix) if eigenvalues is None else eigenvalues
-    counts = {}
-    for p in range(-(n - 2), n - 1):
-        counts[p] = int(np.sum(np.abs(w - 1j * f_op.omega * p) <= _DISC_RADIUS))
-    return {"residuals": residuals, "disc_counts": counts,
-            "max_residual": max(residuals.values()),
-            "disc_radius": _DISC_RADIUS}
+        sl = slice((p + n) * d2, (p + n + 1) * d2)
+        left = one @ f_op.matrix[sl]                    # x_p^H F
+        left[sl] -= 1j * omega * p * one
+        residuals[p] = float(np.linalg.norm(left))
+    counts = {p: int(np.sum(on_resonance & (nearest == p))) for p in range(-(n - 2), n - 1)}
+    return FloquetSpectrum(
+        eigenvalues=w, interior=interior, gap=gap,
+        gap_over_lambda2=gap / lam2 if lam2 > 0 else np.inf,
+        degenerate=gap < 1e-12,
+        resonance_residuals=residuals, disc_counts=counts,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -604,8 +567,8 @@ def monodromy(bundle, n_modes=32, rtol=1e-10, eigenvalues=None):
     truncated-Howland eigenvalue mu (the mode shift +i omega k drops out of
     the exponential).  The assignment minimizing the total distance is
     computed by the Hungarian method on the rectangular cost matrix.
-    `eigenvalues` may pass the spectrum of the state-picture Howland
-    operator of `bundle` at `n_modes` when already computed.
+    `eigenvalues` may pass the spectrum of the Howland operator of `bundle`
+    at `n_modes` when already computed.
     """
     tau = monodromy_interval(bundle, rtol=rtol)
     mono_eigs = np.linalg.eigvals(tau.matrix)

@@ -61,6 +61,10 @@ __all__ = [
 ]
 
 _RATE_FLOOR = 1e-14
+_COMMUTANT_TOL = 1e-10   # relative singular-value cutoff of the Sylvester stack
+_GAP_FLOOR = 1e-3        # spectral gap must reach lambda^2 times this
+_MODERATE_CONST = 1.0    # moderate pump: |eta| <= this times lambda^2
+_ZERO_TOL = 1e-10        # |mu| below this counts as a zero eigenvalue
 
 
 # --------------------------------------------------------------------------
@@ -271,7 +275,7 @@ def resolvent_oracle(atom, res, eps_reg):
 # commutant / irreducibility
 # --------------------------------------------------------------------------
 
-def commutant_dimension(jumps, tol=1e-10):
+def commutant_dimension(jumps):
     """Dimension of {X : X V = V X for all V in jumps} and a basis.
 
     Solved as the joint nullspace of the stacked Sylvester maps
@@ -283,7 +287,7 @@ def commutant_dimension(jumps, tol=1e-10):
     rows = [np.kron(eye, v) - np.kron(v.T, eye) for v in vs]
     stack = np.vstack(rows)
     _u, s, vh = np.linalg.svd(stack)
-    cutoff = tol * max(1.0, s[0] if s.size else 1.0)
+    cutoff = _COMMUTANT_TOL * max(1.0, s[0] if s.size else 1.0)
     null_mask = np.ones(d * d, dtype=bool)
     null_mask[: s.size] = s <= cutoff
     # columns of vh^H spanning the nullspace
@@ -292,7 +296,7 @@ def commutant_dimension(jumps, tol=1e-10):
     return len(basis), basis
 
 
-def algebra_dimension(jumps, max_rounds=None):
+def algebra_dimension(jumps):
     """Dimension of the unital *-algebra generated by the jump set.
 
     Grown by word spanning: repeatedly right-multiply an orthonormal basis
@@ -303,8 +307,7 @@ def algebra_dimension(jumps, max_rounds=None):
     d = vs[0].shape[0]
     gens = [np.eye(d, dtype=complex)] + vs + [v.conj().T for v in vs]
     basis = _orthonormalize([g.reshape(-1) for g in gens])
-    rounds = max_rounds or d * d
-    for _ in range(rounds):
+    for _ in range(d * d):
         words = list(basis)
         for b in basis:
             bm = b.reshape(d, d)
@@ -408,9 +411,7 @@ class AssumptionReport:
         raise KeyError(name)
 
 
-def check_assumptions(atom, res, h_p, eta, gap_floor=1e-3,
-                      moderate_const=1.0, zero_tol=1e-10, seed=0,
-                      data=None, pump=None):
+def check_assumptions(atom, res, h_p, eta, seed=0, data=None, pump=None):
     """Verify the standing assumptions; report-only (never raises on fail).
 
     `data` (``reservoir_lindbladian(atom, res)``) and `pump`
@@ -420,9 +421,9 @@ def check_assumptions(atom, res, h_p, eta, gap_floor=1e-3,
     Records, in order:
       reservoir-analyticity : strip integrability of the glued functions,
                               largest passing half-width on a ladder;
-      moderate-pump         : |eta| <= moderate_const * lambda^2;
+      moderate-pump         : |eta| <= _MODERATE_CONST * lambda^2;
       spectral-gap          : spec((eta/2) L_p + lambda^2 L_R) has simple 0
-                              and the rest in Re <= -lambda^2 * gap_floor;
+                              and the rest in Re <= -lambda^2 * _GAP_FLOOR;
       jump-irreducibility   : commutant of the jump set is trivial
                               (cross-checked two independent ways);
       no-first-order-coupling : odd single-fermion coupling, by construction
@@ -464,9 +465,9 @@ def check_assumptions(atom, res, h_p, eta, gap_floor=1e-3,
         ratio = 0.0 if eta == 0 else np.inf
     records.append({
         "name": "moderate-pump",
-        "verdict": "pass" if ratio <= moderate_const else "fail",
+        "verdict": "pass" if ratio <= _MODERATE_CONST else "fail",
         "evidence": {"eta": eta, "lambda": lam, "ratio": ratio,
-                     "bound": moderate_const},
+                     "bound": _MODERATE_CONST},
         "notes": "|eta| <= C * lambda^2",
     })
 
@@ -484,17 +485,17 @@ def check_assumptions(atom, res, h_p, eta, gap_floor=1e-3,
     else:
         avg = (0.5 * eta) * pump.lindbladian + lam**2 * data.l_r
         mu = np.linalg.eigvals(avg.matrix)
-        zero_mask = np.abs(mu) <= zero_tol
+        zero_mask = np.abs(mu) <= _ZERO_TOL
         n_zero = int(np.sum(zero_mask))
         rest = mu[~zero_mask]
         gap = float(-np.max(rest.real)) if rest.size else np.inf
-        gap_ok = n_zero == 1 and gap >= lam**2 * gap_floor
+        gap_ok = n_zero == 1 and gap >= lam**2 * _GAP_FLOOR
         records.append({
             "name": "spectral-gap",
             "verdict": "pass" if gap_ok else "fail",
             "evidence": {"zero_multiplicity": n_zero, "gap": gap,
                          "gap_over_lambda2": gap / lam**2,
-                         "gap_floor": gap_floor},
+                         "gap_floor": _GAP_FLOOR},
             "notes": "spectrum of (eta/2) L_p + lambda^2 L_R",
         })
 

@@ -56,6 +56,11 @@ __all__ = [
     "vec",
 ]
 
+_HERM_TOL = 1e-12     # validate_state: ||rho - rho^*|| relative to max(1, ||rho||)
+_TRACE_TOL = 1e-12    # validate_state: |tr rho - 1|
+_EIG_FLOOR = -1e-9    # validate_state: smallest admissible eigenvalue
+_PUMP_TOL = 1e-10     # validate_pump: support defects of h_p
+
 
 # --------------------------------------------------------------------------
 # vectorization helpers (column-stacking convention)
@@ -165,7 +170,7 @@ def multiplication_superops(a, lindblad_form=False):
 # density matrix validation
 # --------------------------------------------------------------------------
 
-def validate_state(rho, herm_tol=1e-12, trace_tol=1e-12, eig_floor=-1e-9):
+def validate_state(rho):
     """Validate a density matrix: Hermitian, unit trace, eigenvalues >= floor.
 
     Returns the matrix as a complex ndarray.  Violations raise
@@ -176,14 +181,14 @@ def validate_state(rho, herm_tol=1e-12, trace_tol=1e-12, eig_floor=-1e-9):
         raise InvalidDensityMatrixError(f"state has shape {rho.shape}")
     scale = max(1.0, np.linalg.norm(rho, "fro"))
     herm = np.linalg.norm(rho - rho.conj().T, "fro")
-    if herm > herm_tol * scale:
+    if herm > _HERM_TOL * scale:
         raise InvalidDensityMatrixError(f"not Hermitian: ||rho - rho^*|| = {herm:.3e}")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > _TRACE_TOL:
         raise InvalidDensityMatrixError(f"trace {tr} differs from 1")
     w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if w.min() < eig_floor:
-        raise InvalidDensityMatrixError(f"minimum eigenvalue {w.min():.3e} < {eig_floor}")
+    if w.min() < _EIG_FLOOR:
+        raise InvalidDensityMatrixError(f"minimum eigenvalue {w.min():.3e} < {_EIG_FLOOR}")
     return rho
 
 
@@ -416,12 +421,12 @@ class PumpOperator:
     lindbladian: Superoperator
 
 
-def validate_pump(atom, h_p, tol=1e-10):
+def validate_pump(atom, h_p):
     """Check that h_p raises the ground sector into the top sector.
 
     Accepts iff ker(h_p)^perp  is contained in the ground eigenspace and
-    ran(h_p) in the top eigenspace, i.e. ||(1 - P_1) h_p^*|| <= tol and
-    ||(1 - P_N) h_p|| <= tol.  Returns the pump H_p = h_p + h_p^* with its
+    ran(h_p) in the top eigenspace, i.e. ||(1 - P_1) h_p^*|| <= 1e-10 and
+    ||(1 - P_N) h_p|| <= 1e-10.  Returns the pump H_p = h_p + h_p^* with its
     Hamiltonian Lindbladian.
     """
     h_p = np.asarray(h_p, dtype=complex)
@@ -433,11 +438,11 @@ def validate_pump(atom, h_p, tol=1e-10):
     pn = atom.projections[-1]
     src = np.linalg.norm((eye - p1) @ h_p.conj().T, "fro")
     dst = np.linalg.norm((eye - pn) @ h_p, "fro")
-    if src > tol:
+    if src > _PUMP_TOL:
         raise PumpSupportViolationError(
             f"h_p does not act from the ground sector: ||(1-P_1) h_p^*|| = {src:.3e}"
         )
-    if dst > tol:
+    if dst > _PUMP_TOL:
         raise PumpSupportViolationError(
             f"h_p does not map into the top sector: ||(1-P_N) h_p|| = {dst:.3e}"
         )

@@ -33,6 +33,8 @@ on the strip |Im z| < pi/beta (the square root stays on its principal
 branch there); this is what the strip-integrability check samples.
 """
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -61,6 +63,7 @@ __all__ = [
 ]
 
 _MIN_BETA = 1e-12
+_PV_REL_TOL = 1e-7   # the two PV rules must agree to this, relative
 
 
 def _effective_beta(beta):
@@ -117,9 +120,7 @@ class FormFactor:
 
     def l2_norm(self):
         """L2 norm of f on (0, infinity)."""
-        val, _ = integrate.quad(lambda x: abs(self(x)) ** 2, 0.0,
-                                _gauss_cutoff(self.min_decay), limit=200)
-        return float(np.sqrt(val))
+        return float(np.sqrt(_l2_inner(self, self).real))
 
 
 def _gauss_cutoff(c_min, margin=1.2):
@@ -128,10 +129,14 @@ def _gauss_cutoff(c_min, margin=1.2):
 
 
 def _l2_inner(f1, f2):
-    x_max = _gauss_cutoff(min(f1.min_decay, f2.min_decay))
-    re, _ = integrate.quad(lambda x: (np.conj(f1(x)) * f2(x)).real, 0, x_max, limit=200)
-    im, _ = integrate.quad(lambda x: (np.conj(f1(x)) * f2(x)).imag, 0, x_max, limit=200)
-    return re + 1j * im
+    """<f1, f2> on (0, infinity), exactly: every pair of terms contributes
+    int_0^inf x^(2a-1) e^(-c x^2) dx = Gamma(a) / (2 c^a), a = p+q-1/2, c = c1+c2."""
+    total = 0j
+    for (w1, p1, c1) in f1.terms:
+        for (w2, p2, c2) in f2.terms:
+            a = p1 + p2 - 0.5
+            total += np.conj(w1) * w2 * math.gamma(a) / (2.0 * (c1 + c2) ** a)
+    return total
 
 
 @dataclass(frozen=True)
@@ -187,12 +192,8 @@ class ReservoirSpec:
 
 
 def _verify_orthogonality(ffs, rel_tol=1e-8):
-    norms = [f.l2_norm() for f in ffs]
-    for i in range(len(ffs)):
-        for j in range(i + 1, len(ffs)):
-            if abs(_l2_inner(ffs[i], ffs[j])) > rel_tol * norms[i] * norms[j]:
-                return False
-    return True
+    return all(abs(_l2_inner(f, g)) <= rel_tol * f.l2_norm() * g.l2_norm()
+               for f, g in itertools.combinations(ffs, 2))
 
 
 # --------------------------------------------------------------------------
@@ -392,13 +393,13 @@ def _line_integral(ff, beta, y, bound_ceiling):
 # principal-value coefficient (two independent rules)
 # --------------------------------------------------------------------------
 
-def pv_coefficient(ff, beta, eps, rel_tol=1e-7):
+def pv_coefficient(ff, beta, eps):
     """d = PV int_R f^(beta)(x + eps) / x dx  (Cauchy principal value at 0).
 
     Rule A: QUADPACK's Cauchy-weight rule on (-X, X).
     Rule B: symmetric-difference form int_0^X (F(x) - F(-x))/x dx on a
     midpoint grid with one Richardson extrapolation step (O(h^4)).
-    The two must agree to `rel_tol` relative (with a small absolute floor)
+    The two must agree to 1e-7 relative (with a small absolute floor)
     or DisagreementBetweenRules is raised.
 
     This function is the single home of the principal-part convention.
@@ -433,7 +434,7 @@ def pv_coefficient(ff, beta, eps, rel_tol=1e-7):
     # magnitude so near-cancelling (odd) cases don't trip on roundoff.
     peak = float(np.max(f_shift(np.linspace(-x_max, x_max, 513))))
     floor = 1e-9 * max(1.0, peak)
-    if abs(val_a - val_b) > max(rel_tol * max(abs(val_a), abs(val_b)), floor):
+    if abs(val_a - val_b) > max(_PV_REL_TOL * max(abs(val_a), abs(val_b)), floor):
         raise DisagreementBetweenRulesError(
             f"PV rules disagree at eps={eps}: {val_a!r} vs {val_b!r}"
         )

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from pumped_lindblad import PumpedLindbladError
+from pumped_lindblad import ConfigError
 from pumped_lindblad.cli import RunSetup, _points, _validated_setup, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -183,6 +183,16 @@ MALFORMED = [
     (("reservoir", "couplings_Q", 0, 0), [[1.0, 0.0]]),
     (("pump", "h_p", 0), [[0.0, 0.0]]),
     (("pump", "h_p", 0, 0, 0), True),
+    # models the library refuses while RunSetup builds them
+    (("reservoir", "form_factors", 0, "decay_c"), 0),
+    (("reservoir", "form_factors", 0, "decay_c"), -1),
+    (("reservoir", "form_factors", 0), []),
+    (("reservoir", "beta"), -1),
+    (("reservoir", "couplings_Q", 0), [[[0.0, 0.0], [1.0, 0.0]],
+                                       [[0.0, 0.0], [0.0, 0.0]]]),   # not *-closed
+    (("atom",), {"matrix": [[[0.0, 0.0], [1.0, 0.0]],
+                            [[0.0, 0.0], [1.0, 0.0]]]}),              # not Hermitian
+    (("atom", "energies"), [1, 1]),
 ]
 
 
@@ -226,8 +236,8 @@ def _mutation_paths(node, prefix=()):
 @pytest.mark.parametrize("make_cfg", [_two_level_cfg, _gks_two_level_cfg],
                          ids=["form-factors", "gks"])
 def test_single_field_mutations_raise_only_library_errors(make_cfg):
-    # every malformed field ends in a typed error (the CLI maps ConfigError
-    # to exit 1 and the rest to exit 3), never in a bare TypeError/ValueError
+    # every malformed field ends in a ConfigError (exit 1), never in another
+    # library error (exit 3) or a bare TypeError/ValueError
     base = make_cfg()
     paths = list(_mutation_paths(base)) + [("sim", "rho0"), ("pump", "omega")]
     escaped = []
@@ -236,7 +246,7 @@ def test_single_field_mutations_raise_only_library_errors(make_cfg):
             cfg = _set(copy.deepcopy(base), path, value)
             try:
                 _validated_setup("evolve", cfg)
-            except PumpedLindbladError:
+            except ConfigError:
                 pass
             except Exception as exc:   # collected, so one run reports them all
                 escaped.append((path, value, f"{type(exc).__name__}: {exc}"))

@@ -5,17 +5,21 @@ is made autonomous on Fourier modes k = -N..N: block-diagonal entries
 i omega k + B and nearest-neighbour couplings (eta/2) C (the cosine).  Facts
 under test:
 
-* heisenberg side: delta_{k,p} (x) vec(1) is an *exact* eigenvector with
+* delta_{k,p} (x) vec(1) is an *exact* left eigenvector of F with
   eigenvalue i p omega for |p| <= N-1, because the adjoint of every
-  generator part annihilates the identity;
-* the heisenberg picture is the HS-adjoint of the state picture, so their
-  spectra are complex conjugate;
+  generator part annihilates the identity (the heisenberg picture F^H has
+  it as an eigenvector), and floquet_spectrum reports its residuals and
+  the eigenvalue count at each interior i p omega;
+* the truncated spectrum is closed under complex conjugation (the
+  generator preserves Hermiticity and the mode range is symmetric), so
+  the heisenberg spectrum, its conjugate, is the state spectrum itself;
 * away from the resonance copies, interior eigenvalues sit at distance
   >= O(lambda^2) left of the imaginary axis, with gap/lambda^2 stable
   under lambda -> lambda/2 (eta proportional to lambda^2);
 * the contour resolvent sum built by block-Thomas elimination equals the
-  dense one, for the identity and for a few right-hand sides, and factors
-  nothing wider than one block;
+  dense one, for the identity and for a few right-hand sides, of F and
+  (through the adjoint mode of the kernel) of F^H, and factors nothing
+  wider than one block;
 * contour-integral Riesz projections agree with eigensolver projections,
   and the compressed block P F P matches its first-order model
   center P0 + P0 (F - F0) P0 with a residual falling like lambda^4
@@ -50,7 +54,6 @@ from pumped_lindblad import (
     kato_order_check,
     monodromy,
     pair_transform,
-    resonance_report,
     riesz_projection,
 )
 from pumped_lindblad.floquet import _resolvent_apply
@@ -96,49 +99,41 @@ def test_howland_block_structure(three_level):
 def test_howland_requires_two_modes(three_level):
     with pytest.raises(DimensionMismatchError):
         build_howland(three_level.bundle, 1)
-    with pytest.raises(DimensionMismatchError):
-        build_howland(three_level.bundle, 4, picture="conjugated")  # not built
-    with pytest.raises(DimensionMismatchError):
-        build_howland(three_level.bundle, 4, picture="schroedinger")
 
 
 # --------------------------------------------------------------------------
-# exact resonances and picture similarity
+# exact resonances and conjugation symmetry
 # --------------------------------------------------------------------------
 
 def test_heisenberg_resonances_exact(three_level):
-    f_op = build_howland(three_level.bundle, 8, picture="heisenberg")
-    rep = resonance_report(f_op)
-    assert rep["max_residual"] <= 1e-12
-    assert set(rep["residuals"]) == set(range(-7, 8))
-    assert set(rep["disc_counts"]) == set(range(-6, 7))
-    assert all(c == 1 for c in rep["disc_counts"].values())
+    f_op = build_howland(three_level.bundle, 8)
+    spec = floquet_spectrum(f_op)
+    assert max(spec.resonance_residuals.values()) <= 1e-12
+    assert set(spec.resonance_residuals) == set(range(-7, 8))
+    assert set(spec.disc_counts) == set(range(-6, 7))
+    assert all(c == 1 for c in spec.disc_counts.values())
+    # the residual is that of F^H x_p = -i p omega x_p on the assembled matrix
+    d2 = f_op.block_size
+    x = np.zeros(f_op.matrix.shape[0], dtype=complex)
+    x[(3 + 8) * d2:(3 + 9) * d2] = np.eye(3).reshape(-1) / np.sqrt(3)
+    direct = np.linalg.norm(f_op.matrix.conj().T @ x + 3j * f_op.omega * x)
+    assert abs(spec.resonance_residuals[3] - direct) <= 1e-15
 
 
 def test_resonance_counts_from_conjugated_state_spectrum(three_level):
-    # the heisenberg operator is the mode-reversed adjoint of the state one
-    f_heis = build_howland(three_level.bundle, 8, picture="heisenberg")
+    # the heisenberg spectrum is the conjugate of the state one: counting
+    # around i p omega on either side gives the same numbers
     spec = floquet_spectrum(build_howland(three_level.bundle, 8))
-    reused = resonance_report(f_heis, eigenvalues=np.conj(spec.eigenvalues))
-    direct = resonance_report(f_heis)
-    assert reused["disc_counts"] == direct["disc_counts"]
-    assert reused["residuals"] == direct["residuals"]
+    conj = np.conj(spec.eigenvalues)
+    omega = three_level.bundle.omega
+    recount = {p: int(np.sum(np.abs(conj - 1j * omega * p) <= 1e-8))
+               for p in range(-6, 7)}
+    assert spec.disc_counts == recount
 
 
-def test_resonance_report_needs_heisenberg_side(three_level):
-    f_op = build_howland(three_level.bundle, 4, picture="state")
-    with pytest.raises(DimensionMismatchError):
-        resonance_report(f_op)
-
-
-def test_three_pictures_are_isospectral(three_level):
-    bundle = three_level.bundle
-    n = 6
-    w_state = np.linalg.eigvals(build_howland(bundle, n).matrix)
-    w_heis = np.linalg.eigvals(
-        build_howland(bundle, n, picture="heisenberg").matrix)
-    # the heisenberg side is the HS-adjoint: spectra are complex conjugate
-    assert _matched_distance(w_state, np.conj(w_heis)) <= 1e-9
+def test_truncated_spectrum_is_closed_under_conjugation(three_level):
+    w = np.linalg.eigvals(build_howland(three_level.bundle, 6).matrix)
+    assert _matched_distance(w, np.conj(w)) <= 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -217,8 +212,11 @@ def _contour(center, radius, m_points=64):
 @pytest.mark.parametrize("at_omega", [False, True])
 def test_structured_resolvent_sum_equals_dense(three_level, n_modes, picture, eta,
                                                at_omega):
+    # the heisenberg picture is F^H, reached through the adjoint mode of the
+    # kernel, which returns (sum_j w_j (z_j - F)^{-1})^H for the identity
+    heisenberg = picture == "heisenberg"
     bundle = three_level.make_bundle(0.1, eta)
-    f_op = build_howland(bundle, n_modes, picture=picture)
+    f_op = build_howland(bundle, n_modes)
     center = 1j * bundle.omega if at_omega else 0.0
     # the default-radius contour of riesz_projection and a wide one
     w = np.linalg.eigvals(f_op.matrix)
@@ -230,7 +228,9 @@ def test_structured_resolvent_sum_equals_dense(three_level, n_modes, picture, et
         nodes, weights = _contour(center, radius, m_points)
         dense = sum(wj * np.linalg.solve(zj * eye - f_op.matrix, eye)
                     for zj, wj in zip(nodes, weights))
-        got = _resolvent_apply(f_op, nodes, weights, eye)
+        if heisenberg:
+            dense = dense.conj().T
+        got = _resolvent_apply(f_op, nodes, weights, eye, adjoint=heisenberg)
         assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
 
 

@@ -13,6 +13,7 @@ f^(beta)(x) = 4 pi |x f(|x|)|^2 / (1 + e^{-beta x}), which obeys the KMS
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import expit
 
 from pumped_lindblad import (
@@ -29,7 +30,12 @@ from pumped_lindblad import (
     spectral_density,
     strip_analyticity_ladder,
 )
-from pumped_lindblad.reservoir import _line_cutoff, _line_integrand
+from pumped_lindblad.reservoir import (
+    _gauss_cutoff,
+    _l2_inner,
+    _line_cutoff,
+    _line_integrand,
+)
 
 
 def _random_form_factor(rng, n_terms=2, complex_weights=False):
@@ -87,6 +93,24 @@ def test_orthogonal_family_detection():
     assert not res_bad.orthogonal
     with pytest.raises(NonOrthogonalFamilyError):
         res_bad.require_orthogonal()
+
+
+def _quad_inner(f1, f2):
+    x_max = _gauss_cutoff(min(f1.min_decay, f2.min_decay))
+    parts = [integrate.quad(lambda x: part(np.conj(f1(x)) * f2(x)), 0.0, x_max,
+                            limit=200)[0] for part in (np.real, np.imag)]
+    return complex(*parts)
+
+
+def test_closed_form_inner_product_matches_quadrature():
+    # adaptive quadrature on (0, X) is the oracle for the Gamma-function sum
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        f1, f2 = (_random_form_factor(rng, n_terms=int(rng.integers(1, 4)),
+                                      complex_weights=True) for _ in range(2))
+        n1, n2 = np.sqrt(_quad_inner(f1, f1).real), np.sqrt(_quad_inner(f2, f2).real)
+        assert abs(f1.l2_norm() - n1) <= 1e-13 * n1
+        assert abs(_l2_inner(f1, f2) - _quad_inner(f1, f2)) <= 1e-13 * n1 * n2
 
 
 # --------------------------------------------------------------------------
