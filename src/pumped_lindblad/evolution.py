@@ -205,11 +205,17 @@ def evolve(bundle, rho0, t_end, output_grid=None, rtol=1e-8, atol=1e-10,
                       min_eig=min_eig, purity=purity, meta=meta)
 
 
+_PHASE_BLOCK = 64   # output points per interpolant call in the stroboscopic walk
+
+
 def _stroboscopic(bundle, v, times, rtol, atol):
     """Rows tau(phase, 0) M^cycles v for t = cycles*T + phase, and the RHS count.
 
     `times` must be increasing, so the walk applies M = tau(T, 0) one cycle
-    at a time; the one-period interpolant is freed on return.
+    at a time.  The interpolant is then evaluated on the phases in sorted
+    order, _PHASE_BLOCK per call, so that each call spans few of its
+    segments and only one block of tau(phase, 0) is held at a time; the
+    one-period interpolant is freed on return.
     """
     period = bundle.period
     n = v.size
@@ -217,13 +223,19 @@ def _stroboscopic(bundle, v, times, rtol, atol):
     mono = sol.y[:, -1].reshape(n, n)
     cycles = np.floor(times / period)
     phases = np.clip(times - cycles * period, 0.0, period)
-    rows = np.empty((times.size, n), dtype=complex)
+    vs = np.empty((times.size, n), dtype=complex)    # M^cycles v for each point
     done = 0
-    for i, (c, phase) in enumerate(zip(cycles, phases)):
+    for i, c in enumerate(cycles):
         while done < c:
             v = mono @ v
             done += 1
-        rows[i] = sol.sol(phase).reshape(n, n) @ v
+        vs[i] = v
+    rows = np.empty_like(vs)
+    order = np.argsort(phases, kind="stable")
+    for start in range(0, times.size, _PHASE_BLOCK):
+        block = order[start:start + _PHASE_BLOCK]
+        taus = sol.sol(phases[block]).T.reshape(-1, n, n)
+        rows[block] = np.matmul(taus, vs[block, :, None])[:, :, 0]
     return rows, int(sol.nfev)
 
 

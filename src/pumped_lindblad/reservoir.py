@@ -30,7 +30,13 @@ For real weights w_i the glued g extends to a single analytic function
     g(z) = sum_i w_i z^{2 p_i} e^{-C_i z^2} (1 + e^{-beta z})^{-1/2}
 
 on the strip |Im z| < pi/beta (the square root stays on its principal
-branch there); this is what the strip-integrability check samples.
+branch there); this is what the strip-integrability check samples.  Each
+horizontal line is integrated by an adaptive composite 20-node
+Gauss-Legendre rule (panel against its two halves, 1e-12 relative
+tolerance) that evaluates the vectorized integrand on all open panels of
+a level at once; a fixed Simpson grid on the line y = 0 is its independent
+cross-check.  QUADPACK (`scipy.integrate.quad`) remains only in the
+Cauchy-weight PV rule.
 """
 
 import itertools
@@ -64,6 +70,16 @@ __all__ = [
 
 _MIN_BETA = 1e-12
 _PV_REL_TOL = 1e-7   # the two PV rules must agree to this, relative
+
+# Strip-line quadrature: 20-node Gauss-Legendre panels, 64 to start, bisected
+# until each meets its share of _GL_REL_TOL.  The caps bound the depth and
+# the number of open panels (and so the memory of one integrand call).
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_GL_PANELS = 64
+_GL_REL_TOL = 1e-12
+_GL_MAX_LEVELS = 20
+_GL_MAX_OPEN = 4096
+_SIMPSON_REL_TOL = 1e-6  # the y=0 Simpson cross-check must agree to this
 
 
 def _effective_beta(beta):
@@ -283,9 +299,10 @@ class AnalyticityReport:
 def _line_integrand(ff, beta, y):
     def h(x):
         z = x + 1j * y
-        a = np.abs(glued_g_continued(ff, beta, z))
-        b = np.abs(np.exp(-beta * z / 2.0) * _g_sharp_continued(ff, beta, z))
-        return (a + b) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):   # non-finite reads as inf
+            a = np.abs(glued_g_continued(ff, beta, z))
+            b = np.abs(np.exp(-beta * z / 2.0) * _g_sharp_continued(ff, beta, z))
+            return (a + b) ** 2
     return h
 
 
@@ -299,10 +316,18 @@ def _line_cutoff(ff, beta, y):
 def check_strip_analyticity(ff, beta, r_max, n_lines=9, bound_ceiling=1e12):
     """Sample sup_{|y|<r_max} int (|g(x+iy)| + |e^{-beta(x+iy)/2} g#(x+iy)|)^2 dx.
 
-    Adaptive quadrature per line with a Gaussian tail cutoff; the y=0 line
-    is recomputed on a fixed Simpson grid as an independent cross-check.
-    Values above `bound_ceiling` (or non-finite) flag the report as
-    exceeding the practical bound; that is a verdict, not an exception.
+    Each line is integrated over a Gaussian tail cutoff by an adaptive
+    composite 20-node Gauss-Legendre rule: 64 equal panels to start, each
+    panel compared with the sum over its halves and bisected until it
+    meets its share of a 1e-12 relative tolerance.  A line whose summed
+    error estimate exceeds max(1e-6 |value|, 1e-10), or that hits the
+    refinement cap, raises QuadratureNonConvergence; a line that
+    overflows reads inf.  The y=0 line is recomputed on a fixed Simpson
+    grid as an independent cross-check: on a finite line within
+    `bound_ceiling` the two must agree to 1e-6 relative, or
+    DisagreementBetweenRules is raised.  Values above `bound_ceiling` (or
+    non-finite) flag the report as exceeding the practical bound; that is
+    a verdict, not an exception.
     """
     return strip_analyticity_ladder((ff,), beta, (r_max,), n_lines=n_lines,
                                     bound_ceiling=bound_ceiling)[0][0]
@@ -339,9 +364,9 @@ def strip_analyticity_ladder(form_factors, beta, radii, n_lines=9, bound_ceiling
                 if y not in values:
                     values[y] = _line_integral(ff, beta, y, bound_ceiling)
             if rel_errs[i] is None:
-                rel_errs[i] = _simpson_rel_err(ff, beta, values[0.0])
+                rel_errs[i] = _simpson_rel_err(ff, beta, values[0.0], bound_ceiling)
             vals = np.array([values[y] for y in ys])
-            k = int(np.nanargmax(vals))
+            k = int(np.argmax(vals))
             exceeded = bool(np.any(~np.isfinite(vals) | (vals > bound_ceiling)))
             reports.append(AnalyticityReport(
                 verdict="exceeds-bound" if exceeded else "finite",
@@ -360,33 +385,82 @@ def strip_analyticity_ladder(form_factors, beta, radii, n_lines=9, bound_ceiling
     return rungs
 
 
-def _simpson_rel_err(ff, beta, ref):
-    """Independent fixed-grid Simpson value of the y=0 line, relative to `ref`."""
+def _simpson_rel_err(ff, beta, ref, bound_ceiling):
+    """Independent fixed-grid Simpson value of the y=0 line, relative to `ref`.
+
+    On a finite line within `bound_ceiling` the two rules must agree to
+    _SIMPSON_REL_TOL, or DisagreementBetweenRules is raised; a non-finite
+    `ref` has no relative error (nan).
+    """
+    if not np.isfinite(ref):
+        return float("nan")
     x_max = _line_cutoff(ff, beta, 0.0)
     grid = np.linspace(-x_max, x_max, 4097)
     simpson_val = integrate.simpson(_line_integrand(ff, beta, 0.0)(grid), x=grid)
-    return float(abs(simpson_val - ref) / max(abs(ref), 1e-300))
+    rel_err = float(abs(simpson_val - ref) / max(abs(ref), 1e-300))
+    if ref <= bound_ceiling and not rel_err <= _SIMPSON_REL_TOL:
+        raise DisagreementBetweenRulesError(
+            f"y=0 line: Simpson {simpson_val!r} vs Gauss-Legendre {ref!r} "
+            f"(relative gap {rel_err:.3e})"
+        )
+    return rel_err
+
+
+def _gauss_legendre(h, left, width):
+    """The 20-node Gauss-Legendre value of h on each panel [left, left + width],
+    from one call of h on every node."""
+    x = left[:, None] + (0.5 * width)[:, None] * (1.0 + _GL_NODES)
+    return 0.5 * width * (h(x.ravel()).reshape(x.shape) @ _GL_WEIGHTS)
 
 
 def _line_integral(ff, beta, y, bound_ceiling):
-    """Adaptive integral of the strip integrand along Im z = y.
+    """Adaptive composite Gauss-Legendre integral of the strip integrand along Im z = y.
 
-    Overflow gives inf; a finite value within `bound_ceiling` must meet
-    the quadrature tolerance or QuadratureNonConvergence is raised.
+    The cutoff interval starts as _GL_PANELS equal panels.  Each open panel
+    is compared with the sum over its two halves; a panel whose gap meets
+    its width's share of _GL_REL_TOL (relative to the running total) is
+    accepted with the halves' sum, the others are bisected.  All open
+    panels of one level are evaluated in one call of the integrand.
+    Overflow (a non-finite value anywhere) gives inf.  A finite value
+    within `bound_ceiling` raises QuadratureNonConvergence when its summed
+    gap exceeds max(1e-6 |value|, 1e-10), or when panels are still open
+    after _GL_MAX_LEVELS bisections or number more than _GL_MAX_OPEN.
     """
     h = _line_integrand(ff, beta, y)
     x_max = _line_cutoff(ff, beta, y)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        try:
-            val, err = integrate.quad(h, -x_max, x_max, limit=300)
-        except (OverflowError, FloatingPointError):
-            val, err = np.inf, np.inf
-    if np.isfinite(val) and val <= bound_ceiling and err > max(1e-6 * abs(val), 1e-10):
+    length = 2.0 * x_max
+    width = np.full(_GL_PANELS, length / _GL_PANELS)
+    left = -x_max + width * np.arange(_GL_PANELS)
+    whole = _gauss_legendre(h, left, width)
+    val = err = 0.0
+    for _ in range(_GL_MAX_LEVELS):
+        half = 0.5 * width
+        lo, hi = np.split(_gauss_legendre(h, np.concatenate([left, left + half]),
+                                          np.concatenate([half, half])), 2)
+        fine = lo + hi
+        with np.errstate(invalid="ignore"):
+            gap = np.abs(fine - whole)
+        if not np.all(np.isfinite(gap)):      # inf, or inf * 0 inside the integrand
+            return np.inf
+        ok = gap <= _GL_REL_TOL * abs(val + fine.sum()) * width / length
+        val += fine[ok].sum()
+        err += gap[ok].sum()
+        bisect = ~ok
+        left = np.concatenate([left[bisect], left[bisect] + half[bisect]])
+        width = np.concatenate([half[bisect], half[bisect]])
+        whole = np.concatenate([lo[bisect], hi[bisect]])
+        if not 0 < left.size <= _GL_MAX_OPEN:
+            break
+    if left.size:                             # refinement cap reached
+        val += whole.sum()
+        err = np.inf
+    val = float(val)
+    if np.isfinite(val) and val <= bound_ceiling and not err <= max(1e-6 * abs(val), 1e-10):
         raise QuadratureNonConvergenceError(
-            f"line y={y:.4g}: quad error {err:.3e} for value {val:.6e}"
+            f"line y={y:.4g}: Gauss-Legendre error estimate {err:.3e} for value {val:.6e}"
+            + (" (refinement cap reached)" if left.size else "")
         )
-    return float(val)
+    return val
 
 
 # --------------------------------------------------------------------------

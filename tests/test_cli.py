@@ -124,6 +124,50 @@ def test_check_records_detuning_warning(runner, tmp_path):
     assert any("detuned" in w for w in report["warnings"])
 
 
+def test_check_cold_reservoir_fails_analyticity_without_traceback(runner, tmp_path):
+    # e^{-beta z/2} overflows where g# underflows: every strip line reads inf
+    cfg = _two_level_cfg()
+    cfg["reservoir"]["beta"] = 30.0
+    cfg["reservoir"]["form_factors"] = [{"weight": 2.0, "exponent_p": 3, "decay_c": 0.2}]
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["check", _write(tmp_path, cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output and not result.output.strip()
+    report = _load(out / "report.json")
+    by_name = {r["name"]: r for r in report["assumptions"]}
+    assert by_name["reservoir-analyticity"]["verdict"] == "fail"
+    assert by_name["reservoir-analyticity"]["evidence"]["largest_passing_half_width"] == 0.0
+
+
+@pytest.mark.parametrize("name", ["two_level", "three_level"])
+def test_check_strip_ladder_makes_no_quad_call(runner, tmp_path, monkeypatch, name):
+    import scipy.integrate
+
+    from pumped_lindblad import lindblad
+
+    inside, ladder_calls, quad_in_ladder = [False], [0], [0]
+    ladder, quad = lindblad.strip_analyticity_ladder, scipy.integrate.quad
+
+    def spy_ladder(*args, **kwargs):
+        ladder_calls[0] += 1
+        inside[0] = True
+        try:
+            return ladder(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def spy_quad(*args, **kwargs):
+        quad_in_ladder[0] += inside[0]
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(lindblad, "strip_analyticity_ladder", spy_ladder)
+    monkeypatch.setattr(scipy.integrate, "quad", spy_quad)
+    result = runner.invoke(main, ["check", str(CONFIG_DIR / f"{name}.json"),
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert ladder_calls == [1] and quad_in_ladder == [0]
+
+
 # --------------------------------------------------------------------------
 # config errors -> exit 1
 # --------------------------------------------------------------------------

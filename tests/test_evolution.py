@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from pumped_lindblad import evolution
 from pumped_lindblad import (
     DegenerateKernelError,
     DimensionMismatchError,
@@ -198,6 +199,27 @@ def test_stroboscopic_cost_is_flat_in_t_end(three_level):
     assert evals[0] == evals[1] > 0
     rk = evolve(bundle, _ground(3), 20 * bundle.period, method="rk45")
     assert rk.meta["rhs_evals"] > evals[0]
+
+
+@pytest.mark.parametrize("block", [7, evolution._PHASE_BLOCK])
+def test_blocked_stroboscopic_walk_matches_per_point_loop(monkeypatch, three_level, block):
+    # reference: one interpolant call and one M^cycles v per output point
+    monkeypatch.setattr(evolution, "_PHASE_BLOCK", block)
+    bundle = three_level.make_bundle(0.1, 0.04)
+    period = bundle.period
+    times = np.linspace(0.0, 700.0 * period, 1201)   # several blocks, a partial last one
+    v = vec(_ground(3))
+    rows, _ = evolution._stroboscopic(bundle, v, times, 1e-10, 1e-12)
+    sol = evolution._flow(bundle, 0.0, period, 1e-10, 1e-12, dense_output=True)
+    mono = sol.y[:, -1].reshape(9, 9)
+    cycles = np.floor(times / period)
+    phases = np.clip(times - cycles * period, 0.0, period)
+    done = 0
+    for row, c, phase in zip(rows, cycles, phases):
+        while done < c:
+            v = mono @ v
+            done += 1
+        assert np.max(np.abs(row - sol.sol(phase).reshape(9, 9) @ v)) <= 1e-15
 
 
 def test_bundle_validation(two_level):

@@ -11,6 +11,8 @@ f^(beta)(x) = 4 pi |x f(|x|)|^2 / (1 + e^{-beta x}), which obeys the KMS
 (detailed-balance) identity f^(beta)(x) = e^{beta x} f^(beta)(-x).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -21,6 +23,7 @@ from pumped_lindblad import (
     FormFactor,
     InvalidFormFactorError,
     NonOrthogonalFamilyError,
+    QuadratureNonConvergenceError,
     ReservoirSpec,
     check_strip_analyticity,
     glued_g,
@@ -30,6 +33,7 @@ from pumped_lindblad import (
     spectral_density,
     strip_analyticity_ladder,
 )
+from pumped_lindblad import reservoir
 from pumped_lindblad.reservoir import (
     _gauss_cutoff,
     _l2_inner,
@@ -241,6 +245,79 @@ def test_vectorized_line_integrand_matches_pointwise_loop(three_level):
         grid = np.linspace(-x_max, x_max, 4097)
         loop = np.array([h0(x) for x in grid])
         assert np.allclose(h0(grid), loop, rtol=1e-14, atol=1e-300)
+
+
+def _quad_line_integral(ff, beta, y, bound_ceiling):
+    """QUADPACK oracle for one strip line, at a tolerance well below 1e-9."""
+    h = _line_integrand(ff, beta, y)
+    x_max = _line_cutoff(ff, beta, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, err = integrate.quad(h, -x_max, x_max, epsabs=0.0, epsrel=1e-11,
+                                  limit=2000)
+    if not np.isfinite(val):
+        return np.inf
+    assert err <= 1e-10 * val
+    return float(val)
+
+
+STRIP_FAMILIES = (     # the three_level pair; a narrow c = 50; a wide p = 3, c = 0.2
+    (FormFactor(((1.0, 1, 1.0),)), FormFactor(((1.0, 2, 1.0), (-0.75, 1, 1.0)))),
+    (FormFactor(((1.0, 1, 50.0),)),),
+    (FormFactor(((1.0, 3, 0.2),)),),
+)
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.0, 2.0, 6.159, 12.0])
+def test_gauss_legendre_ladder_matches_quad_route(monkeypatch, beta):
+    # The check_assumptions rungs, then one just under the 0.98 pi/beta cap
+    # (nearest the branch point) and one across the branch line at 1.05 pi/beta.
+    cap = 0.98 * np.pi / beta
+    radii = ([r for r in (0.05, 0.1, 0.2, 0.4, 0.5) if r < cap]
+             + [cap * (1.0 - 1e-9), 1.05 * np.pi / beta])
+    for family in STRIP_FAMILIES:
+        rungs = strip_analyticity_ladder(family, beta, radii, n_lines=5)
+        with monkeypatch.context() as m:
+            m.setattr(reservoir, "_line_integral", _quad_line_integral)
+            oracle = strip_analyticity_ladder(family, beta, radii, n_lines=5)
+        assert len(rungs) == len(oracle)                   # same stop rung
+        for reports, expected in zip(rungs, oracle):
+            for rep, ref in zip(reports, expected):
+                assert rep.verdict == ref.verdict
+                assert [y for y, _ in rep.lines] == [y for y, _ in ref.lines]
+                for (_, val), (_, want) in zip(rep.lines, ref.lines):
+                    if np.isinf(want):
+                        assert val == np.inf
+                    else:
+                        assert abs(val - want) <= 1e-9 * want
+
+
+def test_unresolvable_line_raises_nonconvergence(monkeypatch):
+    # 1/|x| is not integrable across 0: the panels next to it never converge
+    monkeypatch.setattr(reservoir, "_line_integrand",
+                        lambda ff, beta, y: (lambda x: 1.0 / np.abs(x)))
+    with pytest.raises(QuadratureNonConvergenceError):
+        check_strip_analyticity(FormFactor(((1.0, 1, 1.0),)), 1.0, 0.5)
+
+
+def test_simpson_crosscheck_rejects_a_biased_primary_rule(monkeypatch):
+    exact = reservoir._line_integral
+    monkeypatch.setattr(reservoir, "_line_integral",
+                        lambda *args: (1.0 + 1e-5) * exact(*args))
+    with pytest.raises(DisagreementBetweenRulesError):
+        check_strip_analyticity(FormFactor(((1.0, 1, 1.0),)), 1.0, 0.5)
+
+
+def test_cold_reservoir_overflow_reads_inf():
+    # At beta = 30, e^{-beta z/2} overflows where g# underflows (inf * 0 on
+    # every line): each line reads inf and the first rung exceeds the bound.
+    ff = FormFactor(((2.0, 3, 0.2),))
+    rungs = strip_analyticity_ladder((ff,), 30.0, (0.05, 0.1), n_lines=5)
+    assert len(rungs) == 1
+    rep = rungs[0][0]
+    assert rep.verdict == "exceeds-bound"
+    assert rep.max_line_value == np.inf
+    assert all(val == np.inf for _, val in rep.lines)
 
 
 def test_strip_analyticity_branch_line_note():
