@@ -115,24 +115,44 @@ def _require_list(value, what):
     return value
 
 
-def _section(cfg, name):
-    """An optional config section: absent means empty, anything else must be an object."""
-    section = cfg.get(name, {})
+# every key RunSetup reads, per object (`schema_version` is accepted unread)
+_KEYS = {
+    "config": {"schema_version", "atom", "reservoir", "pump", "sim", "floquet", "seed"},
+    "atom": {"energies", "degeneracies", "matrix"},
+    "reservoir": {"beta", "lambda", "form_factors", "couplings_Q", "gks_jumps"},
+    "pump": {"h_p", "eta", "omega"},
+    "sim": {"t_end", "n_out", "rtol", "atol", "rho0"},
+    "floquet": {"n_modes", "contour_points"},
+    "form_factors": {"weight", "exponent_p", "decay_c"},
+}
+
+
+def _known_keys(obj, kind, where=None):
+    """`obj` itself; a misspelt key is refused instead of silently falling back."""
+    unknown = sorted(set(obj) - _KEYS[kind])
+    if unknown:
+        raise ConfigError(f"{where or kind}: unknown key {unknown[0]!r} "
+                          f"(known: {', '.join(sorted(_KEYS[kind]))})")
+    return obj
+
+
+def _section(cfg, name, required=False):
+    """A config section; absent means empty unless `required`, else it must be an object."""
+    section = cfg.get(name, None if required else {})
     if not isinstance(section, dict):
-        raise ConfigError(f"'{name}' section: expected an object, got {section!r}")
-    return section
+        raise ConfigError(f"missing '{name}' section" if section is None
+                          else f"'{name}' section: expected an object, got {section!r}")
+    return _known_keys(section, name)
 
 
 class RunSetup:
     """Parsed and constructed model objects for one run."""
 
     def __init__(self, cfg):
-        self.cfg = cfg
+        self.cfg = _known_keys(cfg, "config")
         self.warnings = []
 
-        atom_cfg = cfg.get("atom")
-        if not isinstance(atom_cfg, dict):
-            raise ConfigError("missing 'atom' section")
+        atom_cfg = _section(cfg, "atom", required=True)
         has_levels = "energies" in atom_cfg
         has_matrix = "matrix" in atom_cfg
         if has_levels == has_matrix:
@@ -150,9 +170,7 @@ class RunSetup:
             h_at = _as_matrix(atom_cfg["matrix"], "atom.matrix")
         self.atom = decompose_atom(h_at)
 
-        res_cfg = cfg.get("reservoir")
-        if not isinstance(res_cfg, dict):
-            raise ConfigError("missing 'reservoir' section")
+        res_cfg = _section(cfg, "reservoir", required=True)
         beta = _require_finite(res_cfg.get("beta", -1), "reservoir.beta")
         lam = _require_finite(res_cfg.get("lambda", 0.0), "reservoir.lambda")
         has_closed = "couplings_Q" in res_cfg or "form_factors" in res_cfg
@@ -179,6 +197,7 @@ class RunSetup:
                     what = f"form_factors[{i}]"
                     if not isinstance(term, dict):
                         raise ConfigError(f"{what}: expected an object, got {term!r}")
+                    _known_keys(term, "form_factors", what)
                     parsed.append((
                         _as_complex(term.get("weight"), f"{what}.weight"),
                         _require_int(term.get("exponent_p", 1), f"{what}.exponent_p", 1),
@@ -189,9 +208,7 @@ class RunSetup:
             self.res = ReservoirSpec(beta=beta, lam=lam, form_factors=tuple(ffs),
                                      couplings=tuple(qs))
 
-        pump_cfg = cfg.get("pump")
-        if not isinstance(pump_cfg, dict):
-            raise ConfigError("missing 'pump' section")
+        pump_cfg = _section(cfg, "pump", required=True)
         self.h_p = self._atom_matrix(pump_cfg.get("h_p"), "pump.h_p")
         self.pump = validate_pump(self.atom, self.h_p)
         self.eta = _require_finite(pump_cfg.get("eta", 0.0), "pump.eta")

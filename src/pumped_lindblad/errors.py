@@ -110,7 +110,3 @@ class ProjectionPairTooFarError(PumpedLindbladError):
 
 class NearSingularPairError(PumpedLindbladError):
     """1 - (P-Q)^2 is numerically singular."""
-
-
-class AbscissaTooLowError(PumpedLindbladError):
-    """Bromwich abscissa does not dominate the spectrum."""

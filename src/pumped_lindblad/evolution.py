@@ -45,7 +45,6 @@ __all__ = [
     "Trajectory",
     "averaged_generator",
     "evolve",
-    "monodromy_interval",
     "populations",
     "propagator",
     "stationary_state",
@@ -305,11 +304,6 @@ def propagator(bundle, s, t, rtol=1e-10, atol=1e-12):
         return Superoperator.identity(d)
     n = d * d
     return Superoperator(_flow(bundle, s, t, rtol, atol).y[:, -1].reshape(n, n))
-
-
-def monodromy_interval(bundle, rtol=1e-10):
-    """Propagator over one pump period, tau(T, 0)."""
-    return propagator(bundle, 0.0, bundle.period, rtol=rtol)
 
 
 # --------------------------------------------------------------------------

@@ -18,9 +18,8 @@ inside the block-Thomas kernel.
 
 The remaining tools are standard spectral calculus made concrete: Riesz
 projections by contour quadrature of the resolvent, first-order
-perturbation blocks, the pair-of-projections similarity, the monodromy
-cross-check against the propagator, and a Bromwich-line evaluation of the
-semigroup with analytic tail corrections.
+perturbation blocks, the pair-of-projections similarity, and the monodromy
+cross-check against the propagator.
 
 Every contour sum goes through one kernel, block-Thomas elimination of
 z - F with a block of right-hand sides (:func:`_resolvent_apply`); no
@@ -33,16 +32,13 @@ thin contour-integral pattern of Beyn, Lin. Alg. Appl. 436, 3839 (2012));
 every norm is taken on a 2r x 2r core.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 from scipy.special import binom
 
 from .errors import (
-    AbscissaTooLowError,
     ContourHitsSpectrumError,
     DimensionMismatchError,
     DisagreementBetweenRulesError,
@@ -52,18 +48,16 @@ from .errors import (
     NearSingularPairError,
     ProjectionPairTooFarError,
 )
-from .evolution import monodromy_interval
+from .evolution import propagator
 from .operator_core import Superoperator, vec
 
 __all__ = [
-    "BromwichResult",
     "FloquetOperator",
     "FloquetSpectrum",
     "KatoBlock",
     "LowRank",
     "MonodromyReport",
     "RieszProjection",
-    "bromwich_expm",
     "build_howland",
     "eigenprojection_direct",
     "floquet_spectrum",
@@ -99,7 +93,7 @@ def build_howland(bundle, n_modes):
     if n_modes < 2:
         raise DimensionMismatchError(f"need n_modes >= 2, got {n_modes}")
     d = bundle.l_at.dim
-    b = bundle.l_at.matrix + bundle.lam**2 * bundle.l_r.matrix
+    b = bundle.static_matrix
     c = bundle.l_p.matrix
 
     n = 2 * n_modes + 1
@@ -570,7 +564,7 @@ def monodromy(bundle, n_modes=32, rtol=1e-10, eigenvalues=None):
     `eigenvalues` may pass the spectrum of the Howland operator of `bundle`
     at `n_modes` when already computed.
     """
-    tau = monodromy_interval(bundle, rtol=rtol)
+    tau = propagator(bundle, 0.0, bundle.period, rtol=rtol)
     mono_eigs = np.linalg.eigvals(tau.matrix)
     order = np.lexsort((mono_eigs.real, mono_eigs.imag))
     mono_eigs = mono_eigs[order]
@@ -586,69 +580,3 @@ def monodromy(bundle, n_modes=32, rtol=1e-10, eigenvalues=None):
         max_match_error=float(cost[rows, cols].max()), n_modes=n_modes,
     )
 
-
-# --------------------------------------------------------------------------
-# Bromwich-line semigroup evaluation
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BromwichResult:
-    matrix: np.ndarray
-    abscissa: float
-    half_height: float
-    n_points: int
-    correction_order: int
-    error_vs_expm: float
-
-
-def bromwich_expm(a, sigma, w, n_points=3200, half_height=200.0,
-                  correction_order=3):
-    """e^{sigma A} from a truncated Bromwich line integral at Re zeta = w.
-
-    The resolvent is expanded around c0 = tr(A)/dim:
-
-        (zeta - A)^{-1} = sum_{j<J} (A-c0)^j/(zeta-c0)^{j+1}
-                          + (zeta-c0)^{-J} (A-c0)^J (zeta-A)^{-1};
-
-    the powers integrate exactly to sum_{j<J} sigma^j/j! e^{sigma c0}
-    (A - c0)^j, and only the remainder — decaying like |y|^{-(J+1)} along
-    the line — is quadratured.  correction_order=0 is the plain truncated
-    integral.  Requires w above the spectral abscissa (AbscissaTooLow).
-    """
-    m = a.matrix if isinstance(a, Superoperator) else np.asarray(a, dtype=complex)
-    if n_points % 2:
-        raise DimensionMismatchError("n_points must be even")
-    eigs = np.linalg.eigvals(m)
-    if w <= eigs.real.max():
-        raise AbscissaTooLowError(
-            f"abscissa {w} below spectral bound {eigs.real.max():.6g}"
-        )
-    size = m.shape[0]
-    eye = np.eye(size, dtype=complex)
-    c0 = np.trace(m) / size
-    shifted = m - c0 * eye
-    j_max = int(correction_order)
-
-    head = np.zeros_like(m)
-    power = eye.copy()
-    for j in range(j_max):
-        head = head + (sigma**j / math.factorial(j)) * power
-        power = power @ shifted
-    head = np.exp(sigma * c0) * head
-    # after the loop `power` holds (A - c0)^J
-
-    ys = (np.arange(n_points) + 0.5) / n_points * 2.0 * half_height - half_height
-    dy = 2.0 * half_height / n_points
-    tail = np.zeros_like(m)
-    for y in ys:
-        zeta = w + 1j * y
-        resolvent = np.linalg.solve(zeta * eye - m, eye)
-        tail = tail + np.exp(sigma * zeta) * (zeta - c0) ** (-j_max) * resolvent
-    tail = power @ tail * dy / (2.0 * np.pi)
-
-    result = head + tail
-    reference = expm(sigma * m)
-    err = float(np.linalg.norm(result - reference, 2))
-    return BromwichResult(matrix=result, abscissa=float(w),
-                          half_height=float(half_height), n_points=int(n_points),
-                          correction_order=j_max, error_vs_expm=err)

@@ -38,7 +38,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import GeneratorStructureError, NonHermitianError, QuadratureNonConvergenceError
-from .operator_core import Superoperator, multiplication_superops, validate_pump
+from .operator_core import Superoperator, hamiltonian_lindbladian, validate_pump
 from .reservoir import (
     pv_coefficient,
     rate_coefficient,
@@ -191,8 +191,7 @@ def reservoir_lindbladian(atom, res):
         for v, c, _d, label in _pair_coefficients(atom, res, want_pv=False)
         if c > 0.0
     )
-    _, _, lamb_comm = multiplication_superops(lamb, lindblad_form=True)
-    l_r = lamb_comm + l_d
+    l_r = hamiltonian_lindbladian(lamb) + l_d
     return LindbladData(jumps=jumps, lamb=lamb, l_d=l_d, l_r=l_r)
 
 

@@ -48,7 +48,7 @@ __all__ = [
     "bohr_spectrum",
     "decompose_atom",
     "gibbs_state",
-    "multiplication_superops",
+    "hamiltonian_lindbladian",
     "spectral_projection",
     "unvec",
     "validate_pump",
@@ -146,24 +146,13 @@ class Superoperator:
         return Superoperator(np.eye(d * d, dtype=complex))
 
 
-def multiplication_superops(a, lindblad_form=False):
-    """Left/right multiplication and commutator superoperators of `a`.
-
-    Returns (left, right, comm) with left(B) = a B, right(B) = B a and,
-    by default, comm(B) = [a, B].  With ``lindblad_form=True`` the third
-    element is instead -i[a, .], the Hamiltonian Lindbladian of `a`.
-    """
+def hamiltonian_lindbladian(a):
+    """The Hamiltonian Lindbladian -i[a, .] of a square matrix `a`."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected square matrix, got shape {a.shape}")
-    d = a.shape[0]
-    eye = np.eye(d, dtype=complex)
-    left = Superoperator(np.kron(eye, a))
-    right = Superoperator(np.kron(a.T, eye))
-    comm = left - right
-    if lindblad_form:
-        comm = (-1j) * comm
-    return left, right, comm
+    eye = np.eye(a.shape[0], dtype=complex)
+    return Superoperator((np.kron(eye, a) - np.kron(a.T, eye)) * (-1j))
 
 
 # --------------------------------------------------------------------------
@@ -367,8 +356,7 @@ def bohr_spectrum(atom, merge_tol=None):
 
 def atomic_lindbladian(atom):
     """L_at = -i[H_at, .]; anti-self-adjoint in the HS product."""
-    _, _, comm = multiplication_superops(atom.h_at, lindblad_form=True)
-    return comm
+    return hamiltonian_lindbladian(atom.h_at)
 
 
 def spectral_projection(atom, eps, bohr=None):
@@ -447,5 +435,5 @@ def validate_pump(atom, h_p):
             f"h_p does not map into the top sector: ||(1-P_N) h_p|| = {dst:.3e}"
         )
     h_pump = h_p + h_p.conj().T
-    _, _, lp = multiplication_superops(h_pump, lindblad_form=True)
-    return PumpOperator(h_p=h_p, h_pump=h_pump, lindbladian=lp)
+    return PumpOperator(h_p=h_p, h_pump=h_pump,
+                        lindbladian=hamiltonian_lindbladian(h_pump))

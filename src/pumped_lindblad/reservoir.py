@@ -238,7 +238,10 @@ def glued_g_continued(ff, beta, z):
     beta = _effective_beta(beta)
     z = np.asarray(z, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        root = 1.0 / np.sqrt(1.0 + np.exp(-beta * z))  # -> 0 when exp overflows
+        root = 1.0 / np.sqrt(1.0 + np.exp(-beta * z))
+        if not np.all(np.isfinite(root)):  # e^{-beta z} overflowed off the real axis
+            root = np.where(np.isfinite(root), root,
+                            np.exp(0.5 * beta * z) / np.sqrt(np.exp(beta * z) + 1.0))
         out = np.zeros(z.shape, dtype=complex)
         for (w, p, c) in ff.terms:
             weight = np.where(z.real >= 0, w, np.conj(w))

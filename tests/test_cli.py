@@ -56,11 +56,14 @@ def _gks_two_level_cfg():
     return cfg
 
 
+def _get(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
 def _set(cfg, path, value):
-    parent = cfg
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+    _get(cfg, path[:-1])[path[-1]] = value
     return cfg
 
 
@@ -237,6 +240,9 @@ MALFORMED = [
     (("atom",), {"matrix": [[[0.0, 0.0], [1.0, 0.0]],
                             [[0.0, 0.0], [1.0, 0.0]]]}),              # not Hermitian
     (("atom", "energies"), [1, 1]),
+    # misspelt keys, which would otherwise fall back to the defaults
+    (("floquet", "n_mode"), 8),
+    (("reservoir", "lamda"), 0.1),
 ]
 
 
@@ -296,6 +302,14 @@ def test_single_field_mutations_raise_only_library_errors(make_cfg):
                 escaped.append((path, value, f"{type(exc).__name__}: {exc}"))
     assert len(paths) * len(MUTATION_VALUES) >= 180
     assert not escaped, escaped
+    # one unknown key in any object (a misspelling) is refused, not ignored
+    objects = [()] + [path for path in _mutation_paths(base)
+                      if isinstance(_get(base, path), dict)]
+    assert len(objects) >= 6
+    for path in objects:
+        cfg = _set(copy.deepcopy(base), path + ("unknown_key",), 0)
+        with pytest.raises(ConfigError, match="unknown_key"):
+            _validated_setup("evolve", cfg)
 
 
 def test_integral_float_mode_count_accepted():

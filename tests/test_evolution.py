@@ -31,7 +31,6 @@ from pumped_lindblad import (
     averaged_generator,
     choi_matrix,
     evolve,
-    monodromy_interval,
     populations,
     propagator,
     stationary_state,
@@ -250,13 +249,6 @@ def test_propagator_cocycle_and_cp(three_level):
     # identity at coincident times
     assert np.array_equal(propagator(bundle, 1.0, 1.0).matrix,
                           Superoperator.identity(3).matrix)
-
-
-def test_monodromy_interval_is_period_propagator(three_level):
-    bundle = three_level.bundle
-    mono = monodromy_interval(bundle)
-    direct = propagator(bundle, 0.0, bundle.period)
-    assert np.linalg.norm(mono.matrix - direct.matrix, 2) <= 1e-12
 
 
 # --------------------------------------------------------------------------

@@ -28,25 +28,20 @@ under test:
   equals the dense projections and norms, factors nothing wider than
   max(d^2, 2 rank P0), and rejects a contour rule its M/2 half disowns;
 * eigenvalues of the one-period propagator are e^{T mu} for Howland
-  eigenvalues mu, matched by the Hungarian assignment;
-* the Bromwich-line semigroup representation reproduces expm, improving
-  with the resolvent-expansion correction order and the line half-height.
+  eigenvalues mu, matched by the Hungarian assignment.
 """
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 from pumped_lindblad import (
-    AbscissaTooLowError,
     ContourHitsSpectrumError,
     DimensionMismatchError,
     GeneratorStructureError,
     IdempotencyFailureError,
     NearSingularPairError,
     ProjectionPairTooFarError,
-    bromwich_expm,
     build_howland,
     eigenprojection_direct,
     floquet_spectrum,
@@ -481,44 +476,3 @@ def test_monodromy_matches_floquet_exponents(three_level):
     reused = monodromy(three_level.bundle, n_modes=16, eigenvalues=spec.eigenvalues)
     assert abs(reused.max_match_error - rep.max_match_error) <= 1e-12
 
-
-# --------------------------------------------------------------------------
-# Bromwich-line semigroup representation
-# --------------------------------------------------------------------------
-
-def _random_stable(rng, d, margin=0.5):
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    shift = np.max(np.linalg.eigvals(a).real)
-    return a - (shift + margin) * np.eye(d)
-
-
-def test_bromwich_reproduces_expm():
-    rng = np.random.default_rng(52)
-    a = _random_stable(rng, 6)
-    res = bromwich_expm(a, sigma=1.0, w=0.2)
-    assert res.error_vs_expm <= 1e-6
-    assert np.linalg.norm(res.matrix - expm(a), 2) == res.error_vs_expm
-
-
-def test_bromwich_improves_with_height_and_order():
-    # Hold the quadrature spacing dy fixed while varying the line height or
-    # the expansion order, so each comparison isolates one error source.
-    rng = np.random.default_rng(53)
-    a = _random_stable(rng, 5)
-    base = bromwich_expm(a, sigma=1.0, w=0.2, half_height=100.0,
-                         n_points=1600, correction_order=1)
-    taller = bromwich_expm(a, sigma=1.0, w=0.2, half_height=200.0,
-                           n_points=3200, correction_order=1)
-    assert taller.error_vs_expm < 0.7 * base.error_vs_expm
-    higher = bromwich_expm(a, sigma=1.0, w=0.2, half_height=200.0,
-                           n_points=3200, correction_order=3)
-    assert higher.error_vs_expm < 0.01 * taller.error_vs_expm
-
-
-def test_bromwich_abscissa_guard():
-    rng = np.random.default_rng(54)
-    a = _random_stable(rng, 4, margin=0.0)   # spectral bound at 0
-    with pytest.raises(AbscissaTooLowError):
-        bromwich_expm(a, sigma=1.0, w=-0.5)
-    with pytest.raises(DimensionMismatchError):
-        bromwich_expm(a, sigma=1.0, w=1.0, n_points=801)

@@ -166,6 +166,20 @@ def test_continuation_reflection_symmetry_real_weights():
     assert np.linalg.norm(lhs - rhs) <= 1e-12
 
 
+def test_continuation_survives_overflow_off_the_real_axis():
+    # e^{-beta z} overflows for Re z < -709/beta; off the real axis the
+    # plain root is nan there, while g itself is vanishingly small
+    ff = FormFactor(((1.0, 1, 1.0),))
+    assert np.isfinite(glued_g_continued(ff, 30.0, -30.0 + 0.05j))
+    # wherever nothing overflows the values are the plain formula, bit for bit
+    beta = 2.0
+    re, im = np.meshgrid(np.linspace(-4.0, 4.0, 41), np.linspace(-1.5, 1.5, 13))
+    z = re + 1j * im
+    root = 1.0 / np.sqrt(1.0 + np.exp(-beta * z))
+    plain = ((1.0 + 0j) * z**2 * np.exp(-1.0 * z**2)) * root
+    assert np.array_equal(glued_g_continued(ff, beta, z), plain)
+
+
 def test_kms_identity_on_grid():
     rng = np.random.default_rng(26)
     ff = _random_form_factor(rng)
