@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import ConfigError, InvalidDensityMatrixError, PumpedLindbladError
 from .evolution import GeneratorBundle, evolve, populations, trajectory_to_csv
-from .floquet import build_howland, floquet_spectrum, kato_order_check, monodromy
+from .floquet import (build_howland, floquet_lattice, floquet_spectrum, howland_match,
+                      kato_order_check)
 from .lindblad import check_assumptions, reservoir_lindbladian, resolvent_oracle
 from .operator_core import (
     atomic_lindbladian,
@@ -358,9 +359,8 @@ def _do_floquet(setup, out_dir, force=False, order_check=False, **_kw):
         return EXIT_ASSUMPTION
     bundle = setup.bundle()
     f_op = build_howland(bundle, setup.n_modes)
-    spec = floquet_spectrum(f_op)
-    mono = monodromy(bundle, n_modes=setup.n_modes, rtol=min(setup.rtol, 1e-10),
-                     eigenvalues=spec.eigenvalues)
+    lattice = floquet_lattice(bundle, setup.n_modes, rtol=min(setup.rtol, 1e-10))
+    spec = floquet_spectrum(f_op, lattice)
 
     payload = {
         "n_modes": setup.n_modes,
@@ -371,14 +371,13 @@ def _do_floquet(setup, out_dir, force=False, order_check=False, **_kw):
         "interior_eigenvalues": _complex_pairs(spec.eigenvalues[spec.interior]),
         "resonance_max_residual": max(spec.resonance_residuals.values()),
         "resonance_disc_counts": {str(p): c for p, c in spec.disc_counts.items()},
-        "monodromy_max_match_error": mono.max_match_error,
+        "monodromy_max_match_error": howland_match(f_op, *lattice),
     }
     if spec.degenerate:
         click.echo("warning: zero spectral gap (degenerate case)", err=True)
     if order_check:
         payload["order_check"] = kato_order_check(
-            bundle, setup.n_modes, m_points=setup.contour_points,
-            f_op=f_op, eigenvalues=spec.eigenvalues)
+            bundle, setup.n_modes, m_points=setup.contour_points)
     _write_json(out_dir / "floquet.json", payload)
     return EXIT_OK
 

@@ -16,10 +16,13 @@ conjugate) is never assembled: the spectrum report applies the left
 eigenvector claim to F itself, and the Kato probe runs the adjoint blocks
 inside the block-Thomas kernel.
 
-The remaining tools are standard spectral calculus made concrete: Riesz
-projections by contour quadrature of the resolvent, first-order
-perturbation blocks, the pair-of-projections similarity, and the monodromy
-cross-check against the propagator.
+The CLI spectrum is the lattice mu_j + i omega m of the d^2 x d^2
+one-period propagator (:func:`floquet_lattice`), checked against F by
+shifted block-Thomas solves (:func:`howland_match`); the dense eigensolve
+of F and the Hungarian :func:`monodromy` match stay as independent
+cross-checks.  The rest is standard spectral calculus: Riesz projections
+by contour quadrature, first-order perturbation blocks and the
+pair-of-projections similarity.
 
 Every contour sum goes through one kernel, block-Thomas elimination of
 z - F with a block of right-hand sides (:func:`_resolvent_apply`); no
@@ -35,8 +38,6 @@ every norm is taken on a 2r x 2r core.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import binom
 
 from .errors import (
     ContourHitsSpectrumError,
@@ -48,7 +49,7 @@ from .errors import (
     NearSingularPairError,
     ProjectionPairTooFarError,
 )
-from .evolution import propagator
+from .evolution import _flow, propagator
 from .operator_core import Superoperator, vec
 
 __all__ = [
@@ -60,7 +61,9 @@ __all__ = [
     "RieszProjection",
     "build_howland",
     "eigenprojection_direct",
+    "floquet_lattice",
     "floquet_spectrum",
+    "howland_match",
     "kato_block",
     "kato_order_check",
     "monodromy",
@@ -130,30 +133,62 @@ class FloquetSpectrum:
     disc_counts: dict           # p -> eigenvalues within _RESONANCE_TOL of i omega p
 
 
-def floquet_spectrum(f_op):
-    """Dense eigensolve with interior-mode bookkeeping, gap and resonances.
+def floquet_lattice(bundle, n_modes, rtol=1e-10):
+    """Floquet exponents mu_j and their Fourier indices k_j from one period.
 
-    The gap is min |Re mu| over eigenvalues whose eigenvector lives on
-    interior modes (|k| <= N-2; shift truncation pollutes the outer two)
-    and which are not resonance copies (within `_RESONANCE_TOL` of
-    i omega Z).  The resonance structure comes with it: for |p| <= N-1 the
-    residual of the exact left eigenvector claim x_p^H F = i p omega x_p^H,
-    x_p = delta_{k,p} (x) vec(1)/sqrt(d), applied to the assembled matrix,
-    and for interior p the number of eigenvalues within `_RESONANCE_TOL`
-    of i p omega.
+    One RK45 flow of tau(t, 0) over [0, T] with dense output (atol 1e-12)
+    gives M = tau(T, 0) with eigenpairs (nu_j, v_j), and mu_j = log(nu_j)/T
+    (principal branch); k_j is the dominant FFT index of the periodic part
+    e^{-mu_j t} tau(t, 0) v_j = sum_k c_k e^{i omega k t} at 2N+1 phases.
     """
+    s, period = bundle.l_at.dim ** 2, bundle.period
+    sol = _flow(bundle, 0.0, period, rtol, 1e-12, dense_output=True)
+    try:
+        nu, v = np.linalg.eig(sol.y[:, -1].reshape(s, s))
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailureError(str(exc)) from None
+    mu = np.log(nu) / period
+    t = np.linspace(0.0, period, 2 * n_modes + 1, endpoint=False)
+    p = (sol.sol(t).T.reshape(t.size, s, s) @ v) * np.exp(-np.outer(t, mu))[:, None, :]
+    mass = (np.abs(np.fft.fft(p, axis=0)) ** 2).sum(axis=1)
+    fourier = np.fft.fftfreq(t.size, 1.0 / t.size)[mass.argmax(axis=0)]
+    return mu, np.rint(fourier).astype(int)
+
+
+def floquet_spectrum(f_op, lattice=None):
+    """Spectrum with interior-mode bookkeeping, gap and resonances.
+
+    Dense route: eigensolve F; an eigenvector is interior when its largest
+    block is |k| <= N-2 (shift truncation pollutes the outer two).  Given a
+    :func:`floquet_lattice` (mu, k), no eigensolve: the copy mu_j + i omega m
+    lies on block m - k_j, |m - k_j| <= N.  The gap is min |Re mu| over
+    interior eigenvalues off the resonance copies (`_RESONANCE_TOL` from
+    i omega Z).  Also: for |p| <= N-1 the residual of the exact left
+    eigenvector claim x_p^H F = i p omega x_p^H, x_p = delta_{k,p} (x)
+    vec(1)/sqrt(d), on the assembled matrix, and for interior p the number
+    of eigenvalues within `_RESONANCE_TOL` of i p omega.
+    """
+    n, d2 = f_op.n_modes, f_op.block_size
+    if lattice is not None:
+        mu, k = lattice
+        if mu.size != d2:
+            raise DimensionMismatchError("the lattice and the Howland operator differ")
+        blocks = np.arange(-n, n + 1)[:, None]
+        w = mu + 1j * f_op.omega * (k + blocks)
+        return _spectrum_report(f_op, w.ravel(), np.repeat(np.abs(blocks) <= n - 2, d2))
     try:
         w, v = np.linalg.eig(f_op.matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailureError(str(exc)) from None
-    order = np.lexsort((w.real, w.imag))
-    w, v = w[order], v[:, order]
-
-    n, d2 = f_op.n_modes, f_op.block_size
     block_mass = (np.abs(v.reshape(2 * n + 1, d2, -1)) ** 2).sum(axis=1)
-    interior = np.abs(block_mass.argmax(axis=0) - n) <= n - 2
+    return _spectrum_report(f_op, w, np.abs(block_mass.argmax(axis=0) - n) <= n - 2)
 
-    omega = f_op.omega
+
+def _spectrum_report(f_op, w, interior):
+    """FloquetSpectrum of the eigenvalues `w` of F with their interior mask."""
+    order = np.lexsort((w.real, w.imag))
+    w, interior = w[order], interior[order]
+    n, d2, omega = f_op.n_modes, f_op.block_size, f_op.omega
     nearest = np.round(w.imag / omega)
     on_resonance = np.abs(w - 1j * omega * nearest) <= _RESONANCE_TOL
     candidates = interior & ~on_resonance
@@ -174,6 +209,23 @@ def floquet_spectrum(f_op):
         degenerate=gap < 1e-12,
         resonance_residuals=residuals, disc_counts=counts,
     )
+
+
+def howland_match(f_op, mu, k):
+    """max_j |e^{T mu_j} - e^{T mu_H,j}| for a :func:`floquet_lattice` (mu, k).
+
+    mu_H,j is an eigenvalue of F found from F alone: the Rayleigh quotient
+    of one inverse iteration step (one block-Thomas call, a fixed seeded
+    right-hand side) at the copy mu_j + i omega k_j on block 0.
+    """
+    f_op = _require_howland(f_op)
+    # the 1e-12 offset keeps a shift at an eigenvalue of a decoupled block off a zero pivot
+    shifts = mu + 1j * f_op.omega * k + 1e-12
+    rhs = np.random.default_rng(0).standard_normal((f_op.matrix.shape[0], 2)) @ [1.0, 1j]
+    x = _resolvent_apply(f_op, shifts, np.eye(shifts.size), rhs[:, None])[..., 0]
+    mu_h = np.sum(x.conj() * (x @ f_op.matrix.T), axis=1) / np.sum(np.abs(x) ** 2, axis=1)
+    period = 2.0 * np.pi / f_op.omega
+    return float(np.max(np.abs(np.exp(period * mu) - np.exp(period * mu_h))))
 
 
 # --------------------------------------------------------------------------
@@ -240,20 +292,24 @@ def _resolvent_apply(f_op, nodes, weights, rhs, adjoint=False):
     if adjoint:
         nodes, weights = nodes.conj(), weights.conj()
     rhs = np.asarray(rhs, dtype=complex).reshape(n, s, -1)
+    # u_k (and u_{-1} = 0, read at k = 0) vanishes in each column that is zero
+    # in row blocks 0..k, so block k solves columns [0, width[k]) only
+    started = np.logical_or.accumulate(np.any(rhs != 0, axis=1), axis=0)
+    width = [int(np.flatnonzero(row).max(initial=-1)) + 1 for row in started]
     acc = np.zeros(weights.shape[:-1] + rhs.shape, dtype=complex)
     for start in range(0, nodes.size, _NODE_CHUNK):
         z = nodes[start:start + _NODE_CHUNK]
         d = _diagonal_blocks(z, shifts, base)
         hb = np.broadcast_to(h, z.shape + h.shape)   # one H per node
         x = np.empty_like(d[:, 1:])                  # L_k^{-1} H
-        u = np.empty(z.shape + rhs.shape, dtype=complex)
+        u = np.zeros(z.shape + rhs.shape, dtype=complex)
         try:
             left = d[:, 0]
-            u[:, 0] = np.linalg.solve(left, np.broadcast_to(rhs[0], u[:, 0].shape))
-            for k in range(1, n):
-                x[:, k - 1] = np.linalg.solve(left, hb)
-                left = d[:, k] - h @ x[:, k - 1]
-                u[:, k] = np.linalg.solve(left, rhs[k] + h @ u[:, k - 1])
+            for k, c in enumerate(width):
+                if k:
+                    x[:, k - 1] = np.linalg.solve(left, hb)
+                    left = d[:, k] - h @ x[:, k - 1]
+                u[:, k, :, :c] = np.linalg.solve(left, rhs[k, :, :c] + h @ u[:, k - 1, :, :c])
         except np.linalg.LinAlgError as exc:
             raise ContourHitsSpectrumError(
                 f"singular block pivot on the contour: {exc}") from None
@@ -462,26 +518,25 @@ def kato_block(f_op, f0_op, center, radius=None, m_points=64, eigenvalues=None):
         center=complex(center), radius=float(radius))
 
 
-def kato_order_check(bundle, n_modes, m_points=64, f_op=None, eigenvalues=None):
+def kato_order_check(bundle, n_modes, m_points=64):
     """Halving ratio of the center-0 Kato-block residual in the coupling.
 
     Residuals of :func:`kato_block` at (lambda, eta) and (lambda/2, eta/4),
     so that eta stays proportional to lambda^2, both against the one
-    unperturbed operator F0 (lambda = eta = 0).  `f_op` and `eigenvalues`
-    may pass the Howland operator of `bundle` itself and its spectrum when
-    already computed.
+    unperturbed operator F0 (lambda = eta = 0).  Their annulus guards and
+    enclosed counts take lattice spectra (:func:`floquet_lattice`).
     When both residuals sit at roundoff (<= 1e-13 ||F||_inf, as when the
     first-order model is exact), their quotient is noise and `ratio` is None.
     """
     f0 = build_howland(replace(bundle, lam=0.0, eta=0.0), n_modes)
-    if f_op is None:
-        f_op = build_howland(bundle, n_modes)
-    at_lambda = kato_block(f_op, f0, 0.0, m_points=m_points,
-                           eigenvalues=eigenvalues).residual
-    half = build_howland(replace(bundle, lam=bundle.lam * 0.5, eta=bundle.eta * 0.25),
-                         n_modes)
-    at_half = kato_block(half, f0, 0.0, m_points=m_points).residual
-    floor = 1e-13 * np.linalg.norm(f_op.matrix, np.inf)
+    rungs = []                                          # (residual, ||F||_inf)
+    for b in (bundle, replace(bundle, lam=bundle.lam * 0.5, eta=bundle.eta * 0.25)):
+        f_op = build_howland(b, n_modes)
+        w = floquet_spectrum(f_op, floquet_lattice(b, n_modes)).eigenvalues
+        rungs.append((kato_block(f_op, f0, 0.0, m_points=m_points, eigenvalues=w).residual,
+                      np.linalg.norm(f_op.matrix, np.inf)))
+    (at_lambda, norm), (at_half, _) = rungs
+    floor = 1e-13 * norm
     noise = at_lambda <= floor and at_half <= floor
     return {
         "residual_at_lambda": at_lambda,
@@ -505,9 +560,11 @@ def _inv_sqrt_series(r, terms=60):
     """(1 - R)^{-1/2} by the binomial series; valid for ||R|| < 1."""
     acc = np.eye(r.shape[0], dtype=complex)
     power = np.eye(r.shape[0], dtype=complex)
+    coef = 1.0
     for n in range(1, terms):
         power = power @ (-r)
-        acc = acc + binom(-0.5, n) * power
+        coef = coef * (0.5 - n) / n                    # binom(-1/2, n)
+        acc = acc + coef * power
     return acc
 
 
@@ -564,6 +621,7 @@ def monodromy(bundle, n_modes=32, rtol=1e-10, eigenvalues=None):
     `eigenvalues` may pass the spectrum of the Howland operator of `bundle`
     at `n_modes` when already computed.
     """
+    from scipy.optimize import linear_sum_assignment
     tau = propagator(bundle, 0.0, bundle.period, rtol=rtol)
     mono_eigs = np.linalg.eigvals(tau.matrix)
     order = np.lexsort((mono_eigs.real, mono_eigs.imag))

@@ -535,13 +535,25 @@ def test_floquet_order_check_records_quartic_ratio(runner, tmp_path):
     assert oc["residual_at_half_lambda"] < oc["residual_at_lambda"]
 
 
-def test_floquet_order_check_values_on_three_level(runner, tmp_path):
+def test_floquet_order_check_values_on_three_level(runner, tmp_path, monkeypatch):
     # the bundled config as is (n_modes = 32, 64 contour nodes); the values
-    # are those of the dense Riesz/Kato route the thin probe replaced
+    # are those of the dense Riesz/Kato route the thin probe replaced.  The
+    # whole run eigensolves nothing wider than d^2 = 9: the spectrum, the
+    # monodromy match and the annulus guards all come from lattices.
+    widths = []
+    for name in ("eig", "eigvals"):
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _original=original, **kwargs):
+            widths.append(np.shape(a)[-1])
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
     out = tmp_path / "out"
     result = runner.invoke(main, ["floquet", str(CONFIG_DIR / "three_level.json"),
                                   "--out", str(out), "--order-check"])
     assert result.exit_code == 0, result.output
+    assert widths and max(widths) <= 9
     oc = _load(out / "floquet.json")["order_check"]
     expected = {
         "residual_at_lambda": 1.0296288580843247e-04,

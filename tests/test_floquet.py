@@ -28,12 +28,18 @@ under test:
   equals the dense projections and norms, factors nothing wider than
   max(d^2, 2 rank P0), and rejects a contour rule its M/2 half disowns;
 * eigenvalues of the one-period propagator are e^{T mu} for Howland
-  eigenvalues mu, matched by the Hungarian assignment.
+  eigenvalues mu, matched by the Hungarian assignment;
+* the monodromy lattice mu_j + i omega m (copy on block m - k_j) gives the
+  dense route's interior spectrum, gap, disc counts and residuals, and
+  the shifted block-Thomas Rayleigh quotient checks it independently.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
+from scipy.special import binom
 
 from pumped_lindblad import (
     ContourHitsSpectrumError,
@@ -42,16 +48,20 @@ from pumped_lindblad import (
     IdempotencyFailureError,
     NearSingularPairError,
     ProjectionPairTooFarError,
+    ReservoirSpec,
     build_howland,
     eigenprojection_direct,
+    floquet_lattice,
     floquet_spectrum,
+    howland_match,
     kato_block,
     kato_order_check,
     monodromy,
     pair_transform,
+    reservoir_lindbladian,
     riesz_projection,
 )
-from pumped_lindblad.floquet import _resolvent_apply
+from pumped_lindblad.floquet import _inv_sqrt_series, _resolvent_apply
 
 # Frozen: interior spectral gap of the bundled three-level instance at
 # lambda = 0.1, eta = 0.01 (converged in N by N = 16).
@@ -146,6 +156,68 @@ def test_interior_gap_frozen_and_stable(three_level):
     assert 0.5 <= ratio <= 2.0
     # all eigenvalues live in the closed left half plane (dissipativity)
     assert spec.eigenvalues.real.max() <= 1e-10
+
+
+def _gks_bundle(two_level):
+    # the two-level atom with raw GKS jumps sigma_- and sigma_+
+    lower = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    res = ReservoirSpec(beta=1.0, lam=0.1, form_factors=(), couplings=(),
+                        gks_jumps=(lower.T, lower))
+    return replace(two_level.bundle, l_r=reservoir_lindbladian(two_level.atom, res).l_r)
+
+
+@pytest.mark.parametrize("case, n", [("three_level", 8), ("three_level", 16),
+                                     ("three_level", 32), ("two_level", 32), ("gks", 8)])
+def test_lattice_spectrum_equals_dense_route(request, case, n):
+    bundle = (_gks_bundle(request.getfixturevalue("two_level")) if case == "gks"
+              else request.getfixturevalue(case).bundle)
+    f_op = build_howland(bundle, n)
+    dense = floquet_spectrum(f_op)
+    lattice = floquet_lattice(bundle, n)
+    spec = floquet_spectrum(f_op, lattice)
+    assert spec.eigenvalues.size == dense.eigenvalues.size
+    assert np.sum(spec.interior) == np.sum(dense.interior)
+    # the copy mu_j + i omega m sits on block m - k_j, k_j the index of
+    # e^{+i omega k t} in e^{-mu_j t} tau(t) v_j; the opposite sign fails
+    interior = spec.eigenvalues[spec.interior]
+    assert _matched_distance(interior, dense.eigenvalues[dense.interior]) <= 1e-7
+    assert abs(spec.gap - dense.gap) <= 1e-8 * dense.gap
+    assert spec.disc_counts == dense.disc_counts
+    assert spec.resonance_residuals == dense.resonance_residuals
+    assert howland_match(f_op, *lattice) <= 1e-6
+
+
+def test_lattice_sign_convention_is_pinned(two_level):
+    # on two_level omega equals the level spread, so the coherences carry
+    # Fourier indices -1 and +1 and the flipped convention moves them
+    bundle = two_level.bundle
+    f_op = build_howland(bundle, 8)
+    dense = floquet_spectrum(f_op)
+    mu, k = floquet_lattice(bundle, 8)
+    assert set(k) == {-1, 0, 1}
+    flipped = floquet_spectrum(f_op, (mu, -k))
+    assert np.sum(flipped.interior) == np.sum(dense.interior)
+    assert _matched_distance(flipped.eigenvalues[flipped.interior],
+                             dense.eigenvalues[dense.interior]) > 1e-3
+
+
+def test_howland_match_catches_a_wrong_exponent(three_level):
+    # the Rayleigh quotient converges to the Howland eigenvalue nearest the
+    # shift, not to the exponent it was given
+    bundle = three_level.bundle
+    f_op = build_howland(bundle, 16)
+    mu, k = floquet_lattice(bundle, 16)
+    assert howland_match(f_op, mu, k) <= 1e-8
+    for j in range(mu.size):
+        wrong = mu.copy()
+        wrong[j] += 1e-3
+        assert howland_match(f_op, wrong, k) > 1e-6, j
+
+
+def test_lattice_must_fit_the_operator(three_level, two_level):
+    lattice = floquet_lattice(two_level.bundle, 8)
+    with pytest.raises(DimensionMismatchError):
+        floquet_spectrum(build_howland(three_level.bundle, 8), lattice)
 
 
 def test_free_spectrum_is_degenerate(three_level):
@@ -391,9 +463,6 @@ def test_kato_needs_a_free_f0_and_equal_ranks(three_level):
 
 def test_kato_order_check_factors_only_small_matrices(three_level, monkeypatch):
     bundle = three_level.bundle
-    f_op = build_howland(bundle, 32)
-    half = build_howland(three_level.make_bundle(0.05, 0.0025), 32)
-    spectrum = np.linalg.eigvals(f_op.matrix)
     calls = []
     for name in ("svd", "solve", "inv", "qr", "eig", "eigvals", "eigh", "norm"):
         original = getattr(np.linalg, name)
@@ -406,15 +475,14 @@ def test_kato_order_check_factors_only_small_matrices(three_level, monkeypatch):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recording)
-    check = kato_order_check(bundle, 32, f_op=f_op, eigenvalues=spectrum)
-    rows = f_op.matrix.shape[0]
-    full = [a for name, a in calls if name == "eigvals" and a.shape[-1] == rows]
-    assert len(full) == 1 and np.array_equal(full[0], half.matrix)
+    check = kato_order_check(bundle, 32)
+    d2 = 9
+    # the annulus guards take the lattice spectra: no Howland eigensolve
+    eigs = [a.shape[-1] for name, a in calls if name in ("eig", "eigvals")]
+    assert eigs and max(eigs) <= d2
     rank = 5                                  # of P0 at center 0 on three_level
-    widest = max(a.shape[-1] for name, a in calls
-                 if a.shape[-1] == a.shape[-2] and a.shape[-1] != rows)
-    assert widest <= max(f_op.block_size, 2 * rank)
-    assert sum(a.shape[-1] == rows for _, a in calls) == 1
+    widest = max(a.shape[-1] for _, a in calls if a.shape[-1] == a.shape[-2])
+    assert widest <= max(d2, 2 * rank)
     assert 0.06 <= check["ratio"] <= 0.065
 
 
@@ -452,6 +520,14 @@ def test_pair_transform_rotation_closed_form():
     u, v = pair_transform(p, q)
     assert np.linalg.norm(u - rot, 2) <= 1e-12
     assert np.linalg.norm(v - rot.conj().T, 2) <= 1e-12
+
+
+def test_binomial_series_coefficients():
+    # for the nilpotent shift J, (1 - R)^{-1/2} at R = -J is sum_n c_n J^n,
+    # exact at 60 terms; its first row is c_0 .. c_59 = binom(-1/2, n)
+    coef = _inv_sqrt_series(-np.eye(60, k=1))[0]
+    for n, c in enumerate(coef):
+        assert abs(c - binom(-0.5, n)) <= 1e-15 * abs(binom(-0.5, n)), n
 
 
 def test_pair_transform_orthogonal_ranges_rejected():
