@@ -76,9 +76,7 @@ def _as_matrix(rows, what):
 
 
 def _complex_pairs(values):
-    vals = np.asarray(values)
-    order = np.lexsort((vals.real, vals.imag))
-    return [[float(v.real), float(v.imag)] for v in vals[order]]
+    return [[float(v.real), float(v.imag)] for v in values]
 
 
 def load_config(path):

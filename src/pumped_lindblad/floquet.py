@@ -19,10 +19,10 @@ inside the block-Thomas kernel.
 The CLI spectrum is the lattice mu_j + i omega m of the d^2 x d^2
 one-period propagator (:func:`floquet_lattice`), checked against F by
 shifted block-Thomas solves (:func:`howland_match`); the dense eigensolve
-of F and the Hungarian :func:`monodromy` match stay as independent
-cross-checks.  The rest is standard spectral calculus: Riesz projections
-by contour quadrature, first-order perturbation blocks and the
-pair-of-projections similarity.
+of F (which also settles a gap below 1e-6) and the Hungarian
+:func:`monodromy` match are independent cross-checks.  The rest is
+standard spectral calculus: Riesz projections by contour quadrature,
+first-order perturbation blocks and the pair-of-projections similarity.
 
 Every contour sum goes through one kernel, block-Thomas elimination of
 z - F with a block of right-hand sides (:func:`_resolvent_apply`); no
@@ -119,7 +119,8 @@ def build_howland(bundle, n_modes):
 # spectrum and resonance structure
 # --------------------------------------------------------------------------
 
-_RESONANCE_TOL = 1e-8   # distance from i omega Z that marks a resonance copy
+_RESONANCE_TOL = 1e-8       # distance from i omega Z that marks a resonance copy
+_LATTICE_GAP_FLOOR = 1e-6   # far above the lattice's RK45 error (5e-9 at rtol 1e-8)
 
 
 @dataclass(frozen=True)
@@ -160,13 +161,13 @@ def floquet_spectrum(f_op, lattice=None):
 
     Dense route: eigensolve F; an eigenvector is interior when its largest
     block is |k| <= N-2 (shift truncation pollutes the outer two).  Given a
-    :func:`floquet_lattice` (mu, k), no eigensolve: the copy mu_j + i omega m
-    lies on block m - k_j, |m - k_j| <= N.  The gap is min |Re mu| over
-    interior eigenvalues off the resonance copies (`_RESONANCE_TOL` from
-    i omega Z).  Also: for |p| <= N-1 the residual of the exact left
-    eigenvector claim x_p^H F = i p omega x_p^H, x_p = delta_{k,p} (x)
-    vec(1)/sqrt(d), on the assembled matrix, and for interior p the number
-    of eigenvalues within `_RESONANCE_TOL` of i p omega.
+    :func:`floquet_lattice` (mu, k), no eigensolve unless the gap is below
+    `_LATTICE_GAP_FLOOR`: the copy mu_j + i omega m lies on block m - k_j.
+    The gap is min |Re mu| over interior eigenvalues off the resonance
+    copies (`_RESONANCE_TOL` from i omega Z).  Also: for |p| <= N-1 the
+    residual of the exact left eigenvector claim x_p^H F = i p omega x_p^H,
+    x_p = delta_{k,p} (x) vec(1)/sqrt(d), on the assembled matrix, and for
+    interior p the number of eigenvalues within `_RESONANCE_TOL` of i p omega.
     """
     n, d2 = f_op.n_modes, f_op.block_size
     if lattice is not None:
@@ -174,8 +175,10 @@ def floquet_spectrum(f_op, lattice=None):
         if mu.size != d2:
             raise DimensionMismatchError("the lattice and the Howland operator differ")
         blocks = np.arange(-n, n + 1)[:, None]
-        w = mu + 1j * f_op.omega * (k + blocks)
-        return _spectrum_report(f_op, w.ravel(), np.repeat(np.abs(blocks) <= n - 2, d2))
+        spec = _spectrum_report(f_op, (mu + 1j * f_op.omega * (k + blocks)).ravel(),
+                                np.repeat(np.abs(blocks) <= n - 2, d2))
+        if spec.gap >= _LATTICE_GAP_FLOOR:
+            return spec
     try:
         w, v = np.linalg.eig(f_op.matrix)
     except np.linalg.LinAlgError as exc:
@@ -185,8 +188,10 @@ def floquet_spectrum(f_op, lattice=None):
 
 
 def _spectrum_report(f_op, w, interior):
-    """FloquetSpectrum of the eigenvalues `w` of F with their interior mask."""
-    order = np.lexsort((w.real, w.imag))
+    """FloquetSpectrum of the eigenvalues `w` of F with their interior mask,
+    sorted by (Im rounded to 1e-6, Re): ties in theory keep one order.
+    """
+    order = np.lexsort((w.real, np.round(w.imag, 6)))
     w, interior = w[order], interior[order]
     n, d2, omega = f_op.n_modes, f_op.block_size, f_op.omega
     nearest = np.round(w.imag / omega)
@@ -524,7 +529,7 @@ def kato_order_check(bundle, n_modes, m_points=64):
     Residuals of :func:`kato_block` at (lambda, eta) and (lambda/2, eta/4),
     so that eta stays proportional to lambda^2, both against the one
     unperturbed operator F0 (lambda = eta = 0).  Their annulus guards and
-    enclosed counts take lattice spectra (:func:`floquet_lattice`).
+    enclosed counts take the lattice copies mu_j + i omega m (rtol 1e-10).
     When both residuals sit at roundoff (<= 1e-13 ||F||_inf, as when the
     first-order model is exact), their quotient is noise and `ratio` is None.
     """
@@ -532,7 +537,8 @@ def kato_order_check(bundle, n_modes, m_points=64):
     rungs = []                                          # (residual, ||F||_inf)
     for b in (bundle, replace(bundle, lam=bundle.lam * 0.5, eta=bundle.eta * 0.25)):
         f_op = build_howland(b, n_modes)
-        w = floquet_spectrum(f_op, floquet_lattice(b, n_modes)).eigenvalues
+        mu, k = floquet_lattice(b, n_modes)
+        w = (mu + 1j * b.omega * (k + np.arange(-n_modes, n_modes + 1)[:, None])).ravel()
         rungs.append((kato_block(f_op, f0, 0.0, m_points=m_points, eigenvalues=w).residual,
                       np.linalg.norm(f_op.matrix, np.inf)))
     (at_lambda, norm), (at_half, _) = rungs
@@ -611,15 +617,13 @@ class MonodromyReport:
     n_modes: int
 
 
-def monodromy(bundle, n_modes=32, rtol=1e-10, eigenvalues=None):
+def monodromy(bundle, n_modes=32, rtol=1e-10):
     """One-period propagator vs Floquet exponents of the Howland operator.
 
     Each eigenvalue of tau(T, 0) must coincide with e^{T mu} for some
     truncated-Howland eigenvalue mu (the mode shift +i omega k drops out of
     the exponential).  The assignment minimizing the total distance is
     computed by the Hungarian method on the rectangular cost matrix.
-    `eigenvalues` may pass the spectrum of the Howland operator of `bundle`
-    at `n_modes` when already computed.
     """
     from scipy.optimize import linear_sum_assignment
     tau = propagator(bundle, 0.0, bundle.period, rtol=rtol)
@@ -627,9 +631,7 @@ def monodromy(bundle, n_modes=32, rtol=1e-10, eigenvalues=None):
     order = np.lexsort((mono_eigs.real, mono_eigs.imag))
     mono_eigs = mono_eigs[order]
 
-    if eigenvalues is None:
-        eigenvalues = np.linalg.eigvals(build_howland(bundle, n_modes).matrix)
-    candidates = np.exp(bundle.period * eigenvalues)
+    candidates = np.exp(bundle.period * np.linalg.eigvals(build_howland(bundle, n_modes).matrix))
     cost = np.abs(mono_eigs[:, None] - candidates[None, :])
     rows, cols = linear_sum_assignment(cost)
     matched = candidates[cols]

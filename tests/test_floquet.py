@@ -30,8 +30,9 @@ under test:
 * eigenvalues of the one-period propagator are e^{T mu} for Howland
   eigenvalues mu, matched by the Hungarian assignment;
 * the monodromy lattice mu_j + i omega m (copy on block m - k_j) gives the
-  dense route's interior spectrum, gap, disc counts and residuals, and
-  the shifted block-Thomas Rayleigh quotient checks it independently.
+  dense route's interior spectrum in the same order, gap, degenerate flag,
+  disc counts and residuals, and the shifted block-Thomas Rayleigh
+  quotient checks it independently.
 """
 
 from dataclasses import replace
@@ -166,21 +167,44 @@ def _gks_bundle(two_level):
     return replace(two_level.bundle, l_r=reservoir_lindbladian(two_level.atom, res).l_r)
 
 
+def _dephased_bundle(three_level):
+    # the three-level atom with the one GKS jump |1><1|: levels 0 and 2,
+    # which the pump couples, evolve unitarily, so their quasi-energy
+    # coherences keep Re mu = 0 off i omega Z at lambda, eta != 0
+    res = ReservoirSpec(beta=2.0, lam=0.1, form_factors=(), couplings=(),
+                        gks_jumps=(np.diag([0.0, 1.0, 0.0]).astype(complex),))
+    return replace(three_level.bundle,
+                   l_r=reservoir_lindbladian(three_level.atom, res).l_r)
+
+
+_VARIANTS = {"gks": ("two_level", _gks_bundle), "dephased": ("three_level", _dephased_bundle)}
+
+
 @pytest.mark.parametrize("case, n", [("three_level", 8), ("three_level", 16),
-                                     ("three_level", 32), ("two_level", 32), ("gks", 8)])
+                                     ("three_level", 32), ("two_level", 32), ("gks", 8),
+                                     ("dephased", 8)])
 def test_lattice_spectrum_equals_dense_route(request, case, n):
-    bundle = (_gks_bundle(request.getfixturevalue("two_level")) if case == "gks"
-              else request.getfixturevalue(case).bundle)
+    if case in _VARIANTS:
+        fixture, variant = _VARIANTS[case]
+        bundle = variant(request.getfixturevalue(fixture))
+    else:
+        bundle = request.getfixturevalue(case).bundle
     f_op = build_howland(bundle, n)
     dense = floquet_spectrum(f_op)
     lattice = floquet_lattice(bundle, n)
     spec = floquet_spectrum(f_op, lattice)
+    # a zero gap reads ~1e-10 on the lattice (RK45 error), so the flag must
+    # come from the dense fallback
+    assert spec.degenerate == dense.degenerate == (case == "dephased")
     assert spec.eigenvalues.size == dense.eigenvalues.size
     assert np.sum(spec.interior) == np.sum(dense.interior)
     # the copy mu_j + i omega m sits on block m - k_j, k_j the index of
     # e^{+i omega k t} in e^{-mu_j t} tau(t) v_j; the opposite sign fails
     interior = spec.eigenvalues[spec.interior]
     assert _matched_distance(interior, dense.eigenvalues[dense.interior]) <= 1e-7
+    # and in the same order: ties in Im (i omega p, -gamma + i omega p) are
+    # not ordered by roundoff
+    assert np.max(np.abs(interior - dense.eigenvalues[dense.interior])) <= 1e-7
     assert abs(spec.gap - dense.gap) <= 1e-8 * dense.gap
     assert spec.disc_counts == dense.disc_counts
     assert spec.resonance_residuals == dense.resonance_residuals
@@ -547,8 +571,4 @@ def test_monodromy_matches_floquet_exponents(three_level):
     assert rep.eigenvalues.shape == (9,)
     # the stationary direction: one multiplier equals 1
     assert np.min(np.abs(rep.eigenvalues - 1.0)) <= 1e-8
-    # reusing the Howland spectrum from floquet_spectrum gives the same match
-    spec = floquet_spectrum(build_howland(three_level.bundle, 16))
-    reused = monodromy(three_level.bundle, n_modes=16, eigenvalues=spec.eigenvalues)
-    assert abs(reused.max_match_error - rep.max_match_error) <= 1e-12
 
