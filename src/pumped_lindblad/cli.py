@@ -357,7 +357,7 @@ def _do_floquet(setup, out_dir, force=False, order_check=False, **_kw):
         return EXIT_ASSUMPTION
     bundle = setup.bundle()
     f_op = build_howland(bundle, setup.n_modes)
-    lattice = floquet_lattice(bundle, setup.n_modes, rtol=min(setup.rtol, 1e-10))
+    lattice = floquet_lattice(bundle, setup.n_modes)
     spec = floquet_spectrum(f_op, lattice)
 
     payload = {
@@ -375,7 +375,8 @@ def _do_floquet(setup, out_dir, force=False, order_check=False, **_kw):
         click.echo("warning: zero spectral gap (degenerate case)", err=True)
     if order_check:
         payload["order_check"] = kato_order_check(
-            bundle, setup.n_modes, m_points=setup.contour_points)
+            bundle, setup.n_modes, m_points=setup.contour_points,
+            f_op=f_op, lattice=lattice)
     _write_json(out_dir / "floquet.json", payload)
     return EXIT_OK
 

@@ -8,28 +8,32 @@ acting on vectorized states.  The dynamics is linear and T-periodic, so
 
     rho(n T + s) = tau(s, 0) M^n rho_0,      M = tau(T, 0),
 
-and `evolve` by default ("stroboscopic") integrates the superoperator flow
-tau(s, 0) once over a single period with dense output, at rtol <= 1e-10
-and atol <= 1e-12, then reaches every output time by powers of the
-monodromy M and one interpolated phase.  Its cost does not grow with
-t_end.  The adaptive embedded Runge-Kutta 4(5) scheme over the whole
-interval ("rk45") and a fixed-step commutator-free 4th-order exponential
-(Magnus-type) integrator ("magnus-cf4") stay as independent cross-checks.
-The trace is conserved structurally (every Runge-Kutta stage lies in the
-kernel of the trace functional because the adjoint generator annihilates
-the identity), so trace drift is a pure roundoff health metric and is
-never renormalized away.
+and `evolve` by default ("stroboscopic") builds tau(t_k, 0) once on a
+uniform grid of N steps over a single period, then reaches every output
+time by powers of the monodromy M and one interpolated phase.  Its cost
+does not grow with t_end.  Each step is the commutator-free 4th-order
+Magnus exponential on the two Gauss nodes (Blanes & Moan, Appl. Numer.
+Math. 56, 1519 (2006)); all 2N exponentials of one grid come from one
+batched Taylor series in Horner form, and N doubles from 64 until
+||M_N - M_2N|| / 15 <= 1e-12 max(1, ||M_2N||).  Off-grid phases use cubic
+Hermite interpolation with the exact derivative L_t tau.  The grid keeps
+tau - 1 rather than tau, and the steps are chained by a parallel prefix
+product, so the trace row of M (which the exact flow keeps at vec(1)^T)
+is off by ~1e-18 per period instead of one rounding of 1 per step.  The
+same grid gives the Floquet lattice its monodromy and phases.  Adaptive
+Runge-Kutta 4(5) over the whole interval ("rk45", scipy) stays as the
+independent cross-check.  Trace drift is a pure roundoff health metric
+and is never renormalized away.
 
-`propagator` integrates the same superoperator-valued equation
-d/dt tau(t,s) = L_t tau(t,s), tau(s,s) = 1; its value over one period is
-the monodromy map used by the Floquet cross-checks.
+`propagator` integrates the superoperator-valued equation
+d/dt tau(t,s) = L_t tau(t,s), tau(s,s) = 1 by RK45; its value over one
+period is the monodromy map of the Hungarian cross-check.  scipy is
+imported only inside the functions that run RK45.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .errors import (
     DegenerateKernelError,
@@ -93,9 +97,9 @@ def averaged_generator(bundle):
 class Trajectory:
     """States on an increasing time grid with per-point health metrics.
 
-    `meta` holds the method, the requested tolerances and, for the
-    "rk45" and "stroboscopic" methods, `rhs_evals` (the integrator's
-    right-hand-side evaluations).
+    `meta` holds the method, the requested tolerances and the solver's
+    work: `steps` (CF4 steps, "stroboscopic") or `rhs_evals` (right-hand-side
+    evaluations, "rk45").
     """
 
     times: np.ndarray
@@ -138,22 +142,20 @@ def _output_grid(t_end, output_grid):
 
 
 def evolve(bundle, rho0, t_end, output_grid=None, rtol=1e-8, atol=1e-10,
-           method="stroboscopic", n_steps=None):
+           method="stroboscopic"):
     """Integrate rho' = L_t rho from the validated state rho0 over [0, t_end].
 
     The output grid (default: 201 uniform points) must be strictly
     increasing and inside [0, t_end]; otherwise DimensionMismatch.
 
-    method="stroboscopic" (default): integrate the superoperator flow
-    tau(s, 0) once over one period T with dense output, at
-    rtol=min(rtol, 1e-10) and atol=min(atol, 1e-12), and return
-    tau(phase, 0) M^cycles rho0 at each t = cycles*T + phase, where
-    M = tau(T, 0) is applied one cycle at a time.  Cost is flat in t_end.
-    method="rk45": adaptive embedded Runge-Kutta over all of [0, t_end]
-    with dense output sampled on the grid (cross-check mode).
-    method="magnus-cf4": fixed-step commutator-free exponential integrator
-    with `n_steps` uniform steps (cross-check mode; output grid is the step
-    grid).
+    method="stroboscopic" (default): build the one-period CF4 step grid
+    once (its own step-doubling tolerance; `rtol` does not enter) and
+    return tau(phase, 0) M^cycles rho0 at each t = cycles*T + phase, where
+    M = tau(T, 0) is applied one cycle at a time.  Cost is flat in t_end;
+    `meta["steps"]` counts the CF4 steps of every doubling level.
+    method="rk45": adaptive embedded Runge-Kutta (scipy) over all of
+    [0, t_end] with dense output sampled on the grid (cross-check mode);
+    `meta["rhs_evals"]` counts its right-hand-side evaluations.
 
     A state whose minimum eigenvalue falls below -100*atol aborts with
     PositivityBreach; integrator stall raises StepSizeUnderflow.  The trace
@@ -167,10 +169,10 @@ def evolve(bundle, rho0, t_end, output_grid=None, rtol=1e-8, atol=1e-10,
     meta = {"method": method, "rtol": rtol, "atol": atol}
 
     if method == "stroboscopic":
-        rows, meta["rhs_evals"] = _stroboscopic(bundle, vec(rho0), times,
-                                                min(rtol, 1e-10), min(atol, 1e-12))
+        rows, meta["steps"] = _stroboscopic(bundle, vec(rho0), times)
         states = _unvec_rows(rows, d)
     elif method == "rk45":
+        from scipy.integrate import solve_ivp
         sol = solve_ivp(_rhs(bundle), (0.0, t_end), vec(rho0), method="RK45",
                         t_eval=times, rtol=rtol, atol=atol)
         if not sol.success:
@@ -178,17 +180,6 @@ def evolve(bundle, rho0, t_end, output_grid=None, rtol=1e-8, atol=1e-10,
         states = _unvec_rows(sol.y.T, d)
         times = sol.t
         meta["rhs_evals"] = int(sol.nfev)
-    elif method == "magnus-cf4":
-        if n_steps is None:
-            n_steps = max(int(np.ceil(200 * t_end / bundle.period)), 100)
-        times = np.linspace(0.0, t_end, n_steps + 1)
-        y = vec(rho0)
-        states = [rho0]
-        h = t_end / n_steps
-        for i in range(n_steps):
-            y = _cf4_step(bundle, times[i], h) @ y
-            states.append(unvec(y, d))
-        states = np.array(states)
     else:
         raise DimensionMismatchError(f"unknown method {method!r}")
 
@@ -204,39 +195,31 @@ def evolve(bundle, rho0, t_end, output_grid=None, rtol=1e-8, atol=1e-10,
                       min_eig=min_eig, purity=purity, meta=meta)
 
 
-_PHASE_BLOCK = 64   # output points per interpolant call in the stroboscopic walk
+def _stroboscopic(bundle, v, times):
+    """Rows tau(phase, 0) M^cycles v for t = cycles*T + phase, and the CF4 step count.
 
-
-def _stroboscopic(bundle, v, times, rtol, atol):
-    """Rows tau(phase, 0) M^cycles v for t = cycles*T + phase, and the RHS count.
-
-    `times` must be increasing, so the walk applies M = tau(T, 0) one cycle
-    at a time.  The interpolant is then evaluated on the phases in sorted
-    order, _PHASE_BLOCK per call, so that each call spans few of its
-    segments and only one block of tau(phase, 0) is held at a time; the
-    one-period interpolant is freed on return.
+    `times` must be increasing, so the walk applies M = 1 + (M - 1) one
+    cycle at a time, in the grid's Hermitian basis.
     """
+    grid = _step_grid(bundle)
     period = bundle.period
-    n = v.size
-    sol = _flow(bundle, 0.0, period, rtol, atol, dense_output=True)
-    mono = sol.y[:, -1].reshape(n, n)
+    mono_dev = grid.dev[-1]
     cycles = np.floor(times / period)
     phases = np.clip(times - cycles * period, 0.0, period)
-    vs = np.empty((times.size, n), dtype=complex)    # M^cycles v for each point
+    v = grid.basis.conj().T @ v
+    vs = np.empty((times.size, v.size), dtype=complex)    # M^cycles v for each point
     done = 0
     for i, c in enumerate(cycles):
         while done < c:
-            v = mono @ v
+            v = v + mono_dev @ v
             done += 1
         vs[i] = v
-    rows = np.empty_like(vs)
-    order = np.argsort(phases, kind="stable")
-    for start in range(0, times.size, _PHASE_BLOCK):
-        block = order[start:start + _PHASE_BLOCK]
-        taus = sol.sol(phases[block]).T.reshape(-1, n, n)
-        rows[block] = np.matmul(taus, vs[block, :, None])[:, :, 0]
-    return rows, int(sol.nfev)
+    return grid.apply(phases, vs[:, :, None])[:, :, 0] @ grid.basis.T, grid.steps
 
+
+# --------------------------------------------------------------------------
+# one-period CF4 step grid
+# --------------------------------------------------------------------------
 
 # 4th-order commutator-free scheme on the two Gauss nodes
 # c = 1/2 -/+ sqrt(3)/6 with cross weights (3 -/+ 2 sqrt(3))/12:
@@ -246,18 +229,164 @@ _CF4_F2 = (3.0 + 2.0 * np.sqrt(3.0)) / 12.0
 _CF4_C1 = 0.5 - np.sqrt(3.0) / 6.0
 _CF4_C2 = 0.5 + np.sqrt(3.0) / 6.0
 
+_GRID_START = 64          # steps per period of the first grid
+_GRID_MAX = 4096          # no grid finer than this (StepSizeUnderflow instead)
+_GRID_TOL = 1e-12         # ||M_N - M_2N||_1 / 15, relative to max(1, ||M_2N||_1)
+_TAYLOR_MAX_NORM = 0.25   # largest ||exponent||_1 of the unscaled Taylor series
 
-def _cf4_step(bundle, t, h):
-    static, l_p = bundle.static_matrix, bundle.l_p.matrix
-    a1 = static + bundle.eta * np.cos(bundle.omega * (t + _CF4_C1 * h)) * l_p
-    a2 = static + bundle.eta * np.cos(bundle.omega * (t + _CF4_C2 * h)) * l_p
-    first = expm(h * (_CF4_F2 * a1 + _CF4_F1 * a2))
-    second = expm(h * (_CF4_F1 * a1 + _CF4_F2 * a2))
-    return second @ first
+
+@dataclass(frozen=True)
+class _StepGrid:
+    """tau(t_k, 0) - 1 and h L_{t_k} tau(t_k, 0) at t_k = k h, h = T/N, k = 0..N.
+
+    Both are written in the orthonormal Hermitian basis `basis` (columns
+    vec(G_a)), where a Hermiticity-preserving generator is real.
+    """
+
+    step: float
+    basis: np.ndarray         # (n, n) unitary
+    dev: np.ndarray           # (N + 1, n, n); dev[N] = M - 1
+    slope: np.ndarray         # (N + 1, n, n)
+    steps: int                # CF4 steps taken over every doubling level
+
+    def apply(self, phases, x):
+        """tau(phase_i, 0) @ x_i by cubic Hermite interpolation, phases in [0, T].
+
+        `x` (basis coordinates) is (len(phases), n, r), or (n, r) for one
+        block at every phase.  The Hermite weights of tau_k and tau_{k+1}
+        sum to 1, so the identity enters as `x` itself and the trace row
+        stays that of the grid.
+        """
+        if np.iscomplexobj(x) and not np.iscomplexobj(self.dev):
+            return self.apply(phases, x.real) + 1j * self.apply(phases, x.imag)
+        pos = np.asarray(phases, dtype=float) / self.step
+        k = np.clip(np.floor(pos).astype(int), 0, self.dev.shape[0] - 2)
+        s = (pos - k)[:, None, None]
+        out = x + (1.0 + 2.0 * s) * (1.0 - s) ** 2 * (self.dev[k] @ x)
+        out += s * s * (3.0 - 2.0 * s) * (self.dev[k + 1] @ x)
+        out += s * (1.0 - s) ** 2 * (self.slope[k] @ x)
+        out += s * s * (s - 1.0) * (self.slope[k + 1] @ x)
+        return out
+
+
+def _hermitian_basis(d):
+    """Unitary whose columns are vec(G_a) for the orthonormal Hermitian basis
+    E_jj, (E_jk + E_kj)/sqrt 2, i(E_jk - E_kj)/sqrt 2 (j < k)."""
+    basis = np.zeros((d * d, d * d), dtype=complex)
+    col = 0
+    for j in range(d):
+        basis[j * (d + 1), col] = 1.0
+        col += 1
+        for k in range(j + 1, d):
+            jk, kj = j + k * d, k + j * d         # vec index of E_jk and E_kj
+            basis[[jk, kj], col] = np.sqrt(0.5)
+            basis[[jk, kj], col + 1] = np.sqrt(0.5) * 1j, -np.sqrt(0.5) * 1j
+            col += 2
+    return basis
+
+
+def _in_basis(a, basis):
+    """basis^H a basis, real when `a` preserves Hermiticity (to roundoff)."""
+    r = basis.conj().T @ a @ basis
+    return r.real if np.abs(r.imag).max() <= 1e-14 * max(1.0, np.abs(r).max()) else r
+
+
+def _taylor_expm1(x):
+    """exp(x) - 1 for a batch of matrices with small ||x||_1.
+
+    Horner form x (1 + x/2 (1 + x/3 (...))), stopped at the first degree m
+    whose remainder term theta^(m+1)/(m+1)! is below the unit roundoff,
+    theta = max ||x||_1.  No identity is added, so every term keeps the
+    zero trace row of a trace-preserving generator.
+    """
+    theta = float(np.abs(x).sum(axis=-2).max())
+    m, remainder = 1, theta * theta / 2.0
+    while remainder > 2.0 ** -53:
+        m += 1
+        remainder *= theta / (m + 1)
+    e = x / m
+    for j in range(m - 1, 0, -1):
+        e = x @ e
+        e += x
+        e /= j
+    return e
+
+
+def _compose(later, earlier):
+    """(1 + later)(1 + earlier) - 1, batched."""
+    return later + earlier + later @ earlier
+
+
+def _chain(steps):
+    """(1 + steps[N-1]) ... (1 + steps[0]) - 1 as a pairwise product, N a power of 2."""
+    while steps.shape[0] > 1:
+        steps = _compose(steps[1::2], steps[0::2])
+    return steps[0]
+
+
+def _cf4_steps(static, pump, omega, h, n_steps):
+    """S_k - 1 for N uniform CF4 steps of the generator static + cos(omega t) pump,
+    or None when an exponent is too large for the unscaled Taylor series.
+
+    S_k = exp(h (F1 A1 + F2 A2)) exp(h (F2 A1 + F1 A2)) with A1, A2 the
+    generator at the Gauss nodes of step k; all 2N exponentials come from
+    one batched Taylor call.
+    """
+    t = h * np.arange(n_steps)
+    c1 = np.cos(omega * (t + _CF4_C1 * h))
+    c2 = np.cos(omega * (t + _CF4_C2 * h))
+    # F1 + F2 = 1/2: the static part enters both exponents with weight h/2
+    drive = h * np.concatenate([_CF4_F2 * c1 + _CF4_F1 * c2, _CF4_F1 * c1 + _CF4_F2 * c2])
+    x = 0.5 * h * static + drive[:, None, None] * pump
+    if np.abs(x).sum(axis=-2).max() > _TAYLOR_MAX_NORM:
+        return None
+    e = _taylor_expm1(x)
+    return _compose(e[n_steps:], e[:n_steps])
+
+
+def _step_grid(bundle):
+    """The one-period CF4 step grid, N doubled from 64 until converged.
+
+    Everything runs in the Hermitian basis (real arithmetic for a
+    Hermiticity-preserving generator) and is kept as a deviation from 1.
+    N doubles (skipping grids too coarse for the Taylor series) until the
+    monodromies of N/2 and N steps differ by at most 15 * 1e-12 *
+    max(1, ||M||_1) in the 1-norm, i.e. until the Richardson estimate of
+    the 4th-order error of M_N is below 1e-12; the N grid is kept.  Past
+    _GRID_MAX steps, StepSizeUnderflow.
+
+    Each M is a pairwise (tree) product of its steps; the kept grid's
+    prefix products come from a Hillis-Steele scan, whose last entry is
+    that same tree product.
+    """
+    basis = _hermitian_basis(bundle.l_at.dim)
+    static = _in_basis(bundle.static_matrix, basis)
+    pump = _in_basis(bundle.eta * bundle.l_p.matrix, basis)
+    prev, work, n = None, 0, _GRID_START
+    while n <= _GRID_MAX:
+        h = bundle.period / n
+        steps = _cf4_steps(static, pump, bundle.omega, h, n)
+        if steps is not None:
+            work += n
+            mono = _chain(steps)
+            scale = max(1.0, np.linalg.norm(np.eye(mono.shape[0]) + mono, 1))
+            if prev is not None and np.linalg.norm(mono - prev, 1) <= 15.0 * _GRID_TOL * scale:
+                dev = np.concatenate([np.zeros_like(steps[:1]), steps])
+                span = 1
+                while span < n:             # dev[k + 1] -> S_k ... S_{k - 2 span + 1} - 1
+                    dev[span + 1:] = _compose(dev[span + 1:], dev[1:-span])
+                    span *= 2
+                gen = static + np.cos(bundle.omega * h * np.arange(n + 1))[:, None, None] * pump
+                return _StepGrid(step=h, basis=basis, dev=dev, slope=h * (gen + gen @ dev),
+                                 steps=work)
+            prev = mono
+        n *= 2
+    raise StepSizeUnderflowError(
+        f"no CF4 step grid converged to {_GRID_TOL:g} within {n // 2} steps per period")
 
 
 # --------------------------------------------------------------------------
-# propagator and monodromy interval
+# RK45 propagator (cross-checks)
 # --------------------------------------------------------------------------
 
 def _rhs(bundle):
@@ -276,34 +405,33 @@ def _rhs(bundle):
     return rhs
 
 
-def _flow(bundle, s, t, rtol, atol, dense_output=False):
-    """RK45 solution of d/dt tau = L_t tau, tau(s) = 1, on [s, t].
-
-    Each `y` is tau with its rows flattened; `dense_output=True` adds the
-    interpolant `sol.sol`.
-    """
-    n = bundle.l_at.dim ** 2
-    y0 = np.eye(n, dtype=complex).reshape(-1)
-    sol = solve_ivp(_rhs(bundle), (s, t), y0, method="RK45", rtol=rtol,
-                    atol=atol, dense_output=dense_output)
-    if not sol.success:
-        raise StepSizeUnderflowError(f"propagator integration failed: {sol.message}")
-    return sol
-
-
 def propagator(bundle, s, t, rtol=1e-10, atol=1e-12):
     """Two-parameter propagator tau(t, s) as a superoperator.
 
-    Integrates d/dt tau = L_t tau with tau(s, s) = 1 on the matrix-valued
-    ODE (dimension d^4).  t >= s required.
+    Integrates d/dt tau = L_t tau with tau(s, s) = 1 by RK45 (scipy) on the
+    matrix-valued ODE (dimension d^4).  t >= s required.
     """
     if t < s:
         raise DimensionMismatchError(f"need t >= s, got s={s}, t={t}")
     d = bundle.l_at.dim
     if t == s:
         return Superoperator.identity(d)
+    from scipy.integrate import solve_ivp
     n = d * d
-    return Superoperator(_flow(bundle, s, t, rtol, atol).y[:, -1].reshape(n, n))
+    sol = solve_ivp(_rhs(bundle), (s, t), np.eye(n, dtype=complex).reshape(-1),
+                    method="RK45", rtol=rtol, atol=atol)
+    if not sol.success:
+        raise StepSizeUnderflowError(f"propagator integration failed: {sol.message}")
+    return Superoperator(sol.y[:, -1].reshape(n, n))
+
+
+def __getattr__(name):
+    # `evolution.solve_ivp` still resolves (perfbench/tracing.py wraps it)
+    # without importing scipy when the module loads
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # --------------------------------------------------------------------------

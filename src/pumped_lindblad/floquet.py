@@ -17,12 +17,14 @@ eigenvector claim to F itself, and the Kato probe runs the adjoint blocks
 inside the block-Thomas kernel.
 
 The CLI spectrum is the lattice mu_j + i omega m of the d^2 x d^2
-one-period propagator (:func:`floquet_lattice`), checked against F by
-shifted block-Thomas solves (:func:`howland_match`); the dense eigensolve
-of F (which also settles a gap below 1e-6) and the Hungarian
-:func:`monodromy` match are independent cross-checks.  The rest is
-standard spectral calculus: Riesz projections by contour quadrature,
-first-order perturbation blocks and the pair-of-projections similarity.
+one-period propagator, which comes from the CF4 step grid of `evolution`
+(:func:`floquet_lattice`), checked against F by shifted block-Thomas
+solves (:func:`howland_match`); the dense eigensolve of F (which also
+settles a gap below 1e-6) and the Hungarian :func:`monodromy` match
+(RK45 propagator, scipy imported inside it) are independent
+cross-checks.  The rest is standard spectral calculus: Riesz
+projections by contour quadrature, first-order perturbation blocks and
+the pair-of-projections similarity.
 
 Every contour sum goes through one kernel, block-Thomas elimination of
 z - F with a block of right-hand sides (:func:`_resolvent_apply`); no
@@ -49,7 +51,7 @@ from .errors import (
     NearSingularPairError,
     ProjectionPairTooFarError,
 )
-from .evolution import _flow, propagator
+from .evolution import _step_grid, propagator
 from .operator_core import Superoperator, vec
 
 __all__ = [
@@ -120,7 +122,7 @@ def build_howland(bundle, n_modes):
 # --------------------------------------------------------------------------
 
 _RESONANCE_TOL = 1e-8       # distance from i omega Z that marks a resonance copy
-_LATTICE_GAP_FLOOR = 1e-6   # far above the lattice's RK45 error (5e-9 at rtol 1e-8)
+_LATTICE_GAP_FLOOR = 1e-6   # far above the lattice's CF4 error (M to ~1e-12)
 
 
 @dataclass(frozen=True)
@@ -134,23 +136,26 @@ class FloquetSpectrum:
     disc_counts: dict           # p -> eigenvalues within _RESONANCE_TOL of i omega p
 
 
-def floquet_lattice(bundle, n_modes, rtol=1e-10):
+def floquet_lattice(bundle, n_modes):
     """Floquet exponents mu_j and their Fourier indices k_j from one period.
 
-    One RK45 flow of tau(t, 0) over [0, T] with dense output (atol 1e-12)
-    gives M = tau(T, 0) with eigenpairs (nu_j, v_j), and mu_j = log(nu_j)/T
-    (principal branch); k_j is the dominant FFT index of the periodic part
-    e^{-mu_j t} tau(t, 0) v_j = sum_k c_k e^{i omega k t} at 2N+1 phases.
+    The CF4 step grid of tau(t, 0) over [0, T] (evolution._step_grid,
+    converged to 1e-12) gives M = tau(T, 0) with eigenpairs (nu_j, v_j),
+    and mu_j = log(nu_j)/T (principal branch); k_j is the dominant FFT
+    index of the periodic part e^{-mu_j t} tau(t, 0) v_j =
+    sum_k c_k e^{i omega k t} at 2N+1 phases.  All of it stays in the
+    grid's Hermitian basis: a unitary change of basis moves neither the
+    eigenvalues nor the Fourier mass.
     """
     s, period = bundle.l_at.dim ** 2, bundle.period
-    sol = _flow(bundle, 0.0, period, rtol, 1e-12, dense_output=True)
+    grid = _step_grid(bundle)
     try:
-        nu, v = np.linalg.eig(sol.y[:, -1].reshape(s, s))
+        nu, v = np.linalg.eig(np.eye(s) + grid.dev[-1])
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailureError(str(exc)) from None
     mu = np.log(nu) / period
     t = np.linspace(0.0, period, 2 * n_modes + 1, endpoint=False)
-    p = (sol.sol(t).T.reshape(t.size, s, s) @ v) * np.exp(-np.outer(t, mu))[:, None, :]
+    p = grid.apply(t, v) * np.exp(-np.outer(t, mu))[:, None, :]
     mass = (np.abs(np.fft.fft(p, axis=0)) ** 2).sum(axis=1)
     fourier = np.fft.fftfreq(t.size, 1.0 / t.size)[mass.argmax(axis=0)]
     return mu, np.rint(fourier).astype(int)
@@ -523,24 +528,31 @@ def kato_block(f_op, f0_op, center, radius=None, m_points=64, eigenvalues=None):
         center=complex(center), radius=float(radius))
 
 
-def kato_order_check(bundle, n_modes, m_points=64):
+def kato_order_check(bundle, n_modes, m_points=64, f_op=None, lattice=None):
     """Halving ratio of the center-0 Kato-block residual in the coupling.
 
     Residuals of :func:`kato_block` at (lambda, eta) and (lambda/2, eta/4),
     so that eta stays proportional to lambda^2, both against the one
     unperturbed operator F0 (lambda = eta = 0).  Their annulus guards and
-    enclosed counts take the lattice copies mu_j + i omega m (rtol 1e-10).
-    When both residuals sit at roundoff (<= 1e-13 ||F||_inf, as when the
-    first-order model is exact), their quotient is noise and `ratio` is None.
+    enclosed counts take the lattice copies mu_j + i omega m.  `f_op`
+    (``build_howland(bundle, n_modes)``) and `lattice`
+    (``floquet_lattice(bundle, n_modes)``) are the caller's objects at
+    lambda, built here when not given.  When both residuals sit at
+    roundoff (<= 1e-13 ||F||_inf, as when the first-order model is exact),
+    their quotient is noise and `ratio` is None.
     """
+    if f_op is not None and (_require_howland(f_op).n_modes != n_modes
+                             or f_op.lam != bundle.lam):
+        raise DimensionMismatchError("f_op is not the Howland operator of this bundle")
     f0 = build_howland(replace(bundle, lam=0.0, eta=0.0), n_modes)
+    half = replace(bundle, lam=bundle.lam * 0.5, eta=bundle.eta * 0.25)
     rungs = []                                          # (residual, ||F||_inf)
-    for b in (bundle, replace(bundle, lam=bundle.lam * 0.5, eta=bundle.eta * 0.25)):
-        f_op = build_howland(b, n_modes)
-        mu, k = floquet_lattice(b, n_modes)
+    for b, op, lat in ((bundle, f_op, lattice), (half, None, None)):
+        op = op or build_howland(b, n_modes)
+        mu, k = lat or floquet_lattice(b, n_modes)
         w = (mu + 1j * b.omega * (k + np.arange(-n_modes, n_modes + 1)[:, None])).ravel()
-        rungs.append((kato_block(f_op, f0, 0.0, m_points=m_points, eigenvalues=w).residual,
-                      np.linalg.norm(f_op.matrix, np.inf)))
+        rungs.append((kato_block(op, f0, 0.0, m_points=m_points, eigenvalues=w).residual,
+                      np.linalg.norm(op.matrix, np.inf)))
     (at_lambda, norm), (at_half, _) = rungs
     floor = 1e-13 * norm
     noise = at_lambda <= floor and at_half <= floor

@@ -34,19 +34,24 @@ branch there); this is what the strip-integrability check samples.  Each
 horizontal line is integrated by an adaptive composite 20-node
 Gauss-Legendre rule (panel against its two halves, 1e-12 relative
 tolerance) that evaluates the vectorized integrand on all open panels of
-a level at once; a fixed Simpson grid on the line y = 0 is its independent
-cross-check.  QUADPACK (`scipy.integrate.quad`) remains only in the
-Cauchy-weight PV rule.
+a level at once; a fixed composite Simpson grid on the line y = 0 is its
+independent cross-check.  The same adaptive rule serves the resolvent
+oracle's real-axis integrals.
+
+The PV coefficient has two rules.  Rule A is a trapezoid sum on a line
+below the real axis (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)):
+f^(beta) continues analytically to |Im z| < pi/beta, so the line may pass
+below the pole of 1/x, and the trapezoid rule converges exponentially
+there.  Rule B, a midpoint sum of the symmetric difference with one
+Richardson step, stays on the real axis as its cross-check.  Everything
+here is numpy; QUADPACK is only the unit tests' oracle.
 """
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import expit
 
 from .errors import (
     DisagreementBetweenRulesError,
@@ -80,6 +85,14 @@ _GL_REL_TOL = 1e-12
 _GL_MAX_LEVELS = 20
 _GL_MAX_OPEN = 4096
 _SIMPSON_REL_TOL = 1e-6  # the y=0 Simpson cross-check must agree to this
+
+
+def _logistic(x):
+    """1 / (1 + e^{-x}) with full relative accuracy in both tails (the
+    same function as 0.5 (1 + tanh(x/2)), which loses it to cancellation
+    for x << 0)."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _effective_beta(beta):
@@ -220,7 +233,7 @@ def glued_g(ff, beta, x):
     """g(x) = |x|(1+e^{-beta x})^{-1/2} * (f(x) if x>=0 else conj(f(-x)))."""
     beta = _effective_beta(beta)
     x = np.asarray(x, dtype=float)
-    fermi = np.sqrt(expit(beta * x))          # (1+e^{-bx})^{-1/2}, overflow-safe
+    fermi = np.sqrt(_logistic(beta * x))      # (1+e^{-bx})^{-1/2}, overflow-safe
     fvals = ff(np.abs(x))
     fvals = np.where(x >= 0, fvals, np.conj(fvals))
     out = np.abs(x) * fermi * fvals
@@ -260,7 +273,7 @@ def spectral_density(ff, beta, x):
     """Thermal density f^(beta)(x) = 4 pi |x f(|x|)|^2 / (1 + e^{-beta x})."""
     beta = _effective_beta(beta)
     x = np.asarray(x, dtype=float)
-    out = 4.0 * np.pi * np.abs(x * ff(np.abs(x))) ** 2 * expit(beta * x)
+    out = 4.0 * np.pi * np.abs(x * ff(np.abs(x))) ** 2 * _logistic(beta * x)
     return out if out.shape else float(out)
 
 
@@ -322,9 +335,9 @@ def check_strip_analyticity(ff, beta, r_max, n_lines=9, bound_ceiling=1e12):
     Each line is integrated over a Gaussian tail cutoff by an adaptive
     composite 20-node Gauss-Legendre rule: 64 equal panels to start, each
     panel compared with the sum over its halves and bisected until it
-    meets its share of a 1e-12 relative tolerance.  A line whose summed
-    error estimate exceeds max(1e-6 |value|, 1e-10), or that hits the
-    refinement cap, raises QuadratureNonConvergence; a line that
+    meets an equal share of a 1e-12 relative tolerance.  A line whose
+    summed error estimate exceeds max(1e-6 |value|, 1e-10), or that hits
+    the refinement cap, raises QuadratureNonConvergence; a line that
     overflows reads inf.  The y=0 line is recomputed on a fixed Simpson
     grid as an independent cross-check: on a finite line within
     `bound_ceiling` the two must agree to 1e-6 relative, or
@@ -399,7 +412,10 @@ def _simpson_rel_err(ff, beta, ref, bound_ceiling):
         return float("nan")
     x_max = _line_cutoff(ff, beta, 0.0)
     grid = np.linspace(-x_max, x_max, 4097)
-    simpson_val = integrate.simpson(_line_integrand(ff, beta, 0.0)(grid), x=grid)
+    y = _line_integrand(ff, beta, 0.0)(grid)
+    # composite Simpson: weights 1, 4, 2, 4, ..., 2, 4, 1 times dx/3
+    simpson_val = (2.0 * x_max / 4096) / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum()
+                                                 + 2.0 * y[2:-1:2].sum())
     rel_err = float(abs(simpson_val - ref) / max(abs(ref), 1e-300))
     if ref <= bound_ceiling and not rel_err <= _SIMPSON_REL_TOL:
         raise DisagreementBetweenRulesError(
@@ -416,24 +432,23 @@ def _gauss_legendre(h, left, width):
     return 0.5 * width * (h(x.ravel()).reshape(x.shape) @ _GL_WEIGHTS)
 
 
-def _line_integral(ff, beta, y, bound_ceiling):
-    """Adaptive composite Gauss-Legendre integral of the strip integrand along Im z = y.
+def _adaptive_gauss_legendre(h, edges):
+    """Adaptive composite 20-node Gauss-Legendre integral of h over [edges[0], edges[-1]].
 
-    The cutoff interval starts as _GL_PANELS equal panels.  Each open panel
-    is compared with the sum over its two halves; a panel whose gap meets
-    its width's share of _GL_REL_TOL (relative to the running total) is
-    accepted with the halves' sum, the others are bisected.  All open
-    panels of one level are evaluated in one call of the integrand.
-    Overflow (a non-finite value anywhere) gives inf.  A finite value
-    within `bound_ceiling` raises QuadratureNonConvergence when its summed
-    gap exceeds max(1e-6 |value|, 1e-10), or when panels are still open
-    after _GL_MAX_LEVELS bisections or number more than _GL_MAX_OPEN.
+    The panels start as the intervals between consecutive `edges`.  Each
+    open panel is compared with the sum over its two halves; a panel whose
+    gap meets an equal share (one over the number of panels still open) of
+    _GL_REL_TOL times the running total is accepted with the halves' sum,
+    the others are bisected.  (A share by width stalls at roundoff on a
+    peak a few 1e-3 wide.)  All open panels of one level are evaluated in
+    one call of h.  Returns (value, summed gap of the accepted
+    panels, capped); `capped` is True when panels are still open after
+    _GL_MAX_LEVELS bisections or number more than _GL_MAX_OPEN, and the
+    value then includes their last estimate.  A non-finite evaluation
+    anywhere (inf, or inf * 0 inside h) gives (inf, inf, False).
     """
-    h = _line_integrand(ff, beta, y)
-    x_max = _line_cutoff(ff, beta, y)
-    length = 2.0 * x_max
-    width = np.full(_GL_PANELS, length / _GL_PANELS)
-    left = -x_max + width * np.arange(_GL_PANELS)
+    edges = np.asarray(edges, dtype=float)
+    left, width = edges[:-1], np.diff(edges)
     whole = _gauss_legendre(h, left, width)
     val = err = 0.0
     for _ in range(_GL_MAX_LEVELS):
@@ -443,9 +458,9 @@ def _line_integral(ff, beta, y, bound_ceiling):
         fine = lo + hi
         with np.errstate(invalid="ignore"):
             gap = np.abs(fine - whole)
-        if not np.all(np.isfinite(gap)):      # inf, or inf * 0 inside the integrand
-            return np.inf
-        ok = gap <= _GL_REL_TOL * abs(val + fine.sum()) * width / length
+        if not np.all(np.isfinite(gap)):
+            return np.inf, np.inf, False
+        ok = gap <= _GL_REL_TOL * abs(val + fine.sum()) / width.size
         val += fine[ok].sum()
         err += gap[ok].sum()
         bisect = ~ok
@@ -454,14 +469,28 @@ def _line_integral(ff, beta, y, bound_ceiling):
         whole = np.concatenate([lo[bisect], hi[bisect]])
         if not 0 < left.size <= _GL_MAX_OPEN:
             break
-    if left.size:                             # refinement cap reached
-        val += whole.sum()
-        err = np.inf
+    return val + whole.sum(), err, bool(left.size)
+
+
+def _line_integral(ff, beta, y, bound_ceiling):
+    """Adaptive composite Gauss-Legendre integral of the strip integrand along Im z = y.
+
+    The cutoff interval starts as _GL_PANELS equal panels
+    (:func:`_adaptive_gauss_legendre`).  Overflow gives inf.  A finite
+    value within `bound_ceiling` raises QuadratureNonConvergence when its
+    summed gap exceeds max(1e-6 |value|, 1e-10), or when the refinement
+    cap is reached.
+    """
+    x_max = _line_cutoff(ff, beta, y)
+    val, err, capped = _adaptive_gauss_legendre(
+        _line_integrand(ff, beta, y), np.linspace(-x_max, x_max, _GL_PANELS + 1))
     val = float(val)
+    if capped:
+        err = np.inf
     if np.isfinite(val) and val <= bound_ceiling and not err <= max(1e-6 * abs(val), 1e-10):
         raise QuadratureNonConvergenceError(
             f"line y={y:.4g}: Gauss-Legendre error estimate {err:.3e} for value {val:.6e}"
-            + (" (refinement cap reached)" if left.size else "")
+            + (" (refinement cap reached)" if capped else "")
         )
     return val
 
@@ -470,10 +499,44 @@ def _line_integral(ff, beta, y, bound_ceiling):
 # principal-value coefficient (two independent rules)
 # --------------------------------------------------------------------------
 
+def _pv_contour(ff, beta, eps):
+    """Rule A: PV int f^(beta)(x + eps)/x dx by a trapezoid sum on Im z = -a.
+
+    With P(z) = sum w z^{2p} e^{-C z^2} and Pbar the same sum with the
+    conjugate weights, f^(beta)(z) = 4 pi P(z) Pbar(z) (1 + tanh(beta z/2))/2
+    is the density on the real axis (for complex weights too, since
+    z^{2p} = |x|^{2p} there) and is analytic on |Im z| < pi/beta.  Moving
+    the line below the pole of 1/z adds i pi f^(beta)(eps), which is
+    imaginary, so the PV is the real part of the line integral.  The line
+    sits at a = min(pi/(2 beta), 1/sqrt(2 C_max)): midway to the poles of
+    tanh, but no lower than where e^{-2 C z^2} grows by e, which would
+    cost accuracy to cancellation.  The spacing h = min(0.05, a/8) puts the
+    discretization error near e^{-2 pi a/h} <= e^{-50}.  The same sum over
+    every second node (spacing 2h) must agree within max(1e-8 |value|,
+    1e-9), else QuadratureNonConvergence.
+    """
+    c_max = max(c for (_, _, c) in ff.terms)
+    a = min(np.pi / (2.0 * beta), 1.0 / np.sqrt(2.0 * c_max))
+    h = min(0.05, a / 8.0)
+    x_max = _gauss_cutoff(ff.min_decay) + beta / (2.0 * ff.min_decay) + abs(eps)
+    n = int(np.ceil(x_max / h))
+    z = h * np.arange(-n, n + 1) - 1j * a
+    w = z + eps
+    p = sum(c * w ** (2 * q) * np.exp(-d * w * w) for (c, q, d) in ff.terms)
+    p_bar = sum(np.conj(c) * w ** (2 * q) * np.exp(-d * w * w) for (c, q, d) in ff.terms)
+    terms = 2.0 * np.pi * p * p_bar * (1.0 + np.tanh(0.5 * beta * w)) / z
+    val = h * terms.sum().real
+    coarse = 2.0 * h * terms[n % 2::2].sum().real         # every second node, x = 0 kept
+    if abs(val - coarse) > max(1e-8 * abs(val), 1e-9):
+        raise QuadratureNonConvergenceError(
+            f"contour rule: spacing h and 2h differ by {abs(val - coarse):.3e} at eps={eps}")
+    return float(val)
+
+
 def pv_coefficient(ff, beta, eps):
     """d = PV int_R f^(beta)(x + eps) / x dx  (Cauchy principal value at 0).
 
-    Rule A: QUADPACK's Cauchy-weight rule on (-X, X).
+    Rule A: trapezoid sum on a line below the real axis (:func:`_pv_contour`).
     Rule B: symmetric-difference form int_0^X (F(x) - F(-x))/x dx on a
     midpoint grid with one Richardson extrapolation step (O(h^4)).
     The two must agree to 1e-7 relative (with a small absolute floor)
@@ -487,16 +550,7 @@ def pv_coefficient(ff, beta, eps):
     def f_shift(x):
         return spectral_density(ff, beta, x + eps)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val_a, err_a = integrate.quad(
-            f_shift, -x_max, x_max, weight="cauchy", wvar=0.0, limit=400,
-            epsabs=1e-12, epsrel=1e-11,
-        )
-    if err_a > max(1e-8 * abs(val_a), 1e-9):
-        raise QuadratureNonConvergenceError(
-            f"Cauchy-weight rule error {err_a:.3e} at eps={eps}"
-        )
+    val_a = _pv_contour(ff, beta, eps)
 
     def midpoint_sym(n):
         h = x_max / n

@@ -144,23 +144,21 @@ def test_check_cold_reservoir_fails_analyticity_without_traceback(runner, tmp_pa
 
 @pytest.mark.parametrize("name", ["two_level", "three_level"])
 def test_check_strip_ladder_makes_no_quad_call(runner, tmp_path, monkeypatch, name):
+    # the strip ladder runs once, and neither it nor anything else in
+    # `check` (PV coefficients included) calls QUADPACK
     import scipy.integrate
 
     from pumped_lindblad import lindblad
 
-    inside, ladder_calls, quad_in_ladder = [False], [0], [0]
+    ladder_calls, quad_calls = [0], [0]
     ladder, quad = lindblad.strip_analyticity_ladder, scipy.integrate.quad
 
     def spy_ladder(*args, **kwargs):
         ladder_calls[0] += 1
-        inside[0] = True
-        try:
-            return ladder(*args, **kwargs)
-        finally:
-            inside[0] = False
+        return ladder(*args, **kwargs)
 
     def spy_quad(*args, **kwargs):
-        quad_in_ladder[0] += inside[0]
+        quad_calls[0] += 1
         return quad(*args, **kwargs)
 
     monkeypatch.setattr(lindblad, "strip_analyticity_ladder", spy_ladder)
@@ -168,7 +166,37 @@ def test_check_strip_ladder_makes_no_quad_call(runner, tmp_path, monkeypatch, na
     result = runner.invoke(main, ["check", str(CONFIG_DIR / f"{name}.json"),
                                   "--out", str(tmp_path / "out")])
     assert result.exit_code == 0, result.output
-    assert ladder_calls == [1] and quad_in_ladder == [0]
+    assert ladder_calls == [1] and quad_calls == [0]
+
+
+_SCIPY_PROBE = """
+import sys
+from pumped_lindblad.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("args", [["check"], ["evolve"], ["floquet", "--order-check"],
+                                  ["oracle"]], ids=lambda a: "-".join(a))
+def test_subcommands_never_import_scipy(tmp_path, args):
+    # a fresh interpreter: the CLI path is numpy only (scipy is left to the
+    # cross-checks that no subcommand runs)
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *args, str(CONFIG_DIR / "three_level.json"),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.stdout.split() == ["0", "False"], proc.stdout + proc.stderr
 
 
 # --------------------------------------------------------------------------
@@ -563,6 +591,32 @@ def test_floquet_order_check_values_on_three_level(runner, tmp_path, monkeypatch
     assert set(oc) == set(expected)
     for key, value in expected.items():
         assert abs(oc[key] - value) <= 1e-10 * value, (key, oc[key])
+
+
+def test_floquet_order_check_builds_each_operator_once(runner, tmp_path, monkeypatch):
+    # F at lambda and its lattice serve floquet.json and the order check;
+    # only F0 and the lambda/2 rung are added
+    from pumped_lindblad import cli, evolution, floquet
+
+    couplings, grids = [], [0]
+    build, step_grid = floquet.build_howland, evolution._step_grid
+
+    def spy_build(bundle, n_modes):
+        couplings.append((bundle.lam, bundle.eta))
+        return build(bundle, n_modes)
+
+    def spy_grid(*args, **kwargs):
+        grids[0] += 1
+        return step_grid(*args, **kwargs)
+
+    for module in (cli, floquet):
+        monkeypatch.setattr(module, "build_howland", spy_build)
+    monkeypatch.setattr(floquet, "_step_grid", spy_grid)
+    result = runner.invoke(main, ["floquet", str(CONFIG_DIR / "three_level.json"),
+                                  "--out", str(tmp_path / "out"), "--order-check"])
+    assert result.exit_code == 0, result.output
+    assert sorted(couplings) == [(0.0, 0.0), (0.05, 0.0025), (0.1, 0.01)]
+    assert grids == [2]
 
 
 # --------------------------------------------------------------------------

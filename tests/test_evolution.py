@@ -7,13 +7,13 @@ coherences and obey the scalar rate equation
     p_2(t) = p_inf + (p_2(0) - p_inf) e^{-lambda^2 (c_up + c_down) t},
     p_inf = c_up / (c_up + c_down) = e^{-beta omega} / (1 + e^{-beta omega}),
 
-an exact closed form used as the oracle for the adaptive integrator.  The
+an exact closed form used as the oracle for the default route.  The
 autonomous case is also compared against a direct matrix exponential, and
-the fixed-step commutator-free exponential integrator is verified to be
-fourth-order against a tight reference.  The default stroboscopic route
-(one period of the propagator, then monodromy powers) is compared against
-adaptive Runge-Kutta over the whole interval on grids that do and do not
-fit the period.
+the one-period commutator-free (CF4) step grid is verified to be
+fourth-order against a tight Runge-Kutta reference.  The default
+stroboscopic route (the step grid, then monodromy powers and one Hermite
+interpolated phase) is compared against adaptive Runge-Kutta over the
+whole interval on grids that do and do not fit the period.
 """
 
 import numpy as np
@@ -27,10 +27,12 @@ from pumped_lindblad import (
     GeneratorBundle,
     NonPositiveKernelError,
     PositivityBreachError,
+    StepSizeUnderflowError,
     Superoperator,
     averaged_generator,
     choi_matrix,
     evolve,
+    hamiltonian_lindbladian,
     populations,
     propagator,
     stationary_state,
@@ -89,27 +91,48 @@ def test_trajectory_health_metrics(three_level):
 
 
 # --------------------------------------------------------------------------
-# fixed-step exponential integrator: agreement and measured order
+# one-period CF4 step grid: agreement and measured order
 # --------------------------------------------------------------------------
+
+def _grid_monodromy(grid):
+    """M = tau(T, 0) of a step grid, in the standard basis."""
+    n = grid.basis.shape[0]
+    return grid.basis @ (np.eye(n) + grid.dev[-1]) @ grid.basis.conj().T
+
 
 def test_cf4_matches_adaptive_reference(three_level):
     bundle = three_level.make_bundle(0.1, 0.04)   # strong drive
     t_end = 3.0 * bundle.period
     ref = evolve(bundle, _ground(3), t_end, output_grid=np.array([0.0, t_end]),
-                 rtol=1e-12, atol=1e-13)
-    cf4 = evolve(bundle, _ground(3), t_end, method="magnus-cf4", n_steps=400)
+                 method="rk45", rtol=1e-12, atol=1e-13)
+    cf4 = evolve(bundle, _ground(3), t_end, output_grid=np.array([0.0, t_end]))
     assert np.linalg.norm(cf4.states[-1] - ref.states[-1]) <= 1e-9
+    # the converged grid's monodromy against a tight RK45 propagator
+    mono = propagator(bundle, 0.0, bundle.period, rtol=1e-13, atol=1e-15).matrix
+    assert np.max(np.abs(_grid_monodromy(evolution._step_grid(bundle)) - mono)) <= 1e-11
+
+
+def test_step_grid_keeps_a_generator_that_breaks_hermiticity(three_level):
+    # -i[h_p, .] with the non-Hermitian h_p is not real in the Hermitian
+    # basis, so the grid must run it in complex arithmetic
+    bundle = GeneratorBundle(l_at=three_level.l_at, l_p=hamiltonian_lindbladian(three_level.h_p),
+                             l_r=three_level.data.l_r, lam=0.1, eta=0.04,
+                             omega=three_level.atom.pump_freq)
+    grid = evolution._step_grid(bundle)
+    assert np.iscomplexobj(grid.dev)
+    mono = propagator(bundle, 0.0, bundle.period, rtol=1e-13, atol=1e-15).matrix
+    assert np.max(np.abs(_grid_monodromy(grid) - mono)) <= 1e-11
 
 
 def test_cf4_is_fourth_order(two_level):
+    # M of N uniform CF4 steps, here in the standard (complex) basis
     bundle = two_level.make_bundle(0.3, 0.4)      # fast, strongly driven
-    t_end = 3.0
-    ref = evolve(bundle, _ground(2), t_end, output_grid=np.array([0.0, t_end]),
-                 rtol=1e-12, atol=1e-13)
+    ref = propagator(bundle, 0.0, bundle.period, rtol=1e-13, atol=1e-15).matrix
     errs = []
-    for n in (20, 40, 80):
-        tr = evolve(bundle, _ground(2), t_end, method="magnus-cf4", n_steps=n)
-        errs.append(np.linalg.norm(tr.states[-1] - ref.states[-1]))
+    for n in (64, 128, 256):
+        steps = evolution._cf4_steps(bundle.static_matrix, bundle.eta * bundle.l_p.matrix,
+                                     bundle.omega, bundle.period / n, n)
+        errs.append(np.linalg.norm(np.eye(4) + evolution._chain(steps) - ref))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 3.5), f"measured orders {orders}"
 
@@ -130,6 +153,16 @@ def test_positivity_breach_detected(two_level):
     assert exc.value.t > 0.0
 
 
+def test_step_grid_gives_up_past_its_cap(two_level):
+    # 1e4 L_R is too stiff for the unscaled Taylor series on every grid up
+    # to the cap: no exponential is taken, and the run stops cleanly
+    stiff = GeneratorBundle(l_at=two_level.l_at, l_p=two_level.pump.lindbladian,
+                            l_r=1e4 * two_level.data.l_r, lam=1.0, eta=0.0,
+                            omega=two_level.atom.pump_freq)
+    with pytest.raises(StepSizeUnderflowError):
+        evolve(stiff, _ground(2), 1.0)
+
+
 def test_evolve_input_validation(two_level):
     with pytest.raises(DimensionMismatchError):
         evolve(two_level.bundle, _ground(2), -1.0)
@@ -137,7 +170,7 @@ def test_evolve_input_validation(two_level):
         evolve(two_level.bundle, _ground(2), 1.0, method="rk99")
 
 
-METHODS = ("stroboscopic", "rk45", "magnus-cf4")
+METHODS = ("stroboscopic", "rk45")
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -151,8 +184,7 @@ METHODS = ("stroboscopic", "rk45", "magnus-cf4")
 ], ids=["past-end", "negative", "unsorted", "repeated", "empty", "2d"])
 def test_evolve_rejects_bad_grid(two_level, method, grid):
     with pytest.raises(DimensionMismatchError):
-        evolve(two_level.bundle, _ground(2), 1.0, output_grid=grid,
-               method=method, n_steps=4)
+        evolve(two_level.bundle, _ground(2), 1.0, output_grid=grid, method=method)
 
 
 # --------------------------------------------------------------------------
@@ -190,27 +222,35 @@ def test_stroboscopic_matches_rk45(three_level, case):
 
 def test_stroboscopic_cost_is_flat_in_t_end(three_level):
     bundle = three_level.bundle
-    evals = []
+    steps, evals = [], []
     for cycles in (20, 200):
         t_end = cycles * bundle.period
-        traj = evolve(bundle, _ground(3), t_end)
-        evals.append(traj.meta["rhs_evals"])
-    assert evals[0] == evals[1] > 0
-    rk = evolve(bundle, _ground(3), 20 * bundle.period, method="rk45")
-    assert rk.meta["rhs_evals"] > evals[0]
+        steps.append(evolve(bundle, _ground(3), t_end).meta["steps"])
+        evals.append(evolve(bundle, _ground(3), t_end, method="rk45").meta["rhs_evals"])
+    assert steps[0] == steps[1] > 0
+    assert evals[1] > 5 * evals[0]       # the cross-check's cost grows with t_end
 
 
-@pytest.mark.parametrize("block", [7, evolution._PHASE_BLOCK])
-def test_blocked_stroboscopic_walk_matches_per_point_loop(monkeypatch, three_level, block):
-    # reference: one interpolant call and one M^cycles v per output point
-    monkeypatch.setattr(evolution, "_PHASE_BLOCK", block)
+@pytest.mark.parametrize("per_period", [7, 64])
+def test_blocked_stroboscopic_walk_matches_per_point_loop(three_level, per_period):
+    # the batched walk (one Hermite call for all points) against a reference
+    # per output point in the standard basis: M^cycles v by repeated
+    # products, then the cubic Hermite formula on the grid's tau_k and its
+    # exact derivative L_t tau_k; 1201 points at about `per_period` points
+    # per period, spaced off the step grid (a partial last period), then
+    # five grid nodes
     bundle = three_level.make_bundle(0.1, 0.04)
     period = bundle.period
-    times = np.linspace(0.0, 700.0 * period, 1201)   # several blocks, a partial last one
+    grid = evolution._step_grid(bundle)
+    basis, h = grid.basis, grid.step
+    taus = basis @ (np.eye(9) + grid.dev) @ basis.conj().T
+    end = 1200.5 / per_period * period
+    times = np.concatenate([np.linspace(0.0, end, 1201),
+                            (np.floor(end / period) + 1.0) * period + h * np.arange(5)])
     v = vec(_ground(3))
-    rows, _ = evolution._stroboscopic(bundle, v, times, 1e-10, 1e-12)
-    sol = evolution._flow(bundle, 0.0, period, 1e-10, 1e-12, dense_output=True)
-    mono = sol.y[:, -1].reshape(9, 9)
+    rows, steps = evolution._stroboscopic(bundle, v, times)
+    assert steps == grid.steps
+    mono = taus[-1]
     cycles = np.floor(times / period)
     phases = np.clip(times - cycles * period, 0.0, period)
     done = 0
@@ -218,7 +258,13 @@ def test_blocked_stroboscopic_walk_matches_per_point_loop(monkeypatch, three_lev
         while done < c:
             v = mono @ v
             done += 1
-        assert np.max(np.abs(row - sol.sol(phase).reshape(9, 9) @ v)) <= 1e-15
+        k = min(int(phase / h), taus.shape[0] - 2)
+        s = phase / h - k
+        slope = [h * (bundle.static_matrix + bundle.eta * np.cos(bundle.omega * h * j)
+                      * bundle.l_p.matrix) @ taus[j] for j in (k, k + 1)]
+        tau = ((1 + 2 * s) * (1 - s) ** 2 * taus[k] + s * s * (3 - 2 * s) * taus[k + 1]
+               + s * (1 - s) ** 2 * slope[0] + s * s * (s - 1) * slope[1])
+        assert np.max(np.abs(row - tau @ v)) <= 1e-13
 
 
 def test_bundle_validation(two_level):

@@ -193,8 +193,8 @@ def test_lattice_spectrum_equals_dense_route(request, case, n):
     dense = floquet_spectrum(f_op)
     lattice = floquet_lattice(bundle, n)
     spec = floquet_spectrum(f_op, lattice)
-    # a zero gap reads ~1e-10 on the lattice (RK45 error), so the flag must
-    # come from the dense fallback
+    # a zero gap reads ~1e-14 on the lattice (CF4 roundoff), so the flag
+    # must come from the dense fallback
     assert spec.degenerate == dense.degenerate == (case == "dephased")
     assert spec.eigenvalues.size == dense.eigenvalues.size
     assert np.sum(spec.interior) == np.sum(dense.interior)
@@ -409,6 +409,15 @@ def test_kato_order_check_matches_independent_blocks(three_level):
     assert check["residual_at_lambda"] == independent[0]
     assert check["residual_at_half_lambda"] == independent[1]
     assert check["ratio"] == independent[1] / independent[0]
+
+
+def test_kato_order_check_reuses_the_callers_objects(three_level):
+    bundle, n = three_level.bundle, 8
+    given = kato_order_check(bundle, n, f_op=build_howland(bundle, n),
+                             lattice=floquet_lattice(bundle, n))
+    assert given == kato_order_check(bundle, n)
+    with pytest.raises(DimensionMismatchError):
+        kato_order_check(bundle, n, f_op=build_howland(bundle, n + 1))
 
 
 def test_kato_order_check_ratio_is_none_at_roundoff(two_level):

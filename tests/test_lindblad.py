@@ -174,6 +174,48 @@ def test_resolvent_oracle_first_order_convergence(two_level):
     assert 0.75 <= order <= 1.25
 
 
+def _quadpack_resolvent(ff, beta, eps_p, eps_reg):
+    """The QUADPACK route the numpy oracle replaced, kept as its oracle."""
+    from scipy import integrate
+
+    from pumped_lindblad.reservoir import _effective_beta, _gauss_cutoff, spectral_density
+
+    beta = _effective_beta(beta)
+    x_max = _gauss_cutoff(ff.min_decay) + beta / (2.0 * ff.min_decay) + abs(eps_p)
+
+    def f(p):
+        return spectral_density(ff, beta, p)
+
+    re_val, _ = integrate.quad(lambda p: f(p) * eps_reg / (eps_reg**2 + (eps_p + p) ** 2),
+                               -x_max, x_max, points=[-eps_p], limit=800,
+                               epsabs=1e-12, epsrel=1e-11)
+    im_val, _ = integrate.quad(lambda t: (f(t - eps_p) - f(-t - eps_p)) * t / (eps_reg**2 + t**2),
+                               0.0, x_max, points=[eps_reg, 10 * eps_reg], limit=800,
+                               epsabs=1e-12, epsrel=1e-11)
+    return re_val - 1j * im_val
+
+
+@pytest.mark.parametrize("eps_reg", [1e-2, 5e-3, 2.5e-3])   # the CLI's oracle ladder
+@pytest.mark.parametrize("case", ["two_level", "three_level"])
+def test_numpy_resolvent_matches_quadpack(request, case, eps_reg):
+    inst = request.getfixturevalue(case)
+    energies = inst.atom.energies
+    bohr = sorted({ej - ek for ej in energies for ek in energies})
+    for ff in inst.res.form_factors:
+        for eps_p in bohr:
+            want = _quadpack_resolvent(ff, inst.beta, eps_p, eps_reg)
+            got = lindblad._scalar_resolvent(ff, inst.beta, eps_p, eps_reg)
+            assert abs(got - want) <= 1e-11 * abs(want), (eps_p, got, want)
+
+
+def test_resolvent_refinement_cap_raises(monkeypatch, two_level):
+    from pumped_lindblad import QuadratureNonConvergenceError, reservoir
+
+    monkeypatch.setattr(reservoir, "_GL_MAX_OPEN", 2)
+    with pytest.raises(QuadratureNonConvergenceError, match="refinement cap"):
+        resolvent_oracle(two_level.atom, two_level.res, 2.5e-3)
+
+
 # --------------------------------------------------------------------------
 # coupling-family validation and the raw-GKS route
 # --------------------------------------------------------------------------

@@ -351,6 +351,54 @@ def test_strip_analyticity_rejects_bad_halfwidth():
 # principal-value coefficients: two independent rules
 # --------------------------------------------------------------------------
 
+def _quadpack_pv(ff, beta, eps):
+    """QUADPACK's Cauchy-weight PV on the cutoff interval (the old rule A)."""
+    x_max = _gauss_cutoff(ff.min_decay) + beta / (2.0 * ff.min_decay) + abs(eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, _ = integrate.quad(lambda x: spectral_density(ff, beta, x + eps), -x_max, x_max,
+                                weight="cauchy", wvar=0.0, limit=400, epsabs=1e-12,
+                                epsrel=1e-11)
+    return val
+
+
+@pytest.mark.parametrize("ff, beta, energies", [
+    (FormFactor(((1.0, 1, 1.0),)), 1.0, (0.0, 1.0)),                          # two_level
+    (FormFactor(((1.0, 1, 1.0),)), 2.0, (0.0, 0.9, 2.1)),                     # three_level
+    (FormFactor(((1.0, 2, 1.0), (-0.75, 1, 1.0))), 2.0, (0.0, 0.9, 2.1)),
+    (FormFactor(((1.0 + 0.4j, 1, 1.0), (0.5 - 0.3j, 2, 0.7))), 2.0, (0.0, 0.9, 2.1)),
+], ids=["two_level", "three_level-f1", "three_level-f2", "complex-weights"])
+def test_contour_rule_matches_quadpack_cauchy_weight(ff, beta, energies):
+    # every Bohr frequency of the config, both signs; measured <= 1e-14
+    bohr = sorted({ek - ej for ej in energies for ek in energies if ek != ej})
+    for eps in bohr:
+        want = _quadpack_pv(ff, beta, eps)
+        got = reservoir._pv_contour(ff, beta, eps)
+        assert abs(got - want) <= 1e-11 * abs(want), (eps, got, want)
+        assert pv_coefficient(ff, beta, eps) == got
+
+
+def test_logistic_keeps_relative_accuracy_in_both_tails():
+    # 0.5 (1 + tanh(x/2)) would read 0 at x = -40; the density at a large
+    # negative argument must keep the scipy value's relative accuracy
+    x = np.linspace(-700.0, 700.0, 14001)
+    assert np.max(np.abs(reservoir._logistic(x) - expit(x)) / expit(x)) <= 1e-15
+    ff = FormFactor(((1.0, 1, 1.0),))
+    xs = np.linspace(-6.0, 6.0, 25)
+    want = 4.0 * np.pi * np.abs(xs * ff(xs)) ** 2 * expit(30.0 * xs)
+    assert np.all(np.abs(spectral_density(ff, 30.0, xs) - want) <= 1e-15 * want)
+
+
+def test_simpson_crosscheck_equals_scipy_simpson(three_level):
+    for ff in three_level.res.form_factors:
+        rep = check_strip_analyticity(ff, three_level.beta, 0.1, n_lines=3)
+        ref = dict(rep.lines)[0.0]
+        x_max = _line_cutoff(ff, three_level.beta, 0.0)
+        grid = np.linspace(-x_max, x_max, 4097)
+        want = integrate.simpson(_line_integrand(ff, three_level.beta, 0.0)(grid), x=grid)
+        assert abs(rep.crosscheck_rel_err - abs(want - ref) / ref) <= 1e-14
+
+
 def test_pv_regression_pinned_value():
     # Frozen after the first two-rule-agreed computation; guards the
     # principal-part convention against silent changes.
