@@ -13,8 +13,8 @@ x_p^H F = i p omega x_p^H, which pins the resonance structure; everything
 else hangs off those points with a spectral gap of order lambda^2.  The
 adjoint F^H (the Heisenberg picture, whose spectrum is the complex
 conjugate) is never assembled: the spectrum report applies the left
-eigenvector claim to F itself, and the Kato probe runs the adjoint blocks
-inside the block-Thomas kernel.
+eigenvector claim to F itself, and the Kato probe takes Q0^H P = (P^H Q0)^H
+from the block-Thomas kernel's left side, on its right side's pivots.
 
 The CLI spectrum is the lattice mu_j + i omega m of the d^2 x d^2
 one-period propagator, which comes from the CF4 step grid of `evolution`
@@ -27,9 +27,9 @@ projections by contour quadrature, first-order perturbation blocks and
 the pair-of-projections similarity.
 
 Every contour sum goes through one kernel, block-Thomas elimination of
-z - F with a block of right-hand sides (:func:`_resolvent_apply`); no
-(n s) x (n s) matrix is ever factored.  The dense Riesz projection is that
-sum applied to the identity.  The perturbation block never forms an
+z - F with right-hand columns and/or left-hand rows on one inverse per
+block pivot (:func:`_resolvent_apply`); no (n s) x (n s) matrix is ever
+factored.  The dense Riesz projection is that sum applied to the identity.  The perturbation block never forms an
 (n s) x (n s) matrix at all: P0 of the free operator is exact (one
 Hermitian eigensolve of its d^2 x d^2 block), and P is probed on
 Range(P0) with rank P0 right-hand sides (Kato's pairs of projections; the
@@ -37,6 +37,7 @@ thin contour-integral pattern of Beyn, Lin. Alg. Appl. 436, 3839 (2012));
 every norm is taken on a 2r x 2r core.
 """
 
+import random
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -231,8 +232,9 @@ def howland_match(f_op, mu, k):
     f_op = _require_howland(f_op)
     # the 1e-12 offset keeps a shift at an eigenvalue of a decoupled block off a zero pivot
     shifts = mu + 1j * f_op.omega * k + 1e-12
-    rhs = np.random.default_rng(0).standard_normal((f_op.matrix.shape[0], 2)) @ [1.0, 1j]
-    x = _resolvent_apply(f_op, shifts, np.eye(shifts.size), rhs[:, None])[..., 0]
+    draw = random.Random(0)
+    rhs = np.array([[complex(draw.gauss(0.0, 1.0), draw.gauss(0.0, 1.0))] for _ in f_op.matrix])
+    x = _resolvent_apply(f_op, shifts, np.eye(shifts.size), rhs)[0][..., 0]
     mu_h = np.sum(x.conj() * (x @ f_op.matrix.T), axis=1) / np.sum(np.abs(x) ** 2, axis=1)
     period = 2.0 * np.pi / f_op.omega
     return float(np.max(np.abs(np.exp(period * mu) - np.exp(period * mu_h))))
@@ -263,70 +265,67 @@ def _require_howland(f_op):
     return f_op
 
 
-def _howland_blocks(f_op, adjoint=False):
-    """Mode shifts i omega k, diagonal block B and coupling H of F (or of F^H)."""
-    shifts = 1j * f_op.omega * np.arange(-f_op.n_modes, f_op.n_modes + 1)
-    if adjoint:
-        return shifts.conj(), f_op.base.conj().T, f_op.coupling.conj().T
-    return shifts, f_op.base, f_op.coupling
-
-
-def _diagonal_blocks(z, shifts, base):
-    """D_k = (z - shift_k) - B for a batch of nodes: shape (nodes, modes, s, s)."""
-    eye = np.eye(base.shape[0], dtype=complex)
-    return (z[:, None] - shifts)[:, :, None, None] * eye - base
-
-
-def _resolvent_apply(f_op, nodes, weights, rhs, adjoint=False):
-    """sum_j weights[..., j] (nodes[j] - F)^{-1} rhs by block-Thomas solves.
+def _resolvent_apply(f_op, nodes, weights, rhs=None, lhs=None):
+    """(sum_j w_j (z_j - F)^{-1} rhs, sum_j w_j lhs (z_j - F)^{-1}) by block-Thomas.
 
     z - F has diagonal blocks D_k = (z - i omega k) - B and every
-    off-diagonal block equal to -H.  `rhs` has n s rows and r columns.
-    Forward elimination runs on the left Schur complements
-
-        L_k = D_k - H L_{k-1}^{-1} H,    u_k = L_k^{-1} (rhs_k + H u_{k-1}),
-
-    and back substitution gives X_k = u_k + (L_k^{-1} H) X_{k+1}, batched
-    over a chunk of nodes.  Leading axes of `weights` stack several rules
-    over the same nodes at no extra solve.  With `adjoint` the blocks of
-    F^H are used and the nodes and weights are conjugated, which returns
-    (sum_j w_j rhs^H (z_j - F)^{-1})^H.  Cost is O(M n s^2 (s + r)) for M
-    nodes, n modes and block size s, against O(M (n s)^3) for dense
-    solves; nothing wider than one block is ever factored.  A singular
-    block pivot raises ContourHitsSpectrum.
+    off-diagonal block -H; `rhs` has n s rows, `lhs` n s columns, and a side
+    not given comes back as None.  Each left Schur complement
+    L_k = D_k - H L_{k-1}^{-1} H is inverted once per node (one batched inv
+    per mode over a chunk of nodes), and that inverse serves both sides:
+    u_k = L_k^{-1} (rhs_k + H u_{k-1}), X_k = u_k + (L_k^{-1} H) X_{k+1};
+    the transposed system (z - F)^T Y^T = lhs^T has pivots L_k^T, so
+    v_k = L_k^{-T} (lhs_k^T + H^T v_{k-1}), Y_k^T = v_k + (H L_k^{-1})^T Y_{k+1}^T.
+    With lhs = Q^H, Y^H is the adjoint sum over z-bar - F^H (pivots L_k^H).
+    Leading axes of `weights` stack rules over the same nodes at no extra
+    solve.  Cost is O(M n s^2 (s + r)) for M nodes, n modes, block size s
+    and r columns (O(M (n s)^3) dense); a singular pivot raises ContourHitsSpectrum.
     """
     n, s = 2 * f_op.n_modes + 1, f_op.block_size
-    shifts, base, h = _howland_blocks(f_op, adjoint)
+    shifts = 1j * f_op.omega * np.arange(-f_op.n_modes, f_op.n_modes + 1)
+    h = f_op.coupling
     nodes = np.asarray(nodes, dtype=complex)
     weights = np.asarray(weights, dtype=complex)
-    if adjoint:
-        nodes, weights = nodes.conj(), weights.conj()
-    rhs = np.asarray(rhs, dtype=complex).reshape(n, s, -1)
-    # u_k (and u_{-1} = 0, read at k = 0) vanishes in each column that is zero
-    # in row blocks 0..k, so block k solves columns [0, width[k]) only
-    started = np.logical_or.accumulate(np.any(rhs != 0, axis=1), axis=0)
-    width = [int(np.flatnonzero(row).max(initial=-1)) + 1 for row in started]
-    acc = np.zeros(weights.shape[:-1] + rhs.shape, dtype=complex)
+    sides = []                          # (blocks (n, s, r), coupling, transposed, widths)
+    for b, hc, transposed in ((rhs, h, False), (lhs, h.T, True)):
+        if b is not None:
+            b = np.asarray(np.transpose(b) if transposed else b, dtype=complex).reshape(n, s, -1)
+            # u_k vanishes in each column that is zero in row blocks 0..k, so
+            # block k works on columns [0, width[k]) only
+            started = np.logical_or.accumulate(np.any(b != 0, axis=1), axis=0)
+            sides.append((b, hc, transposed,
+                          [int(np.flatnonzero(row).max(initial=-1)) + 1 for row in started]))
+    acc = [np.zeros(weights.shape[:-1] + b.shape, dtype=complex) for b, *_ in sides]
+    eye = np.eye(s, dtype=complex)
     for start in range(0, nodes.size, _NODE_CHUNK):
         z = nodes[start:start + _NODE_CHUNK]
-        d = _diagonal_blocks(z, shifts, base)
-        hb = np.broadcast_to(h, z.shape + h.shape)   # one H per node
-        x = np.empty_like(d[:, 1:])                  # L_k^{-1} H
-        u = np.zeros(z.shape + rhs.shape, dtype=complex)
+        p = [np.empty((n, z.size, s, s), dtype=complex) for _ in sides]   # back-substitution factors
+        u = [np.zeros((z.size, n) + b.shape[1:], dtype=complex) for b, *_ in sides]
+        schur = 0.0
         try:
-            left = d[:, 0]
-            for k, c in enumerate(width):
-                if k:
-                    x[:, k - 1] = np.linalg.solve(left, hb)
-                    left = d[:, k] - h @ x[:, k - 1]
-                u[:, k, :, :c] = np.linalg.solve(left, rhs[k, :, :c] + h @ u[:, k - 1, :, :c])
+            for k in range(n):
+                # z - i omega k first: where a shift sits on a lattice copy it
+                # cancels exactly, which keeps a near-singular pivot accurate
+                pivot = (z - shifts[k])[:, None, None] * eye - f_op.base - schur
+                inv = np.linalg.inv(pivot)
+                for (b, hc, transposed, width), pk, uk in zip(sides, p, u):
+                    inv_k = inv.swapaxes(-1, -2) if transposed else inv
+                    c = width[k]
+                    if c:
+                        t = b[k, :, :c] + hc @ uk[:, k - 1, :, :c] if k else b[k, :, :c]
+                        uk[:, k, :, :c] = inv_k @ t
+                    np.matmul(inv_k, hc, out=pk[k])
+                schur = h @ (p[0][k] if rhs is not None else inv @ h)   # H L_k^{-1} H
         except np.linalg.LinAlgError as exc:
             raise ContourHitsSpectrumError(
                 f"singular block pivot on the contour: {exc}") from None
-        for k in range(n - 2, -1, -1):
-            u[:, k] += x[:, k] @ u[:, k + 1]
-        acc += np.tensordot(weights[..., start:start + _NODE_CHUNK], u, axes=1)
-    return acc.reshape(weights.shape[:-1] + (n * s, rhs.shape[-1]))
+        for pk, uk, total in zip(p, u, acc):
+            for k in range(n - 2, -1, -1):
+                uk[:, k] += pk[k] @ uk[:, k + 1]
+            total += np.tensordot(weights[..., start:start + z.size], uk, axes=1)
+    out = iter(a.reshape(weights.shape[:-1] + (n * s, -1)) for a in acc)
+    return (None if rhs is None else next(out),
+            None if lhs is None else np.swapaxes(next(out), -1, -2))
 
 
 def _contour_radius(eigenvalues, center, radius=None):
@@ -365,7 +364,7 @@ def riesz_projection(f_op, center, radius=None, m_points=64):
     radius, _ = _contour_radius(np.linalg.eigvals(f_op.matrix), center, radius)
     phases = np.exp(2j * np.pi * (np.arange(m_points) + 0.5) / m_points)
     eye = np.eye(f_op.matrix.shape[0], dtype=complex)
-    p = _resolvent_apply(f_op, center + radius * phases, radius * phases, eye) / m_points
+    p = _resolvent_apply(f_op, center + radius * phases, radius * phases, eye)[0] / m_points
     defect = float(np.linalg.norm(p @ p - p, 2))
     if defect > 1e-6:
         raise IdempotencyFailureError(f"projection defect {defect:.3e} at M={m_points}")
@@ -430,7 +429,7 @@ def _free_basis(f0_op, center, radius=None):
         raise GeneratorStructureError(
             "F0 must be block diagonal with skew-Hermitian blocks (lambda = eta = 0)")
     mu, vecs = np.linalg.eigh(1j * b0)                    # B0 v = -i mu v
-    shifts, _, _ = _howland_blocks(f0_op)
+    shifts = 1j * f0_op.omega * np.arange(-f0_op.n_modes, f0_op.n_modes + 1)
     eigs = shifts[:, None] - 1j * mu                      # (modes, s), row order of F0
     radius, _ = _contour_radius(eigs.ravel(), center, radius)
     modes, cols = np.nonzero(np.abs(eigs - center) < radius)
@@ -455,7 +454,9 @@ def kato_block(f_op, f0_op, center, radius=None, m_points=64, eigenvalues=None):
     (:func:`_free_basis`), and P is probed on Range(P0): by Kato's pair of
     projections, P maps Range(P0) onto Range(P) while ||(P - P0)^2|| < 1,
     so with X = P Q0, Y = Q0^H P and K = Q0^H X, P = X K^{-1} Y.  X and Y
-    are contour sums of block-Thomas solves (:func:`_resolvent_apply`).
+    are the two sides of one block-Thomas contour sum
+    (:func:`_resolvent_apply` with rhs Q0 and lhs Q0^H), so each pivot is
+    factored once per node for both.
     The residual, the pair separation and the idempotency defect are
     2-norms of 2r x 2r cores of the thin QRs of [X, Q0] and [Y^H, Q0].
     The thin form cannot see quadrature error off Range(P0), so X and Y are
@@ -482,15 +483,13 @@ def kato_block(f_op, f0_op, center, radius=None, m_points=64, eigenvalues=None):
     w = radius * phases / m_points
     rules = np.stack([w, np.where(np.arange(m_points) % 2, 0.0, 2.0 * w)])
     nodes = center + radius * phases
-    x, x_half = _resolvent_apply(f_op, nodes, rules, q0)               # P Q0
-    yh, yh_half = _resolvent_apply(f_op, nodes, rules, q0, adjoint=True)  # P^H Q0
+    (x, x_half), (y, y_half) = _resolvent_apply(f_op, nodes, rules, q0, q0.conj().T)
     gap = max((np.linalg.norm(full - half) / np.linalg.norm(full) if r else 0.0)
-              for full, half in ((x, x_half), (yh, yh_half)))
+              for full, half in ((x, x_half), (y, y_half)))
     if gap > 1e-6:
         raise IdempotencyFailureError(
             f"M={m_points} and M/2 node probes differ by {gap:.3e}")
 
-    y = yh.conj().T                                      # Q0^H P
     k = q0.conj().T @ x                                  # Q0^H P Q0
     try:
         k_inv = np.linalg.inv(k)
@@ -504,7 +503,7 @@ def kato_block(f_op, f0_op, center, radius=None, m_points=64, eigenvalues=None):
     # P - P0 = [X, Q0] diag(K^{-1}, -1) [Y; Q0^H]: every norm is that of a
     # 2r x 2r core between the triangular factors of [X, Q0] and [Y^H, Q0].
     qa, ra = np.linalg.qr(np.hstack([x, q0]))
-    qb, rb = np.linalg.qr(np.hstack([yh, q0]))
+    qb, rb = np.linalg.qr(np.hstack([y.conj().T, q0]))
     eye = np.eye(r, dtype=complex)
     zero = np.zeros((r, r), dtype=complex)
 

@@ -35,6 +35,7 @@ breakpoints at the kernel's centre and scales), so the oracle shares
 nothing with the contour rule of the PV coefficients.
 """
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -341,9 +342,9 @@ def _block_structure_check(jumps, basis, seed=0):
     cluster); otherwise the eigenspaces of S are invariant under every
     jump, which is verified directly.
     """
-    rng = np.random.default_rng(seed)
+    draw = random.Random(seed)
     d = basis[0].shape[0]
-    coeff = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    coeff = [complex(draw.gauss(0.0, 1.0), draw.gauss(0.0, 1.0)) for _ in basis]
     s_raw = sum(c * b for c, b in zip(coeff, basis))
     s = 0.5 * (s_raw + s_raw.conj().T)
     in_comm = max(

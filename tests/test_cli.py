@@ -176,7 +176,8 @@ try:
     main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(code, any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
+print(code, any(m == "scipy" or m.startswith("scipy.") for m in sys.modules),
+      "numpy.random" in sys.modules)
 """
 
 
@@ -184,7 +185,8 @@ print(code, any(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
                                   ["oracle"]], ids=lambda a: "-".join(a))
 def test_subcommands_never_import_scipy(tmp_path, args):
     # a fresh interpreter: the CLI path is numpy only (scipy is left to the
-    # cross-checks that no subcommand runs)
+    # cross-checks that no subcommand runs), and its seeded draws come from
+    # the stdlib, so numpy.random stays unloaded too
     import os
     import subprocess
     import sys
@@ -196,7 +198,7 @@ def test_subcommands_never_import_scipy(tmp_path, args):
         [sys.executable, "-c", _SCIPY_PROBE, *args, str(CONFIG_DIR / "three_level.json"),
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=300)
-    assert proc.stdout.split() == ["0", "False"], proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["0", "False", "False"], proc.stdout + proc.stderr
 
 
 # --------------------------------------------------------------------------

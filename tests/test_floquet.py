@@ -18,8 +18,8 @@ under test:
   under lambda -> lambda/2 (eta proportional to lambda^2);
 * the contour resolvent sum built by block-Thomas elimination equals the
   dense one, for the identity and for a few right-hand sides, of F and
-  (through the adjoint mode of the kernel) of F^H, and factors nothing
-  wider than one block;
+  (through the left side of the kernel) of F^H, gives both sides from one
+  inverse per block pivot, and factors nothing wider than one block;
 * contour-integral Riesz projections agree with eigensolver projections,
   and the compressed block P F P matches its first-order model
   center P0 + P0 (F - F0) P0 with a residual falling like lambda^4
@@ -303,8 +303,8 @@ def _contour(center, radius, m_points=64):
 @pytest.mark.parametrize("at_omega", [False, True])
 def test_structured_resolvent_sum_equals_dense(three_level, n_modes, picture, eta,
                                                at_omega):
-    # the heisenberg picture is F^H, reached through the adjoint mode of the
-    # kernel, which returns (sum_j w_j (z_j - F)^{-1})^H for the identity
+    # the heisenberg picture is F^H: sum_j conj(w_j) (conj(z_j) - F^H)^{-1} is
+    # (sum_j w_j (z_j - F)^{-1})^H, the kernel's left side for the identity
     heisenberg = picture == "heisenberg"
     bundle = three_level.make_bundle(0.1, eta)
     f_op = build_howland(bundle, n_modes)
@@ -321,7 +321,9 @@ def test_structured_resolvent_sum_equals_dense(three_level, n_modes, picture, et
                     for zj, wj in zip(nodes, weights))
         if heisenberg:
             dense = dense.conj().T
-        got = _resolvent_apply(f_op, nodes, weights, eye, adjoint=heisenberg)
+            got = _resolvent_apply(f_op, nodes, weights, lhs=eye)[1].conj().T
+        else:
+            got = _resolvent_apply(f_op, nodes, weights, eye)[0]
         assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
@@ -333,13 +335,58 @@ def test_block_thomas_apply_equals_dense(three_level, adjoint):
     # 17 nodes end in a partial chunk; two stacked rules share the solves
     nodes, w = _contour(0.0, 0.3, 17)
     rules = np.stack([w, np.where(np.arange(17) % 2, 0.0, 2.0 * w)])
-    got = _resolvent_apply(f_op, nodes, rules, rhs, adjoint=adjoint)
+    # the adjoint sum (sum_j w_j rhs^H (z_j - F)^{-1})^H from the left side
+    if adjoint:
+        got = _resolvent_apply(f_op, nodes, rules, lhs=rhs.conj().T)[1].conj().swapaxes(-1, -2)
+    else:
+        got = _resolvent_apply(f_op, nodes, rules, rhs)[0]
     eye = np.eye(f_op.matrix.shape[0])
     for rule, thin in zip(rules, got):
         dense = sum(wj * np.linalg.solve(zj * eye - f_op.matrix, eye)
                     for zj, wj in zip(nodes, rule))
         want = (rhs.conj().T @ dense).conj().T if adjoint else dense @ rhs
         assert np.linalg.norm(thin - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_one_call_gives_both_sides_on_a_centre_block(three_level):
+    # rows only on the centre block, like Q0, so both sides skip the zero
+    # columns below it; 17 nodes end in a partial chunk, two rules share it
+    f_op = build_howland(three_level.bundle, 4)
+    s, n = f_op.block_size, f_op.matrix.shape[0]
+    rng = np.random.default_rng(62)
+    centre = slice(4 * s, 5 * s)
+    rhs = np.zeros((n, 3), dtype=complex)
+    rhs[centre] = rng.standard_normal((s, 3)) + 1j * rng.standard_normal((s, 3))
+    lhs = np.zeros((2, n), dtype=complex)
+    lhs[:, centre] = rng.standard_normal((2, s)) + 1j * rng.standard_normal((2, s))
+    nodes, w = _contour(0.0, 0.3, 17)
+    rules = np.stack([w, np.where(np.arange(17) % 2, 0.0, 2.0 * w)])
+    right, left = _resolvent_apply(f_op, nodes, rules, rhs, lhs)
+    eye = np.eye(n)
+    for rule, x, y in zip(rules, right, left):
+        dense = sum(wj * np.linalg.solve(zj * eye - f_op.matrix, eye)
+                    for zj, wj in zip(nodes, rule))
+        assert np.linalg.norm(x - dense @ rhs) <= 1e-12 * np.linalg.norm(dense @ rhs)
+        assert np.linalg.norm(y - lhs @ dense) <= 1e-12 * np.linalg.norm(lhs @ dense)
+
+
+@pytest.mark.parametrize("side", ["rhs", "lhs"])
+def test_one_sided_identity_sum_holds_one_forward_stack(three_level, side):
+    # the identity is the widest input (riesz_projection): one 16-node chunk
+    # of forward vectors is the working set, and a one-sided call (the
+    # heisenberg tests use the left side alone) must not hold a second one
+    import tracemalloc
+
+    f_op = build_howland(three_level.bundle, 8)
+    eye = np.eye(f_op.matrix.shape[0], dtype=complex)
+    nodes, weights = _contour(0.0, 0.3, 16)
+    tracemalloc.start()
+    try:
+        _resolvent_apply(f_op, nodes, weights, **{side: eye})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 16 * eye.nbytes
 
 
 def test_riesz_projection_factors_only_blocks(three_level, monkeypatch):
@@ -517,6 +564,25 @@ def test_kato_order_check_factors_only_small_matrices(three_level, monkeypatch):
     widest = max(a.shape[-1] for _, a in calls if a.shape[-1] == a.shape[-2])
     assert widest <= max(d2, 2 * rank)
     assert 0.06 <= check["ratio"] <= 0.065
+
+
+def test_kato_order_check_factors_each_pivot_once(three_level, monkeypatch):
+    calls = {"solve": [], "inv": []}
+    for name, shapes in calls.items():
+        original = getattr(np.linalg, name)
+
+        def recording(a, *args, _shapes=shapes, _original=original, **kwargs):
+            _shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    kato_order_check(three_level.bundle, 8, m_points=64)
+    # two rungs x four 16-node chunks x 17 modes: X and Y share every pivot
+    # inverse; the only other inverses are the two rank-5 K
+    assert calls["inv"].count((16, 9, 9)) == 2 * 4 * 17
+    assert sorted(set(calls["inv"])) == [(5, 5), (16, 9, 9)]
+    assert calls["inv"].count((5, 5)) == 2
+    assert calls["solve"] == []
 
 
 # --------------------------------------------------------------------------
