@@ -27,16 +27,25 @@ is a one-line change there.
 
 For real weights w_i the glued g extends to a single analytic function
 
-    g(z) = sum_i w_i z^{2 p_i} e^{-C_i z^2} (1 + e^{-beta z})^{-1/2}
+    g(z) = P(z) (1 + e^{-beta z})^{-1/2},   P(z) = sum_i w_i z^{2 p_i} e^{-C_i z^2},
 
 on the strip |Im z| < pi/beta (the square root stays on its principal
-branch there); this is what the strip-integrability check samples.  Each
-horizontal line is integrated by an adaptive composite 20-node
-Gauss-Legendre rule (panel against its two halves, 1e-12 relative
-tolerance) that evaluates the vectorized integrand on all open panels of
-a level at once; a fixed composite Simpson grid on the line y = 0 is its
-independent cross-check.  The same adaptive rule serves the resolvent
-oracle's real-axis integrals.
+branch there); :func:`glued_g_continued` evaluates this definition.  The
+strip-integrability check samples (|g(z)| + |e^{-beta z/2} g#(z)|)^2 on
+horizontal lines z = x + iy, and only moduli enter it, so its integrand
+takes one |P(z)| per node and two Fermi moduli from real exponentials:
+
+    |g(z)|                = |P(z)| |1 + e^{-beta z}|^{-1/2},
+    |e^{-beta z/2} g#(z)| = e^{-beta x/2} |P(z)| |1 + e^{beta z}|^{-1/2},
+    |1 + e^{-+beta z}|    = hypot(1 + e^{-+beta x} cos(beta y), e^{-+beta x} sin(beta y)),
+    |P(z)|                = e^{-C0 (x^2 - y^2)} |sum_i w_i (z^2)^{p_i} e^{-(C_i - C0) z^2}|,
+
+with C0 = min C_i (see :func:`_line_integrand`).  Each horizontal line is
+integrated by an adaptive composite 20-node Gauss-Legendre rule (panel
+against its two halves, 1e-12 relative tolerance) that evaluates the
+vectorized integrand on all open panels of a level at once; a fixed
+composite Simpson grid on the line y = 0 is its independent cross-check.
+The same adaptive rule serves the resolvent oracle's real-axis integrals.
 
 The PV coefficient has two rules.  Rule A is a trapezoid sum on a line
 below the real axis (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)):
@@ -263,12 +272,6 @@ def glued_g_continued(ff, beta, z):
     return out if out.shape else complex(out)
 
 
-def _g_sharp_continued(ff, beta, z):
-    """g#(z) = i * conj(g(-conj(z))) — antiholomorphic reflection of g."""
-    z = np.asarray(z, dtype=complex)
-    return 1j * np.conj(glued_g_continued(ff, beta, -np.conj(z)))
-
-
 def spectral_density(ff, beta, x):
     """Thermal density f^(beta)(x) = 4 pi |x f(|x|)|^2 / (1 + e^{-beta x})."""
     beta = _effective_beta(beta)
@@ -313,12 +316,48 @@ class AnalyticityReport:
 
 
 def _line_integrand(ff, beta, y):
+    """x -> (|g(z)| + |e^{-beta z/2} g#(z)|)^2 on the line z = x + iy, in real arithmetic.
+
+    With P(z) = sum w z^{2p} e^{-C z^2}, its weights conjugated where x < 0
+    (the branch rule of :func:`glued_g_continued`), and g#(z) = i conj(g(-conj z)),
+
+        |g(z)|                = |P(z)| |1 + e^{-beta z}|^{-1/2},
+        |e^{-beta z/2} g#(z)| = e^{-beta x/2} |P(-conj z)| |1 + e^{beta z}|^{-1/2},
+
+    and |P(-conj z)| = |P(z)|: off x = 0 both take the same weights, and at
+    x = 0, where g# takes the conjugate ones, z^2 = -y^2 is real, so the two
+    sums are complex conjugates.  The Fermi moduli and |P(z)| come from the
+    real forms in the module docstring, integer powers by multiplication, so
+    a family with one decay takes no complex exp, sqrt or pow.  e^{-beta x/2}
+    stays a separate factor: where it overflows and |P| underflows (a cold
+    reservoir) the product is nan, and the line reads inf.
+    """
+    c0 = ff.min_decay
+    p_max = max(p for (_, p, _) in ff.terms)
+    cos_by, sin_by = math.cos(beta * y), math.sin(beta * y)
+    branch = not ff.is_real
+
     def h(x):
+        x = np.asarray(x, dtype=float)
         z = x + 1j * y
-        with np.errstate(over="ignore", invalid="ignore"):   # non-finite reads as inf
-            a = np.abs(glued_g_continued(ff, beta, z))
-            b = np.abs(np.exp(-beta * z / 2.0) * _g_sharp_continued(ff, beta, z))
-            return (a + b) ** 2
+        s = z * z
+        powers = [s]                      # s^p for p = 1 .. p_max, by multiplication
+        for _ in range(p_max - 1):
+            powers.append(powers[-1] * s)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            total = 0.0
+            for (w, p, c) in ff.terms:
+                weight = np.where(x < 0, w.conjugate(), w) if branch else w.real
+                term = weight * powers[p - 1]
+                total = total + (term if c == c0 else term * np.exp(-(c - c0) * s))
+            modulus = np.abs(total) * np.exp(-c0 * s.real)
+            half = np.exp(-0.5 * beta * x)              # e^{-beta x/2}
+            down = half * half                          # e^{-beta x}
+            up = 1.0 / down                             # e^{beta x}
+            fermi_g = np.hypot(1.0 + down * cos_by, down * sin_by)
+            fermi_gs = np.hypot(1.0 + up * cos_by, up * sin_by)
+            # non-finite (inf, or inf * 0 where half overflows) reads as inf
+            return (modulus * (1.0 / np.sqrt(fermi_g) + half / np.sqrt(fermi_gs))) ** 2
     return h
 
 

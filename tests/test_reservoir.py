@@ -306,6 +306,96 @@ def test_gauss_legendre_ladder_matches_quad_route(monkeypatch, beta):
                         assert abs(val - want) <= 1e-9 * want
 
 
+def _literal_line_integrand(ff, beta, y):
+    """The strip integrand straight from its definition, in complex arithmetic:
+    (|g(z)| + |e^{-beta z/2} g#(z)|)^2 with g#(z) = i conj(g(-conj z))."""
+    def h(x):
+        z = x + 1j * y
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = np.abs(glued_g_continued(ff, beta, z))
+            g_sharp = 1j * np.conj(glued_g_continued(ff, beta, -np.conj(z)))
+            b = np.abs(np.exp(-beta * z / 2.0) * g_sharp)
+            return (a + b) ** 2
+    return h
+
+
+COMPLEX_TWO_DECAY = (FormFactor(((1.0 + 0.5j, 1, 1.0), (0.3, 2, 2.0))),)
+COLD_FAMILY = (FormFactor(((2.0, 3, 0.2),)),)
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.0, 2.0, 6.159, 12.0])
+def test_line_integrand_matches_literal_definition(beta):
+    # measured <= 8e-14, next to the real zero x^2 = 3/4 of the two-term
+    # form factor, where both forms cancel; the grid holds x = 0 exactly
+    for family in STRIP_FAMILIES + (COMPLEX_TWO_DECAY,):
+        for ff in family:
+            for y in (0.0, 0.2, -0.2, 0.5, 1.05 * np.pi / beta):
+                x_max = _line_cutoff(ff, beta, y)
+                x = np.linspace(-x_max, x_max, 2001)
+                assert x[1000] == 0.0
+                got = _line_integrand(ff, beta, y)(x)
+                want = _literal_line_integrand(ff, beta, y)(x)
+                assert np.array_equal(np.isfinite(got), np.isfinite(want))
+                keep = np.isfinite(want) & (want > 1e-300)
+                rel = np.abs(got[keep] - want[keep]) / want[keep]
+                assert np.max(rel) <= 1e-12, (ff.terms, beta, y)
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.0, 2.0, 6.159, 12.0, 30.0])
+def test_strip_ladder_matches_literal_integrand(monkeypatch, beta):
+    # Finite lines measured <= 6e-16 apart.  At beta = 30 a node of the
+    # literal form can stay finite (2e248 at x = -47.33, y = 0.05) where
+    # e^{-beta x/2} overflows in the real form; those lines read inf in both.
+    cap = 0.98 * np.pi / beta
+    radii = ([r for r in (0.05, 0.1, 0.2, 0.4, 0.5) if r < cap]
+             + [cap * (1.0 - 1e-9), 1.05 * np.pi / beta])
+    for family in STRIP_FAMILIES + (COMPLEX_TWO_DECAY, COLD_FAMILY):
+        rungs = strip_analyticity_ladder(family, beta, radii, n_lines=5)
+        with monkeypatch.context() as m:
+            m.setattr(reservoir, "_line_integrand", _literal_line_integrand)
+            oracle = strip_analyticity_ladder(family, beta, radii, n_lines=5)
+        assert len(rungs) == len(oracle)                   # same stop rung
+        for reports, expected in zip(rungs, oracle):
+            for rep, ref in zip(reports, expected):
+                assert rep.verdict == ref.verdict
+                assert [y for y, _ in rep.lines] == [y for y, _ in ref.lines]
+                for (_, val), (_, want) in zip(rep.lines, ref.lines):
+                    if np.isinf(want):
+                        assert val == np.inf
+                    else:
+                        assert abs(val - want) <= 1e-12 * want
+
+
+class _ExpSqrtRecorder:
+    """numpy, except that exp and sqrt record the dtype of their argument."""
+
+    def __init__(self):
+        self.dtypes = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in ("exp", "sqrt"):
+            return attr
+
+        def recorded(arg, *args, **kwargs):
+            self.dtypes.append((name, np.asarray(arg).dtype))
+            return attr(arg, *args, **kwargs)
+        return recorded
+
+
+def test_strip_ladder_takes_no_complex_exp_or_sqrt(monkeypatch, three_level):
+    # the check_assumptions ladder on three_level: every integrand node in
+    # real arithmetic (one decay per form factor, so no complex exponential)
+    recorder = _ExpSqrtRecorder()
+    monkeypatch.setattr(reservoir, "np", recorder)
+    beta = three_level.beta
+    radii = [r for r in (0.05, 0.1, 0.2, 0.4, 0.5) if r < 0.98 * np.pi / beta]
+    rungs = strip_analyticity_ladder(three_level.res.form_factors, beta, radii, n_lines=5)
+    assert all(rep.verdict == "finite" for reports in rungs for rep in reports)
+    assert {name for name, _ in recorder.dtypes} == {"exp", "sqrt"}
+    assert [call for call in recorder.dtypes if call[1].kind == "c"] == []
+
+
 def test_unresolvable_line_raises_nonconvergence(monkeypatch):
     # 1/|x| is not integrable across 0: the panels next to it never converge
     monkeypatch.setattr(reservoir, "_line_integrand",
