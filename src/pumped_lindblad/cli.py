@@ -170,6 +170,8 @@ class RunSetup:
         self.atom = decompose_atom(h_at)
 
         res_cfg = _section(cfg, "reservoir", required=True)
+        if "beta" not in res_cfg and "gks_jumps" not in res_cfg:
+            raise ConfigError("missing key 'reservoir.beta' (the form-factor route needs it)")
         beta = _require_finite(res_cfg.get("beta", -1), "reservoir.beta")
         lam = _require_finite(res_cfg.get("lambda", 0.0), "reservoir.lambda")
         has_closed = "couplings_Q" in res_cfg or "form_factors" in res_cfg
@@ -208,6 +210,8 @@ class RunSetup:
                                      couplings=tuple(qs))
 
         pump_cfg = _section(cfg, "pump", required=True)
+        if "h_p" not in pump_cfg:
+            raise ConfigError("missing key 'pump.h_p'")
         self.h_p = self._atom_matrix(pump_cfg.get("h_p"), "pump.h_p")
         self.pump = validate_pump(self.atom, self.h_p)
         self.eta = _require_finite(pump_cfg.get("eta", 0.0), "pump.eta")
@@ -375,8 +379,7 @@ def _do_floquet(setup, out_dir, force=False, order_check=False, **_kw):
         click.echo("warning: zero spectral gap (degenerate case)", err=True)
     if order_check:
         payload["order_check"] = kato_order_check(
-            bundle, setup.n_modes, m_points=setup.contour_points,
-            f_op=f_op, lattice=lattice)
+            bundle, setup.n_modes, m_points=setup.contour_points, lattice=lattice)
     _write_json(out_dir / "floquet.json", payload)
     return EXIT_OK
 

@@ -12,33 +12,29 @@ vectors x_p = delta_{k,p} (x) vec(1) are *exact* left eigenvectors,
 x_p^H F = i p omega x_p^H, which pins the resonance structure; everything
 else hangs off those points with a spectral gap of order lambda^2.  The
 adjoint F^H (the Heisenberg picture, whose spectrum is the complex
-conjugate) is never assembled: the spectrum report applies the left
-eigenvector claim to F itself, and the Kato probe takes Q0^H P = (P^H Q0)^H
-from the block-Thomas kernel's left side, on its right side's pivots.
+conjugate) is never assembled.
 
-The CLI spectrum is the lattice mu_j + i omega m of the d^2 x d^2
-one-period propagator, which comes from the CF4 step grid of `evolution`
-(:func:`floquet_lattice`), checked against F by shifted block-Thomas
-solves (:func:`howland_match`); the dense eigensolve of F (which also
-settles a gap below 1e-6) and the Hungarian :func:`monodromy` match
-(RK45 propagator, scipy imported inside it) are independent
-cross-checks.  The rest is standard spectral calculus: Riesz
-projections by contour quadrature, first-order perturbation blocks and
-the pair-of-projections similarity.
-
-Every contour sum goes through one kernel, block-Thomas elimination of
-z - F with right-hand columns and/or left-hand rows on one inverse per
-block pivot (:func:`_resolvent_apply`); no (n s) x (n s) matrix is ever
-factored.  The dense Riesz projection is that sum applied to the identity.  The perturbation block never forms an
-(n s) x (n s) matrix at all: P0 of the free operator is exact (one
-Hermitian eigensolve of its d^2 x d^2 block), and P is probed on
+A :class:`FloquetOperator` is its blocks B, H and omega.  The CLI spectrum
+is the lattice mu_j + i omega m of the d^2 x d^2 one-period propagator from
+the CF4 step grid of `evolution` (:func:`floquet_lattice`), checked against
+F by shifted block-Thomas solves (:func:`howland_match`).  The dense matrix
+is built on first read of `matrix`, by the reference routes only: the
+dense eigensolve of F (which also settles a gap below 1e-6), the Hungarian
+:func:`monodromy` match (RK45 propagator, scipy imported inside it), and
+the dense Riesz projection.  Every contour sum goes through one kernel,
+block-Thomas elimination of z - F with right-hand columns and/or left-hand
+rows on one inverse per block pivot (:func:`_resolvent_apply`).  The
+perturbation block forms no (n s) x (n s) matrix: P0 of the free operator
+is exact (one Hermitian eigensolve of its d^2 x d^2 block), P is probed on
 Range(P0) with rank P0 right-hand sides (Kato's pairs of projections; the
-thin contour-integral pattern of Beyn, Lin. Alg. Appl. 436, 3839 (2012));
+thin contour-integral pattern of Beyn, Lin. Alg. Appl. 436, 3839 (2012)),
+F P comes from the same sum as F (z - F)^{-1} = z (z - F)^{-1} - 1, and
 every norm is taken on a 2r x 2r core.
 """
 
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -81,41 +77,47 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FloquetOperator:
-    matrix: np.ndarray
-    n_modes: int
-    omega: float
-    dim: int                  # atomic dimension d
-    lam: float
+    """The truncated Howland operator F, kept as its blocks only."""
     base: np.ndarray          # B: diagonal block without its i omega k shift
     coupling: np.ndarray      # H = (eta/2) C: every off-diagonal block
+    omega: float
+    n_modes: int
+    dim: int                  # atomic dimension d
+    lam: float
 
     @property
     def block_size(self):
         return self.dim * self.dim
 
+    @property
+    def norm_inf(self):
+        """||F||_inf, the largest block row sum (H twice per row, once at |k| = N)."""
+        modes = np.arange(-self.n_modes, self.n_modes + 1)
+        diag = 1j * self.omega * modes[:, None, None] * np.eye(self.block_size) + self.base
+        neighbours = np.where(np.abs(modes) < self.n_modes, 2.0, 1.0)[:, None]
+        return float((np.abs(diag).sum(-1) + neighbours * np.abs(self.coupling).sum(-1)).max())
+
+    @cached_property
+    def matrix(self):
+        """The dense (n s) x (n s) matrix, built on first read for the reference routes."""
+        n, s = 2 * self.n_modes + 1, self.block_size
+        m = np.zeros((n * s, n * s), dtype=complex)
+        for idx, k in enumerate(range(-self.n_modes, self.n_modes + 1)):
+            sl = slice(idx * s, (idx + 1) * s)
+            m[sl, sl] = 1j * self.omega * k * np.eye(s, dtype=complex) + self.base
+            if idx + 1 < n:
+                sr = slice((idx + 1) * s, (idx + 2) * s)
+                m[sl, sr] = m[sr, sl] = self.coupling
+        return m
+
 
 def build_howland(bundle, n_modes):
-    """Assemble the truncated block-tridiagonal Howland operator."""
+    """The truncated block-tridiagonal Howland operator; nothing is assembled."""
     if n_modes < 2:
         raise DimensionMismatchError(f"need n_modes >= 2, got {n_modes}")
-    d = bundle.l_at.dim
-    b = bundle.static_matrix
-    c = bundle.l_p.matrix
-
-    n = 2 * n_modes + 1
-    d2 = d * d
-    eye = np.eye(d2, dtype=complex)
-    m = np.zeros((n * d2, n * d2), dtype=complex)
-    half_pump = 0.5 * bundle.eta * c
-    for idx, k in enumerate(range(-n_modes, n_modes + 1)):
-        sl = slice(idx * d2, (idx + 1) * d2)
-        m[sl, sl] = 1j * bundle.omega * k * eye + b
-        if idx + 1 < n:
-            sr = slice((idx + 1) * d2, (idx + 2) * d2)
-            m[sl, sr] = half_pump
-            m[sr, sl] = half_pump
-    return FloquetOperator(matrix=m, n_modes=n_modes, omega=bundle.omega,
-                           dim=d, lam=bundle.lam, base=b, coupling=half_pump)
+    return FloquetOperator(base=bundle.static_matrix,
+                           coupling=0.5 * bundle.eta * bundle.l_p.matrix, omega=bundle.omega,
+                           n_modes=n_modes, dim=bundle.l_at.dim, lam=bundle.lam)
 
 
 # --------------------------------------------------------------------------
@@ -172,7 +174,7 @@ def floquet_spectrum(f_op, lattice=None):
     The gap is min |Re mu| over interior eigenvalues off the resonance
     copies (`_RESONANCE_TOL` from i omega Z).  Also: for |p| <= N-1 the
     residual of the exact left eigenvector claim x_p^H F = i p omega x_p^H,
-    x_p = delta_{k,p} (x) vec(1)/sqrt(d), on the assembled matrix, and for
+    x_p = delta_{k,p} (x) vec(1)/sqrt(d), on the three blocks of row p, and for
     interior p the number of eigenvalues within `_RESONANCE_TOL` of i p omega.
     """
     n, d2 = f_op.n_modes, f_op.block_size
@@ -207,12 +209,12 @@ def _spectrum_report(f_op, w, interior):
     lam2 = f_op.lam**2
 
     one = vec(np.eye(f_op.dim, dtype=complex)) / np.sqrt(f_op.dim)   # real: x_p^H = x_p^T
+    side = one @ f_op.coupling
     residuals = {}
     for p in range(-(n - 1), n):
-        sl = slice((p + n) * d2, (p + n + 1) * d2)
-        left = one @ f_op.matrix[sl]                    # x_p^H F
-        left[sl] -= 1j * omega * p * one
-        residuals[p] = float(np.linalg.norm(left))
+        # x_p^H F - i p omega x_p^H: row block p of F has H, i p omega + B, H
+        diag = one @ (1j * omega * p * np.eye(d2) + f_op.base) - 1j * omega * p * one
+        residuals[p] = float(np.linalg.norm(np.concatenate([side, diag, side])))
     counts = {p: int(np.sum(on_resonance & (nearest == p))) for p in range(-(n - 2), n - 1)}
     return FloquetSpectrum(
         eigenvalues=w, interior=interior, gap=gap,
@@ -227,15 +229,17 @@ def howland_match(f_op, mu, k):
 
     mu_H,j is an eigenvalue of F found from F alone: the Rayleigh quotient
     of one inverse iteration step (one block-Thomas call, a fixed seeded
-    right-hand side) at the copy mu_j + i omega k_j on block 0.
+    right-hand side b) at the copy z = mu_j + i omega k_j on block 0.  As
+    x = (z - F)^{-1} b gives F x = z x - b, that quotient is z - x^H b / x^H x.
     """
     f_op = _require_howland(f_op)
     # the 1e-12 offset keeps a shift at an eigenvalue of a decoupled block off a zero pivot
     shifts = mu + 1j * f_op.omega * k + 1e-12
     draw = random.Random(0)
-    rhs = np.array([[complex(draw.gauss(0.0, 1.0), draw.gauss(0.0, 1.0))] for _ in f_op.matrix])
-    x = _resolvent_apply(f_op, shifts, np.eye(shifts.size), rhs)[0][..., 0]
-    mu_h = np.sum(x.conj() * (x @ f_op.matrix.T), axis=1) / np.sum(np.abs(x) ** 2, axis=1)
+    rows = (2 * f_op.n_modes + 1) * f_op.block_size
+    rhs = np.array([complex(draw.gauss(0.0, 1.0), draw.gauss(0.0, 1.0)) for _ in range(rows)])
+    x = _resolvent_apply(f_op, shifts, np.eye(shifts.size), rhs[:, None])[0][..., 0]
+    mu_h = shifts - (x.conj() @ rhs) / np.sum(np.abs(x) ** 2, axis=1)
     period = 2.0 * np.pi / f_op.omega
     return float(np.max(np.abs(np.exp(period * mu) - np.exp(period * mu_h))))
 
@@ -286,21 +290,15 @@ def _resolvent_apply(f_op, nodes, weights, rhs=None, lhs=None):
     h = f_op.coupling
     nodes = np.asarray(nodes, dtype=complex)
     weights = np.asarray(weights, dtype=complex)
-    sides = []                          # (blocks (n, s, r), coupling, transposed, widths)
-    for b, hc, transposed in ((rhs, h, False), (lhs, h.T, True)):
-        if b is not None:
-            b = np.asarray(np.transpose(b) if transposed else b, dtype=complex).reshape(n, s, -1)
-            # u_k vanishes in each column that is zero in row blocks 0..k, so
-            # block k works on columns [0, width[k]) only
-            started = np.logical_or.accumulate(np.any(b != 0, axis=1), axis=0)
-            sides.append((b, hc, transposed,
-                          [int(np.flatnonzero(row).max(initial=-1)) + 1 for row in started]))
+    sides = [(np.asarray(np.transpose(b) if transposed else b, dtype=complex)
+              .reshape(n, s, -1), hc, transposed)   # (blocks (n, s, r), coupling, transposed)
+             for b, hc, transposed in ((rhs, h, False), (lhs, h.T, True)) if b is not None]
     acc = [np.zeros(weights.shape[:-1] + b.shape, dtype=complex) for b, *_ in sides]
     eye = np.eye(s, dtype=complex)
     for start in range(0, nodes.size, _NODE_CHUNK):
         z = nodes[start:start + _NODE_CHUNK]
         p = [np.empty((n, z.size, s, s), dtype=complex) for _ in sides]   # back-substitution factors
-        u = [np.zeros((z.size, n) + b.shape[1:], dtype=complex) for b, *_ in sides]
+        u = [np.empty((z.size, n) + b.shape[1:], dtype=complex) for b, *_ in sides]
         schur = 0.0
         try:
             for k in range(n):
@@ -308,12 +306,9 @@ def _resolvent_apply(f_op, nodes, weights, rhs=None, lhs=None):
                 # cancels exactly, which keeps a near-singular pivot accurate
                 pivot = (z - shifts[k])[:, None, None] * eye - f_op.base - schur
                 inv = np.linalg.inv(pivot)
-                for (b, hc, transposed, width), pk, uk in zip(sides, p, u):
+                for (b, hc, transposed), pk, uk in zip(sides, p, u):
                     inv_k = inv.swapaxes(-1, -2) if transposed else inv
-                    c = width[k]
-                    if c:
-                        t = b[k, :, :c] + hc @ uk[:, k - 1, :, :c] if k else b[k, :, :c]
-                        uk[:, k, :, :c] = inv_k @ t
+                    uk[:, k] = inv_k @ (b[k] + hc @ uk[:, k - 1] if k else b[k])
                     np.matmul(inv_k, hc, out=pk[k])
                 schur = h @ (p[0][k] if rhs is not None else inv @ h)   # H L_k^{-1} H
         except np.linalg.LinAlgError as exc:
@@ -456,7 +451,7 @@ def kato_block(f_op, f0_op, center, radius=None, m_points=64, eigenvalues=None):
     so with X = P Q0, Y = Q0^H P and K = Q0^H X, P = X K^{-1} Y.  X and Y
     are the two sides of one block-Thomas contour sum
     (:func:`_resolvent_apply` with rhs Q0 and lhs Q0^H), so each pivot is
-    factored once per node for both.
+    factored once per node for both; F0 must share F's modes, omega and d.
     The residual, the pair separation and the idempotency defect are
     2-norms of 2r x 2r cores of the thin QRs of [X, Q0] and [Y^H, Q0].
     The thin form cannot see quadrature error off Range(P0), so X and Y are
@@ -467,6 +462,8 @@ def kato_block(f_op, f0_op, center, radius=None, m_points=64, eigenvalues=None):
     singular K, or a separation >= 1 raises ProjectionPairTooFar.
     """
     f_op, f0_op = _require_howland(f_op), _require_howland(f0_op)
+    if (f_op.n_modes, f_op.omega, f_op.dim) != (f0_op.n_modes, f0_op.omega, f0_op.dim):
+        raise DimensionMismatchError("F and F0 differ in modes, frequency or dimension")
     if m_points < 2 or m_points % 2:
         raise DimensionMismatchError(
             f"the Kato probe needs an even number of contour nodes >= 2, got {m_points!r}")
@@ -481,9 +478,10 @@ def kato_block(f_op, f0_op, center, radius=None, m_points=64, eigenvalues=None):
 
     phases = np.exp(2j * np.pi * (np.arange(m_points) + 0.5) / m_points)
     w = radius * phases / m_points
-    rules = np.stack([w, np.where(np.arange(m_points) % 2, 0.0, 2.0 * w)])
     nodes = center + radius * phases
-    (x, x_half), (y, y_half) = _resolvent_apply(f_op, nodes, rules, q0, q0.conj().T)
+    # F (z - F)^{-1} = z (z - F)^{-1} - 1 and sum w = 0: F X is the rule w z
+    rules = np.stack([w, np.where(np.arange(m_points) % 2, 0.0, 2.0 * w), w * nodes])
+    (x, x_half, fx), (y, y_half, _) = _resolvent_apply(f_op, nodes, rules, q0, q0.conj().T)
     gap = max((np.linalg.norm(full - half) / np.linalg.norm(full) if r else 0.0)
               for full, half in ((x, x_half), (y, y_half)))
     if gap > 1e-6:
@@ -517,8 +515,11 @@ def kato_block(f_op, f0_op, center, radius=None, m_points=64, eigenvalues=None):
     sep = float(np.linalg.norm(diff @ (qb.conj().T @ qa) @ diff, 2))
     if sep >= 1.0:
         raise ProjectionPairTooFarError(f"||(P - P0)^2|| = {sep:.3f} >= 1")
-    block = k_inv @ (y @ (f_op.matrix @ x)) @ k_inv
-    first = q0.conj().T @ (f_op.matrix @ q0 - f0_op.matrix @ q0)
+    block = k_inv @ (y @ fx) @ k_inv
+    # (F - F0) Q0: B - B0 on each column's own block, H on both neighbours (F0 has no H)
+    q = q0.reshape(2 * f_op.n_modes + 1, f_op.block_size, r)
+    hq = np.pad(f_op.coupling @ q, ((1, 1), (0, 0), (0, 0)))
+    first = q0.conj().T @ ((f_op.base - f0_op.base) @ q + hq[:-2] + hq[2:]).reshape(q0.shape)
     residual = float(np.linalg.norm(core(block, -center * eye - first), 2))
     return KatoBlock(
         block=LowRank(x, block, y), first_order=LowRank(q0, first, q0.conj().T),
@@ -527,31 +528,27 @@ def kato_block(f_op, f0_op, center, radius=None, m_points=64, eigenvalues=None):
         center=complex(center), radius=float(radius))
 
 
-def kato_order_check(bundle, n_modes, m_points=64, f_op=None, lattice=None):
+def kato_order_check(bundle, n_modes, m_points=64, lattice=None):
     """Halving ratio of the center-0 Kato-block residual in the coupling.
 
     Residuals of :func:`kato_block` at (lambda, eta) and (lambda/2, eta/4),
     so that eta stays proportional to lambda^2, both against the one
     unperturbed operator F0 (lambda = eta = 0).  Their annulus guards and
-    enclosed counts take the lattice copies mu_j + i omega m.  `f_op`
-    (``build_howland(bundle, n_modes)``) and `lattice`
-    (``floquet_lattice(bundle, n_modes)``) are the caller's objects at
-    lambda, built here when not given.  When both residuals sit at
-    roundoff (<= 1e-13 ||F||_inf, as when the first-order model is exact),
-    their quotient is noise and `ratio` is None.
+    enclosed counts take the lattice copies mu_j + i omega m; `lattice`
+    (``floquet_lattice(bundle, n_modes)``) is the caller's at lambda,
+    computed here when not given.  When both residuals sit at roundoff
+    (<= 1e-13 ||F||_inf, as when the first-order model is exact), their
+    quotient is noise and `ratio` is None.
     """
-    if f_op is not None and (_require_howland(f_op).n_modes != n_modes
-                             or f_op.lam != bundle.lam):
-        raise DimensionMismatchError("f_op is not the Howland operator of this bundle")
     f0 = build_howland(replace(bundle, lam=0.0, eta=0.0), n_modes)
     half = replace(bundle, lam=bundle.lam * 0.5, eta=bundle.eta * 0.25)
     rungs = []                                          # (residual, ||F||_inf)
-    for b, op, lat in ((bundle, f_op, lattice), (half, None, None)):
-        op = op or build_howland(b, n_modes)
+    for b, lat in ((bundle, lattice), (half, None)):
+        op = build_howland(b, n_modes)
         mu, k = lat or floquet_lattice(b, n_modes)
         w = (mu + 1j * b.omega * (k + np.arange(-n_modes, n_modes + 1)[:, None])).ravel()
         rungs.append((kato_block(op, f0, 0.0, m_points=m_points, eigenvalues=w).residual,
-                      np.linalg.norm(op.matrix, np.inf)))
+                      op.norm_inf))
     (at_lambda, norm), (at_half, _) = rungs
     floor = 1e-13 * norm
     noise = at_lambda <= floor and at_half <= floor

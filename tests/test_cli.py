@@ -297,6 +297,23 @@ def test_config_error_bad_gks_jumps(runner, tmp_path, jumps):
     _assert_one_config_error(result, out)
 
 
+@pytest.mark.parametrize("path", [("reservoir", "beta"), ("pump", "h_p")],
+                         ids=".".join)
+def test_config_error_names_a_missing_key(runner, tmp_path, path):
+    cfg = _two_level_cfg()
+    del _get(cfg, path[:-1])[path[-1]]
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["floquet", _write(tmp_path, cfg), "--out", str(out)])
+    _assert_one_config_error(result, out)
+    assert f"missing key '{'.'.join(path)}'" in result.output
+
+
+def test_gks_config_may_omit_beta():
+    cfg = _gks_two_level_cfg()
+    del cfg["reservoir"]["beta"]
+    assert _validated_setup("check", cfg).res.gks_jumps is not None
+
+
 MUTATION_VALUES = [None, True, -1, 0, 2.5, "x", [], {}, [[1]], float("nan")]
 
 
@@ -595,30 +612,28 @@ def test_floquet_order_check_values_on_three_level(runner, tmp_path, monkeypatch
         assert abs(oc[key] - value) <= 1e-10 * value, (key, oc[key])
 
 
-def test_floquet_order_check_builds_each_operator_once(runner, tmp_path, monkeypatch):
-    # F at lambda and its lattice serve floquet.json and the order check;
-    # only F0 and the lambda/2 rung are added
-    from pumped_lindblad import cli, evolution, floquet
+@pytest.mark.parametrize("order_check", [False, True], ids=["plain", "order-check"])
+def test_floquet_never_reads_the_dense_matrix(runner, tmp_path, monkeypatch, order_check):
+    # every CLI product of F comes from its blocks; the lattice at lambda
+    # serves floquet.json and the order check, which adds the lambda/2 one
+    from pumped_lindblad import evolution, floquet
 
-    couplings, grids = [], [0]
-    build, step_grid = floquet.build_howland, evolution._step_grid
+    def dense(f_op):
+        raise AssertionError("FloquetOperator.matrix read on a CLI path")
 
-    def spy_build(bundle, n_modes):
-        couplings.append((bundle.lam, bundle.eta))
-        return build(bundle, n_modes)
+    grids = [0]
+    step_grid = evolution._step_grid
 
     def spy_grid(*args, **kwargs):
         grids[0] += 1
         return step_grid(*args, **kwargs)
 
-    for module in (cli, floquet):
-        monkeypatch.setattr(module, "build_howland", spy_build)
+    monkeypatch.setattr(floquet.FloquetOperator, "matrix", property(dense))
     monkeypatch.setattr(floquet, "_step_grid", spy_grid)
-    result = runner.invoke(main, ["floquet", str(CONFIG_DIR / "three_level.json"),
-                                  "--out", str(tmp_path / "out"), "--order-check"])
+    args = ["floquet", str(CONFIG_DIR / "three_level.json"), "--out", str(tmp_path / "out")]
+    result = runner.invoke(main, args + ["--order-check"] * order_check)
     assert result.exit_code == 0, result.output
-    assert sorted(couplings) == [(0.0, 0.0), (0.05, 0.0025), (0.1, 0.01)]
-    assert grids == [2]
+    assert grids == [1 + order_check]
 
 
 # --------------------------------------------------------------------------

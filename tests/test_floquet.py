@@ -107,6 +107,39 @@ def test_howland_requires_two_modes(three_level):
         build_howland(three_level.bundle, 1)
 
 
+@pytest.mark.parametrize("case", ["two_level", "three_level"])
+def test_block_forms_equal_the_dense_matrix(request, case):
+    # every product a CLI path takes from the blocks, against the dense matrix
+    inst = request.getfixturevalue(case)
+    f_op = build_howland(inst.bundle, 8)
+    f0 = build_howland(inst.make_bundle(0.0, 0.0), 8)
+    m, m0, d2 = f_op.matrix, f0.matrix, f_op.block_size
+
+    def close(blocks, dense, rel=1e-13):
+        return np.linalg.norm(blocks - dense) <= rel * np.linalg.norm(dense)
+
+    # resonance rows x_p^H F - i p omega x_p^H, also on blocks that do not
+    # preserve the trace, where every residual is far from zero
+    rng = np.random.default_rng(0)
+    noisy = replace(f_op, base=rng.normal(size=(d2, d2)) + f_op.base,
+                    coupling=rng.normal(size=(d2, d2)) + 0j)
+    for op in (f_op, noisy):
+        one = np.eye(inst.atom.dim).reshape(-1) / np.sqrt(inst.atom.dim)
+        residuals = floquet_spectrum(op).resonance_residuals
+        for p in range(-7, 8):
+            row = one @ op.matrix[(p + 8) * d2:(p + 9) * d2]
+            row[(p + 8) * d2:(p + 9) * d2] -= 1j * op.omega * p * one
+            assert abs(residuals[p] - np.linalg.norm(row)) <= 1e-13 * max(1.0, residuals[p])
+        # ||F||_inf as the largest block row sum
+        assert abs(op.norm_inf - np.linalg.norm(op.matrix, np.inf)) <= 1e-13 * op.norm_inf
+    # F X from the weight rule w z, and (F - F0) Q0 from B - B0 and H
+    kb = kato_block(f_op, f0, 0.0)
+    x, k_inv, y = kb.projection.left, kb.projection.core, kb.projection.right
+    q0 = kb.first_order.left
+    assert close(kb.block.core, k_inv @ (y @ (m @ x)) @ k_inv)
+    assert close(kb.first_order.core, q0.conj().T @ (m - m0) @ q0)
+
+
 # --------------------------------------------------------------------------
 # exact resonances and conjugation symmetry
 # --------------------------------------------------------------------------
@@ -460,11 +493,8 @@ def test_kato_order_check_matches_independent_blocks(three_level):
 
 def test_kato_order_check_reuses_the_callers_objects(three_level):
     bundle, n = three_level.bundle, 8
-    given = kato_order_check(bundle, n, f_op=build_howland(bundle, n),
-                             lattice=floquet_lattice(bundle, n))
+    given = kato_order_check(bundle, n, lattice=floquet_lattice(bundle, n))
     assert given == kato_order_check(bundle, n)
-    with pytest.raises(DimensionMismatchError):
-        kato_order_check(bundle, n, f_op=build_howland(bundle, n + 1))
 
 
 def test_kato_order_check_ratio_is_none_at_roundoff(two_level):
@@ -539,6 +569,14 @@ def test_kato_needs_a_free_f0_and_equal_ranks(three_level):
     empty = kato_block(f_op, f0, 0.3j, radius=0.1)
     assert empty.projection.left.shape[1] == 0
     assert empty.residual == empty.quadrature_gap == 0.0
+
+
+def test_kato_block_needs_f0_on_the_same_modes(three_level):
+    f_op = build_howland(three_level.bundle, 4)
+    free = three_level.make_bundle(0.0, 0.0)
+    for f0 in (build_howland(free, 5), build_howland(replace(free, omega=2.0), 4)):
+        with pytest.raises(DimensionMismatchError):
+            kato_block(f_op, f0, 0.0)
 
 
 def test_kato_order_check_factors_only_small_matrices(three_level, monkeypatch):
