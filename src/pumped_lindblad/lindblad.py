@@ -13,7 +13,9 @@ The assembled generator is
     H_Lamb = -(1/2) sum_{pairs with E_j != E_k} sum_l d_{j,k}^(l) V* V,
     L_d    = (1/2) sum_{all pairs} sum_l c_{j,k}^(l) (2 V rho V* - V*V rho - rho V*V),
 
-with H_Lamb commuting with H_at by block structure.
+with H_Lamb commuting with H_at by block structure.  Both sums come from
+one pass over (V, c, d) in :func:`reservoir_lindbladian`, which takes
+user-supplied GKS jumps through the same loop with c = 1 and no d.
 
 An independent route ("resolvent oracle") rebuilds L_R^(rho_reg) from the
 regularized scalar integrals
@@ -44,6 +46,8 @@ from .errors import GeneratorStructureError, NonHermitianError, QuadratureNonCon
 from .operator_core import Superoperator, hamiltonian_lindbladian, validate_pump
 from .reservoir import (
     _adaptive_gauss_legendre,
+    _density_cutoff,
+    _effective_beta,
     pv_coefficient,
     rate_coefficient,
     spectral_density,
@@ -57,9 +61,7 @@ __all__ = [
     "check_assumptions",
     "choi_matrix",
     "commutant_dimension",
-    "dissipator",
     "jump_operators",
-    "lamb_shift",
     "reservoir_lindbladian",
     "resolvent_oracle",
 ]
@@ -87,11 +89,11 @@ def jump_operators(atom, q):
     return out
 
 
-def _pair_coefficients(atom, res, want_pv):
+def _pair_coefficients(atom, res):
     """Iterate (V, c, d, (j,k,l)) over channels and level pairs.
 
-    d is None for within-level pairs (E_j == E_k) or when not requested;
-    PV integrals are cached per (channel, energy difference).
+    d is None for within-level pairs (E_j == E_k); PV integrals are cached
+    per (channel, energy difference).
     """
     energies = atom.energies
     cache = {}
@@ -102,23 +104,12 @@ def _pair_coefficients(atom, res, want_pv):
             if c < _RATE_FLOOR:
                 c = 0.0
             d = None
-            if want_pv and j != k:
+            if j != k:
                 key = (l, round(ekj, 12))
                 if key not in cache:
                     cache[key] = pv_coefficient(ff, res.beta, ekj)
                 d = cache[key]
             yield v, c, d, (j, k, l)
-
-
-def lamb_shift(atom, res):
-    """H_Lamb = -(1/2) sum over cross-level pairs and channels of d * V*V."""
-    res.require_orthogonal()
-    d_mat = np.zeros((atom.dim, atom.dim), dtype=complex)
-    for v, _c, d, (j, k, _l) in _pair_coefficients(atom, res, want_pv=True):
-        if j == k:
-            continue
-        d_mat -= 0.5 * d * (v.conj().T @ v)
-    return 0.5 * (d_mat + d_mat.conj().T)
 
 
 def _dissipator_term(v, c):
@@ -129,18 +120,6 @@ def _dissipator_term(v, c):
     return c * (np.kron(np.conj(v), v)
                 - 0.5 * np.kron(eye, vv)
                 - 0.5 * np.kron(vv.T, eye))
-
-
-def dissipator(atom, res):
-    """GKS dissipator L_d summed over all level pairs and channels."""
-    res.require_orthogonal()
-    d = atom.dim
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for v, c, _d, _label in _pair_coefficients(atom, res, want_pv=False):
-        if c == 0.0:
-            continue
-        m += _dissipator_term(v, c)
-    return Superoperator(m)
 
 
 @dataclass(frozen=True)
@@ -166,37 +145,41 @@ class LindbladData:
 
 
 def reservoir_lindbladian(atom, res):
-    """Assemble L_R = -i[H_Lamb, .] + L_d (or from user-supplied GKS jumps).
+    """Assemble L_R = -i[H_Lamb, .] + L_d in one pass over (V, c, d, label).
 
-    Validates on construction: Hermitian Lamb shift commuting with H_at,
-    nonnegative rates, and unitality of the adjoint.
+    The form-factor route takes the level pairs of every channel, the GKS
+    route the user's jumps with c = 1 and no d (so L_R = L_d).  Validates
+    on construction: Hermitian Lamb shift commuting with H_at, and
+    unitality of the adjoint.
     """
     d = atom.dim
-    if res.gks_jumps is not None:
-        m = np.zeros((d * d, d * d), dtype=complex)
-        jumps = []
-        for a, v in enumerate(res.gks_jumps, start=1):
-            v = np.asarray(v, dtype=complex)
-            m += _dissipator_term(v, 1.0)
-            jumps.append((v, 1.0, (0, 0, a)))
-        l_d = Superoperator(m)
-        lamb = np.zeros((d, d), dtype=complex)
+    gks = res.gks_jumps is not None
+    if gks:
+        source = ((np.asarray(v, dtype=complex), 1.0, None, (0, 0, a))
+                  for a, v in enumerate(res.gks_jumps, start=1))
+    else:
+        res.require_orthogonal()
+        source = _pair_coefficients(atom, res)
+    lamb = np.zeros((d, d), dtype=complex)
+    m = np.zeros((d * d, d * d), dtype=complex)
+    jumps = []
+    for v, c, pv, label in source:
+        if pv is not None:
+            lamb -= 0.5 * pv * (v.conj().T @ v)
+        if c > 0.0:
+            m += _dissipator_term(v, c)
+            jumps.append((v, c, label))
+    l_d = Superoperator(m)
+    if gks:
         return LindbladData(jumps=tuple(jumps), lamb=lamb, l_d=l_d,
                             l_r=l_d, from_gks=True)
-
-    lamb = lamb_shift(atom, res)
+    lamb = 0.5 * (lamb + lamb.conj().T)
     comm_norm = np.linalg.norm(lamb @ atom.h_at - atom.h_at @ lamb, "fro")
     if comm_norm > 1e-10 * max(1.0, np.linalg.norm(lamb, "fro")):
         raise GeneratorStructureError(
             f"[H_Lamb, H_at] = {comm_norm:.3e} — block structure broken")
-    l_d = dissipator(atom, res)
-    jumps = tuple(
-        (v, c, label)
-        for v, c, _d, label in _pair_coefficients(atom, res, want_pv=False)
-        if c > 0.0
-    )
     l_r = hamiltonian_lindbladian(lamb) + l_d
-    return LindbladData(jumps=jumps, lamb=lamb, l_d=l_d, l_r=l_r)
+    return LindbladData(jumps=tuple(jumps), lamb=lamb, l_d=l_d, l_r=l_r)
 
 
 # --------------------------------------------------------------------------
@@ -215,10 +198,8 @@ def _scalar_resolvent(ff, beta, eps_p, eps_reg):
     above max(1e-9 |value|, 1e-9) or the refinement cap raises
     QuadratureNonConvergence.
     """
-    from .reservoir import _effective_beta, _gauss_cutoff
-
     beta = _effective_beta(beta)
-    x_max = _gauss_cutoff(ff.min_decay) + beta / (2.0 * ff.min_decay) + abs(eps_p)
+    x_max = _density_cutoff(ff, beta, eps_p)
 
     def f(p):
         return spectral_density(ff, beta, p)
@@ -446,7 +427,6 @@ def check_assumptions(atom, res, h_p, eta, seed=0, data=None, pump=None):
             "evidence": {}, "notes": "raw GKS jumps carry no form factors",
         })
     else:
-        from .reservoir import _effective_beta
         beta = _effective_beta(res.beta)
         ladder = [r for r in (0.05, 0.1, 0.2, 0.4, 0.5) if r < 0.98 * np.pi / beta]
         best_r, best_val = 0.0, 0.0

@@ -73,7 +73,6 @@ __all__ = [
     "AnalyticityReport",
     "FormFactor",
     "ReservoirSpec",
-    "check_strip_analyticity",
     "glued_g",
     "glued_g_continued",
     "pv_coefficient",
@@ -166,6 +165,12 @@ def _gauss_cutoff(c_min, margin=1.2):
     return margin * np.sqrt(37.0 / c_min)
 
 
+def _density_cutoff(ff, beta, eps):
+    """Half-width X past which f^(beta)(x + eps) is negligible: the Gaussian
+    cutoff, widened by the Fermi factor's shift beta/(2 C_min) and by |eps|."""
+    return _gauss_cutoff(ff.min_decay) + beta / (2.0 * ff.min_decay) + abs(eps)
+
+
 def _l2_inner(f1, f2):
     """<f1, f2> on (0, infinity), exactly: every pair of terms contributes
     int_0^inf x^(2a-1) e^(-c x^2) dx = Gamma(a) / (2 c^a), a = p+q-1/2, c = c1+c2."""
@@ -183,9 +188,9 @@ class ReservoirSpec:
 
     `couplings` must be closed under conjugate transpose (the interaction
     Hamiltonian is self-adjoint).  `orthogonal` records whether the form
-    factors are pairwise L2-orthogonal; the closed-form Lamb shift and
-    dissipator are only valid when it holds, and they raise
-    NonOrthogonalFamilyError otherwise.
+    factors are pairwise L2-orthogonal; the closed-form generator of
+    ``lindblad.reservoir_lindbladian`` is only valid when it holds, and it
+    raises NonOrthogonalFamilyError otherwise.
     """
 
     beta: float
@@ -368,8 +373,9 @@ def _line_cutoff(ff, beta, y):
     return 1.5 * (shift + np.sqrt(shift**2 + 37.0 / c)) + abs(y)
 
 
-def check_strip_analyticity(ff, beta, r_max, n_lines=9, bound_ceiling=1e12):
-    """Sample sup_{|y|<r_max} int (|g(x+iy)| + |e^{-beta(x+iy)/2} g#(x+iy)|)^2 dx.
+def strip_analyticity_ladder(form_factors, beta, radii, n_lines=9, bound_ceiling=1e12):
+    """Sample sup_{|y|<r} int (|g(x+iy)| + |e^{-beta(x+iy)/2} g#(x+iy)|)^2 dx
+    for every form factor at each half-width r in `radii`.
 
     Each line is integrated over a Gaussian tail cutoff by an adaptive
     composite 20-node Gauss-Legendre rule: 64 equal panels to start, each
@@ -380,22 +386,15 @@ def check_strip_analyticity(ff, beta, r_max, n_lines=9, bound_ceiling=1e12):
     overflows reads inf.  The y=0 line is recomputed on a fixed Simpson
     grid as an independent cross-check: on a finite line within
     `bound_ceiling` the two must agree to 1e-6 relative, or
-    DisagreementBetweenRules is raised.  Values above `bound_ceiling` (or
-    non-finite) flag the report as exceeding the practical bound; that is
-    a verdict, not an exception.
-    """
-    return strip_analyticity_ladder((ff,), beta, (r_max,), n_lines=n_lines,
-                                    bound_ceiling=bound_ceiling)[0][0]
-
-
-def strip_analyticity_ladder(form_factors, beta, radii, n_lines=9, bound_ceiling=1e12):
-    """``check_strip_analyticity`` for every form factor at each half-width in `radii`.
+    DisagreementBetweenRules is raised.  A value above `bound_ceiling`
+    (or non-finite) gives the verdict "exceeds-bound", not an exception.
 
     Returns one tuple of reports (one per form factor) per rung, in order,
     and stops after the first rung at which some report is not "finite":
-    no line beyond that rung is integrated.  Each report equals the one-off
-    call's, but a line shared by several rungs is integrated once per form
-    factor, and the y=0 Simpson cross-check runs once per form factor.
+    no line beyond that rung is integrated.  A line shared by several rungs
+    is integrated once per form factor, and the y=0 Simpson cross-check
+    runs once per form factor, so each report equals that of a one-rung
+    ladder at its half-width.
     """
     beta = _effective_beta(beta)
     line_values = [{} for _ in form_factors]     # per form factor: y -> integral
@@ -557,7 +556,7 @@ def _pv_contour(ff, beta, eps):
     c_max = max(c for (_, _, c) in ff.terms)
     a = min(np.pi / (2.0 * beta), 1.0 / np.sqrt(2.0 * c_max))
     h = min(0.05, a / 8.0)
-    x_max = _gauss_cutoff(ff.min_decay) + beta / (2.0 * ff.min_decay) + abs(eps)
+    x_max = _density_cutoff(ff, beta, eps)
     n = int(np.ceil(x_max / h))
     z = h * np.arange(-n, n + 1) - 1j * a
     w = z + eps
@@ -584,7 +583,7 @@ def pv_coefficient(ff, beta, eps):
     This function is the single home of the principal-part convention.
     """
     beta = _effective_beta(beta)
-    x_max = _gauss_cutoff(ff.min_decay) + beta / (2.0 * ff.min_decay) + abs(eps)
+    x_max = _density_cutoff(ff, beta, eps)
 
     def f_shift(x):
         return spectral_density(ff, beta, x + eps)

@@ -32,10 +32,10 @@ from pumped_lindblad import (
     evolve,
     floquet_spectrum,
     kato_order_check,
-    lamb_shift,
     monodromy,
     pair_transform,
     rate_coefficient,
+    reservoir_lindbladian,
     resolvent_oracle,
     riesz_projection,
     spectral_density,
@@ -84,7 +84,7 @@ def test_02_lamb_shift_commutes(two_level, three_level):
     worst = 0.0
     for inst in (two_level, three_level):
         h_at = sum(e * p for e, p in zip(inst.atom.energies, inst.atom.projections))
-        h_lamb = lamb_shift(inst.atom, inst.res)
+        h_lamb = reservoir_lindbladian(inst.atom, inst.res).lamb
         comm = h_lamb @ h_at - h_at @ h_lamb
         worst = max(worst, np.linalg.norm(comm) / np.linalg.norm(h_lamb))
     chk.finish(worst, worst <= 1e-10)

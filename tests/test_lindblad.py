@@ -1,4 +1,5 @@
-"""Jump operators, Lamb shift, dissipator, oracle route, assumptions.
+"""Jump operators, the one-pass generator (Lamb shift and dissipator), oracle
+route, assumptions.
 
 Key structural facts under test:
 
@@ -32,7 +33,6 @@ from pumped_lindblad import (
     Superoperator,
     algebra_dimension,
     check_assumptions,
-    check_strip_analyticity,
     choi_matrix,
     commutant_dimension,
     decompose_atom,
@@ -40,6 +40,7 @@ from pumped_lindblad import (
     reservoir_lindbladian,
     resolvent_oracle,
     stationary_state,
+    strip_analyticity_ladder,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -160,6 +161,20 @@ def test_two_level_generator_closed_form_spectrum(two_level):
     assert np.max(np.abs(got - expected)) <= 1e-10
 
 
+def test_generator_computes_each_pair_once(three_level, monkeypatch):
+    # three_level: 4 jump pairs over 2 channels, 4 distinct (channel, Bohr
+    # frequency) PV keys; one pass over the pairs serves H_Lamb, L_d and jumps
+    calls = dict.fromkeys(("rate_coefficient", "jump_operators", "pv_coefficient"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(lindblad, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(lindblad, name, counted)
+    data = reservoir_lindbladian(three_level.atom, three_level.res)
+    assert calls == {"rate_coefficient": 4, "jump_operators": 2, "pv_coefficient": 4}
+    assert np.array_equal(data.l_r.matrix, three_level.data.l_r.matrix)
+
+
 # --------------------------------------------------------------------------
 # independent oracle: regularized resolvents
 # --------------------------------------------------------------------------
@@ -245,9 +260,11 @@ def test_generator_defects_raise_typed_errors(two_level, monkeypatch):
     with pytest.raises(GeneratorStructureError):
         LindbladData(jumps=(), lamb=data.lamb, l_d=data.l_d,
                      l_r=Superoperator(-np.eye(4, dtype=complex)))
-    # a Lamb shift that does not commute with H_at
-    monkeypatch.setattr(lindblad, "lamb_shift", lambda atom, res: SIGMA_X.copy())
-    with pytest.raises(GeneratorStructureError):
+    # a jump that is not one level block: its V*V mixes the two levels, so
+    # the Lamb shift it builds does not commute with H_at
+    mixing = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+    monkeypatch.setattr(lindblad, "jump_operators", lambda atom, q: [(mixing, (1, 2))])
+    with pytest.raises(GeneratorStructureError, match="block structure broken"):
         reservoir_lindbladian(two_level.atom, two_level.res)
 
 
@@ -326,7 +343,7 @@ def test_analyticity_ladder_matches_rung_by_rung_checks(name, request):
     evidence = report["reservoir-analyticity"]["evidence"]
     best_r, best_val = 0.0, 0.0
     for r in evidence["ladder"]:
-        reports = [check_strip_analyticity(ff, inst.res.beta, r, n_lines=5)
+        reports = [strip_analyticity_ladder((ff,), inst.res.beta, (r,), n_lines=5)[0][0]
                    for ff in inst.res.form_factors]
         if not all(rep.verdict == "finite" for rep in reports):
             break

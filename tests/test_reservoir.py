@@ -25,7 +25,6 @@ from pumped_lindblad import (
     NonOrthogonalFamilyError,
     QuadratureNonConvergenceError,
     ReservoirSpec,
-    check_strip_analyticity,
     glued_g,
     glued_g_continued,
     pv_coefficient,
@@ -216,9 +215,14 @@ def test_infinite_temperature_floor():
 # strip analyticity report
 # --------------------------------------------------------------------------
 
+def _one_rung(ff, beta, r_max, **kwargs):
+    """The ladder's report for one form factor at one half-width."""
+    return strip_analyticity_ladder((ff,), beta, (r_max,), **kwargs)[0][0]
+
+
 def test_strip_analyticity_pinned_form_factor():
     ff = FormFactor(((1.0, 1, 1.0),))
-    rep = check_strip_analyticity(ff, 1.0, 0.5)
+    rep = _one_rung(ff, 1.0, 0.5)
     assert rep.verdict == "finite"
     assert rep.n_lines >= 9
     assert rep.crosscheck_rel_err <= 1e-6
@@ -236,15 +240,15 @@ def test_strip_ladder_reports_equal_one_off_reports(three_level):
     assert len(rungs) == len(radii)
     for r, reports in zip(radii, rungs):
         for ff, rep in zip(three_level.res.form_factors, reports):
-            assert rep == check_strip_analyticity(ff, beta, r, n_lines=5)
+            assert rep == _one_rung(ff, beta, r, n_lines=5)
     # the two-term form factor passes the Simpson cross-check on every rung
     assert all(reports[1].crosscheck_rel_err <= 1e-6 for reports in rungs)
 
 
 def test_strip_ladder_stops_at_first_failing_rung():
     ff = FormFactor(((1.0, 1, 1.0),))
-    low = check_strip_analyticity(ff, 1.0, 0.1, n_lines=5).max_line_value
-    high = check_strip_analyticity(ff, 1.0, 0.4, n_lines=5).max_line_value
+    low = _one_rung(ff, 1.0, 0.1, n_lines=5).max_line_value
+    high = _one_rung(ff, 1.0, 0.4, n_lines=5).max_line_value
     assert high > low
     rungs = strip_analyticity_ladder((ff,), 1.0, (0.1, 0.4, 0.8), n_lines=5,
                                      bound_ceiling=0.5 * (low + high))
@@ -401,7 +405,7 @@ def test_unresolvable_line_raises_nonconvergence(monkeypatch):
     monkeypatch.setattr(reservoir, "_line_integrand",
                         lambda ff, beta, y: (lambda x: 1.0 / np.abs(x)))
     with pytest.raises(QuadratureNonConvergenceError):
-        check_strip_analyticity(FormFactor(((1.0, 1, 1.0),)), 1.0, 0.5)
+        _one_rung(FormFactor(((1.0, 1, 1.0),)), 1.0, 0.5)
 
 
 def test_simpson_crosscheck_rejects_a_biased_primary_rule(monkeypatch):
@@ -409,7 +413,7 @@ def test_simpson_crosscheck_rejects_a_biased_primary_rule(monkeypatch):
     monkeypatch.setattr(reservoir, "_line_integral",
                         lambda *args: (1.0 + 1e-5) * exact(*args))
     with pytest.raises(DisagreementBetweenRulesError):
-        check_strip_analyticity(FormFactor(((1.0, 1, 1.0),)), 1.0, 0.5)
+        _one_rung(FormFactor(((1.0, 1, 1.0),)), 1.0, 0.5)
 
 
 def test_cold_reservoir_overflow_reads_inf():
@@ -427,14 +431,14 @@ def test_cold_reservoir_overflow_reads_inf():
 def test_strip_analyticity_branch_line_note():
     ff = FormFactor(((1.0, 1, 1.0),))
     beta = 1.0
-    rep = check_strip_analyticity(ff, beta, 1.05 * np.pi / beta, n_lines=5)
+    rep = _one_rung(ff, beta, 1.05 * np.pi / beta, n_lines=5)
     assert "branch line" in rep.notes
 
 
 def test_strip_analyticity_rejects_bad_halfwidth():
     ff = FormFactor(((1.0, 1, 1.0),))
     with pytest.raises(InvalidFormFactorError):
-        check_strip_analyticity(ff, 1.0, 0.0)
+        _one_rung(ff, 1.0, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -481,7 +485,7 @@ def test_logistic_keeps_relative_accuracy_in_both_tails():
 
 def test_simpson_crosscheck_equals_scipy_simpson(three_level):
     for ff in three_level.res.form_factors:
-        rep = check_strip_analyticity(ff, three_level.beta, 0.1, n_lines=3)
+        rep = _one_rung(ff, three_level.beta, 0.1, n_lines=3)
         ref = dict(rep.lines)[0.0]
         x_max = _line_cutoff(ff, three_level.beta, 0.0)
         grid = np.linspace(-x_max, x_max, 4097)
