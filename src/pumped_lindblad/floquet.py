@@ -29,7 +29,9 @@ is exact (one Hermitian eigensolve of its d^2 x d^2 block), P is probed on
 Range(P0) with rank P0 right-hand sides (Kato's pairs of projections; the
 thin contour-integral pattern of Beyn, Lin. Alg. Appl. 436, 3839 (2012)),
 F P comes from the same sum as F (z - F)^{-1} = z (z - F)^{-1} - 1, and
-every norm is taken on a 2r x 2r core.
+every norm is taken on a 2r x 2r core.  When F preserves Hermiticity it
+commutes with conj o R (R: mode reversal (x) the vec-transpose swap), so at
+a real centre only the upper half of the conjugate node pairs is solved.
 """
 
 import random
@@ -48,7 +50,7 @@ from .errors import (
     NearSingularPairError,
     ProjectionPairTooFarError,
 )
-from .evolution import _step_grid, propagator
+from .evolution import _hermitian_basis, _in_basis, _step_grid, propagator
 from .operator_core import Superoperator, vec
 
 __all__ = [
@@ -435,6 +437,51 @@ def _free_basis(f0_op, center, radius=None):
     return q0, radius
 
 
+def _preserves_hermiticity(dim, *blocks):
+    """Whether every d^2 x d^2 block maps Hermitian matrices to Hermitian
+    ones, conj(A) = S A S for the vec-transpose swap S: the test by which
+    `evolution._in_basis` picks a real basis (1e-14 relative)."""
+    basis = _hermitian_basis(dim)
+    return all(np.isrealobj(_in_basis(a, basis)) for a in blocks)
+
+
+def _mirrored_probe(f_op, q0, nodes, w):
+    """The probe's sums X, X_half, F X, Y, Y_half from the upper half of the nodes.
+
+    When B and H preserve Hermiticity, conj(F) = R F R for R = mode
+    reversal (x) S, so (z-bar - F)^{-1} = R conj((z - F)^{-1}) R; for F0
+    too, so R conj(Q0) = Q0 G with G = Q0^H R conj(Q0) unitary.  At a real
+    centre node M-1-j is the conjugate of node j, with weight conj(w_j).  A
+    sum U = sum_j c_j (z_j - F)^{-1} Q0 over upper nodes thus has the
+    lower-half mirror sum_j conj(c_j) (z-bar_j - F)^{-1} Q0 = R conj(U) conj(G),
+    and Y-bar = G^T conj(Y) R is the same map on Y^H.  Odd upper nodes
+    mirror onto even lower ones, so with E, O the upper sums of 2w over
+    even and odd nodes and Z that of w z: the M-node rule is A + mirror(A)
+    with A = (E + O)/2, the M/2 rule E + mirror(O), and F X is Z + mirror(Z).
+    """
+    half = nodes.size // 2
+    odd = np.arange(half) % 2 == 1
+    upper = w[:half]
+    rules = np.stack([np.where(odd, 0.0, 2.0 * upper), np.where(odd, 2.0 * upper, 0.0),
+                      upper * nodes[:half]])
+    n, d = 2 * f_op.n_modes + 1, f_op.dim
+
+    def reflect(a):                                   # R a for n s rows
+        return a.reshape(n, d, d, -1)[::-1].swapaxes(1, 2).reshape(a.shape)
+
+    g_bar = (q0.conj().T @ reflect(q0.conj())).conj()
+
+    def mirror(u):
+        return reflect(u.conj()) @ g_bar
+
+    (even_x, odd_x, fz), (even_y, odd_y, _) = _resolvent_apply(
+        f_op, nodes[:half], rules, q0, q0.conj().T)
+    even_y, odd_y = even_y.conj().T, odd_y.conj().T     # the Y^H sums
+    x, yh = (even_x + odd_x) / 2, (even_y + odd_y) / 2
+    return (x + mirror(x), even_x + mirror(odd_x), fz + mirror(fz),
+            (yh + mirror(yh)).conj().T, (even_y + mirror(odd_y)).conj().T)
+
+
 def kato_block(f_op, f0_op, center, radius=None, m_points=64, eigenvalues=None):
     """Compression P F P against its first-order model around one resonance.
 
@@ -452,6 +499,10 @@ def kato_block(f_op, f0_op, center, radius=None, m_points=64, eigenvalues=None):
     are the two sides of one block-Thomas contour sum
     (:func:`_resolvent_apply` with rhs Q0 and lhs Q0^H), so each pivot is
     factored once per node for both; F0 must share F's modes, omega and d.
+    At a real centre, when F and F0 preserve Hermiticity (the 1e-14 test
+    of `evolution._in_basis`), only the M/2 nodes above the real axis are
+    solved and their conjugates are mirrored (:func:`_mirrored_probe`);
+    any other centre or F solves all M nodes.
     The residual, the pair separation and the idempotency defect are
     2-norms of 2r x 2r cores of the thin QRs of [X, Q0] and [Y^H, Q0].
     The thin form cannot see quadrature error off Range(P0), so X and Y are
@@ -480,8 +531,12 @@ def kato_block(f_op, f0_op, center, radius=None, m_points=64, eigenvalues=None):
     w = radius * phases / m_points
     nodes = center + radius * phases
     # F (z - F)^{-1} = z (z - F)^{-1} - 1 and sum w = 0: F X is the rule w z
-    rules = np.stack([w, np.where(np.arange(m_points) % 2, 0.0, 2.0 * w), w * nodes])
-    (x, x_half, fx), (y, y_half, _) = _resolvent_apply(f_op, nodes, rules, q0, q0.conj().T)
+    if complex(center).imag == 0 and _preserves_hermiticity(
+            f_op.dim, f_op.base, f_op.coupling, f0_op.base):
+        x, x_half, fx, y, y_half = _mirrored_probe(f_op, q0, nodes, w)
+    else:
+        rules = np.stack([w, np.where(np.arange(m_points) % 2, 0.0, 2.0 * w), w * nodes])
+        (x, x_half, fx), (y, y_half, _) = _resolvent_apply(f_op, nodes, rules, q0, q0.conj().T)
     gap = max((np.linalg.norm(full - half) / np.linalg.norm(full) if r else 0.0)
               for full, half in ((x, x_half), (y, y_half)))
     if gap > 1e-6:

@@ -27,6 +27,8 @@ under test:
 * the Kato block probed on Range(P0) (P = X K^{-1} Y with thin factors)
   equals the dense projections and norms, factors nothing wider than
   max(d^2, 2 rank P0), and rejects a contour rule its M/2 half disowns;
+  at a real centre it solves only the nodes above the real axis (their
+  conjugates follow from conj(F) = R F R) and equals the full M-node sums;
 * eigenvalues of the one-period propagator are e^{T mu} for Howland
   eigenvalues mu, matched by the Hungarian assignment;
 * the monodromy lattice mu_j + i omega m (copy on block m - k_j) gives the
@@ -382,8 +384,8 @@ def test_block_thomas_apply_equals_dense(three_level, adjoint):
 
 
 def test_one_call_gives_both_sides_on_a_centre_block(three_level):
-    # rows only on the centre block, like Q0, so both sides skip the zero
-    # columns below it; 17 nodes end in a partial chunk, two rules share it
+    # rows only on the centre block, like Q0: one call gives the right and
+    # the left sum of each rule; 17 nodes end in a partial chunk
     f_op = build_howland(three_level.bundle, 4)
     s, n = f_op.block_size, f_op.matrix.shape[0]
     rng = np.random.default_rng(62)
@@ -514,10 +516,14 @@ def test_thin_kato_block_equals_dense_route(three_level, at_omega, scale):
     f0 = build_howland(three_level.make_bundle(0.0, 0.0), 8)
     kb = kato_block(f_op, f0, center)
     assert kb.projection.left.shape == (f_op.matrix.shape[0], 5)
+    _assert_thin_equals_dense(kb, f_op, f0)
+
+
+def _assert_thin_equals_dense(kb, f_op, f0):
     # the dense route: both projections materialized by the structured sum
+    center, m, m0 = kb.center, f_op.matrix, f0.matrix
     p = riesz_projection(f_op, center, radius=kb.radius).matrix
     p0 = riesz_projection(f0, center, radius=kb.radius).matrix
-    m, m0 = f_op.matrix, f0.matrix
 
     def close(thin, dense, rel):
         return np.linalg.norm(thin - dense, 2) <= rel * np.linalg.norm(dense, 2)
@@ -530,6 +536,84 @@ def test_thin_kato_block_equals_dense_route(three_level, at_omega, scale):
     assert abs(kb.residual - residual) <= 1e-10 * residual
     assert abs(kb.separation - separation) <= 1e-10 * separation
     assert kb.idempotency_defect <= 1e-12 and kb.quadrature_gap <= 1e-12
+
+
+def _record_inverses(monkeypatch):
+    shapes = []
+    original = np.linalg.inv
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", recording)
+    return shapes
+
+
+def _change_of_basis(f_op, u):
+    # L -> W L W^H with W = conj(U) (x) U, as vec(U A U*) = W vec(A): the
+    # same model in another atomic basis, Hermiticity preserved only to
+    # roundoff.  A diagonal U commutes with the level-diagonal atom (the
+    # gauge of a conjugated config); a full one also rotates Q0 into a
+    # complex basis, so G = Q0^H R conj(Q0) is complex
+    w = np.kron(u.conj(), u)
+    return replace(f_op, base=w @ f_op.base @ w.conj().T,
+                   coupling=w @ f_op.coupling @ w.conj().T)
+
+
+@pytest.mark.parametrize("basis", ["seed-0", "gauge", "rotated"])
+@pytest.mark.parametrize("m_points", [16, 64])
+@pytest.mark.parametrize("case", ["two_level", "three_level"])
+def test_mirrored_kato_probe_equals_the_full_node_sums(request, case, m_points, basis,
+                                                        monkeypatch):
+    # at a real centre the lower-half nodes come from the upper half by the
+    # symmetry conj(F) = R F R; the result must be that of all M nodes
+    inst = request.getfixturevalue(case)
+    f_op = build_howland(inst.bundle, 8)
+    f0 = build_howland(inst.make_bundle(0.0, 0.0), 8)
+    rng = np.random.default_rng(5)
+    if basis == "gauge":
+        u = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, f_op.dim)))
+    elif basis == "rotated":
+        u = np.linalg.qr(rng.standard_normal((f_op.dim,) * 2)
+                         + 1j * rng.standard_normal((f_op.dim,) * 2))[0]
+    if basis != "seed-0":
+        f_op, f0 = _change_of_basis(f_op, u), _change_of_basis(f0, u)
+    inverses = _record_inverses(monkeypatch)
+    kb = kato_block(f_op, f0, 0.0, m_points=m_points)
+    # one batched pivot inverse per mode and node, on the M/2 upper nodes only
+    assert sum(shape[0] for shape in inverses if len(shape) == 3) == 17 * m_points // 2
+
+    q0 = kb.first_order.left
+    nodes, w = _contour(0.0, kb.radius, m_points)
+    w = w / m_points
+    rules = np.stack([w, np.where(np.arange(m_points) % 2, 0.0, 2.0 * w), w * nodes])
+    (x, x_half, fx), (y, y_half, _) = _resolvent_apply(f_op, nodes, rules, q0, q0.conj().T)
+    k_inv = np.linalg.inv(q0.conj().T @ x)
+    gap = max(np.linalg.norm(full - half) / np.linalg.norm(full)
+              for full, half in ((x, x_half), (y, y_half)))
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    assert close(kb.block.left, x) and close(kb.block.right, y)
+    assert close(kb.block.core, k_inv @ (y @ fx) @ k_inv)
+    assert abs(kb.quadrature_gap - gap) <= 1e-13
+
+
+def test_kato_block_without_the_symmetry_solves_every_node(three_level, monkeypatch):
+    # a complex perturbation of B breaks conj(B) = S B S (F0 is unchanged):
+    # the probe factors all M nodes and still matches the dense route
+    f_op = build_howland(three_level.bundle, 8)
+    f0 = build_howland(three_level.make_bundle(0.0, 0.0), 8)
+    rng = np.random.default_rng(3)
+    s = f_op.block_size
+    f_op = replace(f_op, base=f_op.base + 1e-4 * (rng.standard_normal((s, s))
+                                                  + 1j * rng.standard_normal((s, s))))
+    inverses = _record_inverses(monkeypatch)
+    kb = kato_block(f_op, f0, 0.0)
+    assert inverses.count((16, s, s)) == 4 * 17
+    _assert_thin_equals_dense(kb, f_op, f0)
 
 
 def test_kato_probe_needs_an_even_converged_rule(three_level):
@@ -615,12 +699,18 @@ def test_kato_order_check_factors_each_pivot_once(three_level, monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, recording)
     kato_order_check(three_level.bundle, 8, m_points=64)
-    # two rungs x four 16-node chunks x 17 modes: X and Y share every pivot
-    # inverse; the only other inverses are the two rank-5 K
-    assert calls["inv"].count((16, 9, 9)) == 2 * 4 * 17
+    # two rungs x two 16-node chunks (the M/2 upper nodes; the lower half
+    # is their mirror) x 17 modes: X and Y share every pivot inverse; the
+    # only other inverses are the two rank-5 K
+    assert calls["inv"].count((16, 9, 9)) == 2 * 2 * 17
     assert sorted(set(calls["inv"])) == [(5, 5), (16, 9, 9)]
     assert calls["inv"].count((5, 5)) == 2
     assert calls["solve"] == []
+    # a centre off the real axis has no conjugate node pairs: all M nodes
+    calls["inv"].clear()
+    f_op = build_howland(three_level.bundle, 8)
+    kato_block(f_op, build_howland(three_level.make_bundle(0.0, 0.0), 8), 1j * f_op.omega)
+    assert calls["inv"].count((16, 9, 9)) == 4 * 17
 
 
 # --------------------------------------------------------------------------
