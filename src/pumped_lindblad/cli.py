@@ -7,18 +7,20 @@ Subcommands:
   floquet  spectrum/gap/monodromy report, write floquet.json
   oracle   resolvent-oracle convergence + PV coefficients, write oracle.json
 
-Exit codes: 0 success, 1 usage/config error, 2 assumption failure,
-3 numerical failure.  All outputs are deterministic for a fixed config and
-seed: summation orders are fixed, JSON keys are sorted, CSV floats are
-written with 17 significant digits and LF endings, and no timestamps ever
-enter file contents.
+Exit codes: 0 success, 1 usage/config error (an unknown or abbreviated
+option too), 2 assumption failure, 3 numerical failure.  All outputs are
+deterministic for a fixed config and seed: summation orders are fixed, JSON
+keys are sorted, CSV floats are written with 17 significant digits and LF
+endings, and no timestamps ever enter file contents.
 """
 
+import argparse
+import copy
 import json
+import math
 import sys
 from pathlib import Path
 
-import click
 import numpy as np
 
 from .errors import ConfigError, InvalidDensityMatrixError, PumpedLindbladError
@@ -28,11 +30,12 @@ from .floquet import (build_howland, floquet_lattice, floquet_spectrum, howland_
 from .lindblad import check_assumptions, reservoir_lindbladian, resolvent_oracle
 from .operator_core import (
     atomic_lindbladian,
+    bohr_spectrum,
     decompose_atom,
     validate_pump,
     validate_state,
 )
-from .reservoir import FormFactor, ReservoirSpec
+from .reservoir import FormFactor, ReservoirSpec, pv_coefficient
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -50,17 +53,22 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite(value):
+    """A finite number; math.isfinite raises on an int beyond the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _as_complex(value, what):
-    if _is_number(value):
-        z = complex(value)
-    elif (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(_is_number(x) for x in value)):
-        z = complex(value[0], value[1])
-    else:
+    parts = [value, 0.0] if _is_number(value) else value
+    if (not isinstance(parts, (list, tuple)) or len(parts) != 2
+            or not all(_is_number(x) for x in parts)):
         raise ConfigError(f"{what}: expected number or [re, im], got {value!r}")
-    if not np.isfinite(z):
+    if not all(_is_finite(x) for x in parts):
         raise ConfigError(f"{what}: non-finite entry {value!r}")
-    return z
+    return complex(*parts)
 
 
 def _as_matrix(rows, what):
@@ -72,6 +80,12 @@ def _as_matrix(rows, what):
         raise ConfigError(f"{what}: rows of unequal length") from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError(f"{what}: expected a square matrix, got shape {mat.shape}")
+    return mat
+
+
+def _require_dim(mat, d, what):
+    if mat.shape != (d, d):
+        raise ConfigError(f"{what}: expected a {d} x {d} matrix, got shape {mat.shape}")
     return mat
 
 
@@ -94,7 +108,7 @@ def load_config(path):
 
 
 def _require_finite(value, what, positive=False):
-    if (not _is_number(value) or not np.isfinite(value)
+    if (not _is_number(value) or not _is_finite(value)
             or (positive and not value > 0)):
         kind = "positive" if positive else "finite"
         raise ConfigError(f"{what}: expected a {kind} number, got {value!r}")
@@ -103,7 +117,8 @@ def _require_finite(value, what, positive=False):
 
 def _require_int(value, what, minimum):
     """An integer >= `minimum`; integral floats (as sweeps write them) pass."""
-    if not _is_number(value) or not float(value).is_integer() or value < minimum:
+    if (not _is_number(value) or not _is_finite(value) or not float(value).is_integer()
+            or value < minimum):
         raise ConfigError(f"{what}: expected an integer >= {minimum}, got {value!r}")
     return int(value)
 
@@ -151,6 +166,11 @@ class RunSetup:
         self.cfg = _known_keys(cfg, "config")
         self.warnings = []
 
+        pump_cfg = _section(cfg, "pump", required=True)
+        if "h_p" not in pump_cfg:
+            raise ConfigError("missing key 'pump.h_p'")
+        h_p = _as_matrix(pump_cfg["h_p"], "pump.h_p")
+
         atom_cfg = _section(cfg, "atom", required=True)
         has_levels = "energies" in atom_cfg
         has_matrix = "matrix" in atom_cfg
@@ -163,6 +183,8 @@ class RunSetup:
                 atom_cfg.get("degeneracies", [1] * len(energies)), "atom.degeneracies")]
             if len(degs) != len(energies):
                 raise ConfigError("atom: degeneracies length mismatch")
+            # before the Hamiltonian is built, so a huge degeneracy allocates nothing
+            _require_dim(h_p, sum(degs), "pump.h_p")
             diag = np.concatenate([[e] * n for e, n in zip(energies, degs)])
             h_at = np.diag(diag.astype(complex))
         else:
@@ -209,10 +231,7 @@ class RunSetup:
             self.res = ReservoirSpec(beta=beta, lam=lam, form_factors=tuple(ffs),
                                      couplings=tuple(qs))
 
-        pump_cfg = _section(cfg, "pump", required=True)
-        if "h_p" not in pump_cfg:
-            raise ConfigError("missing key 'pump.h_p'")
-        self.h_p = self._atom_matrix(pump_cfg.get("h_p"), "pump.h_p")
+        self.h_p = _require_dim(h_p, self.atom.dim, "pump.h_p")
         self.pump = validate_pump(self.atom, self.h_p)
         self.eta = _require_finite(pump_cfg.get("eta", 0.0), "pump.eta")
         omega = pump_cfg.get("omega")
@@ -249,11 +268,7 @@ class RunSetup:
 
     def _atom_matrix(self, rows, what):
         """A d x d matrix, d the atomic dimension."""
-        mat = _as_matrix(rows, what)
-        d = self.atom.dim
-        if mat.shape != (d, d):
-            raise ConfigError(f"{what}: expected a {d} x {d} matrix, got shape {mat.shape}")
-        return mat
+        return _require_dim(_as_matrix(rows, what), self.atom.dim, what)
 
     @property
     def data(self):
@@ -310,17 +325,17 @@ def _run_check(setup, out_dir):
     _write_json(out_dir / "report.json", payload)
     for rec in report.records:
         if rec["verdict"] == "attested":
-            click.echo(f"warning: assumption '{rec['name']}' attested, not proven",
-                       err=True)
+            print(f"warning: assumption '{rec['name']}' attested, not proven",
+                  file=sys.stderr)
     for w in setup.warnings:
-        click.echo(f"warning: {w}", err=True)
+        print(f"warning: {w}", file=sys.stderr)
     return report
 
 
 def _guard_assumptions(setup, out_dir, force):
     report = _run_check(setup, out_dir)
     if not report.hard_pass and not force:
-        click.echo("assumption check failed (use --force to run anyway)", err=True)
+        print("assumption check failed (use --force to run anyway)", file=sys.stderr)
         return False
     return True
 
@@ -330,11 +345,13 @@ def _guard_assumptions(setup, out_dir, force):
 # --------------------------------------------------------------------------
 
 def _do_check(setup, out_dir, **_kw):
+    """Verify the standing assumptions and write report.json."""
     report = _run_check(setup, out_dir)
     return EXIT_OK if report.hard_pass else EXIT_ASSUMPTION
 
 
 def _do_evolve(setup, out_dir, force=False, **_kw):
+    """Integrate the master equation; write trajectory.csv and summary.json."""
     if not _guard_assumptions(setup, out_dir, force):
         return EXIT_ASSUMPTION
     grid = np.linspace(0.0, setup.t_end, setup.n_out)
@@ -357,6 +374,7 @@ def _do_evolve(setup, out_dir, force=False, **_kw):
 
 
 def _do_floquet(setup, out_dir, force=False, order_check=False, **_kw):
+    """Spectrum, gap, resonances, monodromy; write floquet.json."""
     if not _guard_assumptions(setup, out_dir, force):
         return EXIT_ASSUMPTION
     bundle = setup.bundle()
@@ -376,7 +394,7 @@ def _do_floquet(setup, out_dir, force=False, order_check=False, **_kw):
         "monodromy_max_match_error": howland_match(f_op, *lattice),
     }
     if spec.degenerate:
-        click.echo("warning: zero spectral gap (degenerate case)", err=True)
+        print("warning: zero spectral gap (degenerate case)", file=sys.stderr)
     if order_check:
         payload["order_check"] = kato_order_check(
             bundle, setup.n_modes, m_points=setup.contour_points, lattice=lattice)
@@ -385,6 +403,7 @@ def _do_floquet(setup, out_dir, force=False, order_check=False, **_kw):
 
 
 def _do_oracle(setup, out_dir, force=False, **_kw):
+    """Resolvent-oracle convergence and PV coefficients; write oracle.json."""
     if not _guard_assumptions(setup, out_dir, force):
         return EXIT_ASSUMPTION
     data = setup.data
@@ -400,8 +419,6 @@ def _do_oracle(setup, out_dir, force=False, **_kw):
     extrap = (8.0 * mats[2] - 6.0 * mats[1] + mats[0]) / 3.0
     extrap_err = float(np.linalg.norm(extrap - data.l_r.matrix, 2))
 
-    from .reservoir import pv_coefficient
-    from .operator_core import bohr_spectrum
     bohr = bohr_spectrum(setup.atom)
     pv_records = []
     for l, ff in enumerate(setup.res.form_factors, start=1):
@@ -447,7 +464,6 @@ _SWEEP_ALIASES = {
 
 
 def _apply_sweep_value(cfg, key, raw):
-    import copy
     path = _SWEEP_ALIASES.get(key, key)
     if path not in _SWEEP_FIELDS:
         raise ConfigError(f"unknown sweep key {key!r} (sweepable: "
@@ -514,58 +530,40 @@ def _dispatch(command, config_path, out, force, order_check, sweep):
                                                 order_check=order_check))
         return code
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PumpedLindbladError as exc:
-        click.echo(f"numerical failure: {type(exc).__name__}: {exc}", err=True)
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 
-def _common_options(fn):
-    fn = click.argument("config_path", metavar="CONFIG.JSON")(fn)
-    fn = click.option("--out", default="out", show_default=True,
-                      help="output directory")(fn)
-    fn = click.option("--force", is_flag=True,
-                      help="run even if assumption checks fail")(fn)
-    fn = click.option("--sweep", default=None, metavar="KEY=V1,V2,...",
-                      help="run once per value of lambda, eta, beta, t_end or a "
-                           "numeric config field such as pump.omega, in order")(fn)
-    return fn
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # a usage error exits 1, where argparse exits 2
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-@click.group()
-def main():
+def main(args=None, prog_name=None):
     """Effective Lindbladian of a pumped impurity: build, evolve, verify."""
-
-
-@main.command()
-@_common_options
-def check(config_path, out, force, sweep):
-    """Verify the standing assumptions and write report.json."""
-    sys.exit(_dispatch("check", config_path, out, force, False, sweep))
-
-
-@main.command(name="evolve")
-@_common_options
-def evolve_cmd(config_path, out, force, sweep):
-    """Integrate the master equation; write trajectory.csv and summary.json."""
-    sys.exit(_dispatch("evolve", config_path, out, force, False, sweep))
-
-
-@main.command(name="floquet")
-@_common_options
-@click.option("--order-check", is_flag=True,
-              help="also record the perturbation-block residual at two couplings")
-def floquet_cmd(config_path, out, force, sweep, order_check):
-    """Spectrum, gap, resonances, monodromy; write floquet.json."""
-    sys.exit(_dispatch("floquet", config_path, out, force, order_check, sweep))
-
-
-@main.command()
-@_common_options
-def oracle(config_path, out, force, sweep):
-    """Resolvent-oracle convergence and PV coefficients; write oracle.json."""
-    sys.exit(_dispatch("oracle", config_path, out, force, False, sweep))
+    parser = _Parser(prog=prog_name or "pumped-lindblad", description=main.__doc__,
+                     allow_abbrev=False)
+    parser.set_defaults(order_check=False)     # a flag of floquet only
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, run in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                    allow_abbrev=False)
+        sub.add_argument("config_path", metavar="CONFIG.JSON")
+        sub.add_argument("--out", default="out", help="output directory (default: out)")
+        sub.add_argument("--force", action="store_true",
+                         help="run even if assumption checks fail")
+        sub.add_argument("--sweep", metavar="KEY=V1,V2,...",
+                         help="run once per value of lambda, eta, beta, t_end or a "
+                              "numeric config field such as pump.omega, in order")
+        if name == "floquet":
+            sub.add_argument("--order-check", action="store_true",
+                             help="also record the perturbation-block residual at "
+                                  "two couplings")
+    sys.exit(_dispatch(**vars(parser.parse_args(args))))
 
 
 if __name__ == "__main__":

@@ -58,7 +58,7 @@ here is numpy; QUADPACK is only the unit tests' oracle.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -187,18 +187,18 @@ class ReservoirSpec:
     """Inverse temperature, coupling, form factors, and coupling matrices.
 
     `couplings` must be closed under conjugate transpose (the interaction
-    Hamiltonian is self-adjoint).  `orthogonal` records whether the form
-    factors are pairwise L2-orthogonal; the closed-form generator of
-    ``lindblad.reservoir_lindbladian`` is only valid when it holds, and it
-    raises NonOrthogonalFamilyError otherwise.
+    Hamiltonian is self-adjoint).  `orthogonal`, computed and never passed,
+    records whether the form factors are pairwise L2-orthogonal; the
+    closed-form generator of ``lindblad.reservoir_lindbladian`` is only valid
+    when it holds, and it raises NonOrthogonalFamilyError otherwise.
     """
 
     beta: float
     lam: float
     form_factors: tuple
     couplings: tuple
-    orthogonal: bool = None
     gks_jumps: tuple = None
+    orthogonal: bool = field(init=False)
 
     def __post_init__(self):
         if self.gks_jumps is not None:
@@ -206,8 +206,7 @@ class ReservoirSpec:
             object.__setattr__(self, "gks_jumps", jumps)
             object.__setattr__(self, "form_factors", tuple(self.form_factors or ()))
             object.__setattr__(self, "couplings", tuple(self.couplings or ()))
-            if self.orthogonal is None:
-                object.__setattr__(self, "orthogonal", False)
+            object.__setattr__(self, "orthogonal", False)
             return
         _effective_beta(self.beta)
         ffs = tuple(self.form_factors)
@@ -224,8 +223,7 @@ class ReservoirSpec:
                 )
         object.__setattr__(self, "form_factors", ffs)
         object.__setattr__(self, "couplings", qs)
-        if self.orthogonal is None:
-            object.__setattr__(self, "orthogonal", _verify_orthogonality(ffs))
+        object.__setattr__(self, "orthogonal", _verify_orthogonality(ffs))
 
     def require_orthogonal(self):
         if not self.orthogonal:

@@ -7,22 +7,39 @@ floats; byte-identical across reruns of the same config and seed.
 """
 
 import copy
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pumped_lindblad import ConfigError
-from pumped_lindblad.cli import RunSetup, _points, _validated_setup, main
+from pumped_lindblad.cli import _COMMANDS, RunSetup, _points, _validated_setup, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
+def _invoke(cli, args):
+    """Run the CLI in this process: its exit code, stdout + stderr, and stderr.
+
+    Every run must end in SystemExit; any other exception propagates, so a
+    crash fails the test instead of reading as an exit code.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        cli(args)
+    return SimpleNamespace(exit_code=exit_.value.code, stderr=err.getvalue(),
+                           output=out.getvalue() + err.getvalue())
+
+
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return SimpleNamespace(invoke=_invoke)
 
 
 def _load(path):
@@ -171,22 +188,26 @@ def test_check_strip_ladder_makes_no_quad_call(runner, tmp_path, monkeypatch, na
 
 _SCIPY_PROBE = """
 import sys
+preloaded = set(sys.modules)
 from pumped_lindblad.cli import main
 try:
     main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
+loaded = {m.partition(".")[0] for m in set(sys.modules) - preloaded}
 print(code, any(m == "scipy" or m.startswith("scipy.") for m in sys.modules),
-      "numpy.random" in sys.modules)
+      "numpy.random" in sys.modules,
+      sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "pumped_lindblad"}))
 """
 
 
 @pytest.mark.parametrize("args", [["check"], ["evolve"], ["floquet", "--order-check"],
                                   ["oracle"]], ids=lambda a: "-".join(a))
 def test_subcommands_never_import_scipy(tmp_path, args):
-    # a fresh interpreter: the CLI path is numpy only (scipy is left to the
-    # cross-checks that no subcommand runs), and its seeded draws come from
-    # the stdlib, so numpy.random stays unloaded too
+    # a fresh interpreter: the CLI path loads numpy and the standard library
+    # only (scipy is left to the cross-checks that no subcommand runs), and
+    # its seeded draws come from the stdlib, so numpy.random stays unloaded
+    # too.  Modules `site` preloaded before the import are not counted.
     import os
     import subprocess
     import sys
@@ -198,12 +219,36 @@ def test_subcommands_never_import_scipy(tmp_path, args):
         [sys.executable, "-c", _SCIPY_PROBE, *args, str(CONFIG_DIR / "three_level.json"),
          "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=300)
-    assert proc.stdout.split() == ["0", "False", "False"], proc.stdout + proc.stderr
+    assert proc.stdout.split() == ["0", "False", "False", "[]"], proc.stdout + proc.stderr
 
 
 # --------------------------------------------------------------------------
-# config errors -> exit 1
+# usage and config errors -> exit 1
 # --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args", [
+    ["check"],
+    ["check", "CFG", "--bogus"],
+    ["floquet", "CFG", "--order-chek"],
+    ["frobnicate", "CFG"],
+    ["floquet", "CFG", "--ord"],            # an abbreviation is refused, not expanded
+], ids=["no-config", "unknown-option", "misspelt-option", "unknown-subcommand",
+        "abbreviated-option"])
+def test_usage_error_exits_1(runner, tmp_path, args):
+    args = [str(CONFIG_DIR / "two_level.json") if a == "CFG" else a for a in args]
+    out = tmp_path / "out"
+    result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith("usage: pumped-lindblad"), result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+def test_help_exits_0(runner):
+    result = runner.invoke(main, ["floquet", "--help"])
+    assert result.exit_code == 0, result.output
+    assert "--order-check" in result.output and not result.stderr
+
 
 def test_config_error_missing_atom(runner, tmp_path):
     cfg = _two_level_cfg()
@@ -273,11 +318,23 @@ MALFORMED = [
     # misspelt keys, which would otherwise fall back to the defaults
     (("floquet", "n_mode"), 8),
     (("reservoir", "lamda"), 0.1),
+    # numbers beyond the int64 or the float range, and a degeneracy that
+    # would expand into a huge Hamiltonian before any matrix is checked
+    (("pump", "omega"), -10**20),
+    (("sim", "n_out"), 10**400),
+    (("pump", "h_p", 1, 0), 10**400),
+    (("atom", "degeneracies"), [1, 10**12]),
 ]
 
 
+def _case_id(path, value):
+    if isinstance(value, int) and abs(value) > 10**9:
+        value = f"{'-' * (value < 0)}10**{len(str(abs(value))) - 1}"     # not 401 digits
+    return "-".join(map(str, path + (value,)))
+
+
 @pytest.mark.parametrize("path, value", MALFORMED,
-                         ids=["-".join(map(str, p + (v,))) for p, v in MALFORMED])
+                         ids=[_case_id(p, v) for p, v in MALFORMED])
 def test_config_error_bad_scalar(runner, tmp_path, path, value):
     # every field is validated in RunSetup, before any subcommand-specific work
     cfg = _set(_two_level_cfg(), path, value)
@@ -317,17 +374,17 @@ def test_gks_config_may_omit_beta():
 MUTATION_VALUES = [None, True, -1, 0, 2.5, "x", [], {}, [[1]], float("nan")]
 
 
-def _mutation_paths(node, prefix=()):
-    """Every dict key and every first list element, depth first."""
+def _mutation_paths(node, prefix=(), every_index=False):
+    """Every dict key and the first (or every) list element, depth first."""
     if isinstance(node, dict):
         keys = list(node)
     elif isinstance(node, list) and node:
-        keys = [0]
+        keys = range(len(node)) if every_index else [0]
     else:
         keys = []
     for key in keys:
         yield prefix + (key,)
-        yield from _mutation_paths(node[key], prefix + (key,))
+        yield from _mutation_paths(node[key], prefix + (key,), every_index)
 
 
 @pytest.mark.parametrize("make_cfg", [_two_level_cfg, _gks_two_level_cfg],
@@ -357,6 +414,36 @@ def test_single_field_mutations_raise_only_library_errors(make_cfg):
         cfg = _set(copy.deepcopy(base), path + ("unknown_key",), 0)
         with pytest.raises(ConfigError, match="unknown_key"):
             _validated_setup("evolve", cfg)
+
+
+FUZZ_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-999, 999) | st.floats() | st.text(max_size=3)
+    | st.sampled_from([10**20, 10**400]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(make_cfg=st.sampled_from([_two_level_cfg, _gks_two_level_cfg]), data=st.data())
+def test_fuzzed_configs_raise_only_config_errors(make_cfg, data):
+    # 1-3 values anywhere in a bundled config: every subcommand's validation
+    # passes or raises ConfigError, never another error or a huge allocation
+    cfg = make_cfg()
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_mutation_paths(cfg, every_index=True))))
+        _set(cfg, path, data.draw(FUZZ_VALUES))
+    for command in _COMMANDS:
+        try:
+            _validated_setup(command, cfg)
+        except ConfigError:
+            pass
+
+
+def test_integer_beyond_int64_is_a_number():
+    cfg = _two_level_cfg()
+    cfg["reservoir"]["lambda"] = 10**20
+    assert RunSetup(cfg).res.lam == 1e20
 
 
 def test_integral_float_mode_count_accepted():

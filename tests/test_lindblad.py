@@ -28,6 +28,7 @@ from pumped_lindblad import (
     InvalidFormFactorError,
     LindbladData,
     NonHermitianError,
+    NonOrthogonalFamilyError,
     PumpedLindbladError,
     ReservoirSpec,
     Superoperator,
@@ -241,6 +242,19 @@ def test_couplings_must_be_adjoint_closed():
         ReservoirSpec(beta=1.0, lam=0.1,
                       form_factors=(FormFactor(((1.0, 1, 1.0),)),),
                       couplings=(raising,))
+
+
+def test_orthogonality_is_computed_not_passed(two_level):
+    # two identical channels are not orthogonal; no constructor argument can
+    # claim they are and so skip the closed-form generator's guard
+    ff = FormFactor(((1.0, 1, 1.0),))
+    with pytest.raises(TypeError):
+        ReservoirSpec(beta=1.0, lam=0.1, form_factors=(ff, ff),
+                      couplings=(SIGMA_X, SIGMA_Z), orthogonal=True)
+    res = ReservoirSpec(beta=1.0, lam=0.1, form_factors=(ff, ff),
+                        couplings=(SIGMA_X, SIGMA_Z))
+    with pytest.raises(NonOrthogonalFamilyError):
+        reservoir_lindbladian(two_level.atom, res)
 
 
 def test_negative_beta_rejected():
