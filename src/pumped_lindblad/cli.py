@@ -123,6 +123,17 @@ def _require_int(value, what, minimum):
     return int(value)
 
 
+# size bounds, each refused before any array of that size is built
+_MAX_TRAJECTORY_ENTRIES = 2**24   # n_out d^2: a 256 MiB complex trajectory
+_MAX_HOWLAND_ROWS = 2**16         # (2 n_modes + 1) d^2: 20x the rows of d = 5, n_modes = 64
+_MAX_CONTOUR_POINTS = 2**16       # far past a converged trapezoid rule (64 nodes by default)
+
+
+def _require_size(what, size, limit, unit):
+    if size > limit:
+        raise ConfigError(f"{what}: {size} {unit} exceed the bound {limit}")
+
+
 def _require_list(value, what):
     if not isinstance(value, list):
         raise ConfigError(f"{what}: expected a list, got {value!r}")
@@ -249,15 +260,22 @@ class RunSetup:
         self.t_end = sim.get("t_end")
         if self.t_end is not None:
             self.t_end = _require_finite(self.t_end, "sim.t_end", positive=True)
+        d2 = self.atom.dim ** 2
         self.n_out = _require_int(sim.get("n_out", 201), "sim.n_out", 2)
+        _require_size("sim.n_out", self.n_out * d2, _MAX_TRAJECTORY_ENTRIES,
+                      "trajectory entries (n_out d^2)")
         self.rtol = _require_finite(sim.get("rtol", 1e-8), "sim.rtol", positive=True)
         self.atol = _require_finite(sim.get("atol", 1e-10), "sim.atol")
         if self.atol < 0:
             raise ConfigError(f"sim.atol: expected a number >= 0, got {self.atol!r}")
         flo = _section(cfg, "floquet")
         self.n_modes = _require_int(flo.get("n_modes", 32), "floquet.n_modes", 2)
+        _require_size("floquet.n_modes", (2 * self.n_modes + 1) * d2, _MAX_HOWLAND_ROWS,
+                      "Howland rows ((2 n_modes + 1) d^2)")
         self.contour_points = _require_int(flo.get("contour_points", 64),
                                            "floquet.contour_points", 2)
+        _require_size("floquet.contour_points", self.contour_points, _MAX_CONTOUR_POINTS,
+                      "contour nodes")
         if self.contour_points % 2:
             # the order check compares the rule with its every-second-node half
             raise ConfigError("floquet.contour_points: expected an even integer >= 2, "

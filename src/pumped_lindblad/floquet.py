@@ -18,20 +18,20 @@ A :class:`FloquetOperator` is its blocks B, H and omega.  The CLI spectrum
 is the lattice mu_j + i omega m of the d^2 x d^2 one-period propagator from
 the CF4 step grid of `evolution` (:func:`floquet_lattice`), checked against
 F by shifted block-Thomas solves (:func:`howland_match`).  The dense matrix
-is built on first read of `matrix`, by the reference routes only: the
-dense eigensolve of F (which also settles a gap below 1e-6), the Hungarian
-:func:`monodromy` match (RK45 propagator, scipy imported inside it), and
-the dense Riesz projection.  Every contour sum goes through one kernel,
-block-Thomas elimination of z - F with right-hand columns and/or left-hand
-rows on one inverse per block pivot (:func:`_resolvent_apply`).  The
-perturbation block forms no (n s) x (n s) matrix: P0 of the free operator
-is exact (one Hermitian eigensolve of its d^2 x d^2 block), P is probed on
-Range(P0) with rank P0 right-hand sides (Kato's pairs of projections; the
-thin contour-integral pattern of Beyn, Lin. Alg. Appl. 436, 3839 (2012)),
-F P comes from the same sum as F (z - F)^{-1} = z (z - F)^{-1} - 1, and
-every norm is taken on a 2r x 2r core.  When F preserves Hermiticity it
-commutes with conj o R (R: mode reversal (x) the vec-transpose swap), so at
-a real centre only the upper half of the conjugate node pairs is solved.
+is built on first read of `matrix`, by the reference routes only: the dense
+eigensolve of F, the Hungarian :func:`monodromy` match (RK45 propagator,
+scipy imported inside it), and the dense Riesz projection.  Every contour
+sum goes through one kernel, block-Thomas elimination of z - F with
+right-hand columns and/or left-hand rows on one inverse per block pivot
+(:func:`_resolvent_apply`).  The perturbation block forms no (n s) x (n s)
+matrix: P0 of the free operator is exact (one Hermitian eigensolve of its
+d^2 x d^2 block), P is probed on Range(P0) with rank P0 right-hand sides
+(Kato's pairs of projections; the thin contour-integral pattern of Beyn,
+Lin. Alg. Appl. 436, 3839 (2012)), F P comes from the same sum as
+F (z - F)^{-1} = z (z - F)^{-1} - 1, and every norm is taken on a 2r x 2r
+core.  When F preserves Hermiticity it commutes with conj o R (R: mode
+reversal (x) the vec-transpose swap), so at a real centre only the upper
+half of the conjugate node pairs is solved.
 """
 
 import random
@@ -127,7 +127,6 @@ def build_howland(bundle, n_modes):
 # --------------------------------------------------------------------------
 
 _RESONANCE_TOL = 1e-8       # distance from i omega Z that marks a resonance copy
-_LATTICE_GAP_FLOOR = 1e-6   # far above the lattice's CF4 error (M to ~1e-12)
 
 
 @dataclass(frozen=True)
@@ -171,10 +170,10 @@ def floquet_spectrum(f_op, lattice=None):
 
     Dense route: eigensolve F; an eigenvector is interior when its largest
     block is |k| <= N-2 (shift truncation pollutes the outer two).  Given a
-    :func:`floquet_lattice` (mu, k), no eigensolve unless the gap is below
-    `_LATTICE_GAP_FLOOR`: the copy mu_j + i omega m lies on block m - k_j.
-    The gap is min |Re mu| over interior eigenvalues off the resonance
-    copies (`_RESONANCE_TOL` from i omega Z).  Also: for |p| <= N-1 the
+    :func:`floquet_lattice` (mu, k), nothing is eigensolved at any gap (a
+    zero gap reads at CF4 roundoff): the copy mu_j + i omega m lies on block
+    m - k_j.  The gap is min |Re mu| over interior eigenvalues off the
+    resonance copies (`_RESONANCE_TOL` from i omega Z).  Also: for |p| <= N-1 the
     residual of the exact left eigenvector claim x_p^H F = i p omega x_p^H,
     x_p = delta_{k,p} (x) vec(1)/sqrt(d), on the three blocks of row p, and for
     interior p the number of eigenvalues within `_RESONANCE_TOL` of i p omega.
@@ -185,10 +184,8 @@ def floquet_spectrum(f_op, lattice=None):
         if mu.size != d2:
             raise DimensionMismatchError("the lattice and the Howland operator differ")
         blocks = np.arange(-n, n + 1)[:, None]
-        spec = _spectrum_report(f_op, (mu + 1j * f_op.omega * (k + blocks)).ravel(),
+        return _spectrum_report(f_op, (mu + 1j * f_op.omega * (k + blocks)).ravel(),
                                 np.repeat(np.abs(blocks) <= n - 2, d2))
-        if spec.gap >= _LATTICE_GAP_FLOOR:
-            return spec
     try:
         w, v = np.linalg.eig(f_op.matrix)
     except np.linalg.LinAlgError as exc:
@@ -297,10 +294,13 @@ def _resolvent_apply(f_op, nodes, weights, rhs=None, lhs=None):
              for b, hc, transposed in ((rhs, h, False), (lhs, h.T, True)) if b is not None]
     acc = [np.zeros(weights.shape[:-1] + b.shape, dtype=complex) for b, *_ in sides]
     eye = np.eye(s, dtype=complex)
+    chunk = min(_NODE_CHUNK, nodes.size)   # one set of stacks per call, sliced when short
+    p_stack = [np.empty((n, chunk, s, s), dtype=complex) for _ in sides]   # back-substitution factors
+    u_stack = [np.empty((chunk, n) + b.shape[1:], dtype=complex) for b, *_ in sides]
     for start in range(0, nodes.size, _NODE_CHUNK):
         z = nodes[start:start + _NODE_CHUNK]
-        p = [np.empty((n, z.size, s, s), dtype=complex) for _ in sides]   # back-substitution factors
-        u = [np.empty((z.size, n) + b.shape[1:], dtype=complex) for b, *_ in sides]
+        p = [a[:, :z.size] for a in p_stack]
+        u = [a[:z.size] for a in u_stack]
         schur = 0.0
         try:
             for k in range(n):
@@ -618,13 +618,6 @@ def kato_order_check(bundle, n_modes, m_points=64, lattice=None):
 # pairs of projections
 # --------------------------------------------------------------------------
 
-def _inv_sqrt_eig(a):
-    w, v = np.linalg.eig(a)
-    if np.any(np.abs(w) <= 1e-12):
-        raise NearSingularPairError("1 - (P-Q)^2 has a near-zero eigenvalue")
-    return v @ np.diag(w ** -0.5) @ np.linalg.inv(v)
-
-
 def _inv_sqrt_series(r, terms=60):
     """(1 - R)^{-1/2} by the binomial series; valid for ||R|| < 1."""
     acc = np.eye(r.shape[0], dtype=complex)
@@ -653,7 +646,9 @@ def pair_transform(p, q):
     smin = np.linalg.svd(one_minus, compute_uv=False)[-1]
     if smin <= 1e-6:
         raise NearSingularPairError(f"min singular value of 1-R is {smin:.3e}")
-    inv_sqrt = _inv_sqrt_eig(one_minus)
+    # every |eigenvalue| of 1 - R is >= smin, so the root below is finite
+    w, vecs = np.linalg.eig(one_minus)
+    inv_sqrt = vecs @ np.diag(w ** -0.5) @ np.linalg.inv(vecs)
     r_norm = np.linalg.norm(r, 2)
     if r_norm < 0.5:
         alt = _inv_sqrt_series(r)

@@ -19,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pumped_lindblad import ConfigError
-from pumped_lindblad.cli import _COMMANDS, RunSetup, _points, _validated_setup, main
+from pumped_lindblad.cli import (_COMMANDS, _MAX_CONTOUR_POINTS, _MAX_HOWLAND_ROWS,
+                                 _MAX_TRAJECTORY_ENTRIES, RunSetup, _points, _validated_setup,
+                                 main)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -324,6 +326,10 @@ MALFORMED = [
     (("sim", "n_out"), 10**400),
     (("pump", "h_p", 1, 0), 10**400),
     (("atom", "degeneracies"), [1, 10**12]),
+    # sizes whose arrays would not fit: refused before any is built
+    (("sim", "n_out"), 10**20),
+    (("floquet", "n_modes"), 10**12),
+    (("floquet", "contour_points"), 10**12),
 ]
 
 
@@ -438,6 +444,19 @@ def test_fuzzed_configs_raise_only_config_errors(make_cfg, data):
             _validated_setup(command, cfg)
         except ConfigError:
             pass
+
+
+@pytest.mark.parametrize("path, at_bound, step", [
+    (("sim", "n_out"), _MAX_TRAJECTORY_ENTRIES // 4, 1),
+    (("floquet", "n_modes"), (_MAX_HOWLAND_ROWS // 4 - 1) // 2, 1),
+    (("floquet", "contour_points"), _MAX_CONTOUR_POINTS, 2),
+], ids=["sim.n_out", "floquet.n_modes", "floquet.contour_points"])
+def test_size_bounds_are_inclusive(path, at_bound, step):
+    # d^2 = 4 on two_level; the contour rule must also be even, so its next
+    # value is bound + 2.  Validation alone builds no array of these sizes.
+    assert _validated_setup("check", _set(_two_level_cfg(), path, at_bound))
+    with pytest.raises(ConfigError, match="exceed the bound"):
+        _validated_setup("check", _set(_two_level_cfg(), path, at_bound + step))
 
 
 def test_integer_beyond_int64_is_a_number():
@@ -699,10 +718,23 @@ def test_floquet_order_check_values_on_three_level(runner, tmp_path, monkeypatch
         assert abs(oc[key] - value) <= 1e-10 * value, (key, oc[key])
 
 
-@pytest.mark.parametrize("order_check", [False, True], ids=["plain", "order-check"])
-def test_floquet_never_reads_the_dense_matrix(runner, tmp_path, monkeypatch, order_check):
-    # every CLI product of F comes from its blocks; the lattice at lambda
-    # serves floquet.json and the order check, which adds the lambda/2 one
+def _dephased_three_level_cfg():
+    # only the middle level dephases, so the pumped pair keeps a zero gap
+    cfg = _three_level_cfg()
+    cfg["reservoir"] = {"beta": 2.0, "lambda": 0.1,
+                        "gks_jumps": [[[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]]}
+    return cfg
+
+
+@pytest.mark.parametrize("make_cfg, flags", [
+    (_three_level_cfg, []),
+    (_three_level_cfg, ["--order-check"]),
+    (_dephased_three_level_cfg, ["--force"]),
+], ids=["plain", "order-check", "dephased-force"])
+def test_floquet_never_reads_the_dense_matrix(runner, tmp_path, monkeypatch, make_cfg, flags):
+    # every CLI product of F comes from its blocks, at every gap; the lattice
+    # at lambda serves floquet.json and the order check, which adds the
+    # lambda/2 one
     from pumped_lindblad import evolution, floquet
 
     def dense(f_op):
@@ -717,10 +749,13 @@ def test_floquet_never_reads_the_dense_matrix(runner, tmp_path, monkeypatch, ord
 
     monkeypatch.setattr(floquet.FloquetOperator, "matrix", property(dense))
     monkeypatch.setattr(floquet, "_step_grid", spy_grid)
-    args = ["floquet", str(CONFIG_DIR / "three_level.json"), "--out", str(tmp_path / "out")]
-    result = runner.invoke(main, args + ["--order-check"] * order_check)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["floquet", _write(tmp_path, make_cfg()), "--out", str(out)]
+                           + flags)
     assert result.exit_code == 0, result.output
-    assert grids == [1 + order_check]
+    assert grids == [1 + ("--order-check" in flags)]
+    if "--force" in flags:
+        assert _load(out / "floquet.json")["degenerate"] is True
 
 
 # --------------------------------------------------------------------------

@@ -34,7 +34,8 @@ under test:
 * the monodromy lattice mu_j + i omega m (copy on block m - k_j) gives the
   dense route's interior spectrum in the same order, gap, degenerate flag,
   disc counts and residuals, and the shifted block-Thomas Rayleigh
-  quotient checks it independently.
+  quotient checks it independently; on a zero or near-zero gap it keeps
+  the dense route's flag and gap to roundoff with no eigensolve.
 """
 
 from dataclasses import replace
@@ -202,35 +203,18 @@ def _gks_bundle(two_level):
     return replace(two_level.bundle, l_r=reservoir_lindbladian(two_level.atom, res).l_r)
 
 
-def _dephased_bundle(three_level):
-    # the three-level atom with the one GKS jump |1><1|: levels 0 and 2,
-    # which the pump couples, evolve unitarily, so their quasi-energy
-    # coherences keep Re mu = 0 off i omega Z at lambda, eta != 0
-    res = ReservoirSpec(beta=2.0, lam=0.1, form_factors=(), couplings=(),
-                        gks_jumps=(np.diag([0.0, 1.0, 0.0]).astype(complex),))
-    return replace(three_level.bundle,
-                   l_r=reservoir_lindbladian(three_level.atom, res).l_r)
-
-
-_VARIANTS = {"gks": ("two_level", _gks_bundle), "dephased": ("three_level", _dephased_bundle)}
-
-
 @pytest.mark.parametrize("case, n", [("three_level", 8), ("three_level", 16),
-                                     ("three_level", 32), ("two_level", 32), ("gks", 8),
-                                     ("dephased", 8)])
+                                     ("three_level", 32), ("two_level", 32), ("gks", 8)])
 def test_lattice_spectrum_equals_dense_route(request, case, n):
-    if case in _VARIANTS:
-        fixture, variant = _VARIANTS[case]
-        bundle = variant(request.getfixturevalue(fixture))
+    if case == "gks":
+        bundle = _gks_bundle(request.getfixturevalue("two_level"))
     else:
         bundle = request.getfixturevalue(case).bundle
     f_op = build_howland(bundle, n)
     dense = floquet_spectrum(f_op)
     lattice = floquet_lattice(bundle, n)
     spec = floquet_spectrum(f_op, lattice)
-    # a zero gap reads ~1e-14 on the lattice (CF4 roundoff), so the flag
-    # must come from the dense fallback
-    assert spec.degenerate == dense.degenerate == (case == "dephased")
+    assert not spec.degenerate and not dense.degenerate
     assert spec.eigenvalues.size == dense.eigenvalues.size
     assert np.sum(spec.interior) == np.sum(dense.interior)
     # the copy mu_j + i omega m sits on block m - k_j, k_j the index of
@@ -243,6 +227,47 @@ def test_lattice_spectrum_equals_dense_route(request, case, n):
     assert abs(spec.gap - dense.gap) <= 1e-8 * dense.gap
     assert spec.disc_counts == dense.disc_counts
     assert spec.resonance_residuals == dense.resonance_residuals
+    assert howland_match(f_op, *lattice) <= 1e-6
+
+
+def _dephased_bundle(three_level, omega=None, eps=0.0):
+    # the three-level atom with the one GKS jump |1><1|: levels 0 and 2,
+    # which the pump couples, evolve unitarily, so their quasi-energy
+    # coherences keep Re mu = 0 off i omega Z at lambda, eta != 0.  A second
+    # jump eps |0><2| opens a gap of order lambda^2 eps^2 / 2.
+    decay = np.zeros((3, 3), dtype=complex)
+    decay[0, 2] = eps
+    jumps = (np.diag([0.0, 1.0, 0.0]).astype(complex),) + ((decay,) if eps else ())
+    res = ReservoirSpec(beta=2.0, lam=0.1, form_factors=(), couplings=(), gks_jumps=jumps)
+    return replace(three_level.bundle, omega=omega or three_level.bundle.omega,
+                   l_r=reservoir_lindbladian(three_level.atom, res).l_r)
+
+
+_DEPHASED = ([{"omega": omega} for omega in (0.3, 2.1, 10.0, 50.0)]
+             + [{"eps": eps} for eps in (0.3, 0.1, 0.03, 1e-2, 1e-3, 1e-4, 1e-5)])
+
+
+@pytest.mark.parametrize("variant", _DEPHASED,
+                         ids=[f"{key}-{value}" for v in _DEPHASED for key, value in v.items()])
+def test_lattice_settles_a_zero_or_tiny_gap(three_level, variant):
+    # a zero gap reads at CF4 roundoff on the lattice (4e-19 to 1.3e-14),
+    # and gaps from 4.5e-4 down to 7e-13 read to roundoff: the dense
+    # route's flag is the reference, and no eigensolve settles any of them
+    bundle = _dephased_bundle(three_level, **variant)
+    n = 8
+    f_op = build_howland(bundle, n)
+    dense = floquet_spectrum(f_op)
+    lattice = floquet_lattice(bundle, n)
+    spec = floquet_spectrum(f_op, lattice)
+    assert spec.eigenvalues.size == dense.eigenvalues.size
+    assert spec.degenerate == dense.degenerate
+    assert dense.degenerate == ("omega" in variant or variant["eps"] <= 1e-5)
+    assert abs(spec.gap - dense.gap) <= max(1e-8 * dense.gap, 1e-13)
+    assert spec.disc_counts == dense.disc_counts
+    assert spec.resonance_residuals == dense.resonance_residuals
+    # one copy per exponent on every interior block; the dense route's
+    # largest-block rule can miscount a copy spread over two blocks
+    assert np.sum(spec.interior) == (2 * (n - 2) + 1) * f_op.block_size
     assert howland_match(f_op, *lattice) <= 1e-6
 
 
@@ -422,6 +447,27 @@ def test_one_sided_identity_sum_holds_one_forward_stack(three_level, side):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 16 * eye.nbytes
+
+
+def test_node_chunks_reuse_one_set_of_stacks(three_level):
+    # thin sides on both ends, as in the Kato probe: the back-substitution
+    # stacks of one chunk are the working set, so 64 nodes (four chunks)
+    # peak no higher than 16 nodes (one chunk)
+    import tracemalloc
+
+    f_op = build_howland(three_level.bundle, 8)
+    rng = np.random.default_rng(7)
+    rhs = rng.standard_normal((f_op.matrix.shape[0], 3)) + 0j
+    peaks = []
+    for m_points in (16, 64):
+        nodes, weights = _contour(0.0, 0.3, m_points)
+        tracemalloc.start()
+        try:
+            _resolvent_apply(f_op, nodes, weights, rhs, rhs.T)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
 
 
 def test_riesz_projection_factors_only_blocks(three_level, monkeypatch):
