@@ -33,7 +33,6 @@ from .evolution import (
     averaged_generator,
     evolve,
     populations,
-    propagator,
     stationary_state,
     trajectory_to_csv,
 )
@@ -42,25 +41,18 @@ from .floquet import (
     FloquetSpectrum,
     KatoBlock,
     LowRank,
-    MonodromyReport,
-    RieszProjection,
     build_howland,
-    eigenprojection_direct,
     floquet_lattice,
     floquet_spectrum,
     howland_match,
     kato_block,
     kato_order_check,
-    monodromy,
-    pair_transform,
-    riesz_projection,
 )
 from .lindblad import (
     AssumptionReport,
     LindbladData,
     algebra_dimension,
     check_assumptions,
-    choi_matrix,
     commutant_dimension,
     jump_operators,
     reservoir_lindbladian,
@@ -76,7 +68,6 @@ from .operator_core import (
     decompose_atom,
     gibbs_state,
     hamiltonian_lindbladian,
-    spectral_projection,
     unvec,
     validate_pump,
     validate_state,
@@ -86,7 +77,6 @@ from .reservoir import (
     AnalyticityReport,
     FormFactor,
     ReservoirSpec,
-    glued_g,
     glued_g_continued,
     pv_coefficient,
     rate_coefficient,

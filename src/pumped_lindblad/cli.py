@@ -374,7 +374,7 @@ def _do_evolve(setup, out_dir, force=False, **_kw):
         return EXIT_ASSUMPTION
     grid = np.linspace(0.0, setup.t_end, setup.n_out)
     traj = evolve(setup.bundle(), setup.rho0, setup.t_end,
-                  output_grid=grid, rtol=setup.rtol, atol=setup.atol)
+                  output_grid=grid, atol=setup.atol)
     pops = populations(setup.atom, traj)
     trajectory_to_csv(setup.atom, traj, out_dir / "trajectory.csv", pops=pops)
     summary = {

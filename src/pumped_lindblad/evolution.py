@@ -8,27 +8,22 @@ acting on vectorized states.  The dynamics is linear and T-periodic, so
 
     rho(n T + s) = tau(s, 0) M^n rho_0,      M = tau(T, 0),
 
-and `evolve` by default ("stroboscopic") builds tau(t_k, 0) once on a
-uniform grid of N steps over a single period, then reaches every output
-time by powers of the monodromy M and one interpolated phase.  Its cost
-does not grow with t_end.  Each step is the commutator-free 4th-order
-Magnus exponential on the two Gauss nodes (Blanes & Moan, Appl. Numer.
-Math. 56, 1519 (2006)); all 2N exponentials of one grid come from one
-batched Taylor series in Horner form, and N doubles from 64 until
-||M_N - M_2N|| / 15 <= 1e-12 max(1, ||M_2N||).  Off-grid phases use cubic
-Hermite interpolation with the exact derivative L_t tau.  The grid keeps
-tau - 1 rather than tau, and the steps are chained by a parallel prefix
-product, so the trace row of M (which the exact flow keeps at vec(1)^T)
-is off by ~1e-18 per period instead of one rounding of 1 per step.  The
-same grid gives the Floquet lattice its monodromy and phases.  Adaptive
-Runge-Kutta 4(5) over the whole interval ("rk45", scipy) stays as the
-independent cross-check.  Trace drift is a pure roundoff health metric
-and is never renormalized away.
-
-`propagator` integrates the superoperator-valued equation
-d/dt tau(t,s) = L_t tau(t,s), tau(s,s) = 1 by RK45; its value over one
-period is the monodromy map of the Hungarian cross-check.  scipy is
-imported only inside the functions that run RK45.
+and `evolve` ("stroboscopic") builds tau(t_k, 0) once on a uniform grid of
+N steps over a single period, then reaches every output time by powers of
+the monodromy M and one interpolated phase.  Its cost does not grow with
+t_end.  Each step is the commutator-free 4th-order Magnus exponential on
+the two Gauss nodes (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006));
+all 2N exponentials of one grid come from one batched Taylor series in
+Horner form, and N doubles from 64 until ||M_N - M_2N|| / 15 <= 1e-12
+max(1, ||M_2N||).  Off-grid phases use cubic Hermite interpolation with the
+exact derivative L_t tau.  The grid keeps tau - 1 rather than tau, and the
+steps are chained by a parallel prefix product, so the trace row of M
+(which the exact flow keeps at vec(1)^T) is off by ~1e-18 per period
+instead of one rounding of 1 per step.  The same grid gives the Floquet
+lattice its monodromy and phases.  Trace drift is a pure roundoff health
+metric and is never renormalized away.  The independent RK45 routes (over
+the whole interval, and the superoperator propagator tau(t, s)) are the
+tests' own, in tests/reference.py.
 """
 
 from dataclasses import dataclass, field
@@ -50,7 +45,6 @@ __all__ = [
     "averaged_generator",
     "evolve",
     "populations",
-    "propagator",
     "stationary_state",
     "trajectory_to_csv",
 ]
@@ -97,9 +91,9 @@ def averaged_generator(bundle):
 class Trajectory:
     """States on an increasing time grid with per-point health metrics.
 
-    `meta` holds the method, the requested tolerances and the solver's
-    work: `steps` (CF4 steps, "stroboscopic") or `rhs_evals` (right-hand-side
-    evaluations, "rk45").
+    `meta` holds the method ("stroboscopic"), the positivity tolerance
+    `atol` and the solver's work: `steps`, the CF4 steps of every doubling
+    level.
     """
 
     times: np.ndarray
@@ -126,7 +120,9 @@ def _unvec_rows(rows, d):
 
 
 def _output_grid(t_end, output_grid):
-    """The validated output grid: 1-D, strictly increasing, inside [0, t_end]."""
+    """The validated output grid (1-D, strictly increasing, inside [0, t_end]) for t_end > 0."""
+    if not t_end > 0:
+        raise DimensionMismatchError(f"t_end={t_end} must be positive")
     if output_grid is None:
         return np.linspace(0.0, t_end, 201)
     grid = np.asarray(output_grid, dtype=float)
@@ -141,48 +137,31 @@ def _output_grid(t_end, output_grid):
     return grid
 
 
-def evolve(bundle, rho0, t_end, output_grid=None, rtol=1e-8, atol=1e-10,
-           method="stroboscopic"):
+def evolve(bundle, rho0, t_end, output_grid=None, atol=1e-10):
     """Integrate rho' = L_t rho from the validated state rho0 over [0, t_end].
 
     The output grid (default: 201 uniform points) must be strictly
-    increasing and inside [0, t_end]; otherwise DimensionMismatch.
-
-    method="stroboscopic" (default): build the one-period CF4 step grid
-    once (its own step-doubling tolerance; `rtol` does not enter) and
-    return tau(phase, 0) M^cycles rho0 at each t = cycles*T + phase, where
-    M = tau(T, 0) is applied one cycle at a time.  Cost is flat in t_end;
-    `meta["steps"]` counts the CF4 steps of every doubling level.
-    method="rk45": adaptive embedded Runge-Kutta (scipy) over all of
-    [0, t_end] with dense output sampled on the grid (cross-check mode);
-    `meta["rhs_evals"]` counts its right-hand-side evaluations.
+    increasing and inside [0, t_end]; otherwise DimensionMismatch.  The
+    one-period CF4 step grid is built once (to its own step-doubling
+    tolerance) and tau(phase, 0) M^cycles rho0 is returned at each
+    t = cycles*T + phase, where M = tau(T, 0) is applied one cycle at a
+    time.  Cost is flat in t_end; `meta["steps"]` counts the CF4 steps of
+    every doubling level.
 
     A state whose minimum eigenvalue falls below -100*atol aborts with
-    PositivityBreach; integrator stall raises StepSizeUnderflow.  The trace
-    is never renormalized.
+    PositivityBreach; a grid that does not converge raises
+    StepSizeUnderflow.  The trace is never renormalized.
     """
     rho0 = validate_state(rho0)
-    d = rho0.shape[0]
-    if not t_end > 0:
-        raise DimensionMismatchError(f"t_end={t_end} must be positive")
     times = _output_grid(t_end, output_grid)
-    meta = {"method": method, "rtol": rtol, "atol": atol}
+    rows, steps = _stroboscopic(bundle, vec(rho0), times)
+    return _trajectory(times, _unvec_rows(rows, rho0.shape[0]), atol,
+                       {"method": "stroboscopic", "atol": atol, "steps": steps})
 
-    if method == "stroboscopic":
-        rows, meta["steps"] = _stroboscopic(bundle, vec(rho0), times)
-        states = _unvec_rows(rows, d)
-    elif method == "rk45":
-        from scipy.integrate import solve_ivp
-        sol = solve_ivp(_rhs(bundle), (0.0, t_end), vec(rho0), method="RK45",
-                        t_eval=times, rtol=rtol, atol=atol)
-        if not sol.success:
-            raise StepSizeUnderflowError(f"integrator failed: {sol.message}")
-        states = _unvec_rows(sol.y.T, d)
-        times = sol.t
-        meta["rhs_evals"] = int(sol.nfev)
-    else:
-        raise DimensionMismatchError(f"unknown method {method!r}")
 
+def _trajectory(times, states, atol, meta):
+    """The Trajectory of `states` with its health metrics; PositivityBreach
+    when a minimum eigenvalue falls below -100*atol."""
     tr_err, min_eig, purity = _diagnose(states)
     worst = int(np.argmin(min_eig))
     if min_eig[worst] < -100.0 * atol:
@@ -385,49 +364,10 @@ def _step_grid(bundle):
         f"no CF4 step grid converged to {_GRID_TOL:g} within {n // 2} steps per period")
 
 
-# --------------------------------------------------------------------------
-# RK45 propagator (cross-checks)
-# --------------------------------------------------------------------------
-
-def _rhs(bundle):
-    """y -> L_t y for a vectorized state, or for the row-flattened columns
-    of a d^2 x k matrix such as the propagator."""
-    static = bundle.static_matrix
-    pump = bundle.l_p.matrix
-    eta, omega = bundle.eta, bundle.omega
-    n = static.shape[0]
-
-    def rhs(t, y):
-        u = y.reshape(n, -1)
-        du = static @ u + (eta * np.cos(omega * t)) * (pump @ u)
-        return du.reshape(-1)
-
-    return rhs
-
-
-def propagator(bundle, s, t, rtol=1e-10, atol=1e-12):
-    """Two-parameter propagator tau(t, s) as a superoperator.
-
-    Integrates d/dt tau = L_t tau with tau(s, s) = 1 by RK45 (scipy) on the
-    matrix-valued ODE (dimension d^4).  t >= s required.
-    """
-    if t < s:
-        raise DimensionMismatchError(f"need t >= s, got s={s}, t={t}")
-    d = bundle.l_at.dim
-    if t == s:
-        return Superoperator.identity(d)
-    from scipy.integrate import solve_ivp
-    n = d * d
-    sol = solve_ivp(_rhs(bundle), (s, t), np.eye(n, dtype=complex).reshape(-1),
-                    method="RK45", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise StepSizeUnderflowError(f"propagator integration failed: {sol.message}")
-    return Superoperator(sol.y[:, -1].reshape(n, n))
-
-
 def __getattr__(name):
-    # `evolution.solve_ivp` still resolves (perfbench/tracing.py wraps it)
-    # without importing scipy when the module loads
+    # held for perfbench/tracing.py (`_install_library_counters` wraps
+    # `evolution.solve_ivp`) until its counters are re-pointed: the name
+    # resolves, and scipy loads only when it is read
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
         return solve_ivp

@@ -14,24 +14,23 @@ else hangs off those points with a spectral gap of order lambda^2.  The
 adjoint F^H (the Heisenberg picture, whose spectrum is the complex
 conjugate) is never assembled.
 
-A :class:`FloquetOperator` is its blocks B, H and omega.  The CLI spectrum
-is the lattice mu_j + i omega m of the d^2 x d^2 one-period propagator from
+A :class:`FloquetOperator` is its blocks B, H and omega.  The spectrum is
+the lattice mu_j + i omega m of the d^2 x d^2 one-period propagator from
 the CF4 step grid of `evolution` (:func:`floquet_lattice`), checked against
-F by shifted block-Thomas solves (:func:`howland_match`).  The dense matrix
-is built on first read of `matrix`, by the reference routes only: the dense
-eigensolve of F, the Hungarian :func:`monodromy` match (RK45 propagator,
-scipy imported inside it), and the dense Riesz projection.  Every contour
-sum goes through one kernel, block-Thomas elimination of z - F with
-right-hand columns and/or left-hand rows on one inverse per block pivot
-(:func:`_resolvent_apply`).  The perturbation block forms no (n s) x (n s)
-matrix: P0 of the free operator is exact (one Hermitian eigensolve of its
-d^2 x d^2 block), P is probed on Range(P0) with rank P0 right-hand sides
-(Kato's pairs of projections; the thin contour-integral pattern of Beyn,
-Lin. Alg. Appl. 436, 3839 (2012)), F P comes from the same sum as
-F (z - F)^{-1} = z (z - F)^{-1} - 1, and every norm is taken on a 2r x 2r
-core.  When F preserves Hermiticity it commutes with conj o R (R: mode
-reversal (x) the vec-transpose swap), so at a real centre only the upper
-half of the conjugate node pairs is solved.
+F by shifted block-Thomas solves (:func:`howland_match`).  No function here
+reads the dense matrix; the independent dense routes (eigensolve of F,
+Riesz projection, Hungarian monodromy match) are the tests' own, in
+tests/reference.py.  Every contour sum goes through one kernel,
+block-Thomas elimination of z - F with right-hand columns and/or left-hand
+rows on one inverse per block pivot (:func:`_resolvent_apply`).  The
+perturbation block forms no (n s) x (n s) matrix: P0 of the free operator
+is exact (one Hermitian eigensolve of its d^2 x d^2 block), P is probed on
+Range(P0) with rank P0 right-hand sides (Kato's pairs of projections; the
+thin contour-integral pattern of Beyn, Lin. Alg. Appl. 436, 3839 (2012)),
+F P comes from the same sum as F (z - F)^{-1} = z (z - F)^{-1} - 1, and
+every norm is taken on a 2r x 2r core.  When F preserves Hermiticity
+it commutes with conj o R (R: mode reversal (x) the vec-transpose swap), so
+at a real centre only the upper half of the conjugate node pairs is solved.
 """
 
 import random
@@ -43,33 +42,25 @@ import numpy as np
 from .errors import (
     ContourHitsSpectrumError,
     DimensionMismatchError,
-    DisagreementBetweenRulesError,
     EigensolverFailureError,
     GeneratorStructureError,
     IdempotencyFailureError,
-    NearSingularPairError,
     ProjectionPairTooFarError,
 )
-from .evolution import _hermitian_basis, _in_basis, _step_grid, propagator
-from .operator_core import Superoperator, vec
+from .evolution import _hermitian_basis, _in_basis, _step_grid
+from .operator_core import vec
 
 __all__ = [
     "FloquetOperator",
     "FloquetSpectrum",
     "KatoBlock",
     "LowRank",
-    "MonodromyReport",
-    "RieszProjection",
     "build_howland",
-    "eigenprojection_direct",
     "floquet_lattice",
     "floquet_spectrum",
     "howland_match",
     "kato_block",
     "kato_order_check",
-    "monodromy",
-    "pair_transform",
-    "riesz_projection",
 ]
 
 
@@ -101,7 +92,8 @@ class FloquetOperator:
 
     @cached_property
     def matrix(self):
-        """The dense (n s) x (n s) matrix, built on first read for the reference routes."""
+        """The dense (n s) x (n s) matrix, built on first read: only the tests'
+        reference routes and perfbench/tracing.py's row counter read it."""
         n, s = 2 * self.n_modes + 1, self.block_size
         m = np.zeros((n * s, n * s), dtype=complex)
         for idx, k in enumerate(range(-self.n_modes, self.n_modes + 1)):
@@ -165,33 +157,30 @@ def floquet_lattice(bundle, n_modes):
     return mu, np.rint(fourier).astype(int)
 
 
-def floquet_spectrum(f_op, lattice=None):
-    """Spectrum with interior-mode bookkeeping, gap and resonances.
+def _lattice_copies(mu, k, omega, n_modes):
+    """The copies mu_j + i omega (k_j + m) on blocks m = -N..N, as (2N+1, d^2)."""
+    return mu + 1j * omega * (k + np.arange(-n_modes, n_modes + 1)[:, None])
 
-    Dense route: eigensolve F; an eigenvector is interior when its largest
-    block is |k| <= N-2 (shift truncation pollutes the outer two).  Given a
-    :func:`floquet_lattice` (mu, k), nothing is eigensolved at any gap (a
-    zero gap reads at CF4 roundoff): the copy mu_j + i omega m lies on block
-    m - k_j.  The gap is min |Re mu| over interior eigenvalues off the
-    resonance copies (`_RESONANCE_TOL` from i omega Z).  Also: for |p| <= N-1 the
-    residual of the exact left eigenvector claim x_p^H F = i p omega x_p^H,
+
+def floquet_spectrum(f_op, lattice):
+    """Spectrum of F from a :func:`floquet_lattice` (mu, k), with interior-mode
+    bookkeeping, gap and resonances.
+
+    Nothing is eigensolved at any gap (a zero gap reads at CF4 roundoff):
+    the copy mu_j + i omega m lies on block m - k_j, and it is interior for
+    |m - k_j| <= N-2 (shift truncation pollutes the outer two blocks).  The
+    gap is min |Re mu| over interior eigenvalues off the resonance copies
+    (`_RESONANCE_TOL` from i omega Z).  Also: for |p| <= N-1 the residual of
+    the exact left eigenvector claim x_p^H F = i p omega x_p^H,
     x_p = delta_{k,p} (x) vec(1)/sqrt(d), on the three blocks of row p, and for
     interior p the number of eigenvalues within `_RESONANCE_TOL` of i p omega.
     """
     n, d2 = f_op.n_modes, f_op.block_size
-    if lattice is not None:
-        mu, k = lattice
-        if mu.size != d2:
-            raise DimensionMismatchError("the lattice and the Howland operator differ")
-        blocks = np.arange(-n, n + 1)[:, None]
-        return _spectrum_report(f_op, (mu + 1j * f_op.omega * (k + blocks)).ravel(),
-                                np.repeat(np.abs(blocks) <= n - 2, d2))
-    try:
-        w, v = np.linalg.eig(f_op.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailureError(str(exc)) from None
-    block_mass = (np.abs(v.reshape(2 * n + 1, d2, -1)) ** 2).sum(axis=1)
-    return _spectrum_report(f_op, w, np.abs(block_mass.argmax(axis=0) - n) <= n - 2)
+    mu, k = lattice
+    if mu.size != d2:
+        raise DimensionMismatchError("the lattice and the Howland operator differ")
+    return _spectrum_report(f_op, _lattice_copies(mu, k, f_op.omega, n).ravel(),
+                            np.repeat(np.abs(np.arange(-n, n + 1)) <= n - 2, d2))
 
 
 def _spectrum_report(f_op, w, interior):
@@ -244,18 +233,8 @@ def howland_match(f_op, mu, k):
 
 
 # --------------------------------------------------------------------------
-# Riesz projections
+# contour sums
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RieszProjection:
-    matrix: np.ndarray
-    center: complex
-    radius: float
-    m_points: int
-    idempotency_defect: float
-    rank: int
-
 
 _NODE_CHUNK = 16   # contour nodes eliminated together; bounds the working set
 
@@ -345,41 +324,6 @@ def _contour_radius(eigenvalues, center, radius=None):
             f"{in_annulus} eigenvalue(s) inside the [0.5r, 1.5r] annulus at r={radius:.3g}"
         )
     return radius, int(np.sum(dist < radius))
-
-
-def riesz_projection(f_op, center, radius=None, m_points=64):
-    """Contour-quadrature Riesz projection of `f_op` around `center`.
-
-    Trapezoid rule on the circle of the given radius (default: 0.45 times
-    the isolation distance of the enclosed cluster, capped at 0.45).  An
-    eigenvalue inside the annulus [0.5 r, 1.5 r] aborts with
-    ContourHitsSpectrum; an idempotency defect above 1e-6 aborts with
-    IdempotencyFailure.  The resolvent sum is the block-Thomas kernel
-    :func:`_resolvent_apply` with the identity as right-hand side.
-    """
-    f_op = _require_howland(f_op)
-    radius, _ = _contour_radius(np.linalg.eigvals(f_op.matrix), center, radius)
-    phases = np.exp(2j * np.pi * (np.arange(m_points) + 0.5) / m_points)
-    eye = np.eye(f_op.matrix.shape[0], dtype=complex)
-    p = _resolvent_apply(f_op, center + radius * phases, radius * phases, eye)[0] / m_points
-    defect = float(np.linalg.norm(p @ p - p, 2))
-    if defect > 1e-6:
-        raise IdempotencyFailureError(f"projection defect {defect:.3e} at M={m_points}")
-    rank = int(round(np.trace(p).real))
-    return RieszProjection(matrix=p, center=complex(center), radius=float(radius),
-                           m_points=int(m_points), idempotency_defect=defect, rank=rank)
-
-
-def eigenprojection_direct(f_op, center, radius):
-    """Spectral projection from the dense eigensolver (independent route)."""
-    m = f_op.matrix if isinstance(f_op, FloquetOperator) else np.asarray(f_op)
-    try:
-        w, v = np.linalg.eig(m)
-        v_inv = np.linalg.inv(v)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailureError(str(exc)) from None
-    idx = np.abs(w - center) <= radius
-    return v[:, idx] @ v_inv[idx, :]
 
 
 # --------------------------------------------------------------------------
@@ -482,7 +426,7 @@ def _mirrored_probe(f_op, q0, nodes, w):
             (yh + mirror(yh)).conj().T, (even_y + mirror(odd_y)).conj().T)
 
 
-def kato_block(f_op, f0_op, center, radius=None, m_points=64, eigenvalues=None):
+def kato_block(f_op, f0_op, center, radius=None, m_points=64, *, eigenvalues):
     """Compression P F P against its first-order model around one resonance.
 
     P and P0 are the Riesz projections of the perturbed and unperturbed
@@ -509,8 +453,9 @@ def kato_block(f_op, f0_op, center, radius=None, m_points=64, eigenvalues=None):
     also summed over every second node (a rotated M/2-point rule, needing
     an even M): a relative gap above 1e-6, like a core defect above 1e-6,
     raises IdempotencyFailure.  A count of F's eigenvalues inside the
-    contour (`eigenvalues`, else solved here) other than rank P0, a
-    singular K, or a separation >= 1 raises ProjectionPairTooFar.
+    contour (`eigenvalues`, F's spectrum: required, nothing is solved
+    here) other than rank P0, a singular K, or a separation >= 1 raises
+    ProjectionPairTooFar.
     """
     f_op, f0_op = _require_howland(f_op), _require_howland(f0_op)
     if (f_op.n_modes, f_op.omega, f_op.dim) != (f0_op.n_modes, f0_op.omega, f0_op.dim):
@@ -519,8 +464,6 @@ def kato_block(f_op, f0_op, center, radius=None, m_points=64, eigenvalues=None):
         raise DimensionMismatchError(
             f"the Kato probe needs an even number of contour nodes >= 2, got {m_points!r}")
     q0, radius = _free_basis(f0_op, center, radius)
-    if eigenvalues is None:
-        eigenvalues = np.linalg.eigvals(f_op.matrix)
     _, enclosed = _contour_radius(eigenvalues, center, radius)
     r = q0.shape[1]
     if enclosed != r:
@@ -600,8 +543,7 @@ def kato_order_check(bundle, n_modes, m_points=64, lattice=None):
     rungs = []                                          # (residual, ||F||_inf)
     for b, lat in ((bundle, lattice), (half, None)):
         op = build_howland(b, n_modes)
-        mu, k = lat or floquet_lattice(b, n_modes)
-        w = (mu + 1j * b.omega * (k + np.arange(-n_modes, n_modes + 1)[:, None])).ravel()
+        w = _lattice_copies(*(lat or floquet_lattice(b, n_modes)), b.omega, n_modes).ravel()
         rungs.append((kato_block(op, f0, 0.0, m_points=m_points, eigenvalues=w).residual,
                       op.norm_inf))
     (at_lambda, norm), (at_half, _) = rungs
@@ -612,89 +554,3 @@ def kato_order_check(bundle, n_modes, m_points=64, lattice=None):
         "residual_at_half_lambda": at_half,
         "ratio": at_half / at_lambda if at_lambda and not noise else None,
     }
-
-
-# --------------------------------------------------------------------------
-# pairs of projections
-# --------------------------------------------------------------------------
-
-def _inv_sqrt_series(r, terms=60):
-    """(1 - R)^{-1/2} by the binomial series; valid for ||R|| < 1."""
-    acc = np.eye(r.shape[0], dtype=complex)
-    power = np.eye(r.shape[0], dtype=complex)
-    coef = 1.0
-    for n in range(1, terms):
-        power = power @ (-r)
-        coef = coef * (0.5 - n) / n                    # binom(-1/2, n)
-        acc = acc + coef * power
-    return acc
-
-
-def pair_transform(p, q):
-    """Similarity (U, V) with U V = V U = 1 and Q = U P V for near projections.
-
-    R = (P - Q)^2 must satisfy min singular value of (1 - R) > 1e-6.  The
-    inverse square root is computed by eigendecomposition and, whenever
-    ||R|| < 0.5, cross-checked against the absolutely convergent binomial
-    series.
-    """
-    p = np.asarray(p, dtype=complex)
-    q = np.asarray(q, dtype=complex)
-    eye = np.eye(p.shape[0], dtype=complex)
-    r = (p - q) @ (p - q)
-    one_minus = eye - r
-    smin = np.linalg.svd(one_minus, compute_uv=False)[-1]
-    if smin <= 1e-6:
-        raise NearSingularPairError(f"min singular value of 1-R is {smin:.3e}")
-    # every |eigenvalue| of 1 - R is >= smin, so the root below is finite
-    w, vecs = np.linalg.eig(one_minus)
-    inv_sqrt = vecs @ np.diag(w ** -0.5) @ np.linalg.inv(vecs)
-    r_norm = np.linalg.norm(r, 2)
-    if r_norm < 0.5:
-        alt = _inv_sqrt_series(r)
-        mismatch = np.linalg.norm(alt - inv_sqrt, 2)
-        if mismatch > 1e-9 * max(1.0, np.linalg.norm(inv_sqrt, 2)):
-            raise DisagreementBetweenRulesError(
-                f"series and eigendecomposition roots differ by {mismatch:.3e}"
-            )
-    u = (q @ p + (eye - q) @ (eye - p)) @ inv_sqrt
-    v = (p @ q + (eye - p) @ (eye - q)) @ inv_sqrt
-    return u, v
-
-
-# --------------------------------------------------------------------------
-# monodromy cross-check
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MonodromyReport:
-    superop: Superoperator
-    eigenvalues: np.ndarray           # of the one-period propagator
-    matched_exponents: np.ndarray     # e^{T mu} assigned by the matching
-    max_match_error: float
-    n_modes: int
-
-
-def monodromy(bundle, n_modes=32, rtol=1e-10):
-    """One-period propagator vs Floquet exponents of the Howland operator.
-
-    Each eigenvalue of tau(T, 0) must coincide with e^{T mu} for some
-    truncated-Howland eigenvalue mu (the mode shift +i omega k drops out of
-    the exponential).  The assignment minimizing the total distance is
-    computed by the Hungarian method on the rectangular cost matrix.
-    """
-    from scipy.optimize import linear_sum_assignment
-    tau = propagator(bundle, 0.0, bundle.period, rtol=rtol)
-    mono_eigs = np.linalg.eigvals(tau.matrix)
-    order = np.lexsort((mono_eigs.real, mono_eigs.imag))
-    mono_eigs = mono_eigs[order]
-
-    candidates = np.exp(bundle.period * np.linalg.eigvals(build_howland(bundle, n_modes).matrix))
-    cost = np.abs(mono_eigs[:, None] - candidates[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    matched = candidates[cols]
-    return MonodromyReport(
-        superop=tau, eigenvalues=mono_eigs, matched_exponents=matched,
-        max_match_error=float(cost[rows, cols].max()), n_modes=n_modes,
-    )
-

@@ -59,7 +59,6 @@ __all__ = [
     "LindbladData",
     "algebra_dimension",
     "check_assumptions",
-    "choi_matrix",
     "commutant_dimension",
     "jump_operators",
     "reservoir_lindbladian",
@@ -352,22 +351,6 @@ def _block_structure_check(jumps, basis, seed=0):
         "n_blocks": clusters,
         "invariance_defect": float(defect),
     }
-
-
-# --------------------------------------------------------------------------
-# completely-positive structure
-# --------------------------------------------------------------------------
-
-def choi_matrix(superop):
-    """Choi matrix C = sum_{ij} E_ij (x) Phi(E_ij) of a superoperator."""
-    d = superop.dim
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            c += np.kron(e, superop(e))
-    return c
 
 
 # --------------------------------------------------------------------------

@@ -49,7 +49,6 @@ __all__ = [
     "decompose_atom",
     "gibbs_state",
     "hamiltonian_lindbladian",
-    "spectral_projection",
     "unvec",
     "validate_pump",
     "validate_state",
@@ -351,30 +350,12 @@ def bohr_spectrum(atom, merge_tol=None):
 
 
 # --------------------------------------------------------------------------
-# atomic Lindbladian and spectral projections
+# atomic Lindbladian
 # --------------------------------------------------------------------------
 
 def atomic_lindbladian(atom):
     """L_at = -i[H_at, .]; anti-self-adjoint in the HS product."""
     return hamiltonian_lindbladian(atom.h_at)
-
-
-def spectral_projection(atom, eps, bohr=None):
-    """Eigenprojection P_at^(eps) of L_at onto eigenvalue -i*eps.
-
-    P_at^(eps)(A) = sum over (j,k) with E_j - E_k = eps of P_j A P_k.
-    Raises NotABohrFrequency if eps is not a level difference.
-    """
-    if bohr is None:
-        bohr = bohr_spectrum(atom)
-    pairs = bohr.pair_set(eps)
-    d = atom.dim
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for (j, k) in pairs:
-        pj = atom.projections[j - 1]
-        pk = atom.projections[k - 1]
-        m += np.kron(pk.T, pj)
-    return Superoperator(m)
 
 
 # --------------------------------------------------------------------------

@@ -73,7 +73,6 @@ __all__ = [
     "AnalyticityReport",
     "FormFactor",
     "ReservoirSpec",
-    "glued_g",
     "glued_g_continued",
     "pv_coefficient",
     "rate_coefficient",
@@ -240,17 +239,6 @@ def _verify_orthogonality(ffs, rel_tol=1e-8):
 # --------------------------------------------------------------------------
 # glued functions and spectral density
 # --------------------------------------------------------------------------
-
-def glued_g(ff, beta, x):
-    """g(x) = |x|(1+e^{-beta x})^{-1/2} * (f(x) if x>=0 else conj(f(-x)))."""
-    beta = _effective_beta(beta)
-    x = np.asarray(x, dtype=float)
-    fermi = np.sqrt(_logistic(beta * x))      # (1+e^{-bx})^{-1/2}, overflow-safe
-    fvals = ff(np.abs(x))
-    fvals = np.where(x >= 0, fvals, np.conj(fvals))
-    out = np.abs(x) * fermi * fvals
-    return out if out.shape else complex(out)
-
 
 def glued_g_continued(ff, beta, z):
     """Analytic continuation of g off the real axis.

@@ -224,6 +224,22 @@ def test_subcommands_never_import_scipy(tmp_path, args):
     assert proc.stdout.split() == ["0", "False", "False", "[]"], proc.stdout + proc.stderr
 
 
+def test_no_library_module_imports_scipy():
+    # every import statement, at module level or in any function; the one
+    # held is evolution.__getattr__ (`evolution.solve_ivp` for perfbench/tracing.py)
+    import ast
+
+    found = set()
+    for path in (CONFIG_DIR.parent / "src" / "pumped_lindblad").glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+                if any(name.partition(".")[0] == "scipy" for name in names):
+                    found.add((path.name, getattr(top, "name", None)))
+    assert found <= {("evolution.py", "__getattr__")}, sorted(found)
+
+
 # --------------------------------------------------------------------------
 # usage and config errors -> exit 1
 # --------------------------------------------------------------------------

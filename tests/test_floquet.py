@@ -54,22 +54,25 @@ from pumped_lindblad import (
     ProjectionPairTooFarError,
     ReservoirSpec,
     build_howland,
-    eigenprojection_direct,
     floquet_lattice,
     floquet_spectrum,
     howland_match,
     kato_block,
     kato_order_check,
-    monodromy,
-    pair_transform,
     reservoir_lindbladian,
-    riesz_projection,
 )
-from pumped_lindblad.floquet import _inv_sqrt_series, _resolvent_apply
+from pumped_lindblad.floquet import _resolvent_apply
+from reference import (_inv_sqrt_series, dense_spectrum, eigenprojection_direct, monodromy,
+                       pair_transform, riesz_projection)
 
 # Frozen: interior spectral gap of the bundled three-level instance at
 # lambda = 0.1, eta = 0.01 (converged in N by N = 16).
 GAP_3LVL = 0.0023519477809868226
+
+
+def _kato(f_op, f0, center, **kwargs):
+    # kato_block with the dense spectrum of F for its annulus guard
+    return kato_block(f_op, f0, center, eigenvalues=np.linalg.eigvals(f_op.matrix), **kwargs)
 
 
 def _matched_distance(a, b):
@@ -128,7 +131,7 @@ def test_block_forms_equal_the_dense_matrix(request, case):
                     coupling=rng.normal(size=(d2, d2)) + 0j)
     for op in (f_op, noisy):
         one = np.eye(inst.atom.dim).reshape(-1) / np.sqrt(inst.atom.dim)
-        residuals = floquet_spectrum(op).resonance_residuals
+        residuals = dense_spectrum(op).resonance_residuals
         for p in range(-7, 8):
             row = one @ op.matrix[(p + 8) * d2:(p + 9) * d2]
             row[(p + 8) * d2:(p + 9) * d2] -= 1j * op.omega * p * one
@@ -136,7 +139,7 @@ def test_block_forms_equal_the_dense_matrix(request, case):
         # ||F||_inf as the largest block row sum
         assert abs(op.norm_inf - np.linalg.norm(op.matrix, np.inf)) <= 1e-13 * op.norm_inf
     # F X from the weight rule w z, and (F - F0) Q0 from B - B0 and H
-    kb = kato_block(f_op, f0, 0.0)
+    kb = _kato(f_op, f0, 0.0)
     x, k_inv, y = kb.projection.left, kb.projection.core, kb.projection.right
     q0 = kb.first_order.left
     assert close(kb.block.core, k_inv @ (y @ (m @ x)) @ k_inv)
@@ -149,7 +152,7 @@ def test_block_forms_equal_the_dense_matrix(request, case):
 
 def test_heisenberg_resonances_exact(three_level):
     f_op = build_howland(three_level.bundle, 8)
-    spec = floquet_spectrum(f_op)
+    spec = dense_spectrum(f_op)
     assert max(spec.resonance_residuals.values()) <= 1e-12
     assert set(spec.resonance_residuals) == set(range(-7, 8))
     assert set(spec.disc_counts) == set(range(-6, 7))
@@ -165,7 +168,7 @@ def test_heisenberg_resonances_exact(three_level):
 def test_resonance_counts_from_conjugated_state_spectrum(three_level):
     # the heisenberg spectrum is the conjugate of the state one: counting
     # around i p omega on either side gives the same numbers
-    spec = floquet_spectrum(build_howland(three_level.bundle, 8))
+    spec = dense_spectrum(build_howland(three_level.bundle, 8))
     conj = np.conj(spec.eigenvalues)
     omega = three_level.bundle.omega
     recount = {p: int(np.sum(np.abs(conj - 1j * omega * p) <= 1e-8))
@@ -183,11 +186,11 @@ def test_truncated_spectrum_is_closed_under_conjugation(three_level):
 # --------------------------------------------------------------------------
 
 def test_interior_gap_frozen_and_stable(three_level):
-    spec = floquet_spectrum(build_howland(three_level.bundle, 16))
+    spec = dense_spectrum(build_howland(three_level.bundle, 16))
     assert not spec.degenerate
     assert abs(spec.gap - GAP_3LVL) <= 1e-10
     # halving lambda with eta ~ lambda^2 keeps gap/lambda^2 within a factor 2
-    half = floquet_spectrum(
+    half = dense_spectrum(
         build_howland(three_level.make_bundle(0.05, 0.0025), 16))
     ratio = half.gap_over_lambda2 / spec.gap_over_lambda2
     assert 0.5 <= ratio <= 2.0
@@ -211,7 +214,7 @@ def test_lattice_spectrum_equals_dense_route(request, case, n):
     else:
         bundle = request.getfixturevalue(case).bundle
     f_op = build_howland(bundle, n)
-    dense = floquet_spectrum(f_op)
+    dense = dense_spectrum(f_op)
     lattice = floquet_lattice(bundle, n)
     spec = floquet_spectrum(f_op, lattice)
     assert not spec.degenerate and not dense.degenerate
@@ -256,7 +259,7 @@ def test_lattice_settles_a_zero_or_tiny_gap(three_level, variant):
     bundle = _dephased_bundle(three_level, **variant)
     n = 8
     f_op = build_howland(bundle, n)
-    dense = floquet_spectrum(f_op)
+    dense = dense_spectrum(f_op)
     lattice = floquet_lattice(bundle, n)
     spec = floquet_spectrum(f_op, lattice)
     assert spec.eigenvalues.size == dense.eigenvalues.size
@@ -276,7 +279,7 @@ def test_lattice_sign_convention_is_pinned(two_level):
     # Fourier indices -1 and +1 and the flipped convention moves them
     bundle = two_level.bundle
     f_op = build_howland(bundle, 8)
-    dense = floquet_spectrum(f_op)
+    dense = dense_spectrum(f_op)
     mu, k = floquet_lattice(bundle, 8)
     assert set(k) == {-1, 0, 1}
     flipped = floquet_spectrum(f_op, (mu, -k))
@@ -305,7 +308,7 @@ def test_lattice_must_fit_the_operator(three_level, two_level):
 
 
 def test_free_spectrum_is_degenerate(three_level):
-    spec = floquet_spectrum(build_howland(three_level.make_bundle(0.0, 0.0), 4))
+    spec = dense_spectrum(build_howland(three_level.make_bundle(0.0, 0.0), 4))
     assert spec.degenerate
     assert spec.gap == 0.0
     assert spec.gap_over_lambda2 == np.inf
@@ -498,9 +501,9 @@ def test_riesz_and_kato_need_a_howland_operator(three_level):
     with pytest.raises(DimensionMismatchError):
         riesz_projection(f_op.matrix, 0.0)
     with pytest.raises(DimensionMismatchError):
-        kato_block(f_op.matrix, f_op, 0.0)
+        kato_block(f_op.matrix, f_op, 0.0, eigenvalues=[])
     with pytest.raises(DimensionMismatchError):
-        kato_block(f_op, f_op.matrix, 0.0)
+        _kato(f_op, f_op.matrix, 0.0)
     # the independent eigensolver route keeps taking plain arrays
     assert eigenprojection_direct(f_op.matrix, 0.0, 1e-3).shape == f_op.matrix.shape
 
@@ -515,7 +518,7 @@ def test_kato_block_residual_scaling(three_level):
     for lam in (0.1, 0.05):
         f_op = build_howland(three_level.make_bundle(lam, three_level.eta
                                                      * (lam / 0.1) ** 2), 8)
-        res[lam] = kato_block(f_op, f0, 0.0).residual
+        res[lam] = _kato(f_op, f0, 0.0).residual
     ratio = res[0.05] / res[0.1]
     # The perturbation enters at O(lambda^2) and the center-0 block has no
     # first-order defect (the unperturbed projection commutes with the
@@ -530,8 +533,8 @@ def test_kato_order_check_matches_independent_blocks(three_level):
     check = kato_order_check(three_level.bundle, n)
     f0 = build_howland(three_level.make_bundle(0.0, 0.0), n)
     independent = [
-        kato_block(build_howland(three_level.make_bundle(0.1 * s, 0.01 * s**2), n),
-                   f0, 0.0).residual
+        _kato(build_howland(three_level.make_bundle(0.1 * s, 0.01 * s**2), n),
+              f0, 0.0).residual
         for s in (1.0, 0.5)
     ]
     assert check["residual_at_lambda"] == independent[0]
@@ -560,7 +563,7 @@ def test_thin_kato_block_equals_dense_route(three_level, at_omega, scale):
     center = 1j * bundle.omega if at_omega else 0.0
     f_op = build_howland(bundle, 8)
     f0 = build_howland(three_level.make_bundle(0.0, 0.0), 8)
-    kb = kato_block(f_op, f0, center)
+    kb = _kato(f_op, f0, center)
     assert kb.projection.left.shape == (f_op.matrix.shape[0], 5)
     _assert_thin_equals_dense(kb, f_op, f0)
 
@@ -626,7 +629,7 @@ def test_mirrored_kato_probe_equals_the_full_node_sums(request, case, m_points, 
     if basis != "seed-0":
         f_op, f0 = _change_of_basis(f_op, u), _change_of_basis(f0, u)
     inverses = _record_inverses(monkeypatch)
-    kb = kato_block(f_op, f0, 0.0, m_points=m_points)
+    kb = _kato(f_op, f0, 0.0, m_points=m_points)
     # one batched pivot inverse per mode and node, on the M/2 upper nodes only
     assert sum(shape[0] for shape in inverses if len(shape) == 3) == 17 * m_points // 2
 
@@ -657,7 +660,7 @@ def test_kato_block_without_the_symmetry_solves_every_node(three_level, monkeypa
     f_op = replace(f_op, base=f_op.base + 1e-4 * (rng.standard_normal((s, s))
                                                   + 1j * rng.standard_normal((s, s))))
     inverses = _record_inverses(monkeypatch)
-    kb = kato_block(f_op, f0, 0.0)
+    kb = _kato(f_op, f0, 0.0)
     assert inverses.count((16, s, s)) == 4 * 17
     _assert_thin_equals_dense(kb, f_op, f0)
 
@@ -665,19 +668,19 @@ def test_kato_block_without_the_symmetry_solves_every_node(three_level, monkeypa
 def test_kato_probe_needs_an_even_converged_rule(three_level):
     f_op = build_howland(three_level.bundle, 8)
     f0 = build_howland(three_level.make_bundle(0.0, 0.0), 8)
-    fine = kato_block(f_op, f0, 0.0)
+    fine = _kato(f_op, f0, 0.0)
     # M = 16: the dense projection misses its 1e-6 idempotency limit, while
     # the probe passes and states its error estimate, the M vs M/2 gap
     with pytest.raises(IdempotencyFailureError):
         riesz_projection(f_op, 0.0, radius=fine.radius, m_points=16)
-    coarse = kato_block(f_op, f0, 0.0, m_points=16)
+    coarse = _kato(f_op, f0, 0.0, m_points=16)
     assert 1e-10 <= coarse.quadrature_gap <= 1e-6
     assert abs(coarse.residual - fine.residual) <= 1e-10 * fine.residual
     with pytest.raises(IdempotencyFailureError):
-        kato_block(f_op, f0, 0.0, m_points=8)
+        _kato(f_op, f0, 0.0, m_points=8)
     for m_points in (63, 1, 0):
         with pytest.raises(DimensionMismatchError):
-            kato_block(f_op, f0, 0.0, m_points=m_points)
+            _kato(f_op, f0, 0.0, m_points=m_points)
     with pytest.raises(DimensionMismatchError):
         kato_order_check(three_level.bundle, 8, m_points=63)
 
@@ -685,10 +688,10 @@ def test_kato_probe_needs_an_even_converged_rule(three_level):
 def test_kato_needs_a_free_f0_and_equal_ranks(three_level):
     f_op = build_howland(three_level.bundle, 4)
     with pytest.raises(GeneratorStructureError):
-        kato_block(f_op, f_op, 0.0)              # coupled: not block diagonal
+        _kato(f_op, f_op, 0.0)                   # coupled: not block diagonal
     damped = build_howland(three_level.make_bundle(0.1, 0.0), 4)
     with pytest.raises(GeneratorStructureError):
-        kato_block(f_op, damped, 0.0)            # blocks not skew-Hermitian
+        _kato(f_op, damped, 0.0)                 # blocks not skew-Hermitian
     # a spectrum of F with one eigenvalue fewer inside the contour than rank P0
     f0 = build_howland(three_level.make_bundle(0.0, 0.0), 4)
     w = np.linalg.eigvals(f_op.matrix)
@@ -696,9 +699,16 @@ def test_kato_needs_a_free_f0_and_equal_ranks(three_level):
     with pytest.raises(ProjectionPairTooFarError):
         kato_block(f_op, f0, 0.0, eigenvalues=w)
     # a contour around no eigenvalue: P = P0 = 0 and the block is empty
-    empty = kato_block(f_op, f0, 0.3j, radius=0.1)
+    empty = _kato(f_op, f0, 0.3j, radius=0.1)
     assert empty.projection.left.shape[1] == 0
     assert empty.residual == empty.quadrature_gap == 0.0
+
+
+def test_kato_block_has_no_dense_fallback(three_level):
+    # F's spectrum is an input: leaving it out is a TypeError, not an eigensolve of F
+    free = build_howland(three_level.make_bundle(0.0, 0.0), 4)
+    with pytest.raises(TypeError):
+        kato_block(build_howland(three_level.bundle, 4), free, 0.0)
 
 
 def test_kato_block_needs_f0_on_the_same_modes(three_level):
@@ -706,7 +716,7 @@ def test_kato_block_needs_f0_on_the_same_modes(three_level):
     free = three_level.make_bundle(0.0, 0.0)
     for f0 in (build_howland(free, 5), build_howland(replace(free, omega=2.0), 4)):
         with pytest.raises(DimensionMismatchError):
-            kato_block(f_op, f0, 0.0)
+            _kato(f_op, f0, 0.0)
 
 
 def test_kato_order_check_factors_only_small_matrices(three_level, monkeypatch):
@@ -755,7 +765,7 @@ def test_kato_order_check_factors_each_pivot_once(three_level, monkeypatch):
     # a centre off the real axis has no conjugate node pairs: all M nodes
     calls["inv"].clear()
     f_op = build_howland(three_level.bundle, 8)
-    kato_block(f_op, build_howland(three_level.make_bundle(0.0, 0.0), 8), 1j * f_op.omega)
+    _kato(f_op, build_howland(three_level.make_bundle(0.0, 0.0), 8), 1j * f_op.omega)
     assert calls["inv"].count((16, 9, 9)) == 4 * 17
 
 

@@ -34,7 +34,6 @@ from pumped_lindblad import (
     Superoperator,
     algebra_dimension,
     check_assumptions,
-    choi_matrix,
     commutant_dimension,
     decompose_atom,
     rate_coefficient,
@@ -43,6 +42,7 @@ from pumped_lindblad import (
     stationary_state,
     strip_analyticity_ladder,
 )
+from reference import choi_matrix
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)

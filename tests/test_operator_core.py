@@ -25,12 +25,12 @@ from pumped_lindblad import (
     decompose_atom,
     gibbs_state,
     hamiltonian_lindbladian,
-    spectral_projection,
     unvec,
     validate_pump,
     validate_state,
     vec,
 )
+from reference import spectral_projection
 
 
 def _random_matrix(rng, d):

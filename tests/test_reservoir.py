@@ -25,7 +25,6 @@ from pumped_lindblad import (
     NonOrthogonalFamilyError,
     QuadratureNonConvergenceError,
     ReservoirSpec,
-    glued_g,
     glued_g_continued,
     pv_coefficient,
     rate_coefficient,
@@ -39,6 +38,7 @@ from pumped_lindblad.reservoir import (
     _line_cutoff,
     _line_integrand,
 )
+from reference import glued_g
 
 
 def _random_form_factor(rng, n_terms=2, complex_weights=False):
