@@ -40,11 +40,13 @@ takes one |P(z)| per node and two Fermi moduli from real exponentials:
     |1 + e^{-+beta z}|    = hypot(1 + e^{-+beta x} cos(beta y), e^{-+beta x} sin(beta y)),
     |P(z)|                = e^{-C0 (x^2 - y^2)} |sum_i w_i (z^2)^{p_i} e^{-(C_i - C0) z^2}|,
 
-with C0 = min C_i (see :func:`_line_integrand`).  Each horizontal line is
-integrated by an adaptive composite 20-node Gauss-Legendre rule (panel
-against its two halves, 1e-12 relative tolerance) that evaluates the
-vectorized integrand on all open panels of a level at once; a fixed
-composite Simpson grid on the line y = 0 is its independent cross-check.
+with C0 = min C_i (see :func:`_line_integrand`).  For real weights the
+integrand is even in y, so a ladder integrates one line per |y|.  Each
+horizontal line is integrated by an adaptive composite 20-node
+Gauss-Legendre rule (panel against its two halves, 1e-12 relative
+tolerance) that evaluates the vectorized integrand on all open panels of
+a level at once; a fixed composite Simpson grid on the line y = 0 is its
+independent cross-check.
 The same adaptive rule serves the resolvent oracle's real-axis integrals.
 
 The PV coefficient has two rules.  Rule A is a trapezoid sum on a line
@@ -263,11 +265,35 @@ def glued_g_continued(ff, beta, z):
     return out if out.shape else complex(out)
 
 
+def _powers(s, p_max):
+    """[s, s^2, ..., s^p_max] by repeated multiplication."""
+    powers = [s]
+    for _ in range(p_max - 1):
+        powers.append(powers[-1] * s)
+    return powers
+
+
 def spectral_density(ff, beta, x):
-    """Thermal density f^(beta)(x) = 4 pi |x f(|x|)|^2 / (1 + e^{-beta x})."""
+    """Thermal density f^(beta)(x) = 4 pi |x f(|x|)|^2 / (1 + e^{-beta x}).
+
+    |x f(|x|)| = |sum w s^p e^{-C s}| with s = x^2, so the sum takes its
+    integer powers of s by multiplication and one exp per distinct decay C.
+    Real weights keep it real and square it; complex weights take |.|^2 of
+    the complex sum.  :meth:`FormFactor.__call__` is the literal definition
+    the tests compare against.
+    """
     beta = _effective_beta(beta)
     x = np.asarray(x, dtype=float)
-    out = 4.0 * np.pi * np.abs(x * ff(np.abs(x))) ** 2 * _logistic(beta * x)
+    s = x * x
+    powers = _powers(s, max(p for (_, p, _) in ff.terms))
+    real = ff.is_real
+    amp = 0.0
+    for c in dict.fromkeys(c for (_, _, c) in ff.terms):
+        poly = sum((w.real if real else w) * powers[p - 1]
+                   for (w, p, d) in ff.terms if d == c)
+        amp = amp + poly * np.exp(-c * s)
+    square = amp * amp if real else amp.real * amp.real + amp.imag * amp.imag
+    out = 4.0 * np.pi * square * _logistic(beta * x)
     return out if out.shape else float(out)
 
 
@@ -332,9 +358,7 @@ def _line_integrand(ff, beta, y):
         x = np.asarray(x, dtype=float)
         z = x + 1j * y
         s = z * z
-        powers = [s]                      # s^p for p = 1 .. p_max, by multiplication
-        for _ in range(p_max - 1):
-            powers.append(powers[-1] * s)
+        powers = _powers(s, p_max)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             total = 0.0
             for (w, p, c) in ff.terms:
@@ -377,10 +401,14 @@ def strip_analyticity_ladder(form_factors, beta, radii, n_lines=9, bound_ceiling
 
     Returns one tuple of reports (one per form factor) per rung, in order,
     and stops after the first rung at which some report is not "finite":
-    no line beyond that rung is integrated.  A line shared by several rungs
+    no line beyond that rung is integrated.  A rung's lines are y = 0, the
+    n_lines // 2 negative values of linspace(-r, r, n_lines) (times
+    1 - 1e-12) and their exact negations.  A line shared by several rungs
     is integrated once per form factor, and the y=0 Simpson cross-check
     runs once per form factor, so each report equals that of a one-rung
-    ladder at its half-width.
+    ladder at its half-width.  For real weights the integrand is even in
+    y (g(conj z) = conj g(z)), so the line at +y takes the value of the
+    line at -y and only one line per |y| is integrated.
     """
     beta = _effective_beta(beta)
     line_values = [{} for _ in form_factors]     # per form factor: y -> integral
@@ -389,10 +417,8 @@ def strip_analyticity_ladder(form_factors, beta, radii, n_lines=9, bound_ceiling
     for r_max in radii:
         if not r_max > 0:
             raise InvalidFormFactorError(f"strip half-width r_max={r_max} must be > 0")
-        ys = np.linspace(-r_max, r_max, n_lines) * (1.0 - 1e-12)
-        if 0.0 not in ys:
-            ys = np.sort(np.append(ys, 0.0))
-        ys = [float(y) for y in ys]
+        below = np.linspace(-r_max, r_max, n_lines)[:n_lines // 2] * (1.0 - 1e-12)
+        ys = [float(y) for y in np.concatenate([below, [0.0], -below[::-1]])]
         notes = ""
         if r_max >= np.pi / beta:
             notes = (f"strip reaches the branch line |Im z| = pi/beta = {np.pi/beta:.6g}; "
@@ -400,9 +426,10 @@ def strip_analyticity_ladder(form_factors, beta, radii, n_lines=9, bound_ceiling
         reports = []
         for i, ff in enumerate(form_factors):
             values = line_values[i]
-            for y in ys:
+            for y in ys:                  # ascending, so -y is done before y > 0
                 if y not in values:
-                    values[y] = _line_integral(ff, beta, y, bound_ceiling)
+                    values[y] = (values[-y] if y > 0 and ff.is_real
+                                 else _line_integral(ff, beta, y, bound_ceiling))
             if rel_errs[i] is None:
                 rel_errs[i] = _simpson_rel_err(ff, beta, values[0.0], bound_ceiling)
             vals = np.array([values[y] for y in ys])
@@ -546,8 +573,9 @@ def _pv_contour(ff, beta, eps):
     n = int(np.ceil(x_max / h))
     z = h * np.arange(-n, n + 1) - 1j * a
     w = z + eps
-    p = sum(c * w ** (2 * q) * np.exp(-d * w * w) for (c, q, d) in ff.terms)
-    p_bar = sum(np.conj(c) * w ** (2 * q) * np.exp(-d * w * w) for (c, q, d) in ff.terms)
+    parts = [(c, w ** (2 * q), np.exp(-d * w * w)) for (c, q, d) in ff.terms]
+    p = sum(c * power * decay for (c, power, decay) in parts)
+    p_bar = sum(np.conj(c) * power * decay for (c, power, decay) in parts)
     terms = 2.0 * np.pi * p * p_bar * (1.0 + np.tanh(0.5 * beta * w)) / z
     val = h * terms.sum().real
     coarse = 2.0 * h * terms[n % 2::2].sum().real         # every second node, x = 0 kept

@@ -19,11 +19,8 @@ that serve as regression locks are frozen as module constants.
 import time
 
 import numpy as np
-import pytest
 
 from pumped_lindblad import (
-    FormFactor,
-    GeneratorBundle,
     algebra_dimension,
     averaged_generator,
     build_howland,

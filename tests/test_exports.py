@@ -6,8 +6,10 @@ cannot linger in ``__init__``.  ``errors`` has no ``__all__``: its surface
 is every exception class it defines.
 """
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pumped_lindblad
 from pumped_lindblad import errors
@@ -27,3 +29,37 @@ def test_package_namespace_is_the_union_of_module_all_lists():
     public = {name for name, obj in vars(pumped_lindblad).items()
               if not name.startswith("_") and not inspect.ismodule(obj)}
     assert public == listed, (sorted(public - listed), sorted(listed - public))
+
+
+def _unused_imports(path):
+    """Module-level imports of `path` whose bound name is never read and is
+    not listed in the module's ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    listed = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            listed |= set(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read and name not in listed)
+
+
+def test_no_unused_module_level_imports():
+    # the package __init__ only re-exports, so it is not scanned
+    root = Path(__file__).resolve().parent.parent
+    paths = [p for p in sorted((root / "src" / "pumped_lindblad").glob("*.py"))
+             if p.name != "__init__.py"] + sorted((root / "tests").glob("*.py"))
+    unused = {p.relative_to(root).as_posix(): names for p in paths
+              if (names := _unused_imports(p))}
+    assert unused == {}, unused

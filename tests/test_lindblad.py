@@ -35,7 +35,6 @@ from pumped_lindblad import (
     algebra_dimension,
     check_assumptions,
     commutant_dimension,
-    decompose_atom,
     rate_coefficient,
     reservoir_lindbladian,
     resolvent_oracle,

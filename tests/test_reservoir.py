@@ -25,6 +25,7 @@ from pumped_lindblad import (
     NonOrthogonalFamilyError,
     QuadratureNonConvergenceError,
     ReservoirSpec,
+    check_assumptions,
     glued_g_continued,
     pv_coefficient,
     rate_coefficient,
@@ -199,6 +200,39 @@ def test_density_nonnegative_and_rate_scaling():
     eps = 0.7
     assert abs(rate_coefficient(ff, 1.2, eps)
                - np.pi * spectral_density(ff, 1.2, eps)) <= 1e-15
+
+
+def _literal_density(ff, beta, x):
+    """4 pi |x f(|x|)|^2 sigma(beta x) with f from FormFactor.__call__."""
+    x = np.asarray(x, dtype=float)
+    return 4.0 * np.pi * np.abs(x * ff(np.abs(x))) ** 2 * reservoir._logistic(beta * x)
+
+
+def test_spectral_density_matches_literal_definition():
+    # real weights, complex weights, and terms drawn from two decays (so
+    # several share one exp), each with mixed exponents; the grid runs past
+    # both tails and holds x = 0
+    rng = np.random.default_rng(31)
+    families = [_random_form_factor(rng, n_terms=int(rng.integers(1, 4)),
+                                    complex_weights=cplx)
+                for cplx in (False, True) for _ in range(6)]
+    for trial in range(6):
+        families.append(FormFactor(tuple(
+            (rng.uniform(-1.5, 1.5) + (1j * rng.uniform(-0.5, 0.5) if trial % 2 else 0.0),
+             int(rng.integers(1, 4)), float(rng.choice([0.6, 1.3])))
+            for _ in range(int(rng.integers(2, 5))))))
+    families.append(FormFactor(((1.0, 2, 1.0), (-0.75, 1, 1.0))))
+    for ff in families:
+        beta = float(rng.uniform(0.0, 5.0))
+        x_max = 2.0 * reservoir._density_cutoff(ff, beta, 0.0)
+        x = np.concatenate([np.linspace(-x_max, x_max, 801), [0.0, -40.0, 40.0]])
+        got, want = spectral_density(ff, beta, x), _literal_density(ff, beta, x)
+        assert got[-3] == 0.0 and max(got[0], got[800]) <= 1e-16 * np.max(want)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want), ff.terms
+        for xs in (0.7, -1.3):
+            value = spectral_density(ff, beta, xs)
+            assert type(value) is float
+            assert abs(value - _literal_density(ff, beta, xs)) <= 1e-13 * np.max(want)
 
 
 def test_infinite_temperature_floor():
@@ -398,6 +432,46 @@ def test_strip_ladder_takes_no_complex_exp_or_sqrt(monkeypatch, three_level):
     assert all(rep.verdict == "finite" for reports in rungs for rep in reports)
     assert {name for name, _ in recorder.dtypes} == {"exp", "sqrt"}
     assert [call for call in recorder.dtypes if call[1].kind == "c"] == []
+
+
+def test_strip_ladder_integrates_one_line_per_abs_y(monkeypatch, three_level):
+    # Real weights: g(conj z) = conj g(z) makes the integrand even in y, and
+    # the lines at +y and -y come out bit for bit equal, so the ladder takes
+    # the +y value from the -y line.  Complex weights integrate every line.
+    beta = three_level.beta
+    real_families = three_level.res.form_factors + STRIP_FAMILIES[2] + (
+        FormFactor(((1.0, 1, 1.0), (0.4, 2, 0.8))),)
+    for ff in real_families:
+        for y in (0.1, 0.37, 0.785, 1.2):
+            assert (reservoir._line_integral(ff, beta, y, 1e12)
+                    == reservoir._line_integral(ff, beta, -y, 1e12))
+    exact, calls = reservoir._line_integral, []
+
+    def spy(ff, beta, y, bound_ceiling):
+        calls.append((ff, y))
+        return exact(ff, beta, y, bound_ceiling)
+
+    monkeypatch.setattr(reservoir, "_line_integral", spy)
+    radii = (0.05, 0.1, 0.2, 0.4, 0.5)
+    for family in (real_families, COMPLEX_TWO_DECAY):
+        calls.clear()
+        rungs = strip_analyticity_ladder(family, beta, radii)      # nine lines a rung
+        for i, ff in enumerate(family):
+            ys = set()
+            for reports in rungs:
+                lines = dict(reports[i].lines)
+                assert set(lines) == {-y for y in lines}
+                if ff.is_real:
+                    assert all(lines[-y] == lines[y] for y in lines)
+                ys |= set(lines)
+            made = [y for f, y in calls if f is ff]
+            assert len(made) == len(set(made))
+            assert set(made) == ({-abs(y) for y in ys} if ff.is_real else ys)
+    # `check` on three_level: eight distinct |y| per form factor
+    calls.clear()
+    check_assumptions(three_level.atom, three_level.res, three_level.h_p, three_level.eta,
+                      data=three_level.data, pump=three_level.pump)
+    assert len(calls) == 16
 
 
 def test_unresolvable_line_raises_nonconvergence(monkeypatch):
