@@ -70,7 +70,7 @@ class GeneratorStructureError(PumpedLindbladError):
 # --- evolution --------------------------------------------------------------
 
 class StepSizeUnderflowError(PumpedLindbladError):
-    """Adaptive integrator drove the step size below resolution."""
+    """No CF4 step grid converged within ``evolution._GRID_MAX`` steps per period."""
 
 
 class PositivityBreachError(PumpedLindbladError):
@@ -93,7 +93,7 @@ class NonPositiveKernelError(PumpedLindbladError):
 # --- spectral / Floquet -----------------------------------------------------
 
 class EigensolverFailureError(PumpedLindbladError):
-    """Dense eigensolver did not converge."""
+    """The ``eig`` of the d^2 x d^2 monodromy did not converge."""
 
 
 class ContourHitsSpectrumError(PumpedLindbladError):
@@ -109,4 +109,5 @@ class ProjectionPairTooFarError(PumpedLindbladError):
 
 
 class NearSingularPairError(PumpedLindbladError):
-    """1 - (P-Q)^2 is numerically singular."""
+    """1 - (P-Q)^2 is numerically singular; raised only by the tests'
+    reference ``pair_transform`` (``tests/reference.py``)."""

@@ -31,10 +31,10 @@ because as rho_reg -> 0 one has Re w -> pi f^(beta)(E_k - E_j) = c and
 Im w -> -d (Poisson / conjugate-Poisson limits), which reproduces exactly
 the c- and d-terms above.  For pairs with E_j = E_k only Re w is kept,
 matching the closed form's exclusion of zero frequencies from the Lamb
-sum.  Convergence is first order in rho_reg.  Both integrals stay on the
-real axis (the adaptive Gauss-Legendre panels of the strip check, with
-breakpoints at the kernel's centre and scales), so the oracle shares
-nothing with the contour rule of the PV coefficients.
+sum.  Convergence is first order in rho_reg.  Each w is one complex
+integral on the real axis (``reservoir._scalar_resolvent``: the adaptive
+Gauss-Legendre panels of the strip check on a mesh graded at rho_reg), so
+the oracle shares nothing with the contour rule of the PV coefficients.
 """
 
 import random
@@ -45,12 +45,10 @@ import numpy as np
 from .errors import GeneratorStructureError, NonHermitianError, QuadratureNonConvergenceError
 from .operator_core import Superoperator, hamiltonian_lindbladian, validate_pump
 from .reservoir import (
-    _adaptive_gauss_legendre,
-    _density_cutoff,
     _effective_beta,
+    _scalar_resolvent,
     pv_coefficient,
     rate_coefficient,
-    spectral_density,
     strip_analyticity_ladder,
 )
 
@@ -184,46 +182,6 @@ def reservoir_lindbladian(atom, res):
 # --------------------------------------------------------------------------
 # regularized-resolvent oracle
 # --------------------------------------------------------------------------
-
-def _scalar_resolvent(ff, beta, eps_p, eps_reg):
-    """w = int f^(beta)(p) / (eps_reg + i(eps_p + p)) dp for eps_reg > 0.
-
-    Real part: Poisson kernel against f^(beta), with panel breakpoints at
-    the kernel centre -eps_p and at +-eps_reg, +-10 eps_reg around it.
-    Imaginary part: conjugate-Poisson, folded to t > 0 by symmetric
-    subtraction so the near-singular factor t/(eps_reg^2 + t^2) is tamed,
-    with breakpoints at eps_reg and 10 eps_reg.  Both go through the
-    adaptive Gauss-Legendre panels of the strip check; an error estimate
-    above max(1e-9 |value|, 1e-9) or the refinement cap raises
-    QuadratureNonConvergence.
-    """
-    beta = _effective_beta(beta)
-    x_max = _density_cutoff(ff, beta, eps_p)
-
-    def f(p):
-        return spectral_density(ff, beta, p)
-
-    def re_kernel(p):
-        return f(p) * eps_reg / (eps_reg**2 + (eps_p + p) ** 2)
-
-    def im_kernel(t):
-        return (f(t - eps_p) - f(-t - eps_p)) * t / (eps_reg**2 + t**2)
-
-    scales = np.array([1.0, 10.0]) * eps_reg
-    centre = -eps_p + np.concatenate([-scales[::-1], [0.0], scales])
-    parts = ((re_kernel, np.concatenate([[-x_max], centre[np.abs(centre) < x_max], [x_max]]),
-              "Poisson"),
-             (im_kernel, np.concatenate([[0.0], scales[scales < x_max], [x_max]]), "conjugate"))
-    vals = []
-    for kernel, edges, name in parts:
-        val, err, capped = _adaptive_gauss_legendre(kernel, edges)
-        if capped or not err <= max(1e-9 * abs(val), 1e-9):
-            raise QuadratureNonConvergenceError(
-                f"{name} integral error {err:.3e} at eps'={eps_p}, reg={eps_reg}"
-                + (" (refinement cap reached)" if capped else ""))
-        vals.append(float(val))
-    return vals[0] - 1j * vals[1]
-
 
 def resolvent_oracle(atom, res, eps_reg):
     """Rebuild the reservoir generator from regularized scalar resolvents.

@@ -47,7 +47,8 @@ Gauss-Legendre rule (panel against its two halves, 1e-12 relative
 tolerance) that evaluates the vectorized integrand on all open panels of
 a level at once; a fixed composite Simpson grid on the line y = 0 is its
 independent cross-check.
-The same adaptive rule serves the resolvent oracle's real-axis integrals.
+The same adaptive rule takes the resolvent oracle's regularized resolvent
+as one complex integral on a graded mesh (:func:`_scalar_resolvent`).
 
 The PV coefficient has two rules.  Rule A is a trapezoid sum on a line
 below the real axis (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)):
@@ -492,7 +493,8 @@ def _adaptive_gauss_legendre(h, edges):
     _GL_REL_TOL times the running total is accepted with the halves' sum,
     the others are bisected.  (A share by width stalls at roundoff on a
     peak a few 1e-3 wide.)  All open panels of one level are evaluated in
-    one call of h.  Returns (value, summed gap of the accepted
+    one call of h, which may be complex (the gap is a modulus, so both
+    parts refine together).  Returns (value, summed gap of the accepted
     panels, capped); `capped` is True when panels are still open after
     _GL_MAX_LEVELS bisections or number more than _GL_MAX_OPEN, and the
     value then includes their last estimate.  A non-finite evaluation
@@ -547,7 +549,7 @@ def _line_integral(ff, beta, y, bound_ceiling):
 
 
 # --------------------------------------------------------------------------
-# principal-value coefficient (two independent rules)
+# principal-value coefficient (two independent rules), regularized resolvent
 # --------------------------------------------------------------------------
 
 def _pv_contour(ff, beta, eps):
@@ -622,3 +624,35 @@ def pv_coefficient(ff, beta, eps):
             f"PV rules disagree at eps={eps}: {val_a!r} vs {val_b!r}"
         )
     return float(val_a)
+
+
+def _scalar_resolvent(ff, beta, eps_p, eps_reg):
+    """w = int f^(beta)(p) / (eps_reg + i(eps_p + p)) dp for eps_reg > 0 (the oracle's).
+
+    With t = eps_p + p folded onto t >= 0 and F+- = f^(beta)(+-t - eps_p),
+
+        w = int_0^X [(F+ + F-) eps_reg - i t (F+ - F-)] / (eps_reg^2 + t^2) dt,
+
+    one complex integral whose Poisson (real) and conjugate-Poisson
+    (imaginary) parts share the density samples; X is the density cutoff.
+    The adaptive panels start on [0, geomspace(min(eps_reg, X/2), X, 8)], a
+    scale-invariant grading for eps_reg/(eps_reg^2 + t^2).  An error
+    estimate above max(1e-9 |w|, 1e-9) or the refinement cap raises
+    QuadratureNonConvergence.  The line stays on the real axis, so it
+    shares nothing with the contour rule of :func:`pv_coefficient`.
+    """
+    beta = _effective_beta(beta)
+    x_max = _density_cutoff(ff, beta, eps_p)
+
+    def kernel(t):
+        up = spectral_density(ff, beta, t - eps_p)
+        down = spectral_density(ff, beta, -t - eps_p)
+        return ((up + down) * eps_reg - 1j * t * (up - down)) / (eps_reg**2 + t * t)
+
+    edges = np.concatenate([[0.0], np.geomspace(min(eps_reg, 0.5 * x_max), x_max, 8)])
+    val, err, capped = _adaptive_gauss_legendre(kernel, edges)
+    if capped or not err <= max(1e-9 * abs(val), 1e-9):
+        raise QuadratureNonConvergenceError(
+            f"resolvent integral error {err:.3e} at eps'={eps_p}, reg={eps_reg}"
+            + (" (refinement cap reached)" if capped else ""))
+    return complex(val)

@@ -10,6 +10,9 @@ enough to exercise the full pipeline:
 * ``three_level``: energies (0, 0.9, 2.1) with two mutually orthogonal
   coupling channels and a pump on the 1 <-> 3 transition.  This is the
   optical-pumping demonstration instance.
+* ``degenerate``: ``three_level`` with its middle level doubled (d = 4,
+  energies (0, 0.9, 0.9, 2.1)), real symmetric couplings that mix the
+  degenerate pair, and the pump on the 1 <-> 4 transition.  Not bundled.
 
 The reservoir data (PV integrals, dissipator assembly) is the expensive part,
 so the fixtures are session scoped; generator bundles for arbitrary
@@ -82,6 +85,28 @@ def three_level():
     f2 = FormFactor(((1.0, 2, 1.0), (-0.75, 1, 1.0)))
     return _instance(
         h_at=np.diag([0.0, 0.9, 2.1]).astype(complex),
+        beta=2.0, lam=0.1, eta=0.01,
+        form_factors=(f1, f2),
+        couplings=(q1, q2),
+        h_p=h_p,
+    )
+
+
+@pytest.fixture(scope="session")
+def degenerate():
+    q1 = np.zeros((4, 4), dtype=complex)
+    q1[1, 3] = q1[3, 1] = 1.0
+    q1[2, 3] = q1[3, 2] = 0.4
+    q1[1, 2] = q1[2, 1] = 0.3
+    q2 = np.zeros((4, 4), dtype=complex)
+    q2[0, 1] = q2[1, 0] = 1.0
+    q2[0, 2] = q2[2, 0] = -0.7
+    h_p = np.zeros((4, 4), dtype=complex)
+    h_p[3, 0] = 1.0
+    f1 = FormFactor(((1.0, 1, 1.0),))
+    f2 = FormFactor(((1.0, 2, 1.0), (-0.75, 1, 1.0)))
+    return _instance(
+        h_at=np.diag([0.0, 0.9, 0.9, 2.1]).astype(complex),
         beta=2.0, lam=0.1, eta=0.01,
         form_factors=(f1, f2),
         couplings=(q1, q2),

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from pumped_lindblad import lindblad
+from pumped_lindblad import lindblad, reservoir
 from pumped_lindblad import (
     FormFactor,
     GeneratorStructureError,
@@ -210,7 +210,9 @@ def _quadpack_resolvent(ff, beta, eps_p, eps_reg):
     return re_val - 1j * im_val
 
 
-@pytest.mark.parametrize("eps_reg", [1e-2, 5e-3, 2.5e-3])   # the CLI's oracle ladder
+# the CLI's oracle ladder, and one regularization above the cutoff (the
+# graded edges must stay ascending there)
+@pytest.mark.parametrize("eps_reg", [1e-2, 5e-3, 2.5e-3, 50.0])
 @pytest.mark.parametrize("case", ["two_level", "three_level"])
 def test_numpy_resolvent_matches_quadpack(request, case, eps_reg):
     inst = request.getfixturevalue(case)
@@ -219,16 +221,69 @@ def test_numpy_resolvent_matches_quadpack(request, case, eps_reg):
     for ff in inst.res.form_factors:
         for eps_p in bohr:
             want = _quadpack_resolvent(ff, inst.beta, eps_p, eps_reg)
-            got = lindblad._scalar_resolvent(ff, inst.beta, eps_p, eps_reg)
+            got = reservoir._scalar_resolvent(ff, inst.beta, eps_p, eps_reg)
             assert abs(got - want) <= 1e-11 * abs(want), (eps_p, got, want)
 
 
-def test_resolvent_refinement_cap_raises(monkeypatch, two_level):
-    from pumped_lindblad import QuadratureNonConvergenceError, reservoir
+def test_oracle_makes_one_adaptive_integral_per_resolvent(three_level, monkeypatch):
+    # three_level: 4 distinct (channel, Bohr frequency) keys per rung, and
+    # each w is one complex integral
+    calls = [0]
 
-    monkeypatch.setattr(reservoir, "_GL_MAX_OPEN", 2)
+    def counted(*args, _fn=reservoir._adaptive_gauss_legendre):
+        calls[0] += 1
+        return _fn(*args)
+
+    monkeypatch.setattr(reservoir, "_adaptive_gauss_legendre", counted)
+    for reg in (1e-2, 5e-3, 2.5e-3):
+        calls[0] = 0
+        resolvent_oracle(three_level.atom, three_level.res, reg)
+        assert calls[0] == 4
+
+
+def test_resolvent_refinement_cap_raises(monkeypatch, two_level):
+    from pumped_lindblad import QuadratureNonConvergenceError
+
+    monkeypatch.setattr(reservoir, "_GL_MAX_LEVELS", 1)
     with pytest.raises(QuadratureNonConvergenceError, match="refinement cap"):
         resolvent_oracle(two_level.atom, two_level.res, 2.5e-3)
+
+
+def _oracle_errors(atom, res, l_r):
+    return np.array([np.linalg.norm(resolvent_oracle(atom, res, reg).matrix - l_r.matrix, 2)
+                     for reg in (1e-2, 5e-3, 2.5e-3)])
+
+
+def _verdicts(report):
+    return [(r["name"], r["verdict"]) for r in report.records]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gauge_covariance_on_a_degenerate_level(degenerate, seed):
+    # U = diag(1, u2, 1) diag(e^{i theta}) commutes with H_at (u2 is a random
+    # unitary on the degenerate pair), so conjugating every Q_l and h_p by U
+    # is a symmetry of the model: it moves neither the oracle's distance to
+    # L_R nor any assumption verdict
+    rng = np.random.default_rng(seed)
+    u2, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    u = np.eye(4, dtype=complex)
+    u[1:3, 1:3] = u2
+    u = u @ np.diag(np.exp(2j * np.pi * rng.random(4)))
+    inst = degenerate
+    res = ReservoirSpec(beta=inst.beta, lam=inst.lam, form_factors=inst.res.form_factors,
+                        couplings=tuple(u @ q @ u.conj().T for q in inst.res.couplings))
+    h_p = u @ inst.h_p @ u.conj().T
+    data = reservoir_lindbladian(inst.atom, res)
+
+    base = _oracle_errors(inst.atom, inst.res, inst.data.l_r)
+    moved = _oracle_errors(inst.atom, res, data.l_r)
+    assert np.max(np.abs(moved - base) / base) <= 1e-12
+
+    base_report = check_assumptions(inst.atom, inst.res, inst.h_p, inst.eta,
+                                    data=inst.data, pump=inst.pump)
+    assert base_report.clean_pass
+    assert _verdicts(check_assumptions(inst.atom, res, h_p, inst.eta, data=data)) \
+        == _verdicts(base_report)
 
 
 # --------------------------------------------------------------------------

@@ -482,6 +482,20 @@ def test_unresolvable_line_raises_nonconvergence(monkeypatch):
         _one_rung(FormFactor(((1.0, 1, 1.0),)), 1.0, 0.5)
 
 
+@pytest.mark.parametrize("eps", [1e-2, 2.5e-3, 1e-5])
+def test_adaptive_rule_integrates_a_complex_kernel(eps):
+    # the resolvent oracle's kernel shape on its graded edges:
+    # int_0^X (eps - i t)/(eps^2 + t^2) dt = arctan(X/eps) - (i/2) ln(1 + X^2/eps^2)
+    x_max = 10.0
+    edges = np.concatenate([[0.0], np.geomspace(min(eps, 0.5 * x_max), x_max, 8)])
+    val, err, capped = reservoir._adaptive_gauss_legendre(
+        lambda t: (eps - 1j * t) / (eps**2 + t * t), edges)
+    want = np.arctan(x_max / eps) - 0.5j * np.log1p((x_max / eps) ** 2)
+    assert not capped
+    assert abs(val - want) <= 1e-13 * abs(want)
+    assert isinstance(err, float) and err >= 0.0
+
+
 def test_simpson_crosscheck_rejects_a_biased_primary_rule(monkeypatch):
     exact = reservoir._line_integral
     monkeypatch.setattr(reservoir, "_line_integral",
