@@ -174,7 +174,7 @@ class RunSetup:
     """Parsed and constructed model objects for one run."""
 
     def __init__(self, cfg):
-        self.cfg = _known_keys(cfg, "config")
+        _known_keys(cfg, "config")
         self.warnings = []
 
         pump_cfg = _section(cfg, "pump", required=True)
@@ -268,6 +268,14 @@ class RunSetup:
         self.atol = _require_finite(sim.get("atol", 1e-10), "sim.atol")
         if self.atol < 0:
             raise ConfigError(f"sim.atol: expected a number >= 0, got {self.atol!r}")
+        if sim.get("rho0") is None:
+            p1 = self.atom.projections[0]
+            self.rho0 = p1 / np.trace(p1)
+        else:
+            try:
+                self.rho0 = validate_state(self._atom_matrix(sim["rho0"], "sim.rho0"))
+            except InvalidDensityMatrixError as exc:
+                raise ConfigError(f"sim.rho0: {exc}") from None
         flo = _section(cfg, "floquet")
         self.n_modes = _require_int(flo.get("n_modes", 32), "floquet.n_modes", 2)
         _require_size("floquet.n_modes", (2 * self.n_modes + 1) * d2, _MAX_HOWLAND_ROWS,
@@ -301,18 +309,6 @@ class RunSetup:
             l_r=self.data.l_r,
             lam=self.res.lam, eta=self.eta, omega=self.omega,
         )
-
-    def initial_state(self):
-        """sim.rho0 as a validated d x d density matrix (default: ground state)."""
-        rho0_cfg = _section(self.cfg, "sim").get("rho0")
-        if rho0_cfg is None:
-            p1 = self.atom.projections[0]
-            return p1 / np.trace(p1)
-        rho0 = self._atom_matrix(rho0_cfg, "sim.rho0")
-        try:
-            return validate_state(rho0)
-        except InvalidDensityMatrixError as exc:
-            raise ConfigError(f"sim.rho0: {exc}") from None
 
 
 def _sanitize(obj):
@@ -530,7 +526,6 @@ def _validated_setup(command, cfg):
     if command == "evolve":
         if setup.t_end is None:
             raise ConfigError("sim.t_end is required for evolve")
-        setup.rho0 = setup.initial_state()
     if command == "oracle" and setup.res.gks_jumps is not None:
         raise ConfigError("oracle needs the form-factor route, not raw GKS jumps")
     return setup

@@ -10,9 +10,10 @@ acting on vectorized states.  The dynamics is linear and T-periodic, so
 
 and `evolve` ("stroboscopic") builds tau(t_k, 0) once on a uniform grid of
 N steps over a single period, then reaches every output time by powers of
-the monodromy M and one interpolated phase.  Its cost does not grow with
-t_end.  Each step is the commutator-free 4th-order Magnus exponential on
-the two Gauss nodes (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006));
+the monodromy M and one interpolated phase: each elapsed period costs one
+d^2 x d^2 matrix-vector product, so the cost grows linearly with t_end.
+Each step is the commutator-free 4th-order Magnus exponential on the two
+Gauss nodes (Blanes & Moan, Appl. Numer. Math. 56, 1519 (2006));
 all 2N exponentials of one grid come from one batched Taylor series in
 Horner form, and N doubles from 64 until ||M_N - M_2N|| / 15 <= 1e-12
 max(1, ||M_2N||).  Off-grid phases use cubic Hermite interpolation with the
@@ -145,8 +146,8 @@ def evolve(bundle, rho0, t_end, output_grid=None, atol=1e-10):
     one-period CF4 step grid is built once (to its own step-doubling
     tolerance) and tau(phase, 0) M^cycles rho0 is returned at each
     t = cycles*T + phase, where M = tau(T, 0) is applied one cycle at a
-    time.  Cost is flat in t_end; `meta["steps"]` counts the CF4 steps of
-    every doubling level.
+    time, so past the grid each period costs one d^2 x d^2 matrix-vector
+    product; `meta["steps"]` counts the CF4 steps of every doubling level.
 
     A state whose minimum eigenvalue falls below -100*atol aborts with
     PositivityBreach; a grid that does not converge raises

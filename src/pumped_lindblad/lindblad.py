@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeneratorStructureError, NonHermitianError, QuadratureNonConvergenceError
-from .operator_core import Superoperator, hamiltonian_lindbladian, validate_pump
+from .operator_core import Superoperator, _clusters, hamiltonian_lindbladian, validate_pump
 from .reservoir import (
     _effective_beta,
     _scalar_resolvent,
@@ -291,22 +291,17 @@ def _block_structure_check(jumps, basis, seed=0):
     if in_comm > 1e-8 * max(1.0, np.linalg.norm(s, "fro")):
         return {"applicable": False, "notes": "commutant not *-closed"}
     w, u = np.linalg.eigh(s)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    clusters = 1 + int(np.sum(np.diff(w) > 1e-8 * scale))
+    blocks = _clusters(w, 1e-8 * max(1.0, float(np.max(np.abs(w)))))
     # eigenspace invariance under the jumps (only meaningful when > 1 block)
     defect = 0.0
-    start = 0
-    bounds = [i + 1 for i in range(len(w) - 1) if w[i + 1] - w[i] > 1e-8 * scale]
-    for end in bounds + [len(w)]:
-        block = u[:, start:end]
-        proj = block @ block.conj().T
+    for block in blocks:
+        proj = u[:, block] @ u[:, block].conj().T
         comp = np.eye(d) - proj
         for v in jumps:
             defect = max(defect, np.linalg.norm(comp @ np.asarray(v) @ proj, "fro"))
-        start = end
     return {
         "applicable": True,
-        "n_blocks": clusters,
+        "n_blocks": len(blocks),
         "invariance_defect": float(defect),
     }
 

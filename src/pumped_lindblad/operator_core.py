@@ -205,17 +205,23 @@ class AtomSpec:
         return self.energies[-1] - self.energies[0]
 
 
-def _cluster_sorted(values, gap_tol):
-    """Split ascending `values` into groups separated by gaps > gap_tol.
+def _clusters(values, tol):
+    """Index slices of ascending `values`, cut at every gap > tol.
 
-    Returns a tuple of slices' end indices (the clustering signature).
+    The one rule that decides which numbers are equal: atomic levels,
+    Bohr frequencies and the eigenspaces of a commutant element.
     """
-    bounds = []
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] > gap_tol:
-            bounds.append(i)
-    bounds.append(len(values))
-    return tuple(bounds)
+    cuts = [0, *(np.flatnonzero(np.diff(values) > tol) + 1).tolist(), len(values)]
+    return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+
+
+def _stable_clusters(values, tol, ambiguity):
+    """:func:`_clusters`, refused with ClusterAmbiguityError(ambiguity) if
+    halving or doubling `tol` regroups the values."""
+    groups = _clusters(values, tol)
+    if any(_clusters(values, f * tol) != groups for f in (0.5, 2.0)):
+        raise ClusterAmbiguityError(ambiguity)
+    return groups
 
 
 def decompose_atom(h_at, cluster_tol=None):
@@ -247,21 +253,11 @@ def decompose_atom(h_at, cluster_tol=None):
             "all eigenvalues within one cluster: H_at is a scalar plus noise"
         )
 
-    sig = _cluster_sorted(w, cluster_tol)
-    if (_cluster_sorted(w, 0.5 * cluster_tol) != sig
-            or _cluster_sorted(w, 2.0 * cluster_tol) != sig):
-        raise ClusterAmbiguityError(
-            f"eigenvalue grouping changes under perturbation of cluster_tol={cluster_tol:.3e}"
-        )
-
-    energies, mults, projs = [], [], []
-    start = 0
-    for end in sig:
-        block = u[:, start:end]
-        energies.append(float(np.mean(w[start:end])))
-        mults.append(end - start)
-        projs.append(block @ block.conj().T)
-        start = end
+    levels = _stable_clusters(
+        w, cluster_tol,
+        f"eigenvalue grouping changes under perturbation of cluster_tol={cluster_tol:.3e}")
+    energies = [float(np.mean(w[lv])) for lv in levels]
+    projs = [u[:, lv] @ u[:, lv].conj().T for lv in levels]
     if len(energies) < 2:
         raise ScalarHamiltonianError("spectrum clusters into a single level")
 
@@ -276,7 +272,7 @@ def decompose_atom(h_at, cluster_tol=None):
         dim=d,
         h_at=h,
         energies=tuple(energies),
-        multiplicities=tuple(mults),
+        multiplicities=tuple(lv.stop - lv.start for lv in levels),
         projections=tuple(projs),
         cluster_tol=float(cluster_tol),
     )
@@ -327,25 +323,17 @@ def bohr_spectrum(atom, merge_tol=None):
         for k in range(n):
             diffs.append((energies[j] - energies[k], (j + 1, k + 1)))
     diffs.sort(key=lambda t: t[0])
-    values = [t[0] for t in diffs]
-
-    sig = _cluster_sorted(values, merge_tol)
-    if (_cluster_sorted(values, 0.5 * merge_tol) != sig
-            or _cluster_sorted(values, 2.0 * merge_tol) != sig):
-        raise ClusterAmbiguityError(
-            "near-degenerate Bohr frequencies: pair sets are tolerance-sensitive"
-        )
+    groups = _stable_clusters(
+        [t[0] for t in diffs], merge_tol,
+        "near-degenerate Bohr frequencies: pair sets are tolerance-sensitive")
 
     freqs, pairs = [], {}
-    start = 0
-    for end in sig:
-        group = diffs[start:end]
-        eps = float(np.mean([g[0] for g in group]))
+    for group in groups:
+        eps = float(np.mean([g[0] for g in diffs[group]]))
         if abs(eps) <= merge_tol:
             eps = 0.0
         freqs.append(eps)
-        pairs[eps] = tuple(sorted(g[1] for g in group))
-        start = end
+        pairs[eps] = tuple(sorted(g[1] for g in diffs[group]))
     return BohrIndex(frequencies=tuple(freqs), pairs=pairs, tol=float(merge_tol))
 
 

@@ -313,24 +313,10 @@ class AnalyticityReport:
     r_max: float
     n_lines: int
     max_line_value: float
-    argmax_y: float
     lines: tuple              # of (y, integral value)
     crosscheck_rel_err: float  # Simpson vs adaptive at y = 0
     bound_ceiling: float
     notes: str = ""
-
-    def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "r_max": self.r_max,
-            "n_lines": self.n_lines,
-            "max_line_value": self.max_line_value,
-            "argmax_y": self.argmax_y,
-            "lines": [[y, v] for (y, v) in self.lines],
-            "crosscheck_rel_err": self.crosscheck_rel_err,
-            "bound_ceiling": self.bound_ceiling,
-            "notes": self.notes,
-        }
 
 
 def _line_integrand(ff, beta, y):
@@ -434,14 +420,12 @@ def strip_analyticity_ladder(form_factors, beta, radii, n_lines=9, bound_ceiling
             if rel_errs[i] is None:
                 rel_errs[i] = _simpson_rel_err(ff, beta, values[0.0], bound_ceiling)
             vals = np.array([values[y] for y in ys])
-            k = int(np.argmax(vals))
             exceeded = bool(np.any(~np.isfinite(vals) | (vals > bound_ceiling)))
             reports.append(AnalyticityReport(
                 verdict="exceeds-bound" if exceeded else "finite",
                 r_max=float(r_max),
                 n_lines=len(ys),
-                max_line_value=float(vals[k]),
-                argmax_y=ys[k],
+                max_line_value=float(np.max(vals)),
                 lines=tuple((y, values[y]) for y in ys),
                 crosscheck_rel_err=rel_errs[i],
                 bound_ceiling=float(bound_ceiling),

@@ -122,18 +122,40 @@ def test_check_sigma_x_only_jumps_fail_irreducibility(runner, tmp_path):
     report = _load(tmp_path / "out" / "report.json")
     by_name = {r["name"]: r for r in report["assumptions"]}
     assert by_name["jump-irreducibility"]["verdict"] == "fail"
-    assert by_name["jump-irreducibility"]["evidence"]["commutant_dim"] == 2
+    evidence = by_name["jump-irreducibility"]["evidence"]
+    assert evidence["commutant_dim"] == 2
+    # sigma_x commutes with its own eigenprojections: two invariant blocks
+    assert evidence["block_check"]["n_blocks"] == 2
+    assert evidence["block_check"]["invariance_defect"] <= 1e-12
 
 
-def test_check_immoderate_pump_fails(runner, tmp_path):
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_check_immoderate_pump_fails(runner, tmp_path, command):
     cfg = _two_level_cfg()
     cfg["pump"]["eta"] = 10 * 0.1**2
-    result = runner.invoke(main, ["check", _write(tmp_path, cfg),
-                                  "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, _write(tmp_path, cfg), "--out", str(out)])
     assert result.exit_code == 2
-    report = _load(tmp_path / "out" / "report.json")
+    report = _load(out / "report.json")
     by_name = {r["name"]: r for r in report["assumptions"]}
     assert by_name["moderate-pump"]["verdict"] == "fail"
+    if command != "check":     # the guard stops the run before any other artifact
+        assert result.output.splitlines() == [
+            "assumption check failed (use --force to run anyway)"]
+        assert [p.name for p in out.iterdir()] == ["report.json"]
+
+
+def test_numerical_failure_exits_3(runner, tmp_path):
+    # four contour nodes are too few: the Riesz projection's M and M/2 probes disagree
+    cfg = _set(_three_level_cfg(), ("floquet", "contour_points"), 4)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["floquet", "--order-check", _write(tmp_path, cfg),
+                                  "--out", str(out)])
+    assert result.exit_code == 3
+    lines = result.output.splitlines()
+    assert len(lines) == 1, result.output
+    assert lines[0].startswith("numerical failure: IdempotencyFailureError")
+    assert [p.name for p in out.iterdir()] == ["report.json"]
 
 
 def test_check_records_detuning_warning(runner, tmp_path):
@@ -558,11 +580,14 @@ def test_evolve_deterministic_reruns(runner, tmp_path):
 @pytest.mark.parametrize("rho0", [
     [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]] * 3,               # 3 x 3 on two levels
     [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],      # trace 2
-], ids=["3x3", "trace-2"])
-def test_evolve_rejects_bad_initial_state(runner, tmp_path, rho0):
+    "abc",
+], ids=["3x3", "trace-2", "abc"])
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_every_command_rejects_bad_initial_state(runner, tmp_path, command, rho0):
+    # sim.rho0 is parsed with the rest of the config, not only where evolve reads it
     cfg = _set(_two_level_cfg(), ("sim", "rho0"), rho0)
     out = tmp_path / "out"
-    result = runner.invoke(main, ["evolve", _write(tmp_path, cfg), "--out", str(out)])
+    result = runner.invoke(main, [command, _write(tmp_path, cfg), "--out", str(out)])
     _assert_one_config_error(result, out)
 
 

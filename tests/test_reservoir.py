@@ -262,8 +262,7 @@ def test_strip_analyticity_pinned_form_factor():
     assert rep.crosscheck_rel_err <= 1e-6
     assert np.isfinite(rep.max_line_value)
     assert rep.notes == ""
-    d = rep.to_dict()
-    assert d["verdict"] == "finite" and len(d["lines"]) == rep.n_lines
+    assert len(rep.lines) == rep.n_lines
 
 
 def test_strip_ladder_reports_equal_one_off_reports(three_level):
@@ -502,6 +501,14 @@ def test_simpson_crosscheck_rejects_a_biased_primary_rule(monkeypatch):
                         lambda *args: (1.0 + 1e-5) * exact(*args))
     with pytest.raises(DisagreementBetweenRulesError):
         _one_rung(FormFactor(((1.0, 1, 1.0),)), 1.0, 0.5)
+
+
+def test_pv_rule_b_rejects_a_biased_rule_a(monkeypatch):
+    exact = reservoir._pv_contour
+    monkeypatch.setattr(reservoir, "_pv_contour",
+                        lambda *args: (1.0 + 1e-5) * exact(*args))
+    with pytest.raises(DisagreementBetweenRulesError):
+        pv_coefficient(FormFactor(((1.0, 1, 1.0),)), 1.0, 0.5)
 
 
 def test_cold_reservoir_overflow_reads_inf():
