@@ -79,6 +79,7 @@ from .reservoir import (
     ReservoirSpec,
     glued_g_continued,
     pv_coefficient,
+    pv_coefficients,
     rate_coefficient,
     spectral_density,
     strip_analyticity_ladder,

@@ -35,7 +35,7 @@ from .operator_core import (
     validate_pump,
     validate_state,
 )
-from .reservoir import FormFactor, ReservoirSpec, pv_coefficient
+from .reservoir import FormFactor, ReservoirSpec, pv_coefficients
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -422,28 +422,20 @@ def _do_oracle(setup, out_dir, force=False, **_kw):
         return EXIT_ASSUMPTION
     data = setup.data
     ladder = [1e-2, 5e-3, 2.5e-3]
-    mats = []
-    errors = []
-    for reg in ladder:
-        op = resolvent_oracle(setup.atom, setup.res, reg)
-        mats.append(op.matrix)
-        errors.append(float(np.linalg.norm(op.matrix - data.l_r.matrix, 2)))
-    orders = [float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)]
+    mats = [op.matrix for op in resolvent_oracle(setup.atom, setup.res, ladder)]
+    errors = [float(np.linalg.norm(m - data.l_r.matrix, 2)) for m in mats]
+    # an order is undefined (null) where an error is exactly zero, as when L_R = 0
+    orders = [float(np.log2(errors[i] / errors[i + 1])) if errors[i] and errors[i + 1] else None
+              for i in range(len(errors) - 1)]
     # quadratic Richardson step on the geometric ladder (4h, 2h, h)
     extrap = (8.0 * mats[2] - 6.0 * mats[1] + mats[0]) / 3.0
     extrap_err = float(np.linalg.norm(extrap - data.l_r.matrix, 2))
 
-    bohr = bohr_spectrum(setup.atom)
+    nonzero = [float(eps) for eps in bohr_spectrum(setup.atom).frequencies if eps != 0.0]
     pv_records = []
     for l, ff in enumerate(setup.res.form_factors, start=1):
-        for eps in bohr.frequencies:
-            if eps == 0.0:
-                continue
-            pv_records.append({
-                "channel": l,
-                "eps": float(eps),
-                "value": pv_coefficient(ff, setup.res.beta, eps),
-            })
+        values = pv_coefficients(ff, setup.res.beta, nonzero).tolist()
+        pv_records += [{"channel": l, "eps": eps, "value": v} for eps, v in zip(nonzero, values)]
     payload = {
         "eps_reg": ladder,
         "errors": errors,

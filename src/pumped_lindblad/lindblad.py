@@ -35,6 +35,10 @@ sum.  Convergence is first order in rho_reg.  Each w is one complex
 integral on the real axis (``reservoir._scalar_resolvent``: the adaptive
 Gauss-Legendre panels of the strip check on a mesh graded at rho_reg), so
 the oracle shares nothing with the contour rule of the PV coefficients.
+A channel's resolvents at every rung of a regularization ladder are one
+stacked adaptive call, and :func:`resolvent_oracle` returns the whole
+ladder.  Likewise the generator takes a channel's PV coefficients from
+one ``reservoir.pv_coefficients`` call.
 """
 
 import random
@@ -47,7 +51,7 @@ from .operator_core import Superoperator, _clusters, hamiltonian_lindbladian, va
 from .reservoir import (
     _effective_beta,
     _scalar_resolvent,
-    pv_coefficient,
+    pv_coefficients,
     rate_coefficient,
     strip_analyticity_ladder,
 )
@@ -86,26 +90,33 @@ def jump_operators(atom, q):
     return out
 
 
+def _distinct(values):
+    """The first of each group of `values` equal to 12 decimals, keyed by
+    the rounded value, in order of appearance."""
+    firsts = {}
+    for value in values:
+        firsts.setdefault(round(value, 12), value)
+    return firsts
+
+
 def _pair_coefficients(atom, res):
     """Iterate (V, c, d, (j,k,l)) over channels and level pairs.
 
-    d is None for within-level pairs (E_j == E_k); PV integrals are cached
-    per (channel, energy difference).
+    d is None for within-level pairs (E_j == E_k); the PV coefficients of a
+    channel come from one :func:`pv_coefficients` call over its distinct
+    nonzero energy differences.
     """
     energies = atom.energies
-    cache = {}
     for l, (ff, q) in enumerate(zip(res.form_factors, res.couplings), start=1):
-        for v, (j, k) in jump_operators(atom, q):
-            ekj = energies[k - 1] - energies[j - 1]
+        pairs = [(v, j, k, energies[k - 1] - energies[j - 1])
+                 for v, (j, k) in jump_operators(atom, q)]
+        keys = _distinct(ekj for _v, j, k, ekj in pairs if j != k)
+        pv = dict(zip(keys, pv_coefficients(ff, res.beta, list(keys.values())).tolist()))
+        for v, j, k, ekj in pairs:
             c = rate_coefficient(ff, res.beta, ekj)
             if c < _RATE_FLOOR:
                 c = 0.0
-            d = None
-            if j != k:
-                key = (l, round(ekj, 12))
-                if key not in cache:
-                    cache[key] = pv_coefficient(ff, res.beta, ekj)
-                d = cache[key]
+            d = pv[round(ekj, 12)] if j != k else None
             yield v, c, d, (j, k, l)
 
 
@@ -183,36 +194,47 @@ def reservoir_lindbladian(atom, res):
 # regularized-resolvent oracle
 # --------------------------------------------------------------------------
 
-def resolvent_oracle(atom, res, eps_reg):
-    """Rebuild the reservoir generator from regularized scalar resolvents.
+def resolvent_oracle(atom, res, eps_regs):
+    """Rebuild the reservoir generator from regularized scalar resolvents,
+    one Superoperator per regularization in `eps_regs`.
 
-    Independent of the closed forms: no rate or PV routine is called.  The
+    Independent of the closed forms: no rate or PV routine is called.  Each
+    channel takes one stacked :func:`_scalar_resolvent` call for all of its
+    distinct Bohr frequencies at every regularization, and each pair's
+    Kronecker terms are built once and reweighted for every rung.  The
     diagonal (E_j = E_k) pairs keep only the real part of w, since the
     closed form's Lamb sum excludes zero frequencies.
     """
-    if not eps_reg > 0:
-        raise QuadratureNonConvergenceError(f"regularization {eps_reg} must be > 0")
+    eps_regs = [float(r) for r in eps_regs]
+    for reg in eps_regs:
+        if not reg > 0:
+            raise QuadratureNonConvergenceError(f"regularization {reg} must be > 0")
     res.require_orthogonal()
     d = atom.dim
     eye = np.eye(d, dtype=complex)
     energies = atom.energies
-    m = np.zeros((d * d, d * d), dtype=complex)
-    cache = {}
-    for l, (ff, q) in enumerate(zip(res.form_factors, res.couplings), start=1):
-        for v, (j, k) in jump_operators(atom, q):
-            eps_p = energies[j - 1] - energies[k - 1]
-            key = (l, round(eps_p, 12))
-            if key not in cache:
-                cache[key] = _scalar_resolvent(ff, res.beta, eps_p, eps_reg)
-            w = cache[key]
-            if j == k:
-                w = w.real + 0.0j
-            gamma = 0.5 * w
+    ms = [np.zeros((d * d, d * d), dtype=complex) for _ in eps_regs]
+    for ff, q in zip(res.form_factors, res.couplings):
+        pairs = [(v, j, k, energies[j - 1] - energies[k - 1])
+                 for v, (j, k) in jump_operators(atom, q)]
+        if not pairs:
+            continue
+        keys = _distinct(eps_p for *_, eps_p in pairs)
+        ws = _scalar_resolvent(ff, res.beta, np.repeat(list(keys.values()), len(eps_regs)),
+                               np.tile(eps_regs, len(keys)))
+        rows = dict(zip(keys, ws.reshape(len(keys), len(eps_regs))))
+        for v, j, k, eps_p in pairs:
             vv = v.conj().T @ v
             sandwich = np.kron(np.conj(v), v)
-            m += gamma * (sandwich - np.kron(eye, vv))
-            m += np.conj(gamma) * (sandwich - np.kron(vv.T, eye))
-    return Superoperator(m)
+            left = sandwich - np.kron(eye, vv)
+            right = sandwich - np.kron(vv.T, eye)
+            for m, w in zip(ms, rows[round(eps_p, 12)].tolist()):
+                if j == k:
+                    w = w.real + 0.0j
+                gamma = 0.5 * w
+                m += gamma * left
+                m += np.conj(gamma) * right
+    return [Superoperator(m) for m in ms]
 
 
 # --------------------------------------------------------------------------

@@ -22,8 +22,8 @@ with p_i >= 1 integers and C_i > 0.  Two derived objects drive everything:
 
 Rates are half-residues c = pi f^(beta)(eps); Lamb-shift coefficients are
 Cauchy principal values d = PV \\int f^(beta)(x + eps)/x dx.  The PV
-convention is isolated in :func:`pv_coefficient`, so swapping conventions
-is a one-line change there.
+convention is isolated in :func:`pv_coefficients` (with its one-value form
+:func:`pv_coefficient`), so swapping conventions is a one-line change there.
 
 For real weights w_i the glued g extends to a single analytic function
 
@@ -41,22 +41,27 @@ takes one |P(z)| per node and two Fermi moduli from real exponentials:
     |P(z)|                = e^{-C0 (x^2 - y^2)} |sum_i w_i (z^2)^{p_i} e^{-(C_i - C0) z^2}|,
 
 with C0 = min C_i (see :func:`_line_integrand`).  For real weights the
-integrand is even in y, so a ladder integrates one line per |y|.  Each
-horizontal line is integrated by an adaptive composite 20-node
-Gauss-Legendre rule (panel against its two halves, 1e-12 relative
-tolerance) that evaluates the vectorized integrand on all open panels of
-a level at once; a fixed composite Simpson grid on the line y = 0 is its
-independent cross-check.
-The same adaptive rule takes the resolvent oracle's regularized resolvent
-as one complex integral on a graded mesh (:func:`_scalar_resolvent`).
+integrand is even in y, so a ladder integrates one line per |y|.
+
+One adaptive engine does every real-axis integral here
+(:func:`_adaptive_gauss_legendre`): composite 20-node Gauss-Legendre
+panels, each compared with its two halves against a 1e-12 relative
+tolerance, for a stack of integrals that each refine on their own while
+all open panels of all of them are evaluated in one vectorized integrand
+call per level.  Each horizontal strip line is a stack of one, and a
+fixed composite Simpson grid on the line y = 0 is its independent
+cross-check.  The resolvent oracle stacks every regularized resolvent of
+a channel, each one complex integral on a graded mesh, over its whole
+regularization ladder (:func:`_scalar_resolvent`).
 
 The PV coefficient has two rules.  Rule A is a trapezoid sum on a line
 below the real axis (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)):
 f^(beta) continues analytically to |Im z| < pi/beta, so the line may pass
 below the pole of 1/x, and the trapezoid rule converges exponentially
-there.  Rule B, a midpoint sum of the symmetric difference with one
-Richardson step, stays on the real axis as its cross-check.  Everything
-here is numpy; QUADPACK is only the unit tests' oracle.
+there.  Rule B, the symmetric difference integrated on the real axis by
+the adaptive engine (all frequencies of a channel in one stack), is its
+cross-check.  Everything here is numpy; QUADPACK is only the unit tests'
+oracle.
 """
 
 import itertools
@@ -78,6 +83,7 @@ __all__ = [
     "ReservoirSpec",
     "glued_g_continued",
     "pv_coefficient",
+    "pv_coefficients",
     "rate_coefficient",
     "spectral_density",
     "strip_analyticity_ladder",
@@ -85,10 +91,12 @@ __all__ = [
 
 _MIN_BETA = 1e-12
 _PV_REL_TOL = 1e-7   # the two PV rules must agree to this, relative
+_PV_MAX_NODES = 2**22  # rule A's node cap (~10 complex arrays of this length)
 
-# Strip-line quadrature: 20-node Gauss-Legendre panels, 64 to start, bisected
-# until each meets its share of _GL_REL_TOL.  The caps bound the depth and
-# the number of open panels (and so the memory of one integrand call).
+# Adaptive quadrature: 20-node Gauss-Legendre panels (64 to start on a strip
+# line), bisected until each meets its share of _GL_REL_TOL.  The caps bound
+# each integral's depth and number of open panels (and so the memory of one
+# integrand call, per integral of a stack).
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _GL_PANELS = 64
 _GL_REL_TOL = 1e-12
@@ -461,52 +469,91 @@ def _simpson_rel_err(ff, beta, ref, bound_ceiling):
     return rel_err
 
 
-def _gauss_legendre(h, left, width):
-    """The 20-node Gauss-Legendre value of h on each panel [left, left + width],
-    from one call of h on every node."""
+def _gauss_legendre(h, left, width, owner):
+    """The 20-node Gauss-Legendre value of each panel [left, left + width] of
+    integral `owner`, from one call h(x, k): x holds each panel's nodes as a
+    row, and k (one column) the panel's integral."""
     x = left[:, None] + (0.5 * width)[:, None] * (1.0 + _GL_NODES)
-    return 0.5 * width * (h(x.ravel()).reshape(x.shape) @ _GL_WEIGHTS)
+    return 0.5 * width * (h(x, owner[:, None]) @ _GL_WEIGHTS)
 
 
-def _adaptive_gauss_legendre(h, edges):
-    """Adaptive composite 20-node Gauss-Legendre integral of h over [edges[0], edges[-1]].
+def _adaptive_gauss_legendre(h, edges, floor=0.0):
+    """Adaptive composite 20-node Gauss-Legendre integrals of a stack.
 
-    The panels start as the intervals between consecutive `edges`.  Each
-    open panel is compared with the sum over its two halves; a panel whose
-    gap meets an equal share (one over the number of panels still open) of
-    _GL_REL_TOL times the running total is accepted with the halves' sum,
-    the others are bisected.  (A share by width stalls at roundoff on a
-    peak a few 1e-3 wide.)  All open panels of one level are evaluated in
-    one call of h, which may be complex (the gap is a modulus, so both
-    parts refine together).  Returns (value, summed gap of the accepted
-    panels, capped); `capped` is True when panels are still open after
-    _GL_MAX_LEVELS bisections or number more than _GL_MAX_OPEN, and the
-    value then includes their last estimate.  A non-finite evaluation
-    anywhere (inf, or inf * 0 inside h) gives (inf, inf, False).
+    Row i of the 2-D `edges` holds the starting panel edges of integral i.
+    The integrand h(x, k) takes the nodes x of many panels at once, one
+    panel a row, with the column k naming each row's integral, and returns
+    its values in the shape of x.
+
+    Each integral refines on its own.  Each of its open panels is compared
+    with the sum over its two halves.  A panel whose gap meets an equal
+    share (one over the number of that integral's panels still open) of
+    the larger of _GL_REL_TOL times the integral's running total and its
+    absolute `floor` (0 by default; one value, or one per integral) is
+    accepted with the halves' sum; the others are bisected.  (A share by
+    width stalls at roundoff on a peak a few 1e-3 wide.)  All open panels
+    of all integrals are evaluated in one call of h per level; h may be
+    complex (the gap is a modulus, so both parts refine together).  An
+    integral's panels, taken in stack order, are in the order a stack of
+    one would hold them (its lower halves, then its upper halves), and its
+    sums run over them alone, so its arithmetic does not depend on the
+    rest of the stack.
+
+    Returns arrays (values, summed gaps of the accepted panels, capped),
+    one entry per integral.  An integral is capped when it still has open
+    panels after _GL_MAX_LEVELS bisections or more than _GL_MAX_OPEN of
+    them; its value then includes their last estimate.  A non-finite
+    evaluation anywhere in an integral (inf, or inf * 0 inside h) makes it
+    read (inf, inf, False) and leaves the others as they are.
     """
     edges = np.asarray(edges, dtype=float)
-    left, width = edges[:-1], np.diff(edges)
-    whole = _gauss_legendre(h, left, width)
-    val = err = 0.0
+    m = edges.shape[0]
+    left, width = edges[:, :-1].ravel(), np.diff(edges, axis=1).ravel()
+    owner = np.repeat(np.arange(m), edges.shape[1] - 1)
+    whole = _gauss_legendre(h, left, width, owner)
+    val = np.zeros(m, dtype=whole.dtype)
+    err = np.zeros(m)
+    capped = np.zeros(m, dtype=bool)
+    floor = np.broadcast_to(floor, m)
+
+    def close(stopped):
+        # the integrals marked in `stopped` end capped, with their open panels' last estimate
+        for i in np.flatnonzero(stopped):
+            val[i] += whole[owner == i].sum()
+        capped[stopped] = True
+
     for _ in range(_GL_MAX_LEVELS):
         half = 0.5 * width
         lo, hi = np.split(_gauss_legendre(h, np.concatenate([left, left + half]),
-                                          np.concatenate([half, half])), 2)
+                                          np.concatenate([half, half]),
+                                          np.concatenate([owner, owner])), 2)
         fine = lo + hi
         with np.errstate(invalid="ignore"):
             gap = np.abs(fine - whole)
-        if not np.all(np.isfinite(gap)):
-            return np.inf, np.inf, False
-        ok = gap <= _GL_REL_TOL * abs(val + fine.sum()) / width.size
-        val += fine[ok].sum()
-        err += gap[ok].sum()
-        bisect = ~ok
+        bisect = np.zeros(owner.size, dtype=bool)
+        for i in np.flatnonzero(np.bincount(owner, minlength=m)):
+            mine = owner == i
+            g, f = gap[mine], fine[mine]
+            if not np.all(np.isfinite(g)):
+                val[i], err[i] = np.inf, np.inf
+                continue
+            ok = g <= max(_GL_REL_TOL * abs(val[i] + f.sum()), floor[i]) / g.size
+            val[i] += f[ok].sum()
+            err[i] += g[ok].sum()
+            bisect[mine] = ~ok
+        owner = np.concatenate([owner[bisect], owner[bisect]])
         left = np.concatenate([left[bisect], left[bisect] + half[bisect]])
         width = np.concatenate([half[bisect], half[bisect]])
         whole = np.concatenate([lo[bisect], hi[bisect]])
-        if not 0 < left.size <= _GL_MAX_OPEN:
+        crowded = np.bincount(owner, minlength=m) > _GL_MAX_OPEN
+        if crowded.any():
+            close(crowded)
+            keep = ~crowded[owner]
+            owner, left, width, whole = owner[keep], left[keep], width[keep], whole[keep]
+        if not owner.size:
             break
-    return val + whole.sum(), err, bool(left.size)
+    close(np.bincount(owner, minlength=m) > 0)
+    return val, err, capped
 
 
 def _line_integral(ff, beta, y, bound_ceiling):
@@ -519,8 +566,9 @@ def _line_integral(ff, beta, y, bound_ceiling):
     cap is reached.
     """
     x_max = _line_cutoff(ff, beta, y)
-    val, err, capped = _adaptive_gauss_legendre(
-        _line_integrand(ff, beta, y), np.linspace(-x_max, x_max, _GL_PANELS + 1))
+    line = _line_integrand(ff, beta, y)
+    (val,), (err,), (capped,) = _adaptive_gauss_legendre(
+        lambda x, _k: line(x), np.linspace(-x_max, x_max, _GL_PANELS + 1)[None])
     val = float(val)
     if capped:
         err = np.inf
@@ -550,13 +598,19 @@ def _pv_contour(ff, beta, eps):
     cost accuracy to cancellation.  The spacing h = min(0.05, a/8) puts the
     discretization error near e^{-2 pi a/h} <= e^{-50}.  The same sum over
     every second node (spacing 2h) must agree within max(1e-8 |value|,
-    1e-9), else QuadratureNonConvergence.
+    1e-9), else QuadratureNonConvergence.  The node count 2 X/h grows as
+    beta^2 (X ~ beta, h ~ 1/beta); above _PV_MAX_NODES it raises
+    QuadratureNonConvergence before anything is allocated.
     """
     c_max = max(c for (_, _, c) in ff.terms)
     a = min(np.pi / (2.0 * beta), 1.0 / np.sqrt(2.0 * c_max))
     h = min(0.05, a / 8.0)
     x_max = _density_cutoff(ff, beta, eps)
     n = int(np.ceil(x_max / h))
+    if 2 * n + 1 > _PV_MAX_NODES:
+        raise QuadratureNonConvergenceError(
+            f"contour rule: {2 * n + 1} nodes at eps={eps}, beta={beta} "
+            f"(more than {_PV_MAX_NODES})")
     z = h * np.arange(-n, n + 1) - 1j * a
     w = z + eps
     parts = [(c, w ** (2 * q), np.exp(-d * w * w)) for (c, q, d) in ff.terms]
@@ -571,47 +625,59 @@ def _pv_contour(ff, beta, eps):
     return float(val)
 
 
-def pv_coefficient(ff, beta, eps):
-    """d = PV int_R f^(beta)(x + eps) / x dx  (Cauchy principal value at 0).
+def pv_coefficients(ff, beta, eps_values):
+    """d(eps) = PV int_R f^(beta)(x + eps) / x dx  (Cauchy principal value at 0)
+    for every eps in `eps_values`, as a float array.
 
-    Rule A: trapezoid sum on a line below the real axis (:func:`_pv_contour`).
-    Rule B: symmetric-difference form int_0^X (F(x) - F(-x))/x dx on a
-    midpoint grid with one Richardson extrapolation step (O(h^4)).
-    The two must agree to 1e-7 relative (with a small absolute floor)
-    or DisagreementBetweenRules is raised.
+    Rule A: trapezoid sum on a line below the real axis (:func:`_pv_contour`),
+    one per eps; its values are returned.
+    Rule B: the symmetric-difference form int_0^X (F(eps + x) - F(eps - x))/x dx
+    on the real axis, X the density cutoff of that eps, for every eps in one
+    stacked adaptive Gauss-Legendre call (:func:`_adaptive_gauss_legendre`,
+    8 equal panels on [0, X] to start, tolerance 1e-12 relative or 1e-12 S
+    absolute, S = max(1, peak of the density on [-X, X])).  A capped or
+    non-finite rule B raises QuadratureNonConvergence.  The two rules must
+    agree to 1e-7 relative or 1e-9 S absolute, or DisagreementBetweenRules
+    is raised.
 
     This function is the single home of the principal-part convention.
     """
     beta = _effective_beta(beta)
-    x_max = _density_cutoff(ff, beta, eps)
+    eps = np.array(eps_values, dtype=float).reshape(-1)
+    x_max = np.array([_density_cutoff(ff, beta, e) for e in eps])
+    val_a = np.array([_pv_contour(ff, beta, e) for e in eps])
+    # The density's scale sets rule B's absolute tolerance and the agreement
+    # floor, so a coefficient that cancels to ~0 neither stalls rule B nor
+    # trips the check on roundoff.
+    grid = np.linspace(-x_max, x_max, 513, axis=1) + eps[:, None]
+    scale = np.maximum(1.0, spectral_density(ff, beta, grid).max(axis=1))
 
-    def f_shift(x):
-        return spectral_density(ff, beta, x + eps)
+    def sym_diff(x, k):
+        e = eps[k]
+        return (spectral_density(ff, beta, e + x) - spectral_density(ff, beta, e - x)) / x
 
-    val_a = _pv_contour(ff, beta, eps)
+    val_b, _, capped = _adaptive_gauss_legendre(
+        sym_diff, np.linspace(0.0, x_max, 9, axis=1), _GL_REL_TOL * scale)
+    for e, a, b, cap, s in zip(eps.tolist(), val_a.tolist(), val_b.tolist(),
+                               capped.tolist(), scale.tolist()):
+        if cap or not np.isfinite(b):
+            raise QuadratureNonConvergenceError(
+                f"symmetric-difference rule at eps={e}: "
+                + ("refinement cap reached" if cap else "non-finite value"))
+        if abs(a - b) > max(_PV_REL_TOL * max(abs(a), abs(b)), 1e-9 * s):
+            raise DisagreementBetweenRulesError(
+                f"PV rules disagree at eps={e}: {a!r} vs {b!r}")
+    return val_a
 
-    def midpoint_sym(n):
-        h = x_max / n
-        x = (np.arange(n) + 0.5) * h
-        return float(np.sum((f_shift(x) - f_shift(-x)) / x) * h)
 
-    n0 = 4096
-    coarse, fine = midpoint_sym(n0), midpoint_sym(2 * n0)
-    val_b = (4.0 * fine - coarse) / 3.0
-
-    # Relative agreement, with an absolute floor tied to the density's
-    # magnitude so near-cancelling (odd) cases don't trip on roundoff.
-    peak = float(np.max(f_shift(np.linspace(-x_max, x_max, 513))))
-    floor = 1e-9 * max(1.0, peak)
-    if abs(val_a - val_b) > max(_PV_REL_TOL * max(abs(val_a), abs(val_b)), floor):
-        raise DisagreementBetweenRulesError(
-            f"PV rules disagree at eps={eps}: {val_a!r} vs {val_b!r}"
-        )
-    return float(val_a)
+def pv_coefficient(ff, beta, eps):
+    """The one-value form of :func:`pv_coefficients`."""
+    return float(pv_coefficients(ff, beta, [eps])[0])
 
 
 def _scalar_resolvent(ff, beta, eps_p, eps_reg):
-    """w = int f^(beta)(p) / (eps_reg + i(eps_p + p)) dp for eps_reg > 0 (the oracle's).
+    """w = int f^(beta)(p) / (eps_reg + i(eps_p + p)) dp for every pair of the
+    equal-length arrays `eps_p` and `eps_reg` > 0 (the oracle's), as a complex array.
 
     With t = eps_p + p folded onto t >= 0 and F+- = f^(beta)(+-t - eps_p),
 
@@ -619,24 +685,32 @@ def _scalar_resolvent(ff, beta, eps_p, eps_reg):
 
     one complex integral whose Poisson (real) and conjugate-Poisson
     (imaginary) parts share the density samples; X is the density cutoff.
-    The adaptive panels start on [0, geomspace(min(eps_reg, X/2), X, 8)], a
-    scale-invariant grading for eps_reg/(eps_reg^2 + t^2).  An error
-    estimate above max(1e-9 |w|, 1e-9) or the refinement cap raises
-    QuadratureNonConvergence.  The line stays on the real axis, so it
-    shares nothing with the contour rule of :func:`pv_coefficient`.
+    Every pair is one integral of a single stacked adaptive call
+    (:func:`_adaptive_gauss_legendre`); each starts from the panels
+    [0, geomspace(min(eps_reg, X/2), X, 8)], a scale-invariant grading for
+    eps_reg/(eps_reg^2 + t^2).  An error estimate above max(1e-9 |w|, 1e-9)
+    or the refinement cap raises QuadratureNonConvergence.  The line stays
+    on the real axis, so it shares nothing with the contour rule of
+    :func:`pv_coefficients`.
     """
     beta = _effective_beta(beta)
-    x_max = _density_cutoff(ff, beta, eps_p)
+    eps_p = np.array(eps_p, dtype=float).reshape(-1)
+    eps_reg = np.array(eps_reg, dtype=float).reshape(-1)
+    x_max = [_density_cutoff(ff, beta, e) for e in eps_p]
 
-    def kernel(t):
-        up = spectral_density(ff, beta, t - eps_p)
-        down = spectral_density(ff, beta, -t - eps_p)
-        return ((up + down) * eps_reg - 1j * t * (up - down)) / (eps_reg**2 + t * t)
+    def kernel(t, k):
+        e, r = eps_p[k], eps_reg[k]
+        up = spectral_density(ff, beta, t - e)
+        down = spectral_density(ff, beta, -t - e)
+        return ((up + down) * r - 1j * t * (up - down)) / (r**2 + t * t)
 
-    edges = np.concatenate([[0.0], np.geomspace(min(eps_reg, 0.5 * x_max), x_max, 8)])
+    edges = [np.concatenate([[0.0], np.geomspace(min(r, 0.5 * x), x, 8)])
+             for r, x in zip(eps_reg, x_max)]
     val, err, capped = _adaptive_gauss_legendre(kernel, edges)
-    if capped or not err <= max(1e-9 * abs(val), 1e-9):
-        raise QuadratureNonConvergenceError(
-            f"resolvent integral error {err:.3e} at eps'={eps_p}, reg={eps_reg}"
-            + (" (refinement cap reached)" if capped else ""))
-    return complex(val)
+    for e, r, w, gap, cap in zip(eps_p.tolist(), eps_reg.tolist(), val.tolist(),
+                                 err.tolist(), capped.tolist()):
+        if cap or not gap <= max(1e-9 * abs(w), 1e-9):
+            raise QuadratureNonConvergenceError(
+                f"resolvent integral error {gap:.3e} at eps'={e}, reg={r}"
+                + (" (refinement cap reached)" if cap else ""))
+    return val

@@ -4,8 +4,9 @@ Only the tests call these.  They read the dense Howland matrix
 `FloquetOperator.matrix` and scipy, which no library function does: the
 dense eigensolve of F, the dense Riesz projection and eigenprojection, the
 Hungarian monodromy match, RK45 for a state and for tau(t, s), Kato's
-pairs-of-projections transform, and literal definitions (Choi matrix,
-spectral projection of L_at, glued function g).  Private library helpers
+pairs-of-projections transform, the one-integral adaptive Gauss-Legendre
+rule, and literal definitions (Choi matrix, spectral projection of L_at,
+glued function g).  Private library helpers
 are imported, not copied.
 """
 
@@ -32,7 +33,8 @@ from pumped_lindblad import (
 from pumped_lindblad.evolution import _output_grid, _trajectory, _unvec_rows
 from pumped_lindblad.floquet import (_contour_radius, _require_howland, _resolvent_apply,
                                      _spectrum_report)
-from pumped_lindblad.reservoir import _effective_beta, _logistic
+from pumped_lindblad.reservoir import (_GL_MAX_LEVELS, _GL_MAX_OPEN, _GL_NODES, _GL_REL_TOL,
+                                       _GL_WEIGHTS, _effective_beta, _logistic)
 
 # --------------------------------------------------------------------------
 # the dense Howland matrix: spectrum, Riesz projections, monodromy match
@@ -261,3 +263,42 @@ def glued_g(ff, beta, x):
     fvals = np.where(x >= 0, fvals, np.conj(fvals))
     out = np.abs(x) * fermi * fvals
     return out if out.shape else complex(out)
+
+
+# --------------------------------------------------------------------------
+# adaptive Gauss-Legendre, one integral at a time
+# --------------------------------------------------------------------------
+
+def adaptive_gauss_legendre_one(h, edges):
+    """One integral of h(x) by the rule of ``reservoir._adaptive_gauss_legendre``,
+    written for a single integral: returns (value, summed gap, capped).
+
+    A stack of one must reproduce it bit for bit.
+    """
+    def panels(left, width):
+        x = left[:, None] + (0.5 * width)[:, None] * (1.0 + _GL_NODES)
+        return 0.5 * width * (h(x.ravel()).reshape(x.shape) @ _GL_WEIGHTS)
+
+    edges = np.asarray(edges, dtype=float)
+    left, width = edges[:-1], np.diff(edges)
+    whole = panels(left, width)
+    val = err = 0.0
+    for _ in range(_GL_MAX_LEVELS):
+        half = 0.5 * width
+        lo, hi = np.split(panels(np.concatenate([left, left + half]),
+                                 np.concatenate([half, half])), 2)
+        fine = lo + hi
+        with np.errstate(invalid="ignore"):
+            gap = np.abs(fine - whole)
+        if not np.all(np.isfinite(gap)):
+            return np.inf, np.inf, False
+        ok = gap <= _GL_REL_TOL * abs(val + fine.sum()) / width.size
+        val += fine[ok].sum()
+        err += gap[ok].sum()
+        bisect = ~ok
+        left = np.concatenate([left[bisect], left[bisect] + half[bisect]])
+        width = np.concatenate([half[bisect], half[bisect]])
+        whole = np.concatenate([lo[bisect], hi[bisect]])
+        if not 0 < left.size <= _GL_MAX_OPEN:
+            break
+    return val + whole.sum(), err, bool(left.size)

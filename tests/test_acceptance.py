@@ -88,8 +88,7 @@ def test_03_resolvent_oracle_equivalence(two_level):
     chk = _Check(3, "resolvent-oracle-equivalence", 1e-5, 30.0)
     exact = two_level.data.l_r.matrix
     ladder = (1e-2, 5e-3, 2.5e-3)
-    mats = [resolvent_oracle(two_level.atom, two_level.res, e).matrix
-            for e in ladder]
+    mats = [op.matrix for op in resolvent_oracle(two_level.atom, two_level.res, ladder)]
     errs = [np.linalg.norm(m - exact, 2) for m in mats]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     extrapolated = (8.0 * mats[2] - 6.0 * mats[1] + mats[0]) / 3.0

@@ -815,6 +815,24 @@ def test_oracle_command_reports_convergence(runner, tmp_path):
     assert all({"channel", "eps", "value"} <= set(r) for r in rep["pv_coefficients"])
 
 
+@pytest.mark.parametrize("vanishing", ["weight", "couplings"])
+def test_oracle_force_with_a_vanishing_reservoir_generator(runner, tmp_path, vanishing):
+    # L_R = 0 makes every oracle error exactly zero, and each observed order null
+    cfg = _two_level_cfg()
+    if vanishing == "weight":
+        cfg["reservoir"]["form_factors"][0]["weight"] = 0.0
+    else:
+        cfg["reservoir"]["couplings_Q"] = [
+            [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["oracle", _write(tmp_path, cfg), "--out", str(out), "--force"])
+    assert result.exit_code == 0, result.output
+    assert "Traceback" not in result.output
+    rep = _load(out / "oracle.json")
+    assert rep["errors"] == [0.0, 0.0, 0.0]
+    assert rep["observed_orders"] == [None, None]
+
+
 def test_oracle_rejects_gks_route(runner, tmp_path):
     cfg = _two_level_cfg()
     cfg["reservoir"] = {

@@ -162,16 +162,16 @@ def test_two_level_generator_closed_form_spectrum(two_level):
 
 
 def test_generator_computes_each_pair_once(three_level, monkeypatch):
-    # three_level: 4 jump pairs over 2 channels, 4 distinct (channel, Bohr
-    # frequency) PV keys; one pass over the pairs serves H_Lamb, L_d and jumps
-    calls = dict.fromkeys(("rate_coefficient", "jump_operators", "pv_coefficient"), 0)
+    # three_level: 4 jump pairs over 2 channels, one stacked PV call per
+    # channel; one pass over the pairs serves H_Lamb, L_d and jumps
+    calls = dict.fromkeys(("rate_coefficient", "jump_operators", "pv_coefficients"), 0)
     for name in calls:
         def counted(*args, _fn=getattr(lindblad, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(lindblad, name, counted)
     data = reservoir_lindbladian(three_level.atom, three_level.res)
-    assert calls == {"rate_coefficient": 4, "jump_operators": 2, "pv_coefficient": 4}
+    assert calls == {"rate_coefficient": 4, "jump_operators": 2, "pv_coefficients": 2}
     assert np.array_equal(data.l_r.matrix, three_level.data.l_r.matrix)
 
 
@@ -181,10 +181,8 @@ def test_generator_computes_each_pair_once(three_level, monkeypatch):
 
 def test_resolvent_oracle_first_order_convergence(two_level):
     target = two_level.data.l_r.matrix
-    errs = []
-    for reg in (1e-2, 5e-3):
-        approx = resolvent_oracle(two_level.atom, two_level.res, reg)
-        errs.append(np.linalg.norm(approx.matrix - target, 2))
+    errs = [np.linalg.norm(approx.matrix - target, 2)
+            for approx in resolvent_oracle(two_level.atom, two_level.res, (1e-2, 5e-3))]
     order = np.log2(errs[0] / errs[1])
     assert 0.75 <= order <= 1.25
 
@@ -219,26 +217,25 @@ def test_numpy_resolvent_matches_quadpack(request, case, eps_reg):
     energies = inst.atom.energies
     bohr = sorted({ej - ek for ej in energies for ek in energies})
     for ff in inst.res.form_factors:
-        for eps_p in bohr:
+        stack = reservoir._scalar_resolvent(ff, inst.beta, bohr, [eps_reg] * len(bohr))
+        for eps_p, got in zip(bohr, stack):
             want = _quadpack_resolvent(ff, inst.beta, eps_p, eps_reg)
-            got = reservoir._scalar_resolvent(ff, inst.beta, eps_p, eps_reg)
             assert abs(got - want) <= 1e-11 * abs(want), (eps_p, got, want)
 
 
 def test_oracle_makes_one_adaptive_integral_per_resolvent(three_level, monkeypatch):
-    # three_level: 4 distinct (channel, Bohr frequency) keys per rung, and
-    # each w is one complex integral
-    calls = [0]
+    # three_level: 4 distinct (channel, Bohr frequency) keys, 2 per channel;
+    # each w is one complex integral, and each channel stacks all of its
+    # integrals over the whole ladder into one adaptive call
+    stacks = []
 
-    def counted(*args, _fn=reservoir._adaptive_gauss_legendre):
-        calls[0] += 1
-        return _fn(*args)
+    def counted(h, edges, *args, _fn=reservoir._adaptive_gauss_legendre):
+        stacks.append(len(edges))
+        return _fn(h, edges, *args)
 
     monkeypatch.setattr(reservoir, "_adaptive_gauss_legendre", counted)
-    for reg in (1e-2, 5e-3, 2.5e-3):
-        calls[0] = 0
-        resolvent_oracle(three_level.atom, three_level.res, reg)
-        assert calls[0] == 4
+    resolvent_oracle(three_level.atom, three_level.res, (1e-2, 5e-3, 2.5e-3))
+    assert stacks == [6, 6]
 
 
 def test_resolvent_refinement_cap_raises(monkeypatch, two_level):
@@ -246,12 +243,12 @@ def test_resolvent_refinement_cap_raises(monkeypatch, two_level):
 
     monkeypatch.setattr(reservoir, "_GL_MAX_LEVELS", 1)
     with pytest.raises(QuadratureNonConvergenceError, match="refinement cap"):
-        resolvent_oracle(two_level.atom, two_level.res, 2.5e-3)
+        resolvent_oracle(two_level.atom, two_level.res, [2.5e-3])
 
 
 def _oracle_errors(atom, res, l_r):
-    return np.array([np.linalg.norm(resolvent_oracle(atom, res, reg).matrix - l_r.matrix, 2)
-                     for reg in (1e-2, 5e-3, 2.5e-3)])
+    return np.array([np.linalg.norm(op.matrix - l_r.matrix, 2)
+                     for op in resolvent_oracle(atom, res, (1e-2, 5e-3, 2.5e-3))])
 
 
 def _verdicts(report):

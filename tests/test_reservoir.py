@@ -28,6 +28,7 @@ from pumped_lindblad import (
     check_assumptions,
     glued_g_continued,
     pv_coefficient,
+    pv_coefficients,
     rate_coefficient,
     spectral_density,
     strip_analyticity_ladder,
@@ -39,7 +40,7 @@ from pumped_lindblad.reservoir import (
     _line_cutoff,
     _line_integrand,
 )
-from reference import glued_g
+from reference import adaptive_gauss_legendre_one, glued_g
 
 
 def _random_form_factor(rng, n_terms=2, complex_weights=False):
@@ -481,18 +482,81 @@ def test_unresolvable_line_raises_nonconvergence(monkeypatch):
         _one_rung(FormFactor(((1.0, 1, 1.0),)), 1.0, 0.5)
 
 
+def _graded_edges(eps, x_max=10.0):
+    return np.concatenate([[0.0], np.geomspace(min(eps, 0.5 * x_max), x_max, 8)])
+
+
 @pytest.mark.parametrize("eps", [1e-2, 2.5e-3, 1e-5])
 def test_adaptive_rule_integrates_a_complex_kernel(eps):
     # the resolvent oracle's kernel shape on its graded edges:
     # int_0^X (eps - i t)/(eps^2 + t^2) dt = arctan(X/eps) - (i/2) ln(1 + X^2/eps^2)
     x_max = 10.0
-    edges = np.concatenate([[0.0], np.geomspace(min(eps, 0.5 * x_max), x_max, 8)])
-    val, err, capped = reservoir._adaptive_gauss_legendre(
-        lambda t: (eps - 1j * t) / (eps**2 + t * t), edges)
+    (val,), (err,), (capped,) = reservoir._adaptive_gauss_legendre(
+        lambda t, _k: (eps - 1j * t) / (eps**2 + t * t), _graded_edges(eps, x_max)[None])
     want = np.arctan(x_max / eps) - 0.5j * np.log1p((x_max / eps) ** 2)
     assert not capped
     assert abs(val - want) <= 1e-13 * abs(want)
     assert isinstance(err, float) and err >= 0.0
+
+
+def test_stack_of_one_reproduces_the_one_integral_rule(three_level):
+    # each strip line is a stack of one, bit for bit the one-integral rule
+    beta = three_level.beta
+    for ff in three_level.res.form_factors:
+        for y in (-0.785, -0.37, 0.0):
+            x_max = _line_cutoff(ff, beta, y)
+            edges = np.linspace(-x_max, x_max, reservoir._GL_PANELS + 1)
+            line = _line_integrand(ff, beta, y)
+            want = adaptive_gauss_legendre_one(line, edges)
+            got = reservoir._adaptive_gauss_legendre(lambda x, _k: line(x), edges[None])
+            assert tuple(part[0] for part in got) == want
+            assert reservoir._line_integral(ff, beta, y, 1e12) == want[0]
+
+
+def test_each_integral_of_a_stack_matches_its_solo_run():
+    # complex kernels on graded edges of different widths, stacked
+    eps = np.array([1e-2, 2.5e-3, 1e-5, 3.0])
+    x_max = np.array([10.0, 4.0, 25.0, 7.5])
+    edges = np.array([_graded_edges(e, x) for e, x in zip(eps, x_max)])
+
+    def h(t, k):
+        return (eps[k] - 1j * t) / (eps[k] ** 2 + t * t) + np.exp(-t * t / x_max[k])
+
+    vals, errs, capped = reservoir._adaptive_gauss_legendre(h, edges)
+    assert not capped.any()
+    for i in range(eps.size):
+        solo = reservoir._adaptive_gauss_legendre(lambda t, k, i=i: h(t, k + i), edges[i:i + 1])
+        assert not solo[2][0]
+        assert abs(vals[i] - solo[0][0]) <= 1e-14 * abs(solo[0][0])
+        assert abs(errs[i] - solo[1][0]) <= 1e-14 * abs(solo[0][0])
+
+
+def test_a_non_finite_integral_reads_inf_and_spares_the_rest():
+    edges = np.array([np.linspace(0.0, 1.0, 9)] * 3)
+    vals, errs, capped = reservoir._adaptive_gauss_legendre(
+        lambda x, k: np.where(k == 1, np.inf, np.exp(-x * x)), edges)
+    assert (vals[1], errs[1], capped[1]) == (np.inf, np.inf, False)
+    want = 0.5 * np.sqrt(np.pi) * 0.8427007929497149       # erf(1)
+    assert np.all(np.abs(vals[[0, 2]] - want) <= 1e-15)
+    assert not capped.any()
+
+
+def test_the_refinement_caps_apply_per_integral(monkeypatch):
+    # 1/|x| is not integrable across 0: it alone reaches the level cap
+    edges = np.array([np.linspace(-1.0, 1.0, 9)] * 2)
+    vals, _, capped = reservoir._adaptive_gauss_legendre(
+        lambda x, k: np.where(k == 0, 1.0 / np.abs(x), np.exp(-x * x)), edges)
+    assert list(capped) == [True, False]
+    assert abs(vals[1] - np.sqrt(np.pi) * 0.8427007929497149) <= 1e-15
+    # cos(40 x) on [0, 10] never has more than 16 open panels, cos(80 x) up
+    # to 150: with a cap of 20 open panels only the latter stops, though the
+    # stack together holds more than 20
+    a = np.array([40.0, 40.0, 40.0, 80.0])
+    edges = np.array([np.linspace(0.0, 10.0, 9)] * a.size)
+    monkeypatch.setattr(reservoir, "_GL_MAX_OPEN", 20)
+    vals, _, capped = reservoir._adaptive_gauss_legendre(lambda x, k: np.cos(a[k] * x), edges)
+    assert list(capped) == [False, False, False, True]
+    assert np.all(np.abs(vals[:3] - np.sin(400.0) / 40.0) <= 1e-13)
 
 
 def test_simpson_crosscheck_rejects_a_biased_primary_rule(monkeypatch):
@@ -610,6 +674,49 @@ def test_pv_rules_agree_over_random_family():
         eps = float(rng.uniform(-2.0, 2.0))
         val = pv_coefficient(ff, beta, eps)   # raises if the rules disagree
         assert np.isfinite(val)
+
+
+def test_pv_rule_b_converges_on_a_cold_reservoir():
+    # the fixed midpoint grid rule B once used drifted 2.0e-7 from rule A here
+    vals = pv_coefficients(FormFactor(((1.0, 1, 1.0),)), 600.0, [1.0, -1.0])
+    assert vals.shape == (2,) and np.all(np.isfinite(vals))
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0, 10.0, 50.0, 100.0])
+def test_pv_rules_agree_closely_over_a_seeded_sweep(monkeypatch, beta):
+    stacked, rule_b = reservoir._adaptive_gauss_legendre, []
+
+    def spy(*args):
+        out = stacked(*args)
+        rule_b.append(out[0])
+        return out
+
+    monkeypatch.setattr(reservoir, "_adaptive_gauss_legendre", spy)
+    rng = np.random.default_rng(int(beta * 10))
+    for i in range(6):
+        ff = _random_form_factor(rng, n_terms=int(rng.integers(1, 3)), complex_weights=i % 2 == 1)
+        eps = rng.uniform(-3.0, 3.0, 3)
+        rule_a = pv_coefficients(ff, beta, eps)
+        assert np.all(np.abs(rule_a - rule_b[-1]) <= 1e-11 * np.abs(rule_a)), (ff, eps)
+
+
+def test_pv_rule_b_converges_where_the_coefficient_vanishes():
+    # d(eps) changes sign within 1e-15 of this eps; rule B's absolute
+    # tolerance lets it converge where a relative one alone would stall
+    val = pv_coefficient(FormFactor(((1.0, 1, 1.0),)), 1.0, -0.7616712738039491)
+    assert abs(val) <= 1e-12
+
+
+def test_pv_rule_b_refinement_cap_raises(monkeypatch):
+    monkeypatch.setattr(reservoir, "_GL_MAX_LEVELS", 0)
+    with pytest.raises(QuadratureNonConvergenceError, match="eps=0.5: refinement cap"):
+        pv_coefficient(FormFactor(((1.0, 1, 1.0),)), 1.0, 0.5)
+
+
+def test_pv_contour_refuses_too_many_nodes():
+    # 2 X/h nodes grow as beta^2: about 5e8 at beta = 1e4, refused before allocation
+    with pytest.raises(QuadratureNonConvergenceError, match="nodes"):
+        pv_coefficient(FormFactor(((1.0, 1, 1.0),)), 1e4, 1.0)
 
 
 def test_error_taxonomy():
