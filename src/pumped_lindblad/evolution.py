@@ -396,10 +396,10 @@ def trajectory_to_csv(atom, traj, path, pops=None):
     header = "t," + ",".join(f"pop_{k}" for k in range(1, n + 1)) + ",trace,min_eig,purity"
     trace = np.trace(traj.states, axis1=1, axis2=2).real
     table = np.column_stack([traj.times, pops, trace, traj.min_eig, traj.purity])
-    row = ",".join(["%.17g"] * table.shape[1])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.writelines(row % tuple(r) + "\n" for r in table)
+        fh.write((row * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
 # --------------------------------------------------------------------------

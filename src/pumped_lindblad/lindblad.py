@@ -47,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeneratorStructureError, NonHermitianError, QuadratureNonConvergenceError
-from .operator_core import Superoperator, _clusters, hamiltonian_lindbladian, validate_pump
+from .operator_core import (Superoperator, _clusters, _kron, hamiltonian_lindbladian,
+                            validate_pump)
 from .reservoir import (
     _effective_beta,
     _scalar_resolvent,
@@ -125,9 +126,9 @@ def _dissipator_term(v, c):
     d = v.shape[0]
     eye = np.eye(d, dtype=complex)
     vv = v.conj().T @ v
-    return c * (np.kron(np.conj(v), v)
-                - 0.5 * np.kron(eye, vv)
-                - 0.5 * np.kron(vv.T, eye))
+    return c * (_kron(np.conj(v), v)
+                - 0.5 * _kron(eye, vv)
+                - 0.5 * _kron(vv.T, eye))
 
 
 @dataclass(frozen=True)
@@ -225,9 +226,9 @@ def resolvent_oracle(atom, res, eps_regs):
         rows = dict(zip(keys, ws.reshape(len(keys), len(eps_regs))))
         for v, j, k, eps_p in pairs:
             vv = v.conj().T @ v
-            sandwich = np.kron(np.conj(v), v)
-            left = sandwich - np.kron(eye, vv)
-            right = sandwich - np.kron(vv.T, eye)
+            sandwich = _kron(np.conj(v), v)
+            left = sandwich - _kron(eye, vv)
+            right = sandwich - _kron(vv.T, eye)
             for m, w in zip(ms, rows[round(eps_p, 12)].tolist()):
                 if j == k:
                     w = w.real + 0.0j
@@ -250,7 +251,7 @@ def commutant_dimension(jumps):
     vs = [np.asarray(v, dtype=complex) for v in jumps]
     d = vs[0].shape[0]
     eye = np.eye(d, dtype=complex)
-    rows = [np.kron(eye, v) - np.kron(v.T, eye) for v in vs]
+    rows = [_kron(eye, v) - _kron(v.T, eye) for v in vs]
     stack = np.vstack(rows)
     _u, s, vh = np.linalg.svd(stack)
     cutoff = _COMMUTANT_TOL * max(1.0, s[0] if s.size else 1.0)

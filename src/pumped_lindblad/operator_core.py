@@ -81,6 +81,13 @@ def unvec(v, d=None):
     return v.reshape(d, d, order="F")
 
 
+def _kron(a, b):
+    """Kronecker product of two 2-D arrays: the products np.kron forms, without
+    its general-rank bookkeeping (which costs several times the product at d <= 6)."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
 # --------------------------------------------------------------------------
 # Superoperator
 # --------------------------------------------------------------------------
@@ -151,7 +158,7 @@ def hamiltonian_lindbladian(a):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected square matrix, got shape {a.shape}")
     eye = np.eye(a.shape[0], dtype=complex)
-    return Superoperator((np.kron(eye, a) - np.kron(a.T, eye)) * (-1j))
+    return Superoperator((_kron(eye, a) - _kron(a.T, eye)) * (-1j))
 
 
 # --------------------------------------------------------------------------

@@ -48,11 +48,12 @@ One adaptive engine does every real-axis integral here
 panels, each compared with its two halves against a 1e-12 relative
 tolerance, for a stack of integrals that each refine on their own while
 all open panels of all of them are evaluated in one vectorized integrand
-call per level.  Each horizontal strip line is a stack of one, and a
-fixed composite Simpson grid on the line y = 0 is its independent
-cross-check.  The resolvent oracle stacks every regularized resolvent of
-a channel, each one complex integral on a graded mesh, over its whole
-regularization ladder (:func:`_scalar_resolvent`).
+call per level.  Every horizontal line of a strip-analyticity ladder is
+one integral of a single stack per form factor, and a fixed composite
+Simpson grid on the line y = 0 is its independent cross-check.  The
+resolvent oracle stacks every regularized resolvent of a channel, each
+one complex integral on a graded mesh, over its whole regularization
+ladder (:func:`_scalar_resolvent`).
 
 The PV coefficient has two rules.  Rule A is a trapezoid sum on a line
 below the real axis (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)):
@@ -93,12 +94,12 @@ _MIN_BETA = 1e-12
 _PV_REL_TOL = 1e-7   # the two PV rules must agree to this, relative
 _PV_MAX_NODES = 2**22  # rule A's node cap (~10 complex arrays of this length)
 
-# Adaptive quadrature: 20-node Gauss-Legendre panels (64 to start on a strip
+# Adaptive quadrature: 20-node Gauss-Legendre panels (16 to start on a strip
 # line), bisected until each meets its share of _GL_REL_TOL.  The caps bound
 # each integral's depth and number of open panels (and so the memory of one
 # integrand call, per integral of a stack).
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-_GL_PANELS = 64
+_GL_PANELS = 16
 _GL_REL_TOL = 1e-12
 _GL_MAX_LEVELS = 20
 _GL_MAX_OPEN = 4096
@@ -330,8 +331,10 @@ class AnalyticityReport:
 def _line_integrand(ff, beta, y):
     """x -> (|g(z)| + |e^{-beta z/2} g#(z)|)^2 on the line z = x + iy, in real arithmetic.
 
-    With P(z) = sum w z^{2p} e^{-C z^2}, its weights conjugated where x < 0
-    (the branch rule of :func:`glued_g_continued`), and g#(z) = i conj(g(-conj z)),
+    `y` is one value or an array that broadcasts against x (one line per
+    row of x in the ladder's stacked call).  With P(z) = sum w z^{2p} e^{-C z^2},
+    its weights conjugated where x < 0 (the branch rule of
+    :func:`glued_g_continued`), and g#(z) = i conj(g(-conj z)),
 
         |g(z)|                = |P(z)| |1 + e^{-beta z}|^{-1/2},
         |e^{-beta z/2} g#(z)| = e^{-beta x/2} |P(-conj z)| |1 + e^{beta z}|^{-1/2},
@@ -346,7 +349,7 @@ def _line_integrand(ff, beta, y):
     """
     c0 = ff.min_decay
     p_max = max(p for (_, p, _) in ff.terms)
-    cos_by, sin_by = math.cos(beta * y), math.sin(beta * y)
+    cos_by, sin_by = np.cos(beta * y), np.sin(beta * y)
     branch = not ff.is_real
 
     def h(x):
@@ -382,59 +385,86 @@ def strip_analyticity_ladder(form_factors, beta, radii, n_lines=9, bound_ceiling
     """Sample sup_{|y|<r} int (|g(x+iy)| + |e^{-beta(x+iy)/2} g#(x+iy)|)^2 dx
     for every form factor at each half-width r in `radii`.
 
-    Each line is integrated over a Gaussian tail cutoff by an adaptive
-    composite 20-node Gauss-Legendre rule: 64 equal panels to start, each
+    A rung's lines are y = 0, the n_lines // 2 negative values of
+    linspace(-r, r, n_lines) (times 1 - 1e-12) and their exact negations.
+    For real weights the integrand is even in y (g(conj z) = conj g(z)),
+    so the line at +y takes the value of the line at -y and only one line
+    per |y| is integrated; complex weights integrate every line.  Each
+    distinct line of the whole ladder is integrated once per form factor,
+    all of them in one stacked call of the adaptive composite 20-node
+    Gauss-Legendre engine (:func:`_adaptive_gauss_legendre`): each line
+    starts from _GL_PANELS equal panels on its Gaussian tail cutoff, each
     panel compared with the sum over its halves and bisected until it
-    meets an equal share of a 1e-12 relative tolerance.  A line whose
-    summed error estimate exceeds max(1e-6 |value|, 1e-10), or that hits
-    the refinement cap, raises QuadratureNonConvergence; a line that
-    overflows reads inf.  The y=0 line is recomputed on a fixed Simpson
-    grid as an independent cross-check: on a finite line within
-    `bound_ceiling` the two must agree to 1e-6 relative, or
-    DisagreementBetweenRules is raised.  A value above `bound_ceiling`
+    meets an equal share of a 1e-12 relative tolerance.  A stack of L lines
+    holds at most L * _GL_MAX_OPEN open panels, so one integrand call takes
+    at most 40 L _GL_MAX_OPEN nodes (each open panel's two halves).
+
+    The ladder is then walked rung by rung, each rung form factor by form
+    factor, each line in ascending y.  On first reaching a finite line
+    within `bound_ceiling`, its summed error estimate must be at most
+    max(1e-6 |value|, 1e-10), and it must not have hit the refinement cap,
+    or QuadratureNonConvergence is raised; a line that overflows reads inf.
+    After a form factor's lines of the first rung, its y=0 line is
+    recomputed on a fixed Simpson grid as an independent cross-check: on a
+    finite line within `bound_ceiling` the two must agree to 1e-6 relative,
+    or DisagreementBetweenRules is raised.  A value above `bound_ceiling`
     (or non-finite) gives the verdict "exceeds-bound", not an exception.
 
     Returns one tuple of reports (one per form factor) per rung, in order,
-    and stops after the first rung at which some report is not "finite":
-    no line beyond that rung is integrated.  A rung's lines are y = 0, the
-    n_lines // 2 negative values of linspace(-r, r, n_lines) (times
-    1 - 1e-12) and their exact negations.  A line shared by several rungs
-    is integrated once per form factor, and the y=0 Simpson cross-check
-    runs once per form factor, so each report equals that of a one-rung
-    ladder at its half-width.  For real weights the integrand is even in
-    y (g(conj z) = conj g(z)), so the line at +y takes the value of the
-    line at -y and only one line per |y| is integrated.
+    and stops after the first rung at which some report is not "finite".
+    The lines beyond that rung are integrated inside the stack, but no
+    verdict is applied to them: they raise nothing and are not reported.
+    Each report equals that of a one-rung ladder at its half-width.  A
+    half-width <= 0 raises InvalidFormFactor before any line is integrated.
     """
     beta = _effective_beta(beta)
-    line_values = [{} for _ in form_factors]     # per form factor: y -> integral
-    rel_errs = [None] * len(form_factors)
-    rungs = []
+    rung_ys = []
     for r_max in radii:
         if not r_max > 0:
             raise InvalidFormFactorError(f"strip half-width r_max={r_max} must be > 0")
         below = np.linspace(-r_max, r_max, n_lines)[:n_lines // 2] * (1.0 - 1e-12)
-        ys = [float(y) for y in np.concatenate([below, [0.0], -below[::-1]])]
+        rung_ys.append([float(y) for y in np.concatenate([below, [0.0], -below[::-1]])])
+    walk = list(dict.fromkeys(y for ys in rung_ys for y in ys))
+    line_stacks = []            # per form factor: y -> (value, summed gap, capped)
+    for ff in form_factors:
+        ys = np.array([y for y in walk if not (y > 0 and ff.is_real)])
+        x_max = _line_cutoff(ff, beta, ys)
+        vals, errs, capped = _adaptive_gauss_legendre(
+            lambda x, k: _line_integrand(ff, beta, ys[k])(x),
+            np.linspace(-x_max, x_max, _GL_PANELS + 1, axis=1))
+        stack = dict(zip(ys.tolist(), zip(vals.tolist(), errs.tolist(), capped.tolist())))
+        line_stacks.append({y: stack[-y if y > 0 and ff.is_real else y] for y in walk})
+
+    def verified(y, val, err, capped):
+        if capped:
+            err = np.inf
+        if np.isfinite(val) and val <= bound_ceiling and not err <= max(1e-6 * abs(val), 1e-10):
+            raise QuadratureNonConvergenceError(
+                f"line y={y:.4g}: Gauss-Legendre error estimate {err:.3e} for value {val:.6e}"
+                + (" (refinement cap reached)" if capped else ""))
+        return val
+
+    rel_errs = [None] * len(form_factors)
+    rungs = []
+    for r_max, ys in zip(radii, rung_ys):
         notes = ""
         if r_max >= np.pi / beta:
             notes = (f"strip reaches the branch line |Im z| = pi/beta = {np.pi/beta:.6g}; "
                      "values beyond it use the principal square-root branch")
         reports = []
-        for i, ff in enumerate(form_factors):
-            values = line_values[i]
-            for y in ys:                  # ascending, so -y is done before y > 0
-                if y not in values:
-                    values[y] = (values[-y] if y > 0 and ff.is_real
-                                 else _line_integral(ff, beta, y, bound_ceiling))
+        for i, lines in enumerate(line_stacks):
+            values = [verified(y, *lines[y]) for y in ys]
             if rel_errs[i] is None:
-                rel_errs[i] = _simpson_rel_err(ff, beta, values[0.0], bound_ceiling)
-            vals = np.array([values[y] for y in ys])
+                rel_errs[i] = _simpson_rel_err(form_factors[i], beta, lines[0.0][0],
+                                               bound_ceiling)
+            vals = np.array(values)
             exceeded = bool(np.any(~np.isfinite(vals) | (vals > bound_ceiling)))
             reports.append(AnalyticityReport(
                 verdict="exceeds-bound" if exceeded else "finite",
                 r_max=float(r_max),
                 n_lines=len(ys),
                 max_line_value=float(np.max(vals)),
-                lines=tuple((y, values[y]) for y in ys),
+                lines=tuple(zip(ys, values)),
                 crosscheck_rel_err=rel_errs[i],
                 bound_ceiling=float(bound_ceiling),
                 notes=notes,
@@ -554,30 +584,6 @@ def _adaptive_gauss_legendre(h, edges, floor=0.0):
             break
     close(np.bincount(owner, minlength=m) > 0)
     return val, err, capped
-
-
-def _line_integral(ff, beta, y, bound_ceiling):
-    """Adaptive composite Gauss-Legendre integral of the strip integrand along Im z = y.
-
-    The cutoff interval starts as _GL_PANELS equal panels
-    (:func:`_adaptive_gauss_legendre`).  Overflow gives inf.  A finite
-    value within `bound_ceiling` raises QuadratureNonConvergence when its
-    summed gap exceeds max(1e-6 |value|, 1e-10), or when the refinement
-    cap is reached.
-    """
-    x_max = _line_cutoff(ff, beta, y)
-    line = _line_integrand(ff, beta, y)
-    (val,), (err,), (capped,) = _adaptive_gauss_legendre(
-        lambda x, _k: line(x), np.linspace(-x_max, x_max, _GL_PANELS + 1)[None])
-    val = float(val)
-    if capped:
-        err = np.inf
-    if np.isfinite(val) and val <= bound_ceiling and not err <= max(1e-6 * abs(val), 1e-10):
-        raise QuadratureNonConvergenceError(
-            f"line y={y:.4g}: Gauss-Legendre error estimate {err:.3e} for value {val:.6e}"
-            + (" (refinement cap reached)" if capped else "")
-        )
-    return val
 
 
 # --------------------------------------------------------------------------

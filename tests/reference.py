@@ -5,9 +5,9 @@ Only the tests call these.  They read the dense Howland matrix
 dense eigensolve of F, the dense Riesz projection and eigenprojection, the
 Hungarian monodromy match, RK45 for a state and for tau(t, s), Kato's
 pairs-of-projections transform, the one-integral adaptive Gauss-Legendre
-rule, and literal definitions (Choi matrix, spectral projection of L_at,
-glued function g).  Private library helpers
-are imported, not copied.
+rule, the strip-analyticity ladder one line at a time, and literal
+definitions (Choi matrix, spectral projection of L_at, glued function g).
+Private library helpers are imported, not copied.
 """
 
 from dataclasses import dataclass
@@ -34,7 +34,8 @@ from pumped_lindblad.evolution import _output_grid, _trajectory, _unvec_rows
 from pumped_lindblad.floquet import (_contour_radius, _require_howland, _resolvent_apply,
                                      _spectrum_report)
 from pumped_lindblad.reservoir import (_GL_MAX_LEVELS, _GL_MAX_OPEN, _GL_NODES, _GL_REL_TOL,
-                                       _GL_WEIGHTS, _effective_beta, _logistic)
+                                       _GL_WEIGHTS, _effective_beta, _line_cutoff,
+                                       _line_integrand, _logistic)
 
 # --------------------------------------------------------------------------
 # the dense Howland matrix: spectrum, Riesz projections, monodromy match
@@ -302,3 +303,38 @@ def adaptive_gauss_legendre_one(h, edges):
         if not 0 < left.size <= _GL_MAX_OPEN:
             break
     return val + whole.sum(), err, bool(left.size)
+
+
+def strip_ladder_per_line(form_factors, beta, radii, n_lines, bound_ceiling=1e12):
+    """The strip-analyticity ladder one line at a time: every line of every
+    rung (both signs of y, for real weights too) integrated alone by
+    :func:`adaptive_gauss_legendre_one` from 64 equal panels on its cutoff.
+
+    Returns, for each rung up to the first that is not all "finite", one
+    (verdict, lines) pair per form factor, lines as in ``AnalyticityReport``.
+    A finite line within `bound_ceiling` must have converged (asserted).
+    """
+    beta = _effective_beta(beta)
+    done = {}
+    rungs = []
+    for r_max in radii:
+        below = np.linspace(-r_max, r_max, n_lines)[:n_lines // 2] * (1.0 - 1e-12)
+        ys = np.concatenate([below, [0.0], -below[::-1]]).tolist()
+        reports = []
+        for i, ff in enumerate(form_factors):
+            for y in ys:
+                if (i, y) not in done:
+                    x_max = _line_cutoff(ff, beta, y)
+                    val, err, capped = adaptive_gauss_legendre_one(
+                        _line_integrand(ff, beta, y), np.linspace(-x_max, x_max, 65))
+                    if np.isfinite(val) and val <= bound_ceiling:
+                        assert not capped and err <= max(1e-6 * val, 1e-10), (ff, y)
+                    done[i, y] = val
+            vals = np.array([done[i, y] for y in ys])
+            finite = bool(np.all(np.isfinite(vals) & (vals <= bound_ceiling)))
+            reports.append(("finite" if finite else "exceeds-bound",
+                            tuple((y, done[i, y]) for y in ys)))
+        rungs.append(tuple(reports))
+        if any(verdict != "finite" for verdict, _ in reports):
+            break
+    return rungs

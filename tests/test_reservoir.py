@@ -40,7 +40,7 @@ from pumped_lindblad.reservoir import (
     _line_cutoff,
     _line_integrand,
 )
-from reference import adaptive_gauss_legendre_one, glued_g
+from reference import adaptive_gauss_legendre_one, glued_g, strip_ladder_per_line
 
 
 def _random_form_factor(rng, n_terms=2, complex_weights=False):
@@ -299,18 +299,22 @@ def test_vectorized_line_integrand_matches_pointwise_loop(three_level):
         assert np.allclose(h0(grid), loop, rtol=1e-14, atol=1e-300)
 
 
-def _quad_line_integral(ff, beta, y, bound_ceiling):
-    """QUADPACK oracle for one strip line, at a tolerance well below 1e-9."""
-    h = _line_integrand(ff, beta, y)
-    x_max = _line_cutoff(ff, beta, y)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(h, -x_max, x_max, epsabs=0.0, epsrel=1e-11,
-                                  limit=2000)
-    if not np.isfinite(val):
-        return np.inf
-    assert err <= 1e-10 * val
-    return float(val)
+def _quad_stack(h, edges):
+    """QUADPACK stand-in for the stacked engine: each row k of `edges` is one
+    integral of h(x, k) over [row[0], row[-1]], at a tolerance well below 1e-9."""
+    vals = []
+    for k, row in enumerate(np.asarray(edges)):
+        def line(x, k=k):
+            return float(h(np.array([[x]]), np.array([[k]]))[0, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            val, err = integrate.quad(line, row[0], row[-1], epsabs=0.0, epsrel=1e-11,
+                                      limit=2000)
+        if np.isfinite(val):
+            assert err <= 1e-10 * val
+        vals.append(val if np.isfinite(val) else np.inf)
+    m = len(vals)
+    return np.array(vals), np.zeros(m), np.zeros(m, dtype=bool)
 
 
 STRIP_FAMILIES = (     # the three_level pair; a narrow c = 50; a wide p = 3, c = 0.2
@@ -329,9 +333,16 @@ def test_gauss_legendre_ladder_matches_quad_route(monkeypatch, beta):
              + [cap * (1.0 - 1e-9), 1.05 * np.pi / beta])
     for family in STRIP_FAMILIES:
         rungs = strip_analyticity_ladder(family, beta, radii, n_lines=5)
+        stacks = []
+
+        def quad_stack(h, edges):
+            stacks.append(len(edges))
+            return _quad_stack(h, edges)
+
         with monkeypatch.context() as m:
-            m.setattr(reservoir, "_line_integral", _quad_line_integral)
+            m.setattr(reservoir, "_adaptive_gauss_legendre", quad_stack)
             oracle = strip_analyticity_ladder(family, beta, radii, n_lines=5)
+        assert len(stacks) == len(family) and min(stacks) >= 3   # QUADPACK did the lines
         assert len(rungs) == len(oracle)                   # same stop rung
         for reports, expected in zip(rungs, oracle):
             for rep, ref in zip(reports, expected):
@@ -404,6 +415,78 @@ def test_strip_ladder_matches_literal_integrand(monkeypatch, beta):
                         assert abs(val - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("beta", [0.3, 1.0, 2.0, 6.159, 12.0, 13.5])
+def test_stacked_ladder_matches_the_per_line_64_panel_route(beta):
+    # One stack of 16-panel lines per form factor against every line alone
+    # from 64 panels, both signs of y: measured <= 1.3e-14 apart.
+    cap = 0.98 * np.pi / beta
+    radii = ([r for r in (0.05, 0.1, 0.2, 0.4, 0.5) if r < cap]
+             + [cap * (1.0 - 1e-9), 1.05 * np.pi / beta])
+    for family in STRIP_FAMILIES + (COMPLEX_TWO_DECAY, COLD_FAMILY):
+        rungs = strip_analyticity_ladder(family, beta, radii, n_lines=5)
+        oracle = strip_ladder_per_line(family, beta, radii, n_lines=5)
+        assert len(rungs) == len(oracle)                   # same stop rung
+        for reports, expected in zip(rungs, oracle):
+            for rep, (verdict, lines) in zip(reports, expected):
+                assert rep.verdict == verdict
+                assert [y for y, _ in rep.lines] == [y for y, _ in lines]
+                for (_, val), (_, want) in zip(rep.lines, lines):
+                    if np.isinf(want):
+                        assert val == np.inf
+                    else:
+                        assert abs(val - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("family", STRIP_FAMILIES + (COMPLEX_TWO_DECAY, COLD_FAMILY))
+def test_strip_ladder_makes_one_adaptive_call_per_form_factor(monkeypatch, family):
+    engine, stacks = reservoir._adaptive_gauss_legendre, []
+
+    def counted(h, edges):
+        stacks.append(len(edges))
+        return engine(h, edges)
+
+    monkeypatch.setattr(reservoir, "_adaptive_gauss_legendre", counted)
+    # At beta = 1 every rung is finite.  At beta = 30 the walk stops after
+    # the first rung (five lines of one |y|) for all but the narrow family,
+    # and the stack still holds the lines of every rung.
+    for beta in (1.0, 30.0):
+        stacks.clear()
+        strip_analyticity_ladder(family, beta, (0.05, 0.1, 0.2, 0.4, 0.5))
+        assert len(stacks) == len(family) and min(stacks) > 5
+
+
+def test_a_capped_line_beyond_the_stop_rung_raises_nothing(monkeypatch):
+    # The lines with |y| > 0.15, which only the second rung holds, are made
+    # 1e-9/|x|: not integrable across 0, so they reach the refinement cap
+    # inside the stack, with values far within the bound.  A bound of 0.5,
+    # below the first rung's values (0.64-0.67), stops the walk there, and
+    # the capped lines raise nothing; with the default bound the walk
+    # reaches them and raises.
+    integrand, engine, capped = reservoir._line_integrand, reservoir._adaptive_gauss_legendre, []
+
+    def forced(ff, beta, y):
+        line, far = integrand(ff, beta, y), np.abs(y) > 0.15
+
+        def h(x):
+            with np.errstate(divide="ignore"):
+                return np.where(far, 1e-9 / np.abs(x), line(x))
+        return h
+
+    def recorded(h, edges):
+        out = engine(h, edges)
+        capped.append(out[2].tolist())
+        return out
+
+    monkeypatch.setattr(reservoir, "_line_integrand", forced)
+    monkeypatch.setattr(reservoir, "_adaptive_gauss_legendre", recorded)
+    ff = FormFactor(((1.0, 1, 1.0),))
+    rungs = strip_analyticity_ladder((ff,), 1.0, (0.1, 0.4), n_lines=5, bound_ceiling=0.5)
+    assert [reports[0].verdict for reports in rungs] == ["exceeds-bound"]
+    assert capped == [[False, False, False, True, True]]   # y = -0.1, -0.05, 0, -0.4, -0.2
+    with pytest.raises(QuadratureNonConvergenceError, match="y=-0.4: .* cap reached"):
+        strip_analyticity_ladder((ff,), 1.0, (0.1, 0.4), n_lines=5)
+
+
 class _ExpSqrtRecorder:
     """numpy, except that exp and sqrt record the dtype of their argument."""
 
@@ -443,19 +526,36 @@ def test_strip_ladder_integrates_one_line_per_abs_y(monkeypatch, three_level):
         FormFactor(((1.0, 1, 1.0), (0.4, 2, 0.8))),)
     for ff in real_families:
         for y in (0.1, 0.37, 0.785, 1.2):
-            assert (reservoir._line_integral(ff, beta, y, 1e12)
-                    == reservoir._line_integral(ff, beta, -y, 1e12))
-    exact, calls = reservoir._line_integral, []
+            ys = np.array([y, -y])
+            x_max = _line_cutoff(ff, beta, ys)
+            vals, _, _ = reservoir._adaptive_gauss_legendre(
+                lambda x, k: _line_integrand(ff, beta, ys[k])(x),
+                np.linspace(-x_max, x_max, reservoir._GL_PANELS + 1, axis=1))
+            assert vals[0] == vals[1]
+    # each stacked call as (form factor, sorted distinct line ys, stack
+    # height); the y=0 Simpson grid (scalar y) is not a stacked call
+    stacks, seen = [], []
+    engine, integrand = reservoir._adaptive_gauss_legendre, reservoir._line_integrand
 
-    def spy(ff, beta, y, bound_ceiling):
-        calls.append((ff, y))
-        return exact(ff, beta, y, bound_ceiling)
+    def stacked(h, edges, *args):
+        seen.clear()
+        out = engine(h, edges, *args)
+        if seen:
+            stacks.append((seen[0][0], sorted({y for _, y in seen}), len(edges)))
+        return out
 
-    monkeypatch.setattr(reservoir, "_line_integral", spy)
+    def line_integrand(ff, beta, y):
+        if np.ndim(y):
+            seen.extend((ff, v) for v in np.ravel(y).tolist())
+        return integrand(ff, beta, y)
+
+    monkeypatch.setattr(reservoir, "_adaptive_gauss_legendre", stacked)
+    monkeypatch.setattr(reservoir, "_line_integrand", line_integrand)
     radii = (0.05, 0.1, 0.2, 0.4, 0.5)
     for family in (real_families, COMPLEX_TWO_DECAY):
-        calls.clear()
+        stacks.clear()
         rungs = strip_analyticity_ladder(family, beta, radii)      # nine lines a rung
+        assert [f for f, _, _ in stacks] == list(family)          # one stack per form factor
         for i, ff in enumerate(family):
             ys = set()
             for reports in rungs:
@@ -464,14 +564,36 @@ def test_strip_ladder_integrates_one_line_per_abs_y(monkeypatch, three_level):
                 if ff.is_real:
                     assert all(lines[-y] == lines[y] for y in lines)
                 ys |= set(lines)
-            made = [y for f, y in calls if f is ff]
-            assert len(made) == len(set(made))
+            _, made, height = stacks[i]
+            assert height == len(made)                            # no line twice
             assert set(made) == ({-abs(y) for y in ys} if ff.is_real else ys)
     # `check` on three_level: eight distinct |y| per form factor
-    calls.clear()
+    stacks.clear()
     check_assumptions(three_level.atom, three_level.res, three_level.h_p, three_level.eta,
                       data=three_level.data, pump=three_level.pump)
-    assert len(calls) == 16
+    assert [height for *_, height in stacks] == [8, 8]
+
+
+def test_check_evaluates_at_most_15360_strip_nodes(monkeypatch, three_level):
+    # A count, not a clock: `check` on three_level integrates 16 lines
+    # (8 per form factor), each from 16 panels that all converge at the
+    # first bisection, so 16 x 16 x 60 nodes (a panel and its two halves).
+    # One 64-panel line at a time took 61,440.  The y=0 Simpson grid
+    # (scalar y) is not counted.
+    integrand, nodes = reservoir._line_integrand, []
+
+    def counted(ff, beta, y):
+        line = integrand(ff, beta, y)
+
+        def h(x):
+            nodes.append(np.size(x))
+            return line(x)
+        return h if np.ndim(y) else line
+
+    monkeypatch.setattr(reservoir, "_line_integrand", counted)
+    check_assumptions(three_level.atom, three_level.res, three_level.h_p, three_level.eta,
+                      data=three_level.data, pump=three_level.pump)
+    assert 0 < sum(nodes) <= 15_360
 
 
 def test_unresolvable_line_raises_nonconvergence(monkeypatch):
@@ -500,17 +622,20 @@ def test_adaptive_rule_integrates_a_complex_kernel(eps):
 
 
 def test_stack_of_one_reproduces_the_one_integral_rule(three_level):
-    # each strip line is a stack of one, bit for bit the one-integral rule
+    # a stack of one is bit for bit the one-integral rule, and so is every
+    # line of the ladder's stack: its arithmetic ignores the other lines
     beta = three_level.beta
     for ff in three_level.res.form_factors:
-        for y in (-0.785, -0.37, 0.0):
+        rungs = strip_analyticity_ladder((ff,), beta, (0.37, 0.785), n_lines=3)
+        ladder = {y: val for reports in rungs for y, val in reports[0].lines}
+        for y in sorted(ladder)[:3]:
             x_max = _line_cutoff(ff, beta, y)
             edges = np.linspace(-x_max, x_max, reservoir._GL_PANELS + 1)
             line = _line_integrand(ff, beta, y)
             want = adaptive_gauss_legendre_one(line, edges)
             got = reservoir._adaptive_gauss_legendre(lambda x, _k: line(x), edges[None])
             assert tuple(part[0] for part in got) == want
-            assert reservoir._line_integral(ff, beta, y, 1e12) == want[0]
+            assert ladder[y] == want[0]
 
 
 def test_each_integral_of_a_stack_matches_its_solo_run():
@@ -560,11 +685,17 @@ def test_the_refinement_caps_apply_per_integral(monkeypatch):
 
 
 def test_simpson_crosscheck_rejects_a_biased_primary_rule(monkeypatch):
-    exact = reservoir._line_integral
-    monkeypatch.setattr(reservoir, "_line_integral",
-                        lambda *args: (1.0 + 1e-5) * exact(*args))
+    exact, stacks = reservoir._adaptive_gauss_legendre, []
+
+    def biased(*args):
+        vals, errs, capped = exact(*args)
+        stacks.append(len(vals))
+        return (1.0 + 1e-5) * vals, errs, capped
+
+    monkeypatch.setattr(reservoir, "_adaptive_gauss_legendre", biased)
     with pytest.raises(DisagreementBetweenRulesError):
         _one_rung(FormFactor(((1.0, 1, 1.0),)), 1.0, 0.5)
+    assert stacks == [5]                 # the biased stack held the rung's lines
 
 
 def test_pv_rule_b_rejects_a_biased_rule_a(monkeypatch):
