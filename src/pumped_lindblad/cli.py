@@ -19,6 +19,7 @@ import copy
 import json
 import math
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,8 @@ class RunSetup:
             qs = [self._atom_matrix(q, "reservoir.couplings_Q") for q in q_cfg]
             self.res = ReservoirSpec(beta=beta, lam=lam, form_factors=tuple(ffs),
                                      couplings=tuple(qs))
+        # the generator's frequency keys: an ambiguous Bohr spectrum is a config error
+        self.bohr = None if has_gks else bohr_spectrum(self.atom)
 
         self.h_p = _require_dim(h_p, self.atom.dim, "pump.h_p")
         self.pump = validate_pump(self.atom, self.h_p)
@@ -290,17 +293,13 @@ class RunSetup:
                               f"got {flo['contour_points']!r}")
         self.seed = _require_int(cfg.get("seed", 0), "seed", 0)
 
-        self._data = None
-
     def _atom_matrix(self, rows, what):
         """A d x d matrix, d the atomic dimension."""
         return _require_dim(_as_matrix(rows, what), self.atom.dim, what)
 
-    @property
+    @cached_property
     def data(self):
-        if self._data is None:
-            self._data = reservoir_lindbladian(self.atom, self.res)
-        return self._data
+        return reservoir_lindbladian(self.atom, self.res)
 
     def bundle(self):
         return GeneratorBundle(
@@ -431,11 +430,14 @@ def _do_oracle(setup, out_dir, force=False, **_kw):
     extrap = (8.0 * mats[2] - 6.0 * mats[1] + mats[0]) / 3.0
     extrap_err = float(np.linalg.norm(extrap - data.l_r.matrix, 2))
 
-    nonzero = [float(eps) for eps in bohr_spectrum(setup.atom).frequencies if eps != 0.0]
+    # the generator's PV table, completed at the frequencies no pair of a channel carries
+    nonzero = [eps for eps in setup.bohr.frequencies if eps != 0.0]
     pv_records = []
     for l, ff in enumerate(setup.res.form_factors, start=1):
-        values = pv_coefficients(ff, setup.res.beta, nonzero).tolist()
-        pv_records += [{"channel": l, "eps": eps, "value": v} for eps, v in zip(nonzero, values)]
+        table = {eps: data.pv[l, eps] for eps in nonzero if (l, eps) in data.pv}
+        missing = [eps for eps in nonzero if eps not in table]
+        table.update(zip(missing, pv_coefficients(ff, setup.res.beta, missing).tolist()))
+        pv_records += [{"channel": l, "eps": eps, "value": table[eps]} for eps in nonzero]
     payload = {
         "eps_reg": ladder,
         "errors": errors,

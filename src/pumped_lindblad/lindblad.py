@@ -38,17 +38,20 @@ the oracle shares nothing with the contour rule of the PV coefficients.
 A channel's resolvents at every rung of a regularization ladder are one
 stacked adaptive call, and :func:`resolvent_oracle` returns the whole
 ladder.  Likewise the generator takes a channel's PV coefficients from
-one ``reservoir.pv_coefficients`` call.
+one ``reservoir.pv_coefficients`` call over the frequencies it carries.
+
+Generator and oracle walk one pair list, keying each pair by the t_eps of
+``operator_core.bohr_spectrum`` that holds it (V_{j,k} by E_k - E_j).
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GeneratorStructureError, NonHermitianError, QuadratureNonConvergenceError
-from .operator_core import (Superoperator, _clusters, _kron, hamiltonian_lindbladian,
-                            validate_pump)
+from .operator_core import (Superoperator, _clusters, _kron, bohr_spectrum,
+                            hamiltonian_lindbladian, validate_pump)
 from .reservoir import (
     _effective_beta,
     _scalar_resolvent,
@@ -91,34 +94,31 @@ def jump_operators(atom, q):
     return out
 
 
-def _distinct(values):
-    """The first of each group of `values` equal to 12 decimals, keyed by
-    the rounded value, in order of appearance."""
-    firsts = {}
-    for value in values:
-        firsts.setdefault(round(value, 12), value)
-    return firsts
+def _pair_walk(atom, res, mirror=False):
+    """Per channel, (f_l, [(V, j, k, eps), ...]) over :func:`jump_operators`
+    in its order, eps the frequency of ``bohr_spectrum(atom)`` whose pair set
+    t_eps holds (j, k), or with `mirror` the one holding (k, j)."""
+    bohr_of = {pair: eps for eps, pairs in bohr_spectrum(atom).pairs.items() for pair in pairs}
+    for ff, q in zip(res.form_factors, res.couplings):
+        yield ff, [(v, j, k, bohr_of[(k, j) if mirror else (j, k)])
+                   for v, (j, k) in jump_operators(atom, q)]
 
 
 def _pair_coefficients(atom, res):
-    """Iterate (V, c, d, (j,k,l)) over channels and level pairs.
-
-    d is None for within-level pairs (E_j == E_k); the PV coefficients of a
-    channel come from one :func:`pv_coefficients` call over its distinct
-    nonzero energy differences.
-    """
-    energies = atom.energies
-    for l, (ff, q) in enumerate(zip(res.form_factors, res.couplings), start=1):
-        pairs = [(v, j, k, energies[k - 1] - energies[j - 1])
-                 for v, (j, k) in jump_operators(atom, q)]
-        keys = _distinct(ekj for _v, j, k, ekj in pairs if j != k)
-        pv = dict(zip(keys, pv_coefficients(ff, res.beta, list(keys.values())).tolist()))
-        for v, j, k, ekj in pairs:
-            c = rate_coefficient(ff, res.beta, ekj)
-            if c < _RATE_FLOOR:
-                c = 0.0
-            d = pv[round(ekj, 12)] if j != k else None
-            yield v, c, d, (j, k, l)
+    """The (V, c, d, (j,k,l)) of every channel and level pair, and the table
+    {(l, eps): d} they use.  V_{j,k} carries eps = E_k - E_j, the Bohr
+    frequency of (k, j); d is None for within-level pairs.  A channel's d
+    come from one :func:`pv_coefficients` call over its nonzero eps."""
+    terms, table = [], {}
+    for l, (ff, pairs) in enumerate(_pair_walk(atom, res, mirror=True), start=1):
+        carried = list(dict.fromkeys(eps for _v, j, k, eps in pairs if j != k))
+        table.update(zip([(l, eps) for eps in carried],
+                         pv_coefficients(ff, res.beta, carried).tolist()))
+        for v, j, k, eps in pairs:
+            c = rate_coefficient(ff, res.beta, eps)
+            terms.append((v, 0.0 if c < _RATE_FLOOR else c,
+                          table[l, eps] if j != k else None, (j, k, l)))
+    return terms, table
 
 
 def _dissipator_term(v, c):
@@ -140,6 +140,7 @@ class LindbladData:
     l_d: Superoperator
     l_r: Superoperator
     from_gks: bool = False
+    pv: dict = field(default_factory=dict)   # (channel, eps) -> d, form-factor route
 
     def __post_init__(self):
         d = self.l_r.dim
@@ -168,7 +169,7 @@ def reservoir_lindbladian(atom, res):
                   for a, v in enumerate(res.gks_jumps, start=1))
     else:
         res.require_orthogonal()
-        source = _pair_coefficients(atom, res)
+        source, pv_table = _pair_coefficients(atom, res)
     lamb = np.zeros((d, d), dtype=complex)
     m = np.zeros((d * d, d * d), dtype=complex)
     jumps = []
@@ -188,7 +189,7 @@ def reservoir_lindbladian(atom, res):
         raise GeneratorStructureError(
             f"[H_Lamb, H_at] = {comm_norm:.3e} — block structure broken")
     l_r = hamiltonian_lindbladian(lamb) + l_d
-    return LindbladData(jumps=tuple(jumps), lamb=lamb, l_d=l_d, l_r=l_r)
+    return LindbladData(jumps=tuple(jumps), lamb=lamb, l_d=l_d, l_r=l_r, pv=pv_table)
 
 
 # --------------------------------------------------------------------------
@@ -200,8 +201,8 @@ def resolvent_oracle(atom, res, eps_regs):
     one Superoperator per regularization in `eps_regs`.
 
     Independent of the closed forms: no rate or PV routine is called.  Each
-    channel takes one stacked :func:`_scalar_resolvent` call for all of its
-    distinct Bohr frequencies at every regularization, and each pair's
+    channel takes one stacked :func:`_scalar_resolvent` call for all of the
+    Bohr frequencies its pairs carry at every regularization, and each pair's
     Kronecker terms are built once and reweighted for every rung.  The
     diagonal (E_j = E_k) pairs keep only the real part of w, since the
     closed form's Lamb sum excludes zero frequencies.
@@ -213,15 +214,12 @@ def resolvent_oracle(atom, res, eps_regs):
     res.require_orthogonal()
     d = atom.dim
     eye = np.eye(d, dtype=complex)
-    energies = atom.energies
     ms = [np.zeros((d * d, d * d), dtype=complex) for _ in eps_regs]
-    for ff, q in zip(res.form_factors, res.couplings):
-        pairs = [(v, j, k, energies[j - 1] - energies[k - 1])
-                 for v, (j, k) in jump_operators(atom, q)]
+    for ff, pairs in _pair_walk(atom, res):
         if not pairs:
             continue
-        keys = _distinct(eps_p for *_, eps_p in pairs)
-        ws = _scalar_resolvent(ff, res.beta, np.repeat(list(keys.values()), len(eps_regs)),
+        keys = list(dict.fromkeys(eps_p for *_, eps_p in pairs))
+        ws = _scalar_resolvent(ff, res.beta, np.repeat(keys, len(eps_regs)),
                                np.tile(eps_regs, len(keys)))
         rows = dict(zip(keys, ws.reshape(len(keys), len(eps_regs))))
         for v, j, k, eps_p in pairs:
@@ -229,7 +227,7 @@ def resolvent_oracle(atom, res, eps_regs):
             sandwich = _kron(np.conj(v), v)
             left = sandwich - _kron(eye, vv)
             right = sandwich - _kron(vv.T, eye)
-            for m, w in zip(ms, rows[round(eps_p, 12)].tolist()):
+            for m, w in zip(ms, rows[eps_p].tolist()):
                 if j == k:
                     w = w.real + 0.0j
                 gamma = 0.5 * w

@@ -591,6 +591,17 @@ def test_every_command_rejects_bad_initial_state(runner, tmp_path, command, rho0
     _assert_one_config_error(result, out)
 
 
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_every_command_rejects_an_ambiguous_bohr_spectrum(runner, tmp_path, command):
+    # E_3 - E_2 and E_2 - E_1 differ by 1.5e-9: halving the merge tolerance
+    # 1e-9 max|E| splits them and doubling it joins them, so the pair sets
+    # that key the generator are undetermined
+    cfg = _set(_three_level_cfg(), ("atom", "energies"), [0.0, 1.0, 2.0 + 1.5e-9])
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, _write(tmp_path, cfg), "--out", str(out)])
+    _assert_one_config_error(result, out)
+
+
 def test_evolve_takes_the_validated_initial_state(runner, tmp_path):
     cfg = _two_level_cfg()
     cfg["sim"]["t_end"] = 5.0
@@ -833,6 +844,26 @@ def test_oracle_force_with_a_vanishing_reservoir_generator(runner, tmp_path, van
     assert rep["observed_orders"] == [None, None]
 
 
+def test_oracle_reuses_the_generators_pv_table(runner, tmp_path, monkeypatch):
+    # the generator's 4 PV coefficients are read back, not summed again:
+    # 12 rule-A sums, one per channel and nonzero Bohr frequency
+    from pumped_lindblad import reservoir
+
+    data = RunSetup(_three_level_cfg()).data
+    sums = []
+    contour = reservoir._pv_contour
+    monkeypatch.setattr(reservoir, "_pv_contour", lambda *a: sums.append(a) or contour(*a))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["oracle", str(CONFIG_DIR / "three_level.json"),
+                                  "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert len(sums) == 12
+    records = {(r["channel"], r["eps"]): r["value"]
+               for r in _load(out / "oracle.json")["pv_coefficients"]}
+    assert len(records) == 12 and len(data.pv) == 4
+    assert all(records[key] == d for key, d in data.pv.items())
+
+
 def test_oracle_rejects_gks_route(runner, tmp_path):
     cfg = _two_level_cfg()
     cfg["reservoir"] = {
@@ -848,6 +879,35 @@ def test_oracle_rejects_gks_route(runner, tmp_path):
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), result.output
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def _degenerate_cfg():
+    # the `degenerate` fixture (d = 4): three_level with its middle level
+    # doubled and couplings that mix the doubled pair, so P_j Q P_k has rank 2
+    cfg = _three_level_cfg()
+    cfg["atom"] = {"energies": [0.0, 0.9, 2.1], "degeneracies": [1, 2, 1]}
+    q1, q2, h_p = np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((4, 4))
+    q1[1, 3] = q1[3, 1] = 1.0
+    q1[2, 3] = q1[3, 2] = 0.4
+    q1[1, 2] = q1[2, 1] = 0.3
+    q2[0, 1] = q2[1, 0] = 1.0
+    q2[0, 2] = q2[2, 0] = -0.7
+    h_p[3, 0] = 1.0
+    cfg["reservoir"]["couplings_Q"] = [q1.tolist(), q2.tolist()]
+    cfg["pump"]["h_p"] = h_p.tolist()
+    return cfg
+
+
+@pytest.mark.parametrize("args", [["check"], ["evolve"], ["floquet", "--order-check"],
+                                  ["oracle"]], ids=lambda a: "-".join(a))
+def test_degenerate_config_runs_every_command(runner, tmp_path, args):
+    out = tmp_path / "out"
+    result = runner.invoke(main, [args[0], _write(tmp_path, _degenerate_cfg()),
+                                  "--out", str(out), *args[1:]])
+    assert result.exit_code == 0, result.output
+    if args == ["oracle"]:
+        orders = _load(out / "oracle.json")["observed_orders"]
+        assert all(0.75 <= o <= 1.25 for o in orders), orders
 
 
 def test_evolve_requires_t_end(runner, tmp_path):

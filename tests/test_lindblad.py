@@ -35,6 +35,7 @@ from pumped_lindblad import (
     algebra_dimension,
     check_assumptions,
     commutant_dimension,
+    decompose_atom,
     rate_coefficient,
     reservoir_lindbladian,
     resolvent_oracle,
@@ -164,15 +165,35 @@ def test_two_level_generator_closed_form_spectrum(two_level):
 def test_generator_computes_each_pair_once(three_level, monkeypatch):
     # three_level: 4 jump pairs over 2 channels, one stacked PV call per
     # channel; one pass over the pairs serves H_Lamb, L_d and jumps
-    calls = dict.fromkeys(("rate_coefficient", "jump_operators", "pv_coefficients"), 0)
+    calls = {name: [] for name in ("rate_coefficient", "jump_operators", "pv_coefficients")}
     for name in calls:
         def counted(*args, _fn=getattr(lindblad, name), _name=name):
-            calls[_name] += 1
+            calls[_name].append(args)
             return _fn(*args)
         monkeypatch.setattr(lindblad, name, counted)
     data = reservoir_lindbladian(three_level.atom, three_level.res)
-    assert calls == {"rate_coefficient": 4, "jump_operators": 2, "pv_coefficients": 2}
+    assert {name: len(log) for name, log in calls.items()} == {
+        "rate_coefficient": 4, "jump_operators": 2, "pv_coefficients": 2}
     assert np.array_equal(data.l_r.matrix, three_level.data.l_r.matrix)
+    # V_{j,k} is keyed by E_k - E_j, the Bohr frequency of (k, j)
+    assert set(data.pv) == {(1, 1.2000000000000002), (1, -1.2000000000000002),
+                            (2, 0.9), (2, -0.9)}
+
+    # E_3 - E_2 = 1.2000000000000002 and E_5 - E_4 = 1.1999999999999997 agree
+    # only to roundoff: one t_eps, so one key, one PV value and one rate
+    calls["pv_coefficients"].clear()
+    atom = decompose_atom(np.diag([0.0, 0.9, 2.1, 3.4, 4.6]).astype(complex))
+    q = np.zeros((5, 5), dtype=complex)
+    q[1, 2] = q[2, 1] = q[3, 4] = q[4, 3] = 1.0
+    data = reservoir_lindbladian(atom, ReservoirSpec(
+        beta=2.0, lam=0.1, form_factors=(FormFactor(((1.0, 1, 1.0),)),), couplings=(q,)))
+    assert [args[2] for args in calls["pv_coefficients"]] == [[1.2, -1.2]]
+    assert set(data.pv) == {(1, 1.2), (1, -1.2)}
+    lamb = np.diag(data.lamb)
+    assert lamb[2] == lamb[4] == -0.5 * data.pv[1, 1.2]    # V*V of V_{2,3}, V_{4,5}
+    assert lamb[1] == lamb[3] == -0.5 * data.pv[1, -1.2]   # V*V of V_{3,2}, V_{5,4}
+    rates = {label[:2]: c for _v, c, label in data.jumps}
+    assert rates[2, 3] == rates[4, 5] and rates[3, 2] == rates[5, 4]
 
 
 # --------------------------------------------------------------------------
