@@ -271,15 +271,14 @@ def _in_basis(a, basis):
     return r.real if np.abs(r.imag).max() <= 1e-14 * max(1.0, np.abs(r).max()) else r
 
 
-def _taylor_expm1(x):
-    """exp(x) - 1 for a batch of matrices with small ||x||_1.
+def _taylor_expm1(x, theta):
+    """exp(x) - 1 for a batch of matrices with small theta = max ||x||_1.
 
     Horner form x (1 + x/2 (1 + x/3 (...))), stopped at the first degree m
-    whose remainder term theta^(m+1)/(m+1)! is below the unit roundoff,
-    theta = max ||x||_1.  No identity is added, so every term keeps the
-    zero trace row of a trace-preserving generator.
+    whose remainder term theta^(m+1)/(m+1)! is below the unit roundoff.
+    No identity is added, so every term keeps the zero trace row of a
+    trace-preserving generator.
     """
-    theta = float(np.abs(x).sum(axis=-2).max())
     m, remainder = 1, theta * theta / 2.0
     while remainder > 2.0 ** -53:
         m += 1
@@ -318,9 +317,10 @@ def _cf4_steps(static, pump, omega, h, n_steps):
     # F1 + F2 = 1/2: the static part enters both exponents with weight h/2
     drive = h * np.concatenate([_CF4_F2 * c1 + _CF4_F1 * c2, _CF4_F1 * c1 + _CF4_F2 * c2])
     x = 0.5 * h * static + drive[:, None, None] * pump
-    if np.abs(x).sum(axis=-2).max() > _TAYLOR_MAX_NORM:
+    theta = float(np.abs(x).sum(axis=-2).max())
+    if theta > _TAYLOR_MAX_NORM:
         return None
-    e = _taylor_expm1(x)
+    e = _taylor_expm1(x, theta)
     return _compose(e[n_steps:], e[:n_steps])
 
 

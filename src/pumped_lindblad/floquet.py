@@ -22,10 +22,13 @@ reads the dense matrix; the independent dense routes (eigensolve of F,
 Riesz projection, Hungarian monodromy match) are the tests' own, in
 tests/reference.py.  Every contour sum goes through one kernel,
 block-Thomas elimination of z - F with right-hand columns and/or left-hand
-rows on one inverse per block pivot (:func:`_resolvent_apply`).  The
-perturbation block forms no (n s) x (n s) matrix: P0 of the free operator
-is exact (one Hermitian eigensolve of its d^2 x d^2 block), P is probed on
-Range(P0) with rank P0 right-hand sides (Kato's pairs of projections; the
+rows (:func:`_resolvent_apply`): one stack of block pivot inverses per
+chunk of nodes serves both sides, each side's forward vectors are kept
+from its first nonzero block on, and the back sweeps add into the
+weighted sums block by block.  The perturbation block forms no
+(n s) x (n s) matrix: P0 of the free operator is exact (one Hermitian
+eigensolve of its d^2 x d^2 block), P is probed on Range(P0) with
+rank P0 right-hand sides (Kato's pairs of projections; the
 thin contour-integral pattern of Beyn, Lin. Alg. Appl. 436, 3839 (2012)),
 F P comes from the same sum as F (z - F)^{-1} = z (z - F)^{-1} - 1, and
 every norm is taken on a 2r x 2r core.  When F preserves Hermiticity
@@ -253,52 +256,70 @@ def _resolvent_apply(f_op, nodes, weights, rhs=None, lhs=None):
     z - F has diagonal blocks D_k = (z - i omega k) - B and every
     off-diagonal block -H; `rhs` has n s rows, `lhs` n s columns, and a side
     not given comes back as None.  Each left Schur complement
-    L_k = D_k - H L_{k-1}^{-1} H is inverted once per node (one batched inv
-    per mode over a chunk of nodes), and that inverse serves both sides:
-    u_k = L_k^{-1} (rhs_k + H u_{k-1}), X_k = u_k + (L_k^{-1} H) X_{k+1};
-    the transposed system (z - F)^T Y^T = lhs^T has pivots L_k^T, so
-    v_k = L_k^{-T} (lhs_k^T + H^T v_{k-1}), Y_k^T = v_k + (H L_k^{-1})^T Y_{k+1}^T.
-    With lhs = Q^H, Y^H is the adjoint sum over z-bar - F^H (pivots L_k^H).
-    Leading axes of `weights` stack rules over the same nodes at no extra
-    solve.  Cost is O(M n s^2 (s + r)) for M nodes, n modes, block size s
-    and r columns (O(M (n s)^3) dense); a singular pivot raises ContourHitsSpectrum.
+    L_k = D_k - H (L_{k-1}^{-1} H) is inverted once per node (one batched
+    inv per mode over a chunk of nodes), and that one stack of inverses
+    serves both sides: u_k = L_k^{-1} (rhs_k + H u_{k-1}) forward and
+    X_k = u_k + L_k^{-1} (H X_{k+1}) back; the transposed system
+    (z - F)^T Y^T = lhs^T has pivots L_k^T, so the left side runs the same
+    two sweeps on the transposed view of each inverse and on H^T.  With
+    lhs = Q^H, Y^H is the adjoint sum over z-bar - F^H (pivots L_k^H).  A
+    side's forward vectors are 0 before its first nonzero block and are
+    kept only from there, and the back sweep adds each block's weighted
+    rules into the result as it goes, so one chunk holds n c s^2 inverses
+    and (n - k_0) c s r forward vectors per side (c nodes, first nonzero
+    block k_0, r columns).  Leading axes of `weights` stack rules over the
+    same nodes at no extra solve.  Cost is O(M n s^2 (s + r)) for M nodes,
+    n modes and block size s (O(M (n s)^3) dense); a singular pivot raises
+    ContourHitsSpectrum.
     """
     n, s = 2 * f_op.n_modes + 1, f_op.block_size
     shifts = 1j * f_op.omega * np.arange(-f_op.n_modes, f_op.n_modes + 1)
     h = f_op.coupling
     nodes = np.asarray(nodes, dtype=complex)
     weights = np.asarray(weights, dtype=complex)
-    sides = [(np.asarray(np.transpose(b) if transposed else b, dtype=complex)
-              .reshape(n, s, -1), hc, transposed)   # (blocks (n, s, r), coupling, transposed)
-             for b, hc, transposed in ((rhs, h, False), (lhs, h.T, True)) if b is not None]
-    acc = [np.zeros(weights.shape[:-1] + b.shape, dtype=complex) for b, *_ in sides]
+    rules = weights.reshape(int(np.prod(weights.shape[:-1])), nodes.size)
+    sides = []      # (blocks (n, s, r), coupling, transposed, first nonzero block)
+    for b, hc, transposed in ((rhs, h, False), (lhs, h.T, True)):
+        if b is not None:
+            b = np.asarray(np.transpose(b) if transposed else b, dtype=complex).reshape(n, s, -1)
+            nonzero = np.flatnonzero(b.any(axis=(1, 2)))
+            sides.append((b, hc, transposed, nonzero[0] if nonzero.size else n))
+    acc = [np.zeros((rules.shape[0], n, b[0].size), dtype=complex) for b, *_ in sides]
     eye = np.eye(s, dtype=complex)
     chunk = min(_NODE_CHUNK, nodes.size)   # one set of stacks per call, sliced when short
-    p_stack = [np.empty((n, chunk, s, s), dtype=complex) for _ in sides]   # back-substitution factors
-    u_stack = [np.empty((chunk, n) + b.shape[1:], dtype=complex) for b, *_ in sides]
+    inv_stack = np.empty((n, chunk, s, s), dtype=complex)
+    u_stack = [np.empty((n - k0, chunk) + b.shape[1:], dtype=complex) for b, _, _, k0 in sides]
     for start in range(0, nodes.size, _NODE_CHUNK):
         z = nodes[start:start + _NODE_CHUNK]
-        p = [a[:, :z.size] for a in p_stack]
-        u = [a[:z.size] for a in u_stack]
+        inv = inv_stack[:, :z.size]
+        views = [inv.swapaxes(-1, -2) if transposed else inv for _, _, transposed, _ in sides]
+        u = [a[:, :z.size] for a in u_stack]
         schur = 0.0
         try:
             for k in range(n):
                 # z - i omega k first: where a shift sits on a lattice copy it
                 # cancels exactly, which keeps a near-singular pivot accurate
                 pivot = (z - shifts[k])[:, None, None] * eye - f_op.base - schur
-                inv = np.linalg.inv(pivot)
-                for (b, hc, transposed), pk, uk in zip(sides, p, u):
-                    inv_k = inv.swapaxes(-1, -2) if transposed else inv
-                    uk[:, k] = inv_k @ (b[k] + hc @ uk[:, k - 1] if k else b[k])
-                    np.matmul(inv_k, hc, out=pk[k])
-                schur = h @ (p[0][k] if rhs is not None else inv @ h)   # H L_k^{-1} H
+                inv[k] = np.linalg.inv(pivot)
+                for (b, hc, _, k0), view, uk in zip(sides, views, u):
+                    if k >= k0:
+                        np.matmul(view[k], b[k] + hc @ uk[k - k0 - 1] if k > k0 else b[k],
+                                  out=uk[k - k0])
+                schur = h @ (inv[k] @ h)                        # H L_k^{-1} H
         except np.linalg.LinAlgError as exc:
             raise ContourHitsSpectrumError(
                 f"singular block pivot on the contour: {exc}") from None
-        for pk, uk, total in zip(p, u, acc):
+        w = rules[:, start:start + z.size]
+        for (_, hc, _, k0), view, uk, total in zip(sides, views, u, acc):
+            if k0 == n:                                         # an all-zero side
+                continue
+            x = uk[-1]
+            total[:, -1] += w @ x.reshape(z.size, -1)
             for k in range(n - 2, -1, -1):
-                uk[:, k] += pk[k] @ uk[:, k + 1]
-            total += np.tensordot(weights[..., start:start + z.size], uk, axes=1)
+                x = view[k] @ (hc @ x)
+                if k >= k0:
+                    x += uk[k - k0]
+                total[:, k] += w @ x.reshape(z.size, -1)
     out = iter(a.reshape(weights.shape[:-1] + (n * s, -1)) for a in acc)
     return (None if rhs is None else next(out),
             None if lhs is None else np.swapaxes(next(out), -1, -2))

@@ -216,8 +216,6 @@ def resolvent_oracle(atom, res, eps_regs):
     eye = np.eye(d, dtype=complex)
     ms = [np.zeros((d * d, d * d), dtype=complex) for _ in eps_regs]
     for ff, pairs in _pair_walk(atom, res):
-        if not pairs:
-            continue
         keys = list(dict.fromkeys(eps_p for *_, eps_p in pairs))
         ws = _scalar_resolvent(ff, res.beta, np.repeat(keys, len(eps_regs)),
                                np.tile(eps_regs, len(keys)))

@@ -92,7 +92,8 @@ __all__ = [
 
 _MIN_BETA = 1e-12
 _PV_REL_TOL = 1e-7   # the two PV rules must agree to this, relative
-_PV_MAX_NODES = 2**22  # rule A's node cap (~10 complex arrays of this length)
+_PV_CHUNK = 2**16      # rule A nodes evaluated at once: bounds its memory
+_PV_MAX_NODES = 2**22  # rule A's node cap: bounds its time (64 chunks)
 
 # Adaptive quadrature: 20-node Gauss-Legendre panels (16 to start on a strip
 # line), bisected until each meets its share of _GL_REL_TOL.  The caps bound
@@ -534,9 +535,10 @@ def _adaptive_gauss_legendre(h, edges, floor=0.0):
     panels after _GL_MAX_LEVELS bisections or more than _GL_MAX_OPEN of
     them; its value then includes their last estimate.  A non-finite
     evaluation anywhere in an integral (inf, or inf * 0 inside h) makes it
-    read (inf, inf, False) and leaves the others as they are.
+    read (inf, inf, False) and leaves the others as they are.  An empty
+    stack returns three empty arrays.
     """
-    edges = np.asarray(edges, dtype=float)
+    edges = np.asarray(edges, dtype=float) if len(edges) else np.empty((0, 2))   # [] has no rows
     m = edges.shape[0]
     left, width = edges[:, :-1].ravel(), np.diff(edges, axis=1).ravel()
     owner = np.repeat(np.arange(m), edges.shape[1] - 1)
@@ -604,9 +606,10 @@ def _pv_contour(ff, beta, eps):
     cost accuracy to cancellation.  The spacing h = min(0.05, a/8) puts the
     discretization error near e^{-2 pi a/h} <= e^{-50}.  The same sum over
     every second node (spacing 2h) must agree within max(1e-8 |value|,
-    1e-9), else QuadratureNonConvergence.  The node count 2 X/h grows as
-    beta^2 (X ~ beta, h ~ 1/beta); above _PV_MAX_NODES it raises
-    QuadratureNonConvergence before anything is allocated.
+    1e-9), else QuadratureNonConvergence.  Both sums run over chunks of
+    _PV_CHUNK nodes, so memory stays flat in beta; the node count 2 X/h
+    grows as beta^2 (X ~ beta, h ~ 1/beta), and above _PV_MAX_NODES it
+    raises QuadratureNonConvergence before the first chunk.
     """
     c_max = max(c for (_, _, c) in ff.terms)
     a = min(np.pi / (2.0 * beta), 1.0 / np.sqrt(2.0 * c_max))
@@ -617,14 +620,18 @@ def _pv_contour(ff, beta, eps):
         raise QuadratureNonConvergenceError(
             f"contour rule: {2 * n + 1} nodes at eps={eps}, beta={beta} "
             f"(more than {_PV_MAX_NODES})")
-    z = h * np.arange(-n, n + 1) - 1j * a
-    w = z + eps
-    parts = [(c, w ** (2 * q), np.exp(-d * w * w)) for (c, q, d) in ff.terms]
-    p = sum(c * power * decay for (c, power, decay) in parts)
-    p_bar = sum(np.conj(c) * power * decay for (c, power, decay) in parts)
-    terms = 2.0 * np.pi * p * p_bar * (1.0 + np.tanh(0.5 * beta * w)) / z
-    val = h * terms.sum().real
-    coarse = 2.0 * h * terms[n % 2::2].sum().real         # every second node, x = 0 kept
+    fine = coarse = 0.0
+    for start in range(-n, n + 1, _PV_CHUNK):
+        z = h * np.arange(start, min(start + _PV_CHUNK, n + 1)) - 1j * a
+        w = z + eps
+        parts = [(c, w ** (2 * q), np.exp(-d * w * w)) for (c, q, d) in ff.terms]
+        p = sum(c * power * decay for (c, power, decay) in parts)
+        p_bar = sum(np.conj(c) * power * decay for (c, power, decay) in parts)
+        terms = 2.0 * np.pi * p * p_bar * (1.0 + np.tanh(0.5 * beta * w)) / z
+        fine += terms.sum().real
+        coarse += terms[start % 2::2].sum().real          # every second node, x = 0 kept
+    val = h * fine
+    coarse *= 2.0 * h
     if abs(val - coarse) > max(1e-8 * abs(val), 1e-9):
         raise QuadratureNonConvergenceError(
             f"contour rule: spacing h and 2h differ by {abs(val - coarse):.3e} at eps={eps}")

@@ -2,11 +2,12 @@
 
 Only the tests call these.  They read the dense Howland matrix
 `FloquetOperator.matrix` and scipy, which no library function does: the
-dense eigensolve of F, the dense Riesz projection and eigenprojection, the
-Hungarian monodromy match, RK45 for a state and for tau(t, s), Kato's
-pairs-of-projections transform, the one-integral adaptive Gauss-Legendre
-rule, the strip-analyticity ladder one line at a time, and literal
-definitions (Choi matrix, spectral projection of L_at, glued function g).
+dense eigensolve of F, the dense resolvent sum, the dense Riesz projection
+and eigenprojection, the Hungarian monodromy match, RK45 for a state and
+for tau(t, s), Kato's pairs-of-projections transform, the one-integral
+adaptive Gauss-Legendre rule, the strip-analyticity ladder one line at a
+time, and literal definitions (Choi matrix, spectral projection of L_at,
+glued function g).
 Private library helpers are imported, not copied.
 """
 
@@ -91,6 +92,18 @@ def riesz_projection(f_op, center, radius=None, m_points=64):
     rank = int(round(np.trace(p).real))
     return RieszProjection(matrix=p, center=complex(center), radius=float(radius),
                            m_points=int(m_points), idempotency_defect=defect, rank=rank)
+
+
+def resolvent_sum_dense(f_op, nodes, weights):
+    """sum_j w_j (z_j - F)^{-1} from one dense solve of the Howland matrix per
+    node; leading axes of `weights` stack rules over the same nodes."""
+    m = f_op.matrix
+    eye = np.eye(m.shape[0])
+    weights = np.asarray(weights)
+    total = np.zeros(weights.shape[:-1] + m.shape, dtype=complex)
+    for z, w in zip(nodes, np.moveaxis(weights, -1, 0)):
+        total += np.multiply.outer(w, np.linalg.solve(z * eye - m, eye))
+    return total
 
 
 def eigenprojection_direct(f_op, center, radius):

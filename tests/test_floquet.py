@@ -63,7 +63,7 @@ from pumped_lindblad import (
 )
 from pumped_lindblad.floquet import _resolvent_apply
 from reference import (_inv_sqrt_series, dense_spectrum, eigenprojection_direct, monodromy,
-                       pair_transform, riesz_projection)
+                       pair_transform, resolvent_sum_dense, riesz_projection)
 
 # Frozen: interior spectral gap of the bundled three-level instance at
 # lambda = 0.1, eta = 0.01 (converged in N by N = 16).
@@ -327,9 +327,7 @@ def test_riesz_projection_against_eigensolver(three_level):
     assert np.linalg.norm(proj.matrix - direct, 2) <= 1e-7
     # the block-Thomas sum is the dense-solve contour sum of the same rule
     nodes, weights = _contour(0.0, proj.radius)
-    eye = np.eye(f_op.matrix.shape[0])
-    dense = sum(wj * np.linalg.solve(zj * eye - f_op.matrix, eye)
-                for zj, wj in zip(nodes, weights)) / nodes.size
+    dense = resolvent_sum_dense(f_op, nodes, weights) / nodes.size
     assert np.linalg.norm(proj.matrix - dense) <= 1e-12 * np.linalg.norm(dense)
     # quadrature-order stability: doubling the contour points changes nothing
     proj2 = riesz_projection(f_op, 0.0, radius=proj.radius, m_points=128)
@@ -380,8 +378,7 @@ def test_structured_resolvent_sum_equals_dense(three_level, n_modes, picture, et
     # 17 and 25 nodes end in a partial chunk of 1 and of block_size nodes
     for radius, m_points in ((tight, 64), (0.3, 64), (tight, 17), (0.3, 25)):
         nodes, weights = _contour(center, radius, m_points)
-        dense = sum(wj * np.linalg.solve(zj * eye - f_op.matrix, eye)
-                    for zj, wj in zip(nodes, weights))
+        dense = resolvent_sum_dense(f_op, nodes, weights)
         if heisenberg:
             dense = dense.conj().T
             got = _resolvent_apply(f_op, nodes, weights, lhs=eye)[1].conj().T
@@ -403,10 +400,7 @@ def test_block_thomas_apply_equals_dense(three_level, adjoint):
         got = _resolvent_apply(f_op, nodes, rules, lhs=rhs.conj().T)[1].conj().swapaxes(-1, -2)
     else:
         got = _resolvent_apply(f_op, nodes, rules, rhs)[0]
-    eye = np.eye(f_op.matrix.shape[0])
-    for rule, thin in zip(rules, got):
-        dense = sum(wj * np.linalg.solve(zj * eye - f_op.matrix, eye)
-                    for zj, wj in zip(nodes, rule))
+    for dense, thin in zip(resolvent_sum_dense(f_op, nodes, rules), got):
         want = (rhs.conj().T @ dense).conj().T if adjoint else dense @ rhs
         assert np.linalg.norm(thin - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -425,12 +419,60 @@ def test_one_call_gives_both_sides_on_a_centre_block(three_level):
     nodes, w = _contour(0.0, 0.3, 17)
     rules = np.stack([w, np.where(np.arange(17) % 2, 0.0, 2.0 * w)])
     right, left = _resolvent_apply(f_op, nodes, rules, rhs, lhs)
-    eye = np.eye(n)
-    for rule, x, y in zip(rules, right, left):
-        dense = sum(wj * np.linalg.solve(zj * eye - f_op.matrix, eye)
-                    for zj, wj in zip(nodes, rule))
+    for dense, x, y in zip(resolvent_sum_dense(f_op, nodes, rules), right, left):
         assert np.linalg.norm(x - dense @ rhs) <= 1e-12 * np.linalg.norm(dense @ rhs)
         assert np.linalg.norm(y - lhs @ dense) <= 1e-12 * np.linalg.norm(lhs @ dense)
+
+
+@pytest.mark.parametrize("right_from, left_from, mode", [(2, 0, 0), (9, 8, 4)],
+                         ids=["right-2-left-0", "right-zero-left-8"])
+def test_sides_from_different_first_blocks_equal_dense(three_level, right_from, left_from,
+                                                        mode):
+    # each side keeps its forward vectors from its own first nonzero block;
+    # block 9 of 9 makes an all-zero side; 17 nodes end in a partial chunk.
+    # The contour circles the resonance copy at i omega mode, on a block that
+    # every nonzero side reaches, so no sum cancels to a sliver of its terms
+    f_op = build_howland(three_level.bundle, 4)
+    s, n = f_op.block_size, f_op.matrix.shape[0]
+    rng = np.random.default_rng(63)
+    rhs = np.zeros((n, 3), dtype=complex)
+    rhs[right_from * s:] = rng.standard_normal((n - right_from * s, 3))
+    lhs = np.zeros((2, n), dtype=complex)
+    lhs[:, left_from * s:] = (rng.standard_normal((2, n - left_from * s))
+                              + 1j * rng.standard_normal((2, n - left_from * s)))
+    nodes, w = _contour(1j * f_op.omega * mode, 0.3, 17)
+    rules = np.stack([w, np.where(np.arange(17) % 2, 0.0, 2.0 * w)])
+    right, left = _resolvent_apply(f_op, nodes, rules, rhs, lhs)
+    for dense, x, y in zip(resolvent_sum_dense(f_op, nodes, rules), right, left):
+        for got, want in ((x, dense @ rhs), (y, lhs @ dense)):
+            if np.any(want):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            else:
+                assert not np.any(got)
+
+
+def test_two_sided_thin_call_holds_one_inverse_stack(three_level):
+    # the pivot inverses of a chunk serve both sides: with thin rows on the
+    # centre block, like Q0, the left side adds only its forward vectors
+    # (a stack of back-substitution factors per side peaks at about twice
+    # the one-sided call)
+    import tracemalloc
+
+    f_op = build_howland(three_level.bundle, 8)
+    s, n = f_op.block_size, f_op.matrix.shape[0]
+    rng = np.random.default_rng(64)
+    rhs = np.zeros((n, 3), dtype=complex)
+    rhs[8 * s:9 * s] = rng.standard_normal((s, 3)) + 1j * rng.standard_normal((s, 3))
+    nodes, weights = _contour(0.0, 0.3, 16)
+    peaks = []
+    for sides in ((rhs,), (rhs, rhs.conj().T)):
+        tracemalloc.start()
+        try:
+            _resolvent_apply(f_op, nodes, weights, *sides)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
 
 
 @pytest.mark.parametrize("side", ["rhs", "lhs"])
@@ -453,9 +495,9 @@ def test_one_sided_identity_sum_holds_one_forward_stack(three_level, side):
 
 
 def test_node_chunks_reuse_one_set_of_stacks(three_level):
-    # thin sides on both ends, as in the Kato probe: the back-substitution
-    # stacks of one chunk are the working set, so 64 nodes (four chunks)
-    # peak no higher than 16 nodes (one chunk)
+    # thin sides on both ends, as in the Kato probe: the pivot inverses of
+    # one chunk are the working set, so 64 nodes (four chunks) peak no
+    # higher than 16 nodes (one chunk)
     import tracemalloc
 
     f_op = build_howland(three_level.bundle, 8)

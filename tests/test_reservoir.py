@@ -656,6 +656,23 @@ def test_each_integral_of_a_stack_matches_its_solo_run():
         assert abs(errs[i] - solo[1][0]) <= 1e-14 * abs(solo[0][0])
 
 
+def test_an_empty_stack_returns_empty_arrays():
+    # a list of no rows (the resolvent oracle's, for a channel without pairs)
+    # and a (0, 9) array (pv_coefficients' for no eps) alike
+    for edges in ([], np.zeros((0, 9))):
+        vals, errs, capped = reservoir._adaptive_gauss_legendre(
+            lambda t, k: (1.0 - 1j * t) / (1.0 + t * t), edges)
+        assert vals.shape == errs.shape == capped.shape == (0,)
+        assert vals.dtype == complex and capped.dtype == bool
+
+
+def test_scalar_resolvent_of_no_pairs_is_empty():
+    ff = FormFactor(((1.0, 1, 1.0),))
+    empty = reservoir._scalar_resolvent(ff, 1.0, [], [])
+    assert empty.shape == (0,) and empty.dtype == complex
+    assert pv_coefficients(ff, 1.0, []).shape == (0,)
+
+
 def test_a_non_finite_integral_reads_inf_and_spares_the_rest():
     edges = np.array([np.linspace(0.0, 1.0, 9)] * 3)
     vals, errs, capped = reservoir._adaptive_gauss_legendre(
@@ -808,9 +825,19 @@ def test_pv_rules_agree_over_random_family():
 
 
 def test_pv_rule_b_converges_on_a_cold_reservoir():
-    # the fixed midpoint grid rule B once used drifted 2.0e-7 from rule A here
-    vals = pv_coefficients(FormFactor(((1.0, 1, 1.0),)), 600.0, [1.0, -1.0])
+    # the fixed midpoint grid rule B once used drifted 2.0e-7 from rule A
+    # here; rule A sums its 1.9e6 nodes in chunks, so its memory does not
+    # grow with beta (arrays of every node take about 270 MB)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        vals = pv_coefficients(FormFactor(((1.0, 1, 1.0),)), 600.0, [1.0, -1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert vals.shape == (2,) and np.all(np.isfinite(vals))
+    assert peak <= 32e6
 
 
 @pytest.mark.parametrize("beta", [0.5, 2.0, 10.0, 50.0, 100.0])
