@@ -116,9 +116,9 @@ def _logistic(x):
 
 
 def _effective_beta(beta):
-    """Map beta=0 to the documented internal floor; reject beta < 0."""
-    if beta < 0:
-        raise InvalidFormFactorError(f"negative inverse temperature {beta}")
+    """Map beta=0 to the documented internal floor; reject beta < 0, inf and nan."""
+    if not 0 <= beta < math.inf:
+        raise InvalidFormFactorError(f"inverse temperature {beta} must be finite and >= 0")
     return max(float(beta), _MIN_BETA)
 
 
@@ -172,15 +172,15 @@ class FormFactor:
         return float(np.sqrt(_l2_inner(self, self).real))
 
 
-def _gauss_cutoff(c_min, margin=1.2):
-    """Half-width X with exp(-c_min X^2) below 1e-16 of the peak."""
-    return margin * np.sqrt(37.0 / c_min)
+def _gauss_cutoff(c_min):
+    """Half-width X with exp(-c_min X^2) below 1e-16 of the peak, times a 1.2 margin."""
+    return 1.2 * np.sqrt(37.0 / c_min)
 
 
-def _density_cutoff(ff, beta, eps):
-    """Half-width X past which f^(beta)(x + eps) is negligible: the Gaussian
-    cutoff, widened by the Fermi factor's shift beta/(2 C_min) and by |eps|."""
-    return _gauss_cutoff(ff.min_decay) + beta / (2.0 * ff.min_decay) + abs(eps)
+def _density_cutoff(ff, eps):
+    """Half-width X past which f^(beta)(x + eps) is negligible at every beta: the
+    Gaussian cutoff widened by |eps| (the Fermi factor lies in [0, 1])."""
+    return _gauss_cutoff(ff.min_decay) + abs(eps)
 
 
 def _l2_inner(f1, f2):
@@ -608,13 +608,13 @@ def _pv_contour(ff, beta, eps):
     every second node (spacing 2h) must agree within max(1e-8 |value|,
     1e-9), else QuadratureNonConvergence.  Both sums run over chunks of
     _PV_CHUNK nodes, so memory stays flat in beta; the node count 2 X/h
-    grows as beta^2 (X ~ beta, h ~ 1/beta), and above _PV_MAX_NODES it
-    raises QuadratureNonConvergence before the first chunk.
+    grows as beta (X does not depend on it, h ~ 1/beta), and above
+    _PV_MAX_NODES it raises QuadratureNonConvergence before the first chunk.
     """
     c_max = max(c for (_, _, c) in ff.terms)
     a = min(np.pi / (2.0 * beta), 1.0 / np.sqrt(2.0 * c_max))
     h = min(0.05, a / 8.0)
-    x_max = _density_cutoff(ff, beta, eps)
+    x_max = _density_cutoff(ff, eps)
     n = int(np.ceil(x_max / h))
     if 2 * n + 1 > _PV_MAX_NODES:
         raise QuadratureNonConvergenceError(
@@ -645,19 +645,18 @@ def pv_coefficients(ff, beta, eps_values):
     Rule A: trapezoid sum on a line below the real axis (:func:`_pv_contour`),
     one per eps; its values are returned.
     Rule B: the symmetric-difference form int_0^X (F(eps + x) - F(eps - x))/x dx
-    on the real axis, X the density cutoff of that eps, for every eps in one
-    stacked adaptive Gauss-Legendre call (:func:`_adaptive_gauss_legendre`,
+    on the real axis, X the (beta-free) density cutoff of that eps, for every
+    eps in one stacked adaptive Gauss-Legendre call (:func:`_adaptive_gauss_legendre`,
     8 equal panels on [0, X] to start, tolerance 1e-12 relative or 1e-12 S
     absolute, S = max(1, peak of the density on [-X, X])).  A capped or
     non-finite rule B raises QuadratureNonConvergence.  The two rules must
-    agree to 1e-7 relative or 1e-9 S absolute, or DisagreementBetweenRules
-    is raised.
+    agree to 1e-7 relative or 1e-9 S absolute, or DisagreementBetweenRules is raised.
 
     This function is the single home of the principal-part convention.
     """
     beta = _effective_beta(beta)
     eps = np.array(eps_values, dtype=float).reshape(-1)
-    x_max = np.array([_density_cutoff(ff, beta, e) for e in eps])
+    x_max = np.array([_density_cutoff(ff, e) for e in eps])
     val_a = np.array([_pv_contour(ff, beta, e) for e in eps])
     # The density's scale sets rule B's absolute tolerance and the agreement
     # floor, so a coefficient that cancels to ~0 neither stalls rule B nor
@@ -709,7 +708,7 @@ def _scalar_resolvent(ff, beta, eps_p, eps_reg):
     beta = _effective_beta(beta)
     eps_p = np.array(eps_p, dtype=float).reshape(-1)
     eps_reg = np.array(eps_reg, dtype=float).reshape(-1)
-    x_max = [_density_cutoff(ff, beta, e) for e in eps_p]
+    x_max = [_density_cutoff(ff, e) for e in eps_p]
 
     def kernel(t, k):
         e, r = eps_p[k], eps_reg[k]

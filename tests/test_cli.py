@@ -183,6 +183,19 @@ def test_check_cold_reservoir_fails_analyticity_without_traceback(runner, tmp_pa
     assert by_name["reservoir-analyticity"]["evidence"]["largest_passing_half_width"] == 0.0
 
 
+def test_check_runs_on_a_cold_reservoir(runner, tmp_path):
+    # every PV coefficient is served at beta = 1000 (the beta-widened range
+    # once took 5.2e6 rule-A nodes, past the cap, and exited 3); the
+    # assumption check itself still fails cold
+    cfg = _two_level_cfg()
+    cfg["reservoir"]["beta"] = 1000.0
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["check", _write(tmp_path, cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "numerical failure" not in result.output
+    assert (out / "report.json").is_file()
+
+
 @pytest.mark.parametrize("name", ["two_level", "three_level"])
 def test_check_strip_ladder_makes_no_quad_call(runner, tmp_path, monkeypatch, name):
     # the strip ladder runs once, and neither it nor anything else in
@@ -824,6 +837,18 @@ def test_oracle_command_reports_convergence(runner, tmp_path):
     assert all(0.75 <= o <= 1.25 for o in rep["observed_orders"])
     assert rep["extrapolated_error"] <= 1e-5
     assert all({"channel", "eps", "value"} <= set(r) for r in rep["pv_coefficients"])
+
+
+@pytest.mark.filterwarnings("error")
+def test_oracle_force_converges_on_a_cold_reservoir(runner, tmp_path):
+    cfg = _three_level_cfg()
+    cfg["reservoir"]["beta"] = 600.0
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["oracle", _write(tmp_path, cfg), "--out", str(out),
+                                  "--force"])
+    assert result.exit_code == 0, result.output
+    orders = _load(out / "oracle.json")["observed_orders"]
+    assert all(0.75 <= o <= 1.25 for o in orders), orders
 
 
 @pytest.mark.parametrize("vanishing", ["weight", "couplings"])

@@ -24,6 +24,7 @@ from scipy.linalg import expm
 from pumped_lindblad import lindblad, reservoir
 from pumped_lindblad import (
     FormFactor,
+    GeneratorBundle,
     GeneratorStructureError,
     InvalidFormFactorError,
     LindbladData,
@@ -33,14 +34,21 @@ from pumped_lindblad import (
     ReservoirSpec,
     Superoperator,
     algebra_dimension,
+    build_howland,
     check_assumptions,
     commutant_dimension,
     decompose_atom,
+    evolve,
+    floquet_lattice,
+    floquet_spectrum,
+    kato_order_check,
+    populations,
     rate_coefficient,
     reservoir_lindbladian,
     resolvent_oracle,
     stationary_state,
     strip_analyticity_ladder,
+    validate_pump,
 )
 from reference import choi_matrix
 
@@ -276,12 +284,28 @@ def _verdicts(report):
     return [(r["name"], r["verdict"]) for r in report.records]
 
 
+def _spectrum_side(inst, l_r, pump):
+    """The sorted Floquet eigenvalues and gap (n_modes = 8), the level
+    populations of a 31-point evolve to t = 300 from the ground projection,
+    and both Kato residuals, of the degenerate instance with this L_R and pump."""
+    bundle = GeneratorBundle(l_at=inst.l_at, l_p=pump.lindbladian, l_r=l_r,
+                             lam=inst.lam, eta=inst.eta, omega=inst.atom.pump_freq)
+    lattice = floquet_lattice(bundle, 8)
+    spec = floquet_spectrum(build_howland(bundle, 8), lattice)
+    traj = evolve(bundle, inst.atom.projections[0], 300.0,
+                  output_grid=np.linspace(0.0, 300.0, 31))
+    kato = kato_order_check(bundle, 8, lattice=lattice)
+    return (np.sort(spec.eigenvalues), spec.gap, populations(inst.atom, traj),
+            np.array([kato["residual_at_lambda"], kato["residual_at_half_lambda"]]))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_gauge_covariance_on_a_degenerate_level(degenerate, seed):
     # U = diag(1, u2, 1) diag(e^{i theta}) commutes with H_at (u2 is a random
     # unitary on the degenerate pair), so conjugating every Q_l and h_p by U
     # is a symmetry of the model: it moves neither the oracle's distance to
-    # L_R nor any assumption verdict
+    # L_R nor any assumption verdict, nor the Floquet spectrum, the gap, the
+    # level populations of a run or the Kato residuals
     rng = np.random.default_rng(seed)
     u2, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     u = np.eye(4, dtype=complex)
@@ -302,6 +326,14 @@ def test_gauge_covariance_on_a_degenerate_level(degenerate, seed):
     assert base_report.clean_pass
     assert _verdicts(check_assumptions(inst.atom, res, h_p, inst.eta, data=data)) \
         == _verdicts(base_report)
+
+    eig, gap, pops, kato = _spectrum_side(inst, inst.data.l_r, inst.pump)
+    eig_u, gap_u, pops_u, kato_u = _spectrum_side(inst, data.l_r,
+                                                  validate_pump(inst.atom, h_p))
+    assert np.max(np.abs(eig_u - eig)) <= 1e-12
+    assert abs(gap_u - gap) <= 1e-10 * gap
+    assert np.max(np.abs(pops_u - pops)) <= 1e-13
+    assert np.max(np.abs(kato_u - kato) / kato) <= 1e-12
 
 
 # --------------------------------------------------------------------------

@@ -225,7 +225,7 @@ def test_spectral_density_matches_literal_definition():
     families.append(FormFactor(((1.0, 2, 1.0), (-0.75, 1, 1.0))))
     for ff in families:
         beta = float(rng.uniform(0.0, 5.0))
-        x_max = 2.0 * reservoir._density_cutoff(ff, beta, 0.0)
+        x_max = 2.0 * reservoir._density_cutoff(ff, 0.0)
         x = np.concatenate([np.linspace(-x_max, x_max, 801), [0.0, -40.0, 40.0]])
         got, want = spectral_density(ff, beta, x), _literal_density(ff, beta, x)
         assert got[-3] == 0.0 and max(got[0], got[800]) <= 1e-16 * np.max(want)
@@ -752,9 +752,11 @@ def test_strip_analyticity_rejects_bad_halfwidth():
 # principal-value coefficients: two independent rules
 # --------------------------------------------------------------------------
 
-def _quadpack_pv(ff, beta, eps):
-    """QUADPACK's Cauchy-weight PV on the cutoff interval (the old rule A)."""
-    x_max = _gauss_cutoff(ff.min_decay) + beta / (2.0 * ff.min_decay) + abs(eps)
+def _quadpack_pv(ff, beta, eps, x_max=None):
+    """QUADPACK's Cauchy-weight PV on [-x_max, x_max] (the old rule A), by
+    default on a range wider than rule A's by beta/(2 C_min)."""
+    if x_max is None:
+        x_max = _gauss_cutoff(ff.min_decay) + beta / (2.0 * ff.min_decay) + abs(eps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, _ = integrate.quad(lambda x: spectral_density(ff, beta, x + eps), -x_max, x_max,
@@ -825,19 +827,38 @@ def test_pv_rules_agree_over_random_family():
 
 
 def test_pv_rule_b_converges_on_a_cold_reservoir():
-    # the fixed midpoint grid rule B once used drifted 2.0e-7 from rule A
-    # here; rule A sums its 1.9e6 nodes in chunks, so its memory does not
-    # grow with beta (arrays of every node take about 270 MB)
+    # the fixed midpoint grid rule B once used drifted 2.0e-7 from rule A at
+    # beta = 600; at beta = 1e4 rule A sums its 8.5e5 nodes in 13 chunks, so
+    # its memory does not grow with beta (an array of every node takes
+    # about 120 MB)
     import tracemalloc
 
-    tracemalloc.start()
-    try:
-        vals = pv_coefficients(FormFactor(((1.0, 1, 1.0),)), 600.0, [1.0, -1.0])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert vals.shape == (2,) and np.all(np.isfinite(vals))
-    assert peak <= 32e6
+    for beta in (600.0, 1e4):
+        tracemalloc.start()
+        try:
+            vals = pv_coefficients(FormFactor(((1.0, 1, 1.0),)), beta, [1.0, -1.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (2,) and np.all(np.isfinite(vals))
+        assert peak <= 32e6, beta
+
+
+@pytest.mark.parametrize("beta", [600.0, 1e4])
+@pytest.mark.parametrize("ff", [FormFactor(((1.0, 1, 1.0),)),
+                                FormFactor(((1.0, 2, 1.0), (-0.75, 1, 1.0)))],
+                         ids=["f1", "f2"])
+def test_pv_coefficients_match_quadpack_on_a_cold_reservoir(monkeypatch, ff, beta):
+    # the density's range does not widen with beta, so rule A takes about
+    # 85 beta nodes at C = 1 (845,363 at beta = 1e4), not 5 beta^2.  The
+    # reference integrates twice the Gaussian cutoff: on the beta-widened
+    # range (5,000 wide at beta = 1e4) QUADPACK misses the density's narrow
+    # support.  Measured <= 1.4e-15.
+    monkeypatch.setattr(reservoir, "_PV_MAX_NODES", 10**6)
+    eps = [1.2, -0.9]
+    got = pv_coefficients(ff, beta, eps)
+    want = [_quadpack_pv(ff, beta, e, 2.0 * _gauss_cutoff(ff.min_decay) + abs(e)) for e in eps]
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (got, want)
 
 
 @pytest.mark.parametrize("beta", [0.5, 2.0, 10.0, 50.0, 100.0])
@@ -872,9 +893,22 @@ def test_pv_rule_b_refinement_cap_raises(monkeypatch):
 
 
 def test_pv_contour_refuses_too_many_nodes():
-    # 2 X/h nodes grow as beta^2: about 5e8 at beta = 1e4, refused before allocation
-    with pytest.raises(QuadratureNonConvergenceError, match="nodes"):
-        pv_coefficient(FormFactor(((1.0, 1, 1.0),)), 1e4, 1.0)
+    # 2 X/h nodes grow as beta: about 8.5e7 at beta = 1e6, refused before allocation
+    with pytest.raises(QuadratureNonConvergenceError, match="84536131 nodes"):
+        pv_coefficient(FormFactor(((1.0, 1, 1.0),)), 1e6, 1.0)
+
+
+@pytest.mark.parametrize("beta", [np.inf, np.nan])
+def test_non_finite_beta_is_refused(beta):
+    ff = FormFactor(((1.0, 1, 1.0),))
+    calls = [lambda: pv_coefficients(ff, beta, [1.0]),
+             lambda: spectral_density(ff, beta, 1.0),
+             lambda: strip_analyticity_ladder([ff], beta, [0.1]),
+             lambda: ReservoirSpec(beta=beta, lam=0.1, form_factors=(ff,),
+                                   couplings=(np.eye(2),))]
+    for call in calls:
+        with pytest.raises(InvalidFormFactorError, match="finite"):
+            call()
 
 
 def test_error_taxonomy():
