@@ -18,7 +18,6 @@ from .errors import (
     NonHermitianError,
     NonOrthogonalFamilyError,
     NonPositiveKernelError,
-    NotABohrFrequencyError,
     PositivityBreachError,
     ProjectionPairTooFarError,
     PumpedLindbladError,

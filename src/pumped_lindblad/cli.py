@@ -402,7 +402,7 @@ def _do_floquet(setup, out_dir, force=False, order_check=False, **_kw):
         "gap_over_lambda2": spec.gap_over_lambda2,
         "degenerate": bool(spec.degenerate),
         "interior_eigenvalues": _complex_pairs(spec.eigenvalues[spec.interior]),
-        "resonance_max_residual": max(spec.resonance_residuals.values()),
+        "resonance_max_residual": spec.resonance_residual,
         "resonance_disc_counts": {str(p): c for p, c in spec.disc_counts.items()},
         "monodromy_max_match_error": howland_match(f_op, *lattice),
     }

@@ -28,10 +28,6 @@ class ClusterAmbiguityError(PumpedLindbladError):
     """Eigenvalue (or Bohr-frequency) clustering is tolerance-sensitive."""
 
 
-class NotABohrFrequencyError(PumpedLindbladError):
-    """Requested frequency is not a level difference of the atom."""
-
-
 class DimensionMismatchError(PumpedLindbladError):
     """Operands act on different spaces."""
 

@@ -26,10 +26,12 @@ rows (:func:`_resolvent_apply`): one stack of block pivot inverses per
 chunk of nodes serves both sides, each side's forward vectors are kept
 from its first nonzero block on, and the back sweeps add into the
 weighted sums block by block.  The perturbation block forms no
-(n s) x (n s) matrix: P0 of the free operator is exact (one Hermitian
-eigensolve of its d^2 x d^2 block), P is probed on Range(P0) with
-rank P0 right-hand sides (Kato's pairs of projections; the
-thin contour-integral pattern of Beyn, Lin. Alg. Appl. 436, 3839 (2012)),
+(n s) x (n s) matrix: it takes the free block B0 = L_at, not a second
+Howland operator, since the free operator diag(i omega k + B0) on F's own
+modes is block diagonal; its P0 is exact (one Hermitian eigensolve of
+i B0), P is probed on Range(P0) with rank P0 right-hand sides (Kato's
+pairs of projections; the thin contour-integral pattern of Beyn,
+Lin. Alg. Appl. 436, 3839 (2012)),
 F P comes from the same sum as F (z - F)^{-1} = z (z - F)^{-1} - 1, and
 every norm is taken on a 2r x 2r core.  When F preserves Hermiticity
 it commutes with conj o R (R: mode reversal (x) the vec-transpose swap), so
@@ -131,7 +133,7 @@ class FloquetSpectrum:
     gap: float
     gap_over_lambda2: float
     degenerate: bool
-    resonance_residuals: dict   # p -> ||F^H x_p + i omega p x_p||, |p| <= N-1
+    resonance_residual: float   # ||x_p^H F - i omega p x_p^H||, the same for every |p| <= N-1
     disc_counts: dict           # p -> eigenvalues within _RESONANCE_TOL of i omega p
 
 
@@ -173,10 +175,10 @@ def floquet_spectrum(f_op, lattice):
     the copy mu_j + i omega m lies on block m - k_j, and it is interior for
     |m - k_j| <= N-2 (shift truncation pollutes the outer two blocks).  The
     gap is min |Re mu| over interior eigenvalues off the resonance copies
-    (`_RESONANCE_TOL` from i omega Z).  Also: for |p| <= N-1 the residual of
-    the exact left eigenvector claim x_p^H F = i p omega x_p^H,
-    x_p = delta_{k,p} (x) vec(1)/sqrt(d), on the three blocks of row p, and for
-    interior p the number of eigenvalues within `_RESONANCE_TOL` of i p omega.
+    (`_RESONANCE_TOL` from i omega Z).  Also: the residual of the exact left
+    eigenvector claim x_p^H F = i p omega x_p^H, x_p = delta_{k,p} (x)
+    vec(1)/sqrt(d), one number for every |p| <= N-1, and for interior p the
+    number of eigenvalues within `_RESONANCE_TOL` of i p omega.
     """
     n, d2 = f_op.n_modes, f_op.block_size
     mu, k = lattice
@@ -192,26 +194,24 @@ def _spectrum_report(f_op, w, interior):
     """
     order = np.lexsort((w.real, np.round(w.imag, 6)))
     w, interior = w[order], interior[order]
-    n, d2, omega = f_op.n_modes, f_op.block_size, f_op.omega
+    n, omega = f_op.n_modes, f_op.omega
     nearest = np.round(w.imag / omega)
     on_resonance = np.abs(w - 1j * omega * nearest) <= _RESONANCE_TOL
     candidates = interior & ~on_resonance
     gap = float(np.min(np.abs(w.real[candidates]))) if np.any(candidates) else 0.0
     lam2 = f_op.lam**2
 
+    # x_p^H F - i p omega x_p^H on row block p of F, [H, i p omega + B, H]:
+    # the i p omega terms cancel, so every |p| <= N-1 has the one residual
     one = vec(np.eye(f_op.dim, dtype=complex)) / np.sqrt(f_op.dim)   # real: x_p^H = x_p^T
     side = one @ f_op.coupling
-    residuals = {}
-    for p in range(-(n - 1), n):
-        # x_p^H F - i p omega x_p^H: row block p of F has H, i p omega + B, H
-        diag = one @ (1j * omega * p * np.eye(d2) + f_op.base) - 1j * omega * p * one
-        residuals[p] = float(np.linalg.norm(np.concatenate([side, diag, side])))
+    residual = float(np.linalg.norm(np.concatenate([side, one @ f_op.base, side])))
     counts = {p: int(np.sum(on_resonance & (nearest == p))) for p in range(-(n - 2), n - 1)}
     return FloquetSpectrum(
         eigenvalues=w, interior=interior, gap=gap,
         gap_over_lambda2=gap / lam2 if lam2 > 0 else np.inf,
         degenerate=gap < 1e-12,
-        resonance_residuals=residuals, disc_counts=counts,
+        resonance_residual=residual, disc_counts=counts,
     )
 
 
@@ -375,27 +375,27 @@ class KatoBlock:
     radius: float
 
 
-def _free_basis(f0_op, center, radius=None):
+def _free_basis(f_op, b0, center, radius=None):
     """Orthonormal basis Q0 of Range(P0) and the contour radius, exactly.
 
-    F0 (lambda = eta = 0) is block diagonal with skew-Hermitian blocks
-    i omega k + B0, so one Hermitian eigensolve of i B0 gives its whole
-    spectrum eig(B0) + i omega k for the radius rule and an orthonormal
-    eigenbasis; P0 = Q0 Q0^H.  Any other operator raises
+    The free operator F0 = diag(i omega k + B0) on F's modes is block
+    diagonal with skew-Hermitian blocks, so one Hermitian eigensolve of
+    i B0 gives its whole spectrum eig(B0) + i omega k for the radius rule
+    and an orthonormal eigenbasis; P0 = Q0 Q0^H.  A `b0` that is not
+    d^2 x d^2 raises DimensionMismatch, one that is not skew-Hermitian
     GeneratorStructure: there is no dense fallback.
     """
-    f0_op = _require_howland(f0_op)
-    b0 = f0_op.base
-    if np.any(f0_op.coupling) or (np.linalg.norm(b0 + b0.conj().T)
-                                  > 1e-12 * max(1.0, np.linalg.norm(b0))):
-        raise GeneratorStructureError(
-            "F0 must be block diagonal with skew-Hermitian blocks (lambda = eta = 0)")
+    s = f_op.block_size
+    b0 = np.asarray(b0)
+    if b0.shape != (s, s):
+        raise DimensionMismatchError(f"B0 has shape {b0.shape}, F has {s} x {s} blocks")
+    if np.linalg.norm(b0 + b0.conj().T) > 1e-12 * max(1.0, np.linalg.norm(b0)):
+        raise GeneratorStructureError("B0 must be skew-Hermitian, as L_at is")
     mu, vecs = np.linalg.eigh(1j * b0)                    # B0 v = -i mu v
-    shifts = 1j * f0_op.omega * np.arange(-f0_op.n_modes, f0_op.n_modes + 1)
+    shifts = 1j * f_op.omega * np.arange(-f_op.n_modes, f_op.n_modes + 1)
     eigs = shifts[:, None] - 1j * mu                      # (modes, s), row order of F0
     radius, _ = _contour_radius(eigs.ravel(), center, radius)
     modes, cols = np.nonzero(np.abs(eigs - center) < radius)
-    s = f0_op.block_size
     q0 = np.zeros((eigs.size, modes.size), dtype=complex)
     for j, (k, c) in enumerate(zip(modes, cols)):
         q0[k * s:(k + 1) * s, j] = vecs[:, c]
@@ -447,12 +447,13 @@ def _mirrored_probe(f_op, q0, nodes, w):
             (yh + mirror(yh)).conj().T, (even_y + mirror(odd_y)).conj().T)
 
 
-def kato_block(f_op, f0_op, center, radius=None, m_points=64, *, eigenvalues):
+def kato_block(f_op, b0, center, radius=None, m_points=64, *, eigenvalues):
     """Compression P F P against its first-order model around one resonance.
 
-    P and P0 are the Riesz projections of the perturbed and unperturbed
-    operators around `center` (same contour).  Returns the thin factors of
-    the blocks and
+    P and P0 are the Riesz projections of F and of the free operator
+    F0 = diag(i omega k + B0) around `center` (same contour); `b0` is the
+    d^2 x d^2 free block B0 = L_at, and F0 lives on F's modes, omega and d.
+    Returns the thin factors of the blocks and
 
         residual = || P F P - center P0 - P0 (F - F0) P0 ||_2 ,
 
@@ -463,8 +464,8 @@ def kato_block(f_op, f0_op, center, radius=None, m_points=64, *, eigenvalues):
     so with X = P Q0, Y = Q0^H P and K = Q0^H X, P = X K^{-1} Y.  X and Y
     are the two sides of one block-Thomas contour sum
     (:func:`_resolvent_apply` with rhs Q0 and lhs Q0^H), so each pivot is
-    factored once per node for both; F0 must share F's modes, omega and d.
-    At a real centre, when F and F0 preserve Hermiticity (the 1e-14 test
+    factored once per node for both.
+    At a real centre, when F and B0 preserve Hermiticity (the 1e-14 test
     of `evolution._in_basis`), only the M/2 nodes above the real axis are
     solved and their conjugates are mirrored (:func:`_mirrored_probe`);
     any other centre or F solves all M nodes.
@@ -478,13 +479,11 @@ def kato_block(f_op, f0_op, center, radius=None, m_points=64, *, eigenvalues):
     here) other than rank P0, a singular K, or a separation >= 1 raises
     ProjectionPairTooFar.
     """
-    f_op, f0_op = _require_howland(f_op), _require_howland(f0_op)
-    if (f_op.n_modes, f_op.omega, f_op.dim) != (f0_op.n_modes, f0_op.omega, f0_op.dim):
-        raise DimensionMismatchError("F and F0 differ in modes, frequency or dimension")
+    f_op = _require_howland(f_op)
     if m_points < 2 or m_points % 2:
         raise DimensionMismatchError(
             f"the Kato probe needs an even number of contour nodes >= 2, got {m_points!r}")
-    q0, radius = _free_basis(f0_op, center, radius)
+    q0, radius = _free_basis(f_op, b0, center, radius)
     _, enclosed = _contour_radius(eigenvalues, center, radius)
     r = q0.shape[1]
     if enclosed != r:
@@ -496,7 +495,7 @@ def kato_block(f_op, f0_op, center, radius=None, m_points=64, *, eigenvalues):
     nodes = center + radius * phases
     # F (z - F)^{-1} = z (z - F)^{-1} - 1 and sum w = 0: F X is the rule w z
     if complex(center).imag == 0 and _preserves_hermiticity(
-            f_op.dim, f_op.base, f_op.coupling, f0_op.base):
+            f_op.dim, f_op.base, f_op.coupling, b0):
         x, x_half, fx, y, y_half = _mirrored_probe(f_op, q0, nodes, w)
     else:
         rules = np.stack([w, np.where(np.arange(m_points) % 2, 0.0, 2.0 * w), w * nodes])
@@ -538,7 +537,7 @@ def kato_block(f_op, f0_op, center, radius=None, m_points=64, *, eigenvalues):
     # (F - F0) Q0: B - B0 on each column's own block, H on both neighbours (F0 has no H)
     q = q0.reshape(2 * f_op.n_modes + 1, f_op.block_size, r)
     hq = np.pad(f_op.coupling @ q, ((1, 1), (0, 0), (0, 0)))
-    first = q0.conj().T @ ((f_op.base - f0_op.base) @ q + hq[:-2] + hq[2:]).reshape(q0.shape)
+    first = q0.conj().T @ ((f_op.base - b0) @ q + hq[:-2] + hq[2:]).reshape(q0.shape)
     residual = float(np.linalg.norm(core(block, -center * eye - first), 2))
     return KatoBlock(
         block=LowRank(x, block, y), first_order=LowRank(q0, first, q0.conj().T),
@@ -551,21 +550,21 @@ def kato_order_check(bundle, n_modes, m_points=64, lattice=None):
     """Halving ratio of the center-0 Kato-block residual in the coupling.
 
     Residuals of :func:`kato_block` at (lambda, eta) and (lambda/2, eta/4),
-    so that eta stays proportional to lambda^2, both against the one
-    unperturbed operator F0 (lambda = eta = 0).  Their annulus guards and
+    so that eta stays proportional to lambda^2, both against the one free
+    block B0 = L_at (``bundle.l_at.matrix``).  Their annulus guards and
     enclosed counts take the lattice copies mu_j + i omega m; `lattice`
     (``floquet_lattice(bundle, n_modes)``) is the caller's at lambda,
     computed here when not given.  When both residuals sit at roundoff
     (<= 1e-13 ||F||_inf, as when the first-order model is exact), their
     quotient is noise and `ratio` is None.
     """
-    f0 = build_howland(replace(bundle, lam=0.0, eta=0.0), n_modes)
+    b0 = bundle.l_at.matrix
     half = replace(bundle, lam=bundle.lam * 0.5, eta=bundle.eta * 0.25)
     rungs = []                                          # (residual, ||F||_inf)
     for b, lat in ((bundle, lattice), (half, None)):
         op = build_howland(b, n_modes)
         w = _lattice_copies(*(lat or floquet_lattice(b, n_modes)), b.omega, n_modes).ravel()
-        rungs.append((kato_block(op, f0, 0.0, m_points=m_points, eigenvalues=w).residual,
+        rungs.append((kato_block(op, b0, 0.0, m_points=m_points, eigenvalues=w).residual,
                       op.norm_inf))
     (at_lambda, norm), (at_half, _) = rungs
     floor = 1e-13 * norm

@@ -34,7 +34,6 @@ from .errors import (
     DimensionMismatchError,
     InvalidDensityMatrixError,
     NonHermitianError,
-    NotABohrFrequencyError,
     PumpSupportViolationError,
     ScalarHamiltonianError,
 )
@@ -166,7 +165,7 @@ def hamiltonian_lindbladian(a):
 # --------------------------------------------------------------------------
 
 def validate_state(rho):
-    """Validate a density matrix: Hermitian, unit trace, eigenvalues >= floor.
+    """Validate a density matrix: finite, Hermitian, unit trace, eigenvalues >= floor.
 
     Returns the matrix as a complex ndarray.  Violations raise
     InvalidDensityMatrixError; nothing is silently projected or rescaled.
@@ -174,6 +173,8 @@ def validate_state(rho):
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidDensityMatrixError(f"state has shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):        # NaN fails every tolerance test below
+        raise InvalidDensityMatrixError("state has a non-finite entry")
     scale = max(1.0, np.linalg.norm(rho, "fro"))
     herm = np.linalg.norm(rho - rho.conj().T, "fro")
     if herm > _HERM_TOL * scale:
@@ -294,22 +295,12 @@ class BohrIndex:
     """Bohr frequencies eps with their pair sets t_eps = {(j,k): E_j - E_k = eps}.
 
     Levels are labelled 1..N.  `frequencies` is sorted ascending and always
-    contains 0 (the diagonal pairs (k,k)).
+    contains 0 (the diagonal pairs (k,k)); `pairs` is keyed by exactly these
+    numbers, so no second equality rule decides which frequency is meant.
     """
 
     frequencies: tuple
     pairs: dict = field(compare=False)   # eps -> tuple of (j, k)
-    tol: float = 0.0
-
-    def lookup(self, eps):
-        """Return the stored frequency matching `eps` within tolerance."""
-        for known in self.frequencies:
-            if abs(known - eps) <= max(self.tol, 1e-12):
-                return known
-        raise NotABohrFrequencyError(f"{eps} is not a Bohr frequency of this atom")
-
-    def pair_set(self, eps):
-        return self.pairs[self.lookup(eps)]
 
 
 def bohr_spectrum(atom, merge_tol=None):
@@ -341,7 +332,7 @@ def bohr_spectrum(atom, merge_tol=None):
             eps = 0.0
         freqs.append(eps)
         pairs[eps] = tuple(sorted(g[1] for g in diffs[group]))
-    return BohrIndex(frequencies=tuple(freqs), pairs=pairs, tol=float(merge_tol))
+    return BohrIndex(frequencies=tuple(freqs), pairs=pairs)
 
 
 # --------------------------------------------------------------------------
@@ -358,15 +349,16 @@ def atomic_lindbladian(atom):
 # --------------------------------------------------------------------------
 
 def gibbs_state(atom, beta):
-    """Gibbs state exp(-beta H_at) / Tr exp(-beta H_at), beta in [0, inf).
+    """Gibbs state exp(-beta H_at) / Tr exp(-beta H_at), beta in [0, inf].
 
     Built levelwise with the ground energy subtracted, so large beta never
-    overflows: rho_g = sum_k e^{-beta(E_k - E_1)} P_k / Z.
+    overflows: rho_g = sum_k e^{-beta(E_k - E_1)} P_k / Z.  At beta = inf
+    the ground weight is 1 and every other 0, so rho_g = P_1 / n_1.
     """
-    if beta < 0:
-        raise InvalidDensityMatrixError(f"negative inverse temperature {beta}")
+    if not beta >= 0:
+        raise InvalidDensityMatrixError(f"inverse temperature {beta} is not in [0, inf]")
     e0 = atom.energies[0]
-    weights = [np.exp(-beta * (e - e0)) for e in atom.energies]
+    weights = [1.0] + [np.exp(-beta * (e - e0)) for e in atom.energies[1:]]
     z = sum(w * n for w, n in zip(weights, atom.multiplicities))
     rho = sum(w * p for w, p in zip(weights, atom.projections)) / z
     return validate_state(rho)

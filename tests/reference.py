@@ -257,10 +257,10 @@ def choi_matrix(superop):
 def spectral_projection(atom, eps, bohr=None):
     """Eigenprojection P_at^(eps) of L_at onto eigenvalue -i*eps.
 
-    P_at^(eps)(A) = sum over (j,k) with E_j - E_k = eps of P_j A P_k.
-    Raises NotABohrFrequency if eps is not a level difference.
+    P_at^(eps)(A) = sum over (j,k) with E_j - E_k = eps of P_j A P_k; eps is
+    one of the Bohr table's own frequencies, which key its pair sets.
     """
-    pairs = (bohr_spectrum(atom) if bohr is None else bohr).pair_set(eps)
+    pairs = (bohr_spectrum(atom) if bohr is None else bohr).pairs[eps]
     d = atom.dim
     m = np.zeros((d * d, d * d), dtype=complex)
     for (j, k) in pairs:

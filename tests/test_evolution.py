@@ -25,6 +25,7 @@ from pumped_lindblad import (
     DegenerateKernelError,
     DimensionMismatchError,
     GeneratorBundle,
+    InvalidDensityMatrixError,
     NonPositiveKernelError,
     PositivityBreachError,
     StepSizeUnderflowError,
@@ -164,6 +165,16 @@ def test_step_grid_gives_up_past_its_cap(two_level):
 def test_evolve_input_validation(two_level):
     with pytest.raises(DimensionMismatchError):
         evolve(two_level.bundle, _ground(2), -1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evolve_refuses_a_non_finite_state(two_level, bad):
+    # a NaN or infinite coherence passes every "x > tol" guard of the trace,
+    # Hermiticity and eigenvalue tests, and would run to a NaN trajectory
+    rho = _ground(2)
+    rho[0, 1] = rho[1, 0] = bad
+    with pytest.raises(InvalidDensityMatrixError):
+        evolve(two_level.bundle, rho, 10.0)
 
 
 ROUTES = {"stroboscopic": evolve, "rk45": evolve_rk45}

@@ -8,7 +8,7 @@ under test:
 * delta_{k,p} (x) vec(1) is an *exact* left eigenvector of F with
   eigenvalue i p omega for |p| <= N-1, because the adjoint of every
   generator part annihilates the identity (the heisenberg picture F^H has
-  it as an eigenvector), and floquet_spectrum reports its residuals and
+  it as an eigenvector), and floquet_spectrum reports its one residual and
   the eigenvalue count at each interior i p omega;
 * the truncated spectrum is closed under complex conjugation (the
   generator preserves Hermiticity and the mode range is symmetric), so
@@ -22,7 +22,8 @@ under test:
   inverse per block pivot, and factors nothing wider than one block;
 * contour-integral Riesz projections agree with eigensolver projections,
   and the compressed block P F P matches its first-order model
-  center P0 + P0 (F - F0) P0 with a residual falling like lambda^4
+  center P0 + P0 (F - F0) P0, F0 = diag(i omega k + B0) from the free
+  block B0 = L_at on F's modes, with a residual falling like lambda^4
   (two orders beyond the O(lambda^2) perturbation);
 * the Kato block probed on Range(P0) (P = X K^{-1} Y with thin factors)
   equals the dense projections and norms, factors nothing wider than
@@ -33,7 +34,7 @@ under test:
   eigenvalues mu, matched by the Hungarian assignment;
 * the monodromy lattice mu_j + i omega m (copy on block m - k_j) gives the
   dense route's interior spectrum in the same order, gap, degenerate flag,
-  disc counts and residuals, and the shifted block-Thomas Rayleigh
+  disc counts and residual, and the shifted block-Thomas Rayleigh
   quotient checks it independently; on a zero or near-zero gap it keeps
   the dense route's flag and gap to roundoff with no eigensolve.
 """
@@ -70,9 +71,24 @@ from reference import (_inv_sqrt_series, dense_spectrum, eigenprojection_direct,
 GAP_3LVL = 0.0023519477809868226
 
 
-def _kato(f_op, f0, center, **kwargs):
+def _kato(f_op, b0, center, **kwargs):
     # kato_block with the dense spectrum of F for its annulus guard
-    return kato_block(f_op, f0, center, eigenvalues=np.linalg.eigvals(f_op.matrix), **kwargs)
+    return kato_block(f_op, b0, center, eigenvalues=np.linalg.eigvals(f_op.matrix), **kwargs)
+
+
+def _free(f_op, b0):
+    # the free operator diag(i omega k + B0) on F's modes, for the dense routes
+    return replace(f_op, base=b0, coupling=np.zeros_like(f_op.coupling))
+
+
+def _resonance_rows(f_op):
+    """x_p^H F - i p omega x_p^H for every |p| <= N-1, from the dense matrix."""
+    n, d2 = f_op.n_modes, f_op.block_size
+    one = np.eye(f_op.dim).reshape(-1) / np.sqrt(f_op.dim)
+    for p in range(-(n - 1), n):
+        row = one @ f_op.matrix[(p + n) * d2:(p + n + 1) * d2]
+        row[(p + n) * d2:(p + n + 1) * d2] -= 1j * f_op.omega * p * one
+        yield row
 
 
 def _matched_distance(a, b):
@@ -118,28 +134,24 @@ def test_block_forms_equal_the_dense_matrix(request, case):
     # every product a CLI path takes from the blocks, against the dense matrix
     inst = request.getfixturevalue(case)
     f_op = build_howland(inst.bundle, 8)
-    f0 = build_howland(inst.make_bundle(0.0, 0.0), 8)
-    m, m0, d2 = f_op.matrix, f0.matrix, f_op.block_size
+    m, m0, d2 = f_op.matrix, _free(f_op, inst.l_at.matrix).matrix, f_op.block_size
 
     def close(blocks, dense, rel=1e-13):
         return np.linalg.norm(blocks - dense) <= rel * np.linalg.norm(dense)
 
     # resonance rows x_p^H F - i p omega x_p^H, also on blocks that do not
-    # preserve the trace, where every residual is far from zero
+    # preserve the trace, where the one residual is far from zero
     rng = np.random.default_rng(0)
     noisy = replace(f_op, base=rng.normal(size=(d2, d2)) + f_op.base,
                     coupling=rng.normal(size=(d2, d2)) + 0j)
     for op in (f_op, noisy):
-        one = np.eye(inst.atom.dim).reshape(-1) / np.sqrt(inst.atom.dim)
-        residuals = dense_spectrum(op).resonance_residuals
-        for p in range(-7, 8):
-            row = one @ op.matrix[(p + 8) * d2:(p + 9) * d2]
-            row[(p + 8) * d2:(p + 9) * d2] -= 1j * op.omega * p * one
-            assert abs(residuals[p] - np.linalg.norm(row)) <= 1e-13 * max(1.0, residuals[p])
+        residual = dense_spectrum(op).resonance_residual
+        for row in _resonance_rows(op):
+            assert abs(residual - np.linalg.norm(row)) <= 1e-13 * max(1.0, residual)
         # ||F||_inf as the largest block row sum
         assert abs(op.norm_inf - np.linalg.norm(op.matrix, np.inf)) <= 1e-13 * op.norm_inf
     # F X from the weight rule w z, and (F - F0) Q0 from B - B0 and H
-    kb = _kato(f_op, f0, 0.0)
+    kb = _kato(f_op, inst.l_at.matrix, 0.0)
     x, k_inv, y = kb.projection.left, kb.projection.core, kb.projection.right
     q0 = kb.first_order.left
     assert close(kb.block.core, k_inv @ (y @ (m @ x)) @ k_inv)
@@ -153,8 +165,7 @@ def test_block_forms_equal_the_dense_matrix(request, case):
 def test_heisenberg_resonances_exact(three_level):
     f_op = build_howland(three_level.bundle, 8)
     spec = dense_spectrum(f_op)
-    assert max(spec.resonance_residuals.values()) <= 1e-12
-    assert set(spec.resonance_residuals) == set(range(-7, 8))
+    assert spec.resonance_residual <= 1e-12
     assert set(spec.disc_counts) == set(range(-6, 7))
     assert all(c == 1 for c in spec.disc_counts.values())
     # the residual is that of F^H x_p = -i p omega x_p on the assembled matrix
@@ -162,7 +173,21 @@ def test_heisenberg_resonances_exact(three_level):
     x = np.zeros(f_op.matrix.shape[0], dtype=complex)
     x[(3 + 8) * d2:(3 + 9) * d2] = np.eye(3).reshape(-1) / np.sqrt(3)
     direct = np.linalg.norm(f_op.matrix.conj().T @ x + 3j * f_op.omega * x)
-    assert abs(spec.resonance_residuals[3] - direct) <= 1e-15
+    assert abs(spec.resonance_residual - direct) <= 1e-15
+
+
+@pytest.mark.parametrize("case", ["two_level", "three_level", "degenerate"])
+def test_resonance_residual_is_that_of_every_row_block(request, case):
+    # row block p of F is [H, i p omega + B, H], so the i p omega terms cancel
+    # and one number is the residual of x_p^H F = i p omega x_p^H for every
+    # |p| <= N-1; checked here on the dense matrix F itself
+    bundle = request.getfixturevalue(case).bundle
+    f_op = build_howland(bundle, 8)
+    spec = floquet_spectrum(f_op, floquet_lattice(bundle, 8))
+    rows = list(_resonance_rows(f_op))
+    assert len(rows) == 15
+    for row in rows:
+        assert abs(spec.resonance_residual - np.linalg.norm(row)) <= 1e-15
 
 
 def test_resonance_counts_from_conjugated_state_spectrum(three_level):
@@ -229,7 +254,7 @@ def test_lattice_spectrum_equals_dense_route(request, case, n):
     assert np.max(np.abs(interior - dense.eigenvalues[dense.interior])) <= 1e-7
     assert abs(spec.gap - dense.gap) <= 1e-8 * dense.gap
     assert spec.disc_counts == dense.disc_counts
-    assert spec.resonance_residuals == dense.resonance_residuals
+    assert spec.resonance_residual == dense.resonance_residual
     assert howland_match(f_op, *lattice) <= 1e-6
 
 
@@ -267,7 +292,7 @@ def test_lattice_settles_a_zero_or_tiny_gap(three_level, variant):
     assert dense.degenerate == ("omega" in variant or variant["eps"] <= 1e-5)
     assert abs(spec.gap - dense.gap) <= max(1e-8 * dense.gap, 1e-13)
     assert spec.disc_counts == dense.disc_counts
-    assert spec.resonance_residuals == dense.resonance_residuals
+    assert spec.resonance_residual == dense.resonance_residual
     # one copy per exponent on every interior block; the dense route's
     # largest-block rule can miscount a copy spread over two blocks
     assert np.sum(spec.interior) == (2 * (n - 2) + 1) * f_op.block_size
@@ -543,9 +568,7 @@ def test_riesz_and_kato_need_a_howland_operator(three_level):
     with pytest.raises(DimensionMismatchError):
         riesz_projection(f_op.matrix, 0.0)
     with pytest.raises(DimensionMismatchError):
-        kato_block(f_op.matrix, f_op, 0.0, eigenvalues=[])
-    with pytest.raises(DimensionMismatchError):
-        _kato(f_op, f_op.matrix, 0.0)
+        kato_block(f_op.matrix, three_level.l_at.matrix, 0.0, eigenvalues=[])
     # the independent eigensolver route keeps taking plain arrays
     assert eigenprojection_direct(f_op.matrix, 0.0, 1e-3).shape == f_op.matrix.shape
 
@@ -555,12 +578,11 @@ def test_riesz_and_kato_need_a_howland_operator(three_level):
 # --------------------------------------------------------------------------
 
 def test_kato_block_residual_scaling(three_level):
-    f0 = build_howland(three_level.make_bundle(0.0, 0.0), 8)
     res = {}
     for lam in (0.1, 0.05):
         f_op = build_howland(three_level.make_bundle(lam, three_level.eta
                                                      * (lam / 0.1) ** 2), 8)
-        res[lam] = _kato(f_op, f0, 0.0).residual
+        res[lam] = _kato(f_op, three_level.l_at.matrix, 0.0).residual
     ratio = res[0.05] / res[0.1]
     # The perturbation enters at O(lambda^2) and the center-0 block has no
     # first-order defect (the unperturbed projection commutes with the
@@ -573,10 +595,9 @@ def test_kato_block_residual_scaling(three_level):
 def test_kato_order_check_matches_independent_blocks(three_level):
     n = 8
     check = kato_order_check(three_level.bundle, n)
-    f0 = build_howland(three_level.make_bundle(0.0, 0.0), n)
     independent = [
         _kato(build_howland(three_level.make_bundle(0.1 * s, 0.01 * s**2), n),
-              f0, 0.0).residual
+              three_level.l_at.matrix, 0.0).residual
         for s in (1.0, 0.5)
     ]
     assert check["residual_at_lambda"] == independent[0]
@@ -604,14 +625,14 @@ def test_thin_kato_block_equals_dense_route(three_level, at_omega, scale):
     bundle = three_level.make_bundle(0.1 * scale, 0.01 * scale**2)
     center = 1j * bundle.omega if at_omega else 0.0
     f_op = build_howland(bundle, 8)
-    f0 = build_howland(three_level.make_bundle(0.0, 0.0), 8)
-    kb = _kato(f_op, f0, center)
+    kb = _kato(f_op, three_level.l_at.matrix, center)
     assert kb.projection.left.shape == (f_op.matrix.shape[0], 5)
-    _assert_thin_equals_dense(kb, f_op, f0)
+    _assert_thin_equals_dense(kb, f_op, three_level.l_at.matrix)
 
 
-def _assert_thin_equals_dense(kb, f_op, f0):
+def _assert_thin_equals_dense(kb, f_op, b0):
     # the dense route: both projections materialized by the structured sum
+    f0 = _free(f_op, b0)
     center, m, m0 = kb.center, f_op.matrix, f0.matrix
     p = riesz_projection(f_op, center, radius=kb.radius).matrix
     p0 = riesz_projection(f0, center, radius=kb.radius).matrix
@@ -641,15 +662,14 @@ def _record_inverses(monkeypatch):
     return shapes
 
 
-def _change_of_basis(f_op, u):
+def _change_of_basis(u, *blocks):
     # L -> W L W^H with W = conj(U) (x) U, as vec(U A U*) = W vec(A): the
     # same model in another atomic basis, Hermiticity preserved only to
     # roundoff.  A diagonal U commutes with the level-diagonal atom (the
     # gauge of a conjugated config); a full one also rotates Q0 into a
     # complex basis, so G = Q0^H R conj(Q0) is complex
     w = np.kron(u.conj(), u)
-    return replace(f_op, base=w @ f_op.base @ w.conj().T,
-                   coupling=w @ f_op.coupling @ w.conj().T)
+    return [w @ b @ w.conj().T for b in blocks]
 
 
 @pytest.mark.parametrize("basis", ["seed-0", "gauge", "rotated"])
@@ -660,8 +680,7 @@ def test_mirrored_kato_probe_equals_the_full_node_sums(request, case, m_points, 
     # at a real centre the lower-half nodes come from the upper half by the
     # symmetry conj(F) = R F R; the result must be that of all M nodes
     inst = request.getfixturevalue(case)
-    f_op = build_howland(inst.bundle, 8)
-    f0 = build_howland(inst.make_bundle(0.0, 0.0), 8)
+    f_op, b0 = build_howland(inst.bundle, 8), inst.l_at.matrix
     rng = np.random.default_rng(5)
     if basis == "gauge":
         u = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, f_op.dim)))
@@ -669,9 +688,10 @@ def test_mirrored_kato_probe_equals_the_full_node_sums(request, case, m_points, 
         u = np.linalg.qr(rng.standard_normal((f_op.dim,) * 2)
                          + 1j * rng.standard_normal((f_op.dim,) * 2))[0]
     if basis != "seed-0":
-        f_op, f0 = _change_of_basis(f_op, u), _change_of_basis(f0, u)
+        base, coupling, b0 = _change_of_basis(u, f_op.base, f_op.coupling, b0)
+        f_op = replace(f_op, base=base, coupling=coupling)
     inverses = _record_inverses(monkeypatch)
-    kb = _kato(f_op, f0, 0.0, m_points=m_points)
+    kb = _kato(f_op, b0, 0.0, m_points=m_points)
     # one batched pivot inverse per mode and node, on the M/2 upper nodes only
     assert sum(shape[0] for shape in inverses if len(shape) == 3) == 17 * m_points // 2
 
@@ -693,72 +713,67 @@ def test_mirrored_kato_probe_equals_the_full_node_sums(request, case, m_points, 
 
 
 def test_kato_block_without_the_symmetry_solves_every_node(three_level, monkeypatch):
-    # a complex perturbation of B breaks conj(B) = S B S (F0 is unchanged):
+    # a complex perturbation of B breaks conj(B) = S B S (B0 is unchanged):
     # the probe factors all M nodes and still matches the dense route
-    f_op = build_howland(three_level.bundle, 8)
-    f0 = build_howland(three_level.make_bundle(0.0, 0.0), 8)
+    f_op, b0 = build_howland(three_level.bundle, 8), three_level.l_at.matrix
     rng = np.random.default_rng(3)
     s = f_op.block_size
     f_op = replace(f_op, base=f_op.base + 1e-4 * (rng.standard_normal((s, s))
                                                   + 1j * rng.standard_normal((s, s))))
     inverses = _record_inverses(monkeypatch)
-    kb = _kato(f_op, f0, 0.0)
+    kb = _kato(f_op, b0, 0.0)
     assert inverses.count((16, s, s)) == 4 * 17
-    _assert_thin_equals_dense(kb, f_op, f0)
+    _assert_thin_equals_dense(kb, f_op, b0)
 
 
 def test_kato_probe_needs_an_even_converged_rule(three_level):
-    f_op = build_howland(three_level.bundle, 8)
-    f0 = build_howland(three_level.make_bundle(0.0, 0.0), 8)
-    fine = _kato(f_op, f0, 0.0)
+    f_op, b0 = build_howland(three_level.bundle, 8), three_level.l_at.matrix
+    fine = _kato(f_op, b0, 0.0)
     # M = 16: the dense projection misses its 1e-6 idempotency limit, while
     # the probe passes and states its error estimate, the M vs M/2 gap
     with pytest.raises(IdempotencyFailureError):
         riesz_projection(f_op, 0.0, radius=fine.radius, m_points=16)
-    coarse = _kato(f_op, f0, 0.0, m_points=16)
+    coarse = _kato(f_op, b0, 0.0, m_points=16)
     assert 1e-10 <= coarse.quadrature_gap <= 1e-6
     assert abs(coarse.residual - fine.residual) <= 1e-10 * fine.residual
     with pytest.raises(IdempotencyFailureError):
-        _kato(f_op, f0, 0.0, m_points=8)
+        _kato(f_op, b0, 0.0, m_points=8)
     for m_points in (63, 1, 0):
         with pytest.raises(DimensionMismatchError):
-            _kato(f_op, f0, 0.0, m_points=m_points)
+            _kato(f_op, b0, 0.0, m_points=m_points)
     with pytest.raises(DimensionMismatchError):
         kato_order_check(three_level.bundle, 8, m_points=63)
 
 
-def test_kato_needs_a_free_f0_and_equal_ranks(three_level):
-    f_op = build_howland(three_level.bundle, 4)
-    with pytest.raises(GeneratorStructureError):
-        _kato(f_op, f_op, 0.0)                   # coupled: not block diagonal
-    damped = build_howland(three_level.make_bundle(0.1, 0.0), 4)
-    with pytest.raises(GeneratorStructureError):
-        _kato(f_op, damped, 0.0)                 # blocks not skew-Hermitian
+def test_kato_needs_a_skew_hermitian_b0_and_equal_ranks(three_level):
+    f_op, b0 = build_howland(three_level.bundle, 4), three_level.l_at.matrix
+    for damped in (f_op.base, three_level.make_bundle(0.1, 0.0).static_matrix):
+        with pytest.raises(GeneratorStructureError):
+            _kato(f_op, damped, 0.0)             # lambda^2 L_R: not skew-Hermitian
     # a spectrum of F with one eigenvalue fewer inside the contour than rank P0
-    f0 = build_howland(three_level.make_bundle(0.0, 0.0), 4)
     w = np.linalg.eigvals(f_op.matrix)
     w = np.delete(w, np.argmin(np.abs(w)))
     with pytest.raises(ProjectionPairTooFarError):
-        kato_block(f_op, f0, 0.0, eigenvalues=w)
+        kato_block(f_op, b0, 0.0, eigenvalues=w)
     # a contour around no eigenvalue: P = P0 = 0 and the block is empty
-    empty = _kato(f_op, f0, 0.3j, radius=0.1)
+    empty = _kato(f_op, b0, 0.3j, radius=0.1)
     assert empty.projection.left.shape[1] == 0
     assert empty.residual == empty.quadrature_gap == 0.0
 
 
 def test_kato_block_has_no_dense_fallback(three_level):
     # F's spectrum is an input: leaving it out is a TypeError, not an eigensolve of F
-    free = build_howland(three_level.make_bundle(0.0, 0.0), 4)
     with pytest.raises(TypeError):
-        kato_block(build_howland(three_level.bundle, 4), free, 0.0)
+        kato_block(build_howland(three_level.bundle, 4), three_level.l_at.matrix, 0.0)
 
 
-def test_kato_block_needs_f0_on_the_same_modes(three_level):
+def test_kato_block_needs_b0_of_one_block(three_level, two_level):
+    # B0 is one d^2 x d^2 block of F's own modes: a Howland operator, its
+    # dense matrix or another atom's block is refused before any solve
     f_op = build_howland(three_level.bundle, 4)
-    free = three_level.make_bundle(0.0, 0.0)
-    for f0 in (build_howland(free, 5), build_howland(replace(free, omega=2.0), 4)):
+    for b0 in (f_op, f_op.matrix, two_level.l_at.matrix, three_level.l_at.matrix[:, :-1]):
         with pytest.raises(DimensionMismatchError):
-            _kato(f_op, f0, 0.0)
+            _kato(f_op, b0, 0.0)
 
 
 def test_kato_order_check_factors_only_small_matrices(three_level, monkeypatch):
@@ -807,7 +822,7 @@ def test_kato_order_check_factors_each_pivot_once(three_level, monkeypatch):
     # a centre off the real axis has no conjugate node pairs: all M nodes
     calls["inv"].clear()
     f_op = build_howland(three_level.bundle, 8)
-    _kato(f_op, build_howland(three_level.make_bundle(0.0, 0.0), 8), 1j * f_op.omega)
+    _kato(f_op, three_level.l_at.matrix, 1j * f_op.omega)
     assert calls["inv"].count((16, 9, 9)) == 4 * 17
 
 

@@ -16,7 +16,6 @@ from pumped_lindblad import (
     ClusterAmbiguityError,
     InvalidDensityMatrixError,
     NonHermitianError,
-    NotABohrFrequencyError,
     PumpSupportViolationError,
     ScalarHamiltonianError,
     Superoperator,
@@ -161,12 +160,10 @@ def test_bohr_spectrum_three_level():
     atom = decompose_atom(np.diag([0.0, 0.9, 2.1]))
     bohr = bohr_spectrum(atom)
     assert np.allclose(bohr.frequencies, [-2.1, -1.2, -0.9, 0.0, 0.9, 1.2, 2.1])
-    assert bohr.pair_set(0.9) == ((2, 1),)
-    assert bohr.pair_set(-0.9) == ((1, 2),)
-    assert bohr.pair_set(1.2) == ((3, 2),)
-    assert bohr.pair_set(0.0) == ((1, 1), (2, 2), (3, 3))
-    with pytest.raises(NotABohrFrequencyError):
-        bohr.pair_set(0.5)
+    # the pair sets are keyed by the table's own frequencies, in their order
+    assert [bohr.pairs[eps] for eps in bohr.frequencies] == [
+        ((1, 3),), ((2, 3),), ((1, 2),), ((1, 1), (2, 2), (3, 3)),
+        ((2, 1),), ((3, 2),), ((3, 1),)]
 
 
 def test_bohr_spectrum_flags_near_degenerate_differences():
@@ -237,6 +234,20 @@ def test_gibbs_rejects_negative_beta():
         gibbs_state(atom, -0.5)
 
 
+@pytest.mark.filterwarnings("error")
+def test_gibbs_state_at_non_finite_beta():
+    # beta = NaN is refused like beta < 0; beta = inf is the zero-temperature
+    # limit P_1 / n_1, which beta = 1e308 already reaches, degenerate or not
+    for energies in ([0.0, 1.0], [0.0, 0.0, 1.3]):
+        atom = decompose_atom(np.diag(energies), cluster_tol=1e-8)
+        with pytest.raises(InvalidDensityMatrixError):
+            gibbs_state(atom, np.nan)
+        ground = atom.projections[0] / atom.multiplicities[0]
+        cold = gibbs_state(atom, np.inf)
+        assert np.linalg.norm(cold - ground) <= 1e-15
+        assert np.array_equal(cold, gibbs_state(atom, 1e308))
+
+
 def test_validate_pump_accepts_raising_rejects_other():
     atom = decompose_atom(np.diag([0.0, 1.0, 2.5]))
     good = np.zeros((3, 3), dtype=complex)
@@ -277,3 +288,13 @@ def test_validate_state_rejects_bad_inputs():
         validate_state(np.diag([0.7, 0.4]))                  # trace 1.1
     with pytest.raises(InvalidDensityMatrixError):
         validate_state(np.diag([1.1, -0.1]))                 # negative eigenvalue
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_validate_state_rejects_non_finite_entries(bad, entry):
+    # NaN fails every "x > tol" comparison, so each guard alone lets it through
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[entry] = rho[entry[::-1]] = bad
+    with pytest.raises(InvalidDensityMatrixError):
+        validate_state(rho)
