@@ -14,7 +14,6 @@ from .errors import (
     IdempotencyFailureError,
     InvalidDensityMatrixError,
     InvalidFormFactorError,
-    NearSingularPairError,
     NonHermitianError,
     NonOrthogonalFamilyError,
     NonPositiveKernelError,
@@ -76,7 +75,6 @@ from .reservoir import (
     AnalyticityReport,
     FormFactor,
     ReservoirSpec,
-    glued_g_continued,
     pv_coefficient,
     pv_coefficients,
     rate_coefficient,

@@ -102,8 +102,3 @@ class IdempotencyFailureError(PumpedLindbladError):
 
 class ProjectionPairTooFarError(PumpedLindbladError):
     """Projections too far apart for the pair-of-projections transform."""
-
-
-class NearSingularPairError(PumpedLindbladError):
-    """1 - (P-Q)^2 is numerically singular; raised only by the tests'
-    reference ``pair_transform`` (``tests/reference.py``)."""

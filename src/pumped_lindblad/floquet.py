@@ -31,7 +31,10 @@ Howland operator, since the free operator diag(i omega k + B0) on F's own
 modes is block diagonal; its P0 is exact (one Hermitian eigensolve of
 i B0), P is probed on Range(P0) with rank P0 right-hand sides (Kato's
 pairs of projections; the thin contour-integral pattern of Beyn,
-Lin. Alg. Appl. 436, 3839 (2012)),
+Lin. Alg. Appl. 436, 3839 (2012)) on only the block rows that B, H and B0
+reach from Range(P0): the weak-symmetry sector of S_T = e^{-T L_at}
+(Buca & Prosen, New J. Phys. 14, 073007 (2012)) that holds P0, 5 of 9
+rows per mode on three_level, so its pivots are 5 x 5;
 F P comes from the same sum as F (z - F)^{-1} = z (z - F)^{-1} - 1, and
 every norm is taken on a 2r x 2r core.  When F preserves Hermiticity
 it commutes with conj o R (R: mode reversal (x) the vec-transpose swap), so
@@ -85,7 +88,7 @@ class FloquetOperator:
 
     @property
     def block_size(self):
-        return self.dim * self.dim
+        return self.base.shape[0]
 
     @property
     def norm_inf(self):
@@ -329,16 +332,18 @@ def _contour_radius(eigenvalues, center, radius=None):
     """Radius rule and annulus guard; returns the radius and the enclosed count.
 
     Default radius: 0.45 times the isolation distance of the cluster at
-    `center`, capped at 0.45.  An eigenvalue inside the annulus
-    [0.5 r, 1.5 r] aborts with ContourHitsSpectrum.
+    `center`, capped at 0.45.  A radius that is not finite and > 0, or an
+    eigenvalue inside the annulus [0.5 r, 1.5 r], aborts with
+    ContourHitsSpectrum.
     """
     dist = np.abs(eigenvalues - center)
     if radius is None:
         outside = dist[dist > 1e-6]
         isolation = float(np.min(outside)) if outside.size else np.inf
         radius = min(0.45 * isolation, 0.45)
-        if not radius > 0:
-            raise ContourHitsSpectrumError("no isolated cluster at the requested center")
+    if not 0 < radius < np.inf:
+        raise ContourHitsSpectrumError(
+            f"the contour radius must be finite and > 0, got {radius!r}")
     in_annulus = np.sum((dist >= 0.5 * radius) & (dist <= 1.5 * radius))
     if in_annulus:
         raise ContourHitsSpectrumError(
@@ -357,9 +362,6 @@ class LowRank:
     left: np.ndarray          # (n s, r)
     core: np.ndarray          # (r, r)
     right: np.ndarray         # (r, n s)
-
-    def dense(self):
-        return self.left @ self.core @ self.right
 
 
 @dataclass(frozen=True)
@@ -410,12 +412,38 @@ def _preserves_hermiticity(dim, *blocks):
     return all(np.isrealobj(_in_basis(a, basis)) for a in blocks)
 
 
-def _mirrored_probe(f_op, q0, nodes, w):
+def _sector_rows(f_op, b0, q0):
+    """The block rows of the probe: those where Q0 is nonzero, closed under
+    the exact nonzero pattern of B, H and B0 (both ways) and under the
+    vec-transpose swap S; every row when Q0 is empty.
+
+    z - F then has no entry between these rows and the others on any mode,
+    so (z - F)^{-1} Q0 and Q0^H (z - F)^{-1} vanish exactly off them.  For
+    the covariant generators of this model the rows are the weak-symmetry
+    sector of S_T = e^{-T L_at} that holds Range(P0): the |m><n| whose Bohr
+    frequency is 0 mod omega (5 of 9 on three_level).  Returns the sorted
+    rows and S as their permutation.
+    """
+    s, d = f_op.block_size, f_op.dim
+    link = (f_op.base != 0) | (f_op.coupling != 0) | (b0 != 0)
+    link |= link.T
+    swap = np.arange(s).reshape(d, d).T.ravel()
+    rows = q0.reshape(-1, s, q0.shape[1]).any(axis=(0, 2)) if q0.size else np.ones(s, bool)
+    while True:
+        grown = rows | link[rows].any(axis=0) | rows[swap]
+        if np.array_equal(grown, rows):
+            rows = np.flatnonzero(rows)
+            return rows, np.searchsorted(rows, swap[rows])
+        rows = grown
+
+
+def _mirrored_probe(f_op, q0, nodes, w, swap):
     """The probe's sums X, X_half, F X, Y, Y_half from the upper half of the nodes.
 
     When B and H preserve Hermiticity, conj(F) = R F R for R = mode
-    reversal (x) S, so (z-bar - F)^{-1} = R conj((z - F)^{-1}) R; for F0
-    too, so R conj(Q0) = Q0 G with G = Q0^H R conj(Q0) unitary.  At a real
+    reversal (x) S (`swap`: S as a permutation of one block's rows), so
+    (z-bar - F)^{-1} = R conj((z - F)^{-1}) R; for F0 too, so
+    R conj(Q0) = Q0 G with G = Q0^H R conj(Q0) unitary.  At a real
     centre node M-1-j is the conjugate of node j, with weight conj(w_j).  A
     sum U = sum_j c_j (z_j - F)^{-1} Q0 over upper nodes thus has the
     lower-half mirror sum_j conj(c_j) (z-bar_j - F)^{-1} Q0 = R conj(U) conj(G),
@@ -429,10 +457,10 @@ def _mirrored_probe(f_op, q0, nodes, w):
     upper = w[:half]
     rules = np.stack([np.where(odd, 0.0, 2.0 * upper), np.where(odd, 2.0 * upper, 0.0),
                       upper * nodes[:half]])
-    n, d = 2 * f_op.n_modes + 1, f_op.dim
+    n = 2 * f_op.n_modes + 1
 
     def reflect(a):                                   # R a for n s rows
-        return a.reshape(n, d, d, -1)[::-1].swapaxes(1, 2).reshape(a.shape)
+        return a.reshape(n, swap.size, -1)[::-1, swap].reshape(a.shape)
 
     g_bar = (q0.conj().T @ reflect(q0.conj())).conj()
 
@@ -464,7 +492,11 @@ def kato_block(f_op, b0, center, radius=None, m_points=64, *, eigenvalues):
     so with X = P Q0, Y = Q0^H P and K = Q0^H X, P = X K^{-1} Y.  X and Y
     are the two sides of one block-Thomas contour sum
     (:func:`_resolvent_apply` with rhs Q0 and lhs Q0^H), so each pivot is
-    factored once per node for both.
+    factored once per node for both.  The sum runs on the sector rows I of
+    every mode (:func:`_sector_rows`: the rows B, H and B0 reach from
+    Range(P0), off which X and Y vanish exactly; 5 of 9 on three_level,
+    every row when the blocks are dense), so the pivots, QRs and cores are
+    those of n |I| rows, and X and Y come back on all n s rows.
     At a real centre, when F and B0 preserve Hermiticity (the 1e-14 test
     of `evolution._in_basis`), only the M/2 nodes above the real axis are
     solved and their conjugates are mirrored (:func:`_mirrored_probe`);
@@ -483,6 +515,7 @@ def kato_block(f_op, b0, center, radius=None, m_points=64, *, eigenvalues):
     if m_points < 2 or m_points % 2:
         raise DimensionMismatchError(
             f"the Kato probe needs an even number of contour nodes >= 2, got {m_points!r}")
+    b0 = np.asarray(b0)
     q0, radius = _free_basis(f_op, b0, center, radius)
     _, enclosed = _contour_radius(eigenvalues, center, radius)
     r = q0.shape[1]
@@ -490,23 +523,30 @@ def kato_block(f_op, b0, center, radius=None, m_points=64, *, eigenvalues):
         raise ProjectionPairTooFarError(
             f"{enclosed} eigenvalue(s) of F inside the contour against rank P0 = {r}")
 
+    # the probe runs on the sector rows of every mode; X and Y are zero off them
+    n, s = 2 * f_op.n_modes + 1, f_op.block_size
+    rows, swap = _sector_rows(f_op, b0, q0)
+    sector = np.ix_(rows, rows)
+    f_sec = replace(f_op, base=f_op.base[sector], coupling=f_op.coupling[sector])
+    q = q0.reshape(n, s, r)[:, rows].reshape(n * rows.size, r)
+
     phases = np.exp(2j * np.pi * (np.arange(m_points) + 0.5) / m_points)
     w = radius * phases / m_points
     nodes = center + radius * phases
     # F (z - F)^{-1} = z (z - F)^{-1} - 1 and sum w = 0: F X is the rule w z
     if complex(center).imag == 0 and _preserves_hermiticity(
             f_op.dim, f_op.base, f_op.coupling, b0):
-        x, x_half, fx, y, y_half = _mirrored_probe(f_op, q0, nodes, w)
+        x, x_half, fx, y, y_half = _mirrored_probe(f_sec, q, nodes, w, swap)
     else:
         rules = np.stack([w, np.where(np.arange(m_points) % 2, 0.0, 2.0 * w), w * nodes])
-        (x, x_half, fx), (y, y_half, _) = _resolvent_apply(f_op, nodes, rules, q0, q0.conj().T)
+        (x, x_half, fx), (y, y_half, _) = _resolvent_apply(f_sec, nodes, rules, q, q.conj().T)
     gap = max((np.linalg.norm(full - half) / np.linalg.norm(full) if r else 0.0)
               for full, half in ((x, x_half), (y, y_half)))
     if gap > 1e-6:
         raise IdempotencyFailureError(
             f"M={m_points} and M/2 node probes differ by {gap:.3e}")
 
-    k = q0.conj().T @ x                                  # Q0^H P Q0
+    k = q.conj().T @ x                                   # Q0^H P Q0
     try:
         k_inv = np.linalg.inv(k)
     except np.linalg.LinAlgError:
@@ -518,8 +558,8 @@ def kato_block(f_op, b0, center, radius=None, m_points=64, *, eigenvalues):
 
     # P - P0 = [X, Q0] diag(K^{-1}, -1) [Y; Q0^H]: every norm is that of a
     # 2r x 2r core between the triangular factors of [X, Q0] and [Y^H, Q0].
-    qa, ra = np.linalg.qr(np.hstack([x, q0]))
-    qb, rb = np.linalg.qr(np.hstack([y.conj().T, q0]))
+    qa, ra = np.linalg.qr(np.hstack([x, q]))
+    qb, rb = np.linalg.qr(np.hstack([y.conj().T, q]))
     eye = np.eye(r, dtype=complex)
     zero = np.zeros((r, r), dtype=complex)
 
@@ -535,10 +575,17 @@ def kato_block(f_op, b0, center, radius=None, m_points=64, *, eigenvalues):
         raise ProjectionPairTooFarError(f"||(P - P0)^2|| = {sep:.3f} >= 1")
     block = k_inv @ (y @ fx) @ k_inv
     # (F - F0) Q0: B - B0 on each column's own block, H on both neighbours (F0 has no H)
-    q = q0.reshape(2 * f_op.n_modes + 1, f_op.block_size, r)
-    hq = np.pad(f_op.coupling @ q, ((1, 1), (0, 0), (0, 0)))
-    first = q0.conj().T @ ((f_op.base - b0) @ q + hq[:-2] + hq[2:]).reshape(q0.shape)
+    qk = q.reshape(n, rows.size, r)
+    hq = np.pad(f_sec.coupling @ qk, ((1, 1), (0, 0), (0, 0)))
+    first = q.conj().T @ ((f_sec.base - b0[sector]) @ qk + hq[:-2] + hq[2:]).reshape(q.shape)
     residual = float(np.linalg.norm(core(block, -center * eye - first), 2))
+
+    def scatter(a):                                      # sector rows -> n s rows
+        out = np.zeros((n, s, r), dtype=complex)
+        out[:, rows] = a.reshape(n, rows.size, r)
+        return out.reshape(n * s, r)
+
+    x, y = scatter(x), scatter(y.T).T
     return KatoBlock(
         block=LowRank(x, block, y), first_order=LowRank(q0, first, q0.conj().T),
         projection=LowRank(x, k_inv, y), residual=residual, separation=sep,

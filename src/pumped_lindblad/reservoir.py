@@ -30,9 +30,10 @@ For real weights w_i the glued g extends to a single analytic function
     g(z) = P(z) (1 + e^{-beta z})^{-1/2},   P(z) = sum_i w_i z^{2 p_i} e^{-C_i z^2},
 
 on the strip |Im z| < pi/beta (the square root stays on its principal
-branch there); :func:`glued_g_continued` evaluates this definition.  The
-strip-integrability check samples (|g(z)| + |e^{-beta z/2} g#(z)|)^2 on
-horizontal lines z = x + iy, and only moduli enter it, so its integrand
+branch there); the tests' ``glued_g_continued`` evaluates this
+definition.  The strip-integrability check samples
+(|g(z)| + |e^{-beta z/2} g#(z)|)^2 on horizontal lines z = x + iy, and
+only moduli enter it, so its integrand
 takes one |P(z)| per node and two Fermi moduli from real exponentials:
 
     |g(z)|                = |P(z)| |1 + e^{-beta z}|^{-1/2},
@@ -82,7 +83,6 @@ __all__ = [
     "AnalyticityReport",
     "FormFactor",
     "ReservoirSpec",
-    "glued_g_continued",
     "pv_coefficient",
     "pv_coefficients",
     "rate_coefficient",
@@ -253,29 +253,6 @@ def _verify_orthogonality(ffs, rel_tol=1e-8):
 # glued functions and spectral density
 # --------------------------------------------------------------------------
 
-def glued_g_continued(ff, beta, z):
-    """Analytic continuation of g off the real axis.
-
-    Uses g(z) = sum w z^{2p} e^{-C z^2} (1+e^{-beta z})^{-1/2} continued
-    from Re z >= 0, and the conjugate-weight formula from Re z < 0.  For
-    real weights the two branches agree and g is analytic on the strip
-    |Im z| < pi/beta.
-    """
-    beta = _effective_beta(beta)
-    z = np.asarray(z, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        root = 1.0 / np.sqrt(1.0 + np.exp(-beta * z))
-        if not np.all(np.isfinite(root)):  # e^{-beta z} overflowed off the real axis
-            root = np.where(np.isfinite(root), root,
-                            np.exp(0.5 * beta * z) / np.sqrt(np.exp(beta * z) + 1.0))
-        out = np.zeros(z.shape, dtype=complex)
-        for (w, p, c) in ff.terms:
-            weight = np.where(z.real >= 0, w, np.conj(w))
-            out += weight * z ** (2 * p) * np.exp(-c * z**2)
-        out = out * root
-    return out if out.shape else complex(out)
-
-
 def _powers(s, p_max):
     """[s, s^2, ..., s^p_max] by repeated multiplication."""
     powers = [s]
@@ -334,8 +311,8 @@ def _line_integrand(ff, beta, y):
 
     `y` is one value or an array that broadcasts against x (one line per
     row of x in the ladder's stacked call).  With P(z) = sum w z^{2p} e^{-C z^2},
-    its weights conjugated where x < 0 (the branch rule of
-    :func:`glued_g_continued`), and g#(z) = i conj(g(-conj z)),
+    its weights conjugated where x < 0 (the branch rule of the glued g's
+    continuation), and g#(z) = i conj(g(-conj z)),
 
         |g(z)|                = |P(z)| |1 + e^{-beta z}|^{-1/2},
         |e^{-beta z/2} g#(z)| = e^{-beta x/2} |P(-conj z)| |1 + e^{beta z}|^{-1/2},

@@ -7,7 +7,8 @@ and eigenprojection, the Hungarian monodromy match, RK45 for a state and
 for tau(t, s), Kato's pairs-of-projections transform, the one-integral
 adaptive Gauss-Legendre rule, the strip-analyticity ladder one line at a
 time, and literal definitions (Choi matrix, spectral projection of L_at,
-glued function g).
+glued function g and its continuation off the real axis, a `LowRank` as
+one dense matrix).
 Private library helpers are imported, not copied.
 """
 
@@ -23,7 +24,7 @@ from pumped_lindblad import (
     EigensolverFailureError,
     FloquetOperator,
     IdempotencyFailureError,
-    NearSingularPairError,
+    PumpedLindbladError,
     StepSizeUnderflowError,
     Superoperator,
     bohr_spectrum,
@@ -41,6 +42,11 @@ from pumped_lindblad.reservoir import (_GL_MAX_LEVELS, _GL_MAX_OPEN, _GL_NODES, 
 # --------------------------------------------------------------------------
 # the dense Howland matrix: spectrum, Riesz projections, monodromy match
 # --------------------------------------------------------------------------
+
+def dense_low_rank(factors):
+    """The n s x n s matrix left @ core @ right of a `LowRank`."""
+    return factors.left @ factors.core @ factors.right
+
 
 def dense_spectrum(f_op):
     """`floquet_spectrum` of F from the eigensolve of its dense matrix.
@@ -203,6 +209,10 @@ def propagator(bundle, s, t, rtol=1e-10, atol=1e-12):
 # pairs of projections and literal definitions
 # --------------------------------------------------------------------------
 
+class NearSingularPairError(PumpedLindbladError):
+    """1 - (P-Q)^2 is numerically singular: :func:`pair_transform` refuses."""
+
+
 def _inv_sqrt_series(r, terms=60):
     """(1 - R)^{-1/2} by the binomial series; valid for ||R|| < 1."""
     acc = power = np.eye(r.shape[0], dtype=complex)
@@ -266,6 +276,29 @@ def spectral_projection(atom, eps, bohr=None):
     for (j, k) in pairs:
         m += np.kron(atom.projections[k - 1].T, atom.projections[j - 1])
     return Superoperator(m)
+
+
+def glued_g_continued(ff, beta, z):
+    """Analytic continuation of g off the real axis.
+
+    Uses g(z) = sum w z^{2p} e^{-C z^2} (1+e^{-beta z})^{-1/2} continued
+    from Re z >= 0, and the conjugate-weight formula from Re z < 0.  For
+    real weights the two branches agree and g is analytic on the strip
+    |Im z| < pi/beta.
+    """
+    beta = _effective_beta(beta)
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = 1.0 / np.sqrt(1.0 + np.exp(-beta * z))
+        if not np.all(np.isfinite(root)):  # e^{-beta z} overflowed off the real axis
+            root = np.where(np.isfinite(root), root,
+                            np.exp(0.5 * beta * z) / np.sqrt(np.exp(beta * z) + 1.0))
+        out = np.zeros(z.shape, dtype=complex)
+        for (w, p, c) in ff.terms:
+            weight = np.where(z.real >= 0, w, np.conj(w))
+            out += weight * z ** (2 * p) * np.exp(-c * z**2)
+        out = out * root
+    return out if out.shape else complex(out)
 
 
 def glued_g(ff, beta, x):

@@ -3,7 +3,8 @@
 Every name in a module's ``__all__`` must exist there, and the package
 re-exports that union and nothing else, so a name deleted from a module
 cannot linger in ``__init__``.  ``errors`` has no ``__all__``: its surface
-is every exception class it defines.
+is every exception class it defines, and each one is a failure the
+library raises (a test-only failure lives with the tests).
 """
 
 import ast
@@ -29,6 +30,19 @@ def test_package_namespace_is_the_union_of_module_all_lists():
     public = {name for name, obj in vars(pumped_lindblad).items()
               if not name.startswith("_") and not inspect.ismodule(obj)}
     assert public == listed, (sorted(public - listed), sorted(listed - public))
+
+
+def test_every_library_error_is_raised_by_the_library():
+    root = Path(__file__).resolve().parent.parent / "src" / "pumped_lindblad"
+    raised = set()
+    for path in root.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                raised.add(getattr(node.exc.func, "id", None))
+    defined = {name for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and obj.__module__ == errors.__name__}
+    bases = {base.__name__ for name in defined for base in getattr(errors, name).__bases__}
+    assert defined - bases - raised == set()
 
 
 def _unused_imports(path):

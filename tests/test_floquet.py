@@ -30,6 +30,9 @@ under test:
   max(d^2, 2 rank P0), and rejects a contour rule its M/2 half disowns;
   at a real centre it solves only the nodes above the real axis (their
   conjugates follow from conj(F) = R F R) and equals the full M-node sums;
+  it runs on the rows B, H and B0 reach from Range(P0) (5 x 5 pivots on
+  three_level) and equals the full-block probe; a contour radius that is
+  not finite and > 0 is refused;
 * eigenvalues of the one-period propagator are e^{T mu} for Howland
   eigenvalues mu, matched by the Hungarian assignment;
 * the monodromy lattice mu_j + i omega m (copy on block m - k_j) gives the
@@ -51,7 +54,6 @@ from pumped_lindblad import (
     DimensionMismatchError,
     GeneratorStructureError,
     IdempotencyFailureError,
-    NearSingularPairError,
     ProjectionPairTooFarError,
     ReservoirSpec,
     build_howland,
@@ -62,9 +64,11 @@ from pumped_lindblad import (
     kato_order_check,
     reservoir_lindbladian,
 )
+from pumped_lindblad import floquet
 from pumped_lindblad.floquet import _resolvent_apply
-from reference import (_inv_sqrt_series, dense_spectrum, eigenprojection_direct, monodromy,
-                       pair_transform, resolvent_sum_dense, riesz_projection)
+from reference import (NearSingularPairError, _inv_sqrt_series, dense_low_rank, dense_spectrum,
+                       eigenprojection_direct, monodromy, pair_transform, resolvent_sum_dense,
+                       riesz_projection)
 
 # Frozen: interior spectral gap of the bundled three-level instance at
 # lambda = 0.1, eta = 0.01 (converged in N by N = 16).
@@ -640,9 +644,9 @@ def _assert_thin_equals_dense(kb, f_op, b0):
     def close(thin, dense, rel):
         return np.linalg.norm(thin - dense, 2) <= rel * np.linalg.norm(dense, 2)
 
-    assert close(kb.projection.dense(), p, 1e-12)
-    assert close(kb.block.dense(), p @ m @ p, 1e-12)
-    assert close(kb.first_order.dense(), p0 @ (m - m0) @ p0, 1e-12)
+    assert close(dense_low_rank(kb.projection), p, 1e-12)
+    assert close(dense_low_rank(kb.block), p @ m @ p, 1e-12)
+    assert close(dense_low_rank(kb.first_order), p0 @ (m - m0) @ p0, 1e-12)
     residual = np.linalg.norm(p @ m @ p - center * p0 - p0 @ (m - m0) @ p0, 2)
     separation = np.linalg.norm((p - p0) @ (p - p0), 2)
     assert abs(kb.residual - residual) <= 1e-10 * residual
@@ -813,17 +817,92 @@ def test_kato_order_check_factors_each_pivot_once(three_level, monkeypatch):
         monkeypatch.setattr(np.linalg, name, recording)
     kato_order_check(three_level.bundle, 8, m_points=64)
     # two rungs x two 16-node chunks (the M/2 upper nodes; the lower half
-    # is their mirror) x 17 modes: X and Y share every pivot inverse; the
-    # only other inverses are the two rank-5 K
-    assert calls["inv"].count((16, 9, 9)) == 2 * 2 * 17
-    assert sorted(set(calls["inv"])) == [(5, 5), (16, 9, 9)]
+    # is their mirror) x 17 modes: X and Y share every pivot inverse, each
+    # 5 x 5 on the sector rows (populations and the pumped coherences); the
+    # only other inverses are the two rank-5 K, and no 9 x 9 pivot is formed
+    assert calls["inv"].count((16, 5, 5)) == 2 * 2 * 17
+    assert sorted(set(calls["inv"])) == [(5, 5), (16, 5, 5)]
     assert calls["inv"].count((5, 5)) == 2
     assert calls["solve"] == []
     # a centre off the real axis has no conjugate node pairs: all M nodes
     calls["inv"].clear()
     f_op = build_howland(three_level.bundle, 8)
     _kato(f_op, three_level.l_at.matrix, 1j * f_op.omega)
-    assert calls["inv"].count((16, 9, 9)) == 4 * 17
+    assert calls["inv"].count((16, 5, 5)) == 4 * 17
+    assert all(shape[-1] < 9 for shape in calls["inv"])
+
+
+def _pattern_closure(f_op, b0, q0):
+    # the rows Q0 touches, grown along the exact nonzeros of B, H, B0 (either
+    # direction) until nothing new is reached: no swap, no tolerance
+    s = f_op.block_size
+    link = (f_op.base != 0) | (f_op.coupling != 0) | (b0 != 0)
+    link |= link.T
+    rows = set(np.flatnonzero(q0.reshape(-1, s, q0.shape[1]).any(axis=(0, 2))))
+    while True:
+        grown = rows | {j for i in rows for j in np.flatnonzero(link[i])}
+        if grown == rows:
+            return np.array(sorted(rows))
+        rows = grown
+
+
+@pytest.mark.parametrize("case,center,sector", [
+    ("two_level", 0.0, 4), ("three_level", 0.0, 5), ("three_level", "omega", 5),
+    ("degenerate", 0.0, 8), ("rotated", 0.0, 9)])
+def test_sector_probe_equals_the_full_block_probe(request, case, center, sector, monkeypatch):
+    # the probe runs on the rows B, H and B0 reach from Range(P0); with every
+    # row it is the full-block probe, and both must give the same block to
+    # roundoff.  Every row is the sector on two_level (omega is its one Bohr
+    # frequency) and in a rotated basis (as atom.matrix gives: dense blocks)
+    inst = request.getfixturevalue("three_level" if case == "rotated" else case)
+    f_op, b0 = build_howland(inst.bundle, 8), inst.l_at.matrix
+    if case == "rotated":
+        rng = np.random.default_rng(11)
+        u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        base, coupling, b0 = _change_of_basis(u, f_op.base, f_op.coupling, b0)
+        f_op = replace(f_op, base=base, coupling=coupling)
+    center = 1j * f_op.omega if center == "omega" else center
+    s, d = f_op.block_size, f_op.dim
+    q0 = floquet._free_basis(f_op, b0, center)[0]
+    rows, swap = floquet._sector_rows(f_op, b0, q0)
+    assert rows.size == sector
+    # the pattern alone closes the sector, and the vec-transpose swap maps it
+    # onto itself: the mirror needs no extra row
+    assert np.array_equal(rows, _pattern_closure(f_op, b0, q0))
+    assert np.array_equal(rows[swap], np.arange(s).reshape(d, d).T.ravel()[rows])
+    assert np.array_equal(np.sort(swap), np.arange(rows.size))
+
+    kb = _kato(f_op, b0, center)
+    full_swap = np.arange(s).reshape(d, d).T.ravel()
+    monkeypatch.setattr(floquet, "_sector_rows", lambda *_: (np.arange(s), full_swap))
+    ref = _kato(f_op, b0, center)
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    for field in ("residual", "separation"):
+        assert abs(getattr(kb, field) - getattr(ref, field)) <= 1e-13 * getattr(ref, field)
+    for field in ("idempotency_defect", "quadrature_gap"):
+        assert abs(getattr(kb, field) - getattr(ref, field)) <= 1e-13
+    for got, want in ((kb.block, ref.block), (kb.projection, ref.projection),
+                      (kb.first_order, ref.first_order)):
+        assert close(got.left, want.left) and close(got.right, want.right)
+        assert close(got.core, want.core)
+    # X and Y are exactly zero off the sector rows on every mode
+    off = np.setdiff1d(np.arange(s), rows)
+    assert not kb.projection.left.reshape(-1, s, kb.projection.left.shape[1])[:, off].any()
+    assert not kb.projection.right.reshape(kb.projection.right.shape[0], -1, s)[..., off].any()
+
+
+def test_contour_radius_must_be_finite_and_positive(three_level):
+    # a negative, zero or NaN radius encloses nothing and used to pass with
+    # an empty block; an infinite one encloses everything
+    f_op, b0 = build_howland(three_level.bundle, 4), three_level.l_at.matrix
+    for radius in (-0.1, 0.0, np.nan, np.inf):
+        with pytest.raises(ContourHitsSpectrumError):
+            _kato(f_op, b0, 0.0, radius=radius)
+        with pytest.raises(ContourHitsSpectrumError):
+            riesz_projection(f_op, 0.0, radius=radius)
 
 
 # --------------------------------------------------------------------------

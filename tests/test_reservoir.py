@@ -26,7 +26,6 @@ from pumped_lindblad import (
     QuadratureNonConvergenceError,
     ReservoirSpec,
     check_assumptions,
-    glued_g_continued,
     pv_coefficient,
     pv_coefficients,
     rate_coefficient,
@@ -40,7 +39,8 @@ from pumped_lindblad.reservoir import (
     _line_cutoff,
     _line_integrand,
 )
-from reference import adaptive_gauss_legendre_one, glued_g, strip_ladder_per_line
+from reference import (adaptive_gauss_legendre_one, glued_g, glued_g_continued,
+                       strip_ladder_per_line)
 
 
 def _random_form_factor(rng, n_terms=2, complex_weights=False):
