@@ -75,7 +75,6 @@ from .reservoir import (
     AnalyticityReport,
     FormFactor,
     ReservoirSpec,
-    pv_coefficient,
     pv_coefficients,
     rate_coefficient,
     spectral_density,

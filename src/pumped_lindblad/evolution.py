@@ -414,11 +414,14 @@ def stationary_state(superop):
 
     The kernel is found by SVD; it must be one-dimensional
     (DegenerateKernel otherwise) and the normalized element must be a
-    genuine state (NonPositiveKernel otherwise).  Residual ||L(rho)||
-    is verified to 1e-10.
+    genuine state (NonPositiveKernel otherwise); a generator with a
+    non-finite entry has no kernel to find (DegenerateKernel).  Residual
+    ||L(rho)|| is verified to 1e-10.
     """
     m = superop.matrix
     d = superop.dim
+    if not np.isfinite(m).all():                # the SVD would not converge
+        raise DegenerateKernelError("generator has a non-finite entry: no kernel")
     _u, s, vh = np.linalg.svd(m)
     cutoff = _KERNEL_TOL * max(1.0, s[0])
     n_null = int(np.sum(s <= cutoff))

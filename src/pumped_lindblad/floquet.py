@@ -36,9 +36,9 @@ reach from Range(P0): the weak-symmetry sector of S_T = e^{-T L_at}
 (Buca & Prosen, New J. Phys. 14, 073007 (2012)) that holds P0, 5 of 9
 rows per mode on three_level, so its pivots are 5 x 5;
 F P comes from the same sum as F (z - F)^{-1} = z (z - F)^{-1} - 1, and
-every norm is taken on a 2r x 2r core.  When F preserves Hermiticity
-it commutes with conj o R (R: mode reversal (x) the vec-transpose swap), so
-at a real centre only the upper half of the conjugate node pairs is solved.
+every norm is taken on a 2r x 2r core.  The probe is that of the resonance
+0; F preserves Hermiticity, so it commutes with conj o R (R: mode reversal
+(x) the vec-transpose swap), and only the upper half of the node pairs is solved.
 """
 
 import random
@@ -373,19 +373,18 @@ class KatoBlock:
     separation: float         # ||(P - P0)^2||_2
     idempotency_defect: float
     quadrature_gap: float     # M-node vs every-second-node probe, relative
-    center: complex
     radius: float
 
 
-def _free_basis(f_op, b0, center, radius=None):
-    """Orthonormal basis Q0 of Range(P0) and the contour radius, exactly.
+def _free_basis(f_op, b0):
+    """Orthonormal basis Q0 of Range(P0) and the contour radius at 0, exactly.
 
     The free operator F0 = diag(i omega k + B0) on F's modes is block
     diagonal with skew-Hermitian blocks, so one Hermitian eigensolve of
     i B0 gives its whole spectrum eig(B0) + i omega k for the radius rule
     and an orthonormal eigenbasis; P0 = Q0 Q0^H.  A `b0` that is not
-    d^2 x d^2 raises DimensionMismatch, one that is not skew-Hermitian
-    GeneratorStructure: there is no dense fallback.
+    d^2 x d^2 raises DimensionMismatch, one that is not skew-Hermitian, or
+    an F or B0 that fails :func:`_preserves_hermiticity`, GeneratorStructure.
     """
     s = f_op.block_size
     b0 = np.asarray(b0)
@@ -393,11 +392,14 @@ def _free_basis(f_op, b0, center, radius=None):
         raise DimensionMismatchError(f"B0 has shape {b0.shape}, F has {s} x {s} blocks")
     if np.linalg.norm(b0 + b0.conj().T) > 1e-12 * max(1.0, np.linalg.norm(b0)):
         raise GeneratorStructureError("B0 must be skew-Hermitian, as L_at is")
+    if not _preserves_hermiticity(f_op.dim, f_op.base, f_op.coupling, b0):
+        raise GeneratorStructureError(
+            "F and B0 must map Hermitian matrices to Hermitian ones, as L_t does")
     mu, vecs = np.linalg.eigh(1j * b0)                    # B0 v = -i mu v
     shifts = 1j * f_op.omega * np.arange(-f_op.n_modes, f_op.n_modes + 1)
     eigs = shifts[:, None] - 1j * mu                      # (modes, s), row order of F0
-    radius, _ = _contour_radius(eigs.ravel(), center, radius)
-    modes, cols = np.nonzero(np.abs(eigs - center) < radius)
+    radius, _ = _contour_radius(eigs.ravel(), 0.0)
+    modes, cols = np.nonzero(np.abs(eigs) < radius)
     q0 = np.zeros((eigs.size, modes.size), dtype=complex)
     for j, (k, c) in enumerate(zip(modes, cols)):
         q0[k * s:(k + 1) * s, j] = vecs[:, c]
@@ -415,7 +417,8 @@ def _preserves_hermiticity(dim, *blocks):
 def _sector_rows(f_op, b0, q0):
     """The block rows of the probe: those where Q0 is nonzero, closed under
     the exact nonzero pattern of B, H and B0 (both ways) and under the
-    vec-transpose swap S; every row when Q0 is empty.
+    vec-transpose swap S (passing the 1e-14 Hermiticity test does not make
+    the pattern swap-symmetric).
 
     z - F then has no entry between these rows and the others on any mode,
     so (z - F)^{-1} Q0 and Q0^H (z - F)^{-1} vanish exactly off them.  For
@@ -428,7 +431,7 @@ def _sector_rows(f_op, b0, q0):
     link = (f_op.base != 0) | (f_op.coupling != 0) | (b0 != 0)
     link |= link.T
     swap = np.arange(s).reshape(d, d).T.ravel()
-    rows = q0.reshape(-1, s, q0.shape[1]).any(axis=(0, 2)) if q0.size else np.ones(s, bool)
+    rows = q0.reshape(-1, s, q0.shape[1]).any(axis=(0, 2))
     while True:
         grown = rows | link[rows].any(axis=0) | rows[swap]
         if np.array_equal(grown, rows):
@@ -440,11 +443,11 @@ def _sector_rows(f_op, b0, q0):
 def _mirrored_probe(f_op, q0, nodes, w, swap):
     """The probe's sums X, X_half, F X, Y, Y_half from the upper half of the nodes.
 
-    When B and H preserve Hermiticity, conj(F) = R F R for R = mode
-    reversal (x) S (`swap`: S as a permutation of one block's rows), so
+    B and H preserve Hermiticity, so conj(F) = R F R for R = mode
+    reversal (x) S (`swap`: S as a permutation of one block's rows), and
     (z-bar - F)^{-1} = R conj((z - F)^{-1}) R; for F0 too, so
-    R conj(Q0) = Q0 G with G = Q0^H R conj(Q0) unitary.  At a real
-    centre node M-1-j is the conjugate of node j, with weight conj(w_j).  A
+    R conj(Q0) = Q0 G with G = Q0^H R conj(Q0) unitary.  On the circle
+    around 0 node M-1-j is the conjugate of node j, with weight conj(w_j).  A
     sum U = sum_j c_j (z_j - F)^{-1} Q0 over upper nodes thus has the
     lower-half mirror sum_j conj(c_j) (z-bar_j - F)^{-1} Q0 = R conj(U) conj(G),
     and Y-bar = G^T conj(Y) R is the same map on Y^H.  Odd upper nodes
@@ -475,15 +478,15 @@ def _mirrored_probe(f_op, q0, nodes, w, swap):
             (yh + mirror(yh)).conj().T, (even_y + mirror(odd_y)).conj().T)
 
 
-def kato_block(f_op, b0, center, radius=None, m_points=64, *, eigenvalues):
-    """Compression P F P against its first-order model around one resonance.
+def kato_block(f_op, b0, m_points=64, *, eigenvalues):
+    """Compression P F P against its first-order model at the resonance 0.
 
     P and P0 are the Riesz projections of F and of the free operator
-    F0 = diag(i omega k + B0) around `center` (same contour); `b0` is the
-    d^2 x d^2 free block B0 = L_at, and F0 lives on F's modes, omega and d.
-    Returns the thin factors of the blocks and
+    F0 = diag(i omega k + B0) around 0 (same contour); `b0` is the d^2 x d^2
+    free block B0 = L_at, and F0 lives on F's modes, omega and d.  Returns
+    the thin factors of the blocks and
 
-        residual = || P F P - center P0 - P0 (F - F0) P0 ||_2 ,
+        residual = || P F P - P0 (F - F0) P0 ||_2 ,
 
     the defect of the first-order expansion of the compressed generator.
     Nothing of size n s x n s is formed.  P0 = Q0 Q0^H is exact
@@ -497,10 +500,9 @@ def kato_block(f_op, b0, center, radius=None, m_points=64, *, eigenvalues):
     Range(P0), off which X and Y vanish exactly; 5 of 9 on three_level,
     every row when the blocks are dense), so the pivots, QRs and cores are
     those of n |I| rows, and X and Y come back on all n s rows.
-    At a real centre, when F and B0 preserve Hermiticity (the 1e-14 test
-    of `evolution._in_basis`), only the M/2 nodes above the real axis are
-    solved and their conjugates are mirrored (:func:`_mirrored_probe`);
-    any other centre or F solves all M nodes.
+    Only the M/2 nodes above the real axis are solved and their conjugates
+    are mirrored (:func:`_mirrored_probe`), so an F or B0 that fails the
+    Hermiticity test of `evolution._in_basis` (1e-14 relative) is refused.
     The residual, the pair separation and the idempotency defect are
     2-norms of 2r x 2r cores of the thin QRs of [X, Q0] and [Y^H, Q0].
     The thin form cannot see quadrature error off Range(P0), so X and Y are
@@ -516,8 +518,8 @@ def kato_block(f_op, b0, center, radius=None, m_points=64, *, eigenvalues):
         raise DimensionMismatchError(
             f"the Kato probe needs an even number of contour nodes >= 2, got {m_points!r}")
     b0 = np.asarray(b0)
-    q0, radius = _free_basis(f_op, b0, center, radius)
-    _, enclosed = _contour_radius(eigenvalues, center, radius)
+    q0, radius = _free_basis(f_op, b0)
+    _, enclosed = _contour_radius(eigenvalues, 0.0, radius)
     r = q0.shape[1]
     if enclosed != r:
         raise ProjectionPairTooFarError(
@@ -532,15 +534,10 @@ def kato_block(f_op, b0, center, radius=None, m_points=64, *, eigenvalues):
 
     phases = np.exp(2j * np.pi * (np.arange(m_points) + 0.5) / m_points)
     w = radius * phases / m_points
-    nodes = center + radius * phases
+    nodes = radius * phases
     # F (z - F)^{-1} = z (z - F)^{-1} - 1 and sum w = 0: F X is the rule w z
-    if complex(center).imag == 0 and _preserves_hermiticity(
-            f_op.dim, f_op.base, f_op.coupling, b0):
-        x, x_half, fx, y, y_half = _mirrored_probe(f_sec, q, nodes, w, swap)
-    else:
-        rules = np.stack([w, np.where(np.arange(m_points) % 2, 0.0, 2.0 * w), w * nodes])
-        (x, x_half, fx), (y, y_half, _) = _resolvent_apply(f_sec, nodes, rules, q, q.conj().T)
-    gap = max((np.linalg.norm(full - half) / np.linalg.norm(full) if r else 0.0)
+    x, x_half, fx, y, y_half = _mirrored_probe(f_sec, q, nodes, w, swap)
+    gap = max(np.linalg.norm(full - half) / np.linalg.norm(full)
               for full, half in ((x, x_half), (y, y_half)))
     if gap > 1e-6:
         raise IdempotencyFailureError(
@@ -578,7 +575,7 @@ def kato_block(f_op, b0, center, radius=None, m_points=64, *, eigenvalues):
     qk = q.reshape(n, rows.size, r)
     hq = np.pad(f_sec.coupling @ qk, ((1, 1), (0, 0), (0, 0)))
     first = q.conj().T @ ((f_sec.base - b0[sector]) @ qk + hq[:-2] + hq[2:]).reshape(q.shape)
-    residual = float(np.linalg.norm(core(block, -center * eye - first), 2))
+    residual = float(np.linalg.norm(core(block, -first), 2))
 
     def scatter(a):                                      # sector rows -> n s rows
         out = np.zeros((n, s, r), dtype=complex)
@@ -589,12 +586,11 @@ def kato_block(f_op, b0, center, radius=None, m_points=64, *, eigenvalues):
     return KatoBlock(
         block=LowRank(x, block, y), first_order=LowRank(q0, first, q0.conj().T),
         projection=LowRank(x, k_inv, y), residual=residual, separation=sep,
-        idempotency_defect=defect, quadrature_gap=float(gap),
-        center=complex(center), radius=float(radius))
+        idempotency_defect=defect, quadrature_gap=float(gap), radius=float(radius))
 
 
 def kato_order_check(bundle, n_modes, m_points=64, lattice=None):
-    """Halving ratio of the center-0 Kato-block residual in the coupling.
+    """Halving ratio of the Kato-block residual at 0 in the coupling.
 
     Residuals of :func:`kato_block` at (lambda, eta) and (lambda/2, eta/4),
     so that eta stays proportional to lambda^2, both against the one free
@@ -611,7 +607,7 @@ def kato_order_check(bundle, n_modes, m_points=64, lattice=None):
     for b, lat in ((bundle, lattice), (half, None)):
         op = build_howland(b, n_modes)
         w = _lattice_copies(*(lat or floquet_lattice(b, n_modes)), b.omega, n_modes).ravel()
-        rungs.append((kato_block(op, b0, 0.0, m_points=m_points, eigenvalues=w).residual,
+        rungs.append((kato_block(op, b0, m_points, eigenvalues=w).residual,
                       op.norm_inf))
     (at_lambda, norm), (at_half, _) = rungs
     floor = 1e-13 * norm

@@ -223,6 +223,13 @@ def _clusters(values, tol):
     return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
+def _require_tolerance(name, tol):
+    """Refuse a clustering tolerance that is not finite and >= 0 (NaN or inf
+    would merge every value, a negative one would split equal ones)."""
+    if not 0.0 <= tol < np.inf:
+        raise ClusterAmbiguityError(f"{name} must be finite and >= 0, got {tol!r}")
+
+
 def _stable_clusters(values, tol, ambiguity):
     """:func:`_clusters`, refused with ClusterAmbiguityError(ambiguity) if
     halving or doubling `tol` regroups the values."""
@@ -239,7 +246,8 @@ def decompose_atom(h_at, cluster_tol=None):
     eigenvalues closer than ``cluster_tol`` belong to the same level.  The
     default tolerance is 1e-8 * ||h_at||.  If halving or doubling the
     tolerance changes the grouping, the clustering is deemed ambiguous and
-    ClusterAmbiguityError is raised rather than guessing.
+    ClusterAmbiguityError is raised rather than guessing, as it is for a
+    tolerance that is not finite and >= 0.
     """
     h = np.asarray(h_at, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -256,6 +264,7 @@ def decompose_atom(h_at, cluster_tol=None):
     norm = max(abs(w[0]), abs(w[-1]))
     if cluster_tol is None:
         cluster_tol = 1e-8 * max(norm, 1e-300)
+    _require_tolerance("cluster_tol", cluster_tol)
     if spread <= cluster_tol:
         raise ScalarHamiltonianError(
             "all eigenvalues within one cluster: H_at is a scalar plus noise"
@@ -309,12 +318,14 @@ def bohr_spectrum(atom, merge_tol=None):
     Differences closer than ``merge_tol`` (default 1e-9 * max|E|) are
     identified; near-coincidences that flip under halving/doubling the
     tolerance raise ClusterAmbiguityError, since the pair sets t_eps change
-    discontinuously when two differences merge.
+    discontinuously when two differences merge, and so does a tolerance
+    that is not finite and >= 0.
     """
     energies = atom.energies
     n = len(energies)
     if merge_tol is None:
         merge_tol = 1e-9 * max(max(abs(e) for e in energies), 1e-300)
+    _require_tolerance("merge_tol", merge_tol)
 
     diffs = []
     for j in range(n):
@@ -382,13 +393,15 @@ def validate_pump(atom, h_p):
 
     Accepts iff ker(h_p)^perp  is contained in the ground eigenspace and
     ran(h_p) in the top eigenspace, i.e. ||(1 - P_1) h_p^*|| <= 1e-10 and
-    ||(1 - P_N) h_p|| <= 1e-10.  Returns the pump H_p = h_p + h_p^* with its
-    Hamiltonian Lindbladian.
+    ||(1 - P_N) h_p|| <= 1e-10, and refuses a non-finite entry.  Returns the
+    pump H_p = h_p + h_p^* with its Hamiltonian Lindbladian.
     """
     h_p = np.asarray(h_p, dtype=complex)
     d = atom.dim
     if h_p.shape != (d, d):
         raise DimensionMismatchError(f"pump shape {h_p.shape}, atom dimension {d}")
+    if not np.all(np.isfinite(h_p)):        # NaN fails both support tests below
+        raise PumpSupportViolationError("h_p has a non-finite entry")
     eye = np.eye(d)
     p1 = atom.projections[0]
     pn = atom.projections[-1]

@@ -22,8 +22,8 @@ with p_i >= 1 integers and C_i > 0.  Two derived objects drive everything:
 
 Rates are half-residues c = pi f^(beta)(eps); Lamb-shift coefficients are
 Cauchy principal values d = PV \\int f^(beta)(x + eps)/x dx.  The PV
-convention is isolated in :func:`pv_coefficients` (with its one-value form
-:func:`pv_coefficient`), so swapping conventions is a one-line change there.
+convention is isolated in :func:`pv_coefficients`, so swapping conventions
+is a one-line change there.
 
 For real weights w_i the glued g extends to a single analytic function
 
@@ -83,7 +83,6 @@ __all__ = [
     "AnalyticityReport",
     "FormFactor",
     "ReservoirSpec",
-    "pv_coefficient",
     "pv_coefficients",
     "rate_coefficient",
     "spectral_density",
@@ -128,7 +127,7 @@ def _effective_beta(beta):
 
 @dataclass(frozen=True)
 class FormFactor:
-    """f(x) = sum w |x|^(2p-1) exp(-C x^2) with p >= 1 integer, C > 0."""
+    """f(x) = sum w |x|^(2p-1) exp(-C x^2) with p >= 1 integer, finite w and C > 0."""
 
     terms: tuple  # of (weight: complex, exponent_p: int, decay_c: float)
 
@@ -141,13 +140,14 @@ class FormFactor:
                 raise InvalidFormFactorError(
                     f"exponent p={p} must be an integer (z^(2p) must stay entire)"
                 )
-            p = int(p)
-            c = float(c)
+            w, p, c = complex(w), int(p), float(c)
             if p < 1:
                 raise InvalidFormFactorError(f"exponent p={p} must be >= 1")
-            if not c > 0:
-                raise InvalidFormFactorError(f"decay C={c} must be positive")
-            clean.append((complex(w), p, c))
+            if not 0 < c < math.inf:
+                raise InvalidFormFactorError(f"decay C={c} must be positive and finite")
+            if not np.isfinite(w):
+                raise InvalidFormFactorError(f"weight w={w} must be finite")
+            clean.append((w, p, c))
         object.__setattr__(self, "terms", tuple(clean))
 
     @property
@@ -199,7 +199,8 @@ class ReservoirSpec:
     """Inverse temperature, coupling, form factors, and coupling matrices.
 
     `couplings` must be closed under conjugate transpose (the interaction
-    Hamiltonian is self-adjoint).  `orthogonal`, computed and never passed,
+    Hamiltonian is self-adjoint).  A non-finite `lam` or matrix entry raises
+    InvalidFormFactorError.  `orthogonal`, computed and never passed,
     records whether the form factors are pairwise L2-orthogonal; the
     closed-form generator of ``lindblad.reservoir_lindbladian`` is only valid
     when it holds, and it raises NonOrthogonalFamilyError otherwise.
@@ -213,8 +214,11 @@ class ReservoirSpec:
     orthogonal: bool = field(init=False)
 
     def __post_init__(self):
+        if not math.isfinite(self.lam):
+            raise InvalidFormFactorError(f"coupling constant lambda={self.lam} must be finite")
         if self.gks_jumps is not None:
             jumps = tuple(np.asarray(v, dtype=complex) for v in self.gks_jumps)
+            _require_finite("GKS jump", jumps)
             object.__setattr__(self, "gks_jumps", jumps)
             object.__setattr__(self, "form_factors", tuple(self.form_factors or ()))
             object.__setattr__(self, "couplings", tuple(self.couplings or ()))
@@ -223,6 +227,7 @@ class ReservoirSpec:
         _effective_beta(self.beta)
         ffs = tuple(self.form_factors)
         qs = tuple(np.asarray(q, dtype=complex) for q in self.couplings)
+        _require_finite("coupling matrix", qs)
         if len(ffs) == 0 or len(ffs) != len(qs):
             raise InvalidFormFactorError(
                 f"{len(ffs)} form factors vs {len(qs)} coupling matrices"
@@ -242,6 +247,11 @@ class ReservoirSpec:
             raise NonOrthogonalFamilyError(
                 "closed-form coefficients need pairwise L2-orthogonal form factors"
             )
+
+
+def _require_finite(what, matrices):
+    if not all(np.isfinite(m).all() for m in matrices):
+        raise InvalidFormFactorError(f"a {what} has a non-finite entry")
 
 
 def _verify_orthogonality(ffs, rel_tol=1e-8):
@@ -286,7 +296,9 @@ def spectral_density(ff, beta, x):
 
 
 def rate_coefficient(ff, beta, eps):
-    """Jump rate c = pi * f^(beta)(eps) >= 0."""
+    """Jump rate c = pi * f^(beta)(eps) >= 0 at a finite frequency eps."""
+    if not math.isfinite(eps):
+        raise InvalidFormFactorError(f"frequency eps={eps} must be finite")
     return float(np.pi * spectral_density(ff, beta, eps))
 
 
@@ -628,11 +640,14 @@ def pv_coefficients(ff, beta, eps_values):
     absolute, S = max(1, peak of the density on [-X, X])).  A capped or
     non-finite rule B raises QuadratureNonConvergence.  The two rules must
     agree to 1e-7 relative or 1e-9 S absolute, or DisagreementBetweenRules is raised.
+    A non-finite eps, like a negative or non-finite beta, raises InvalidFormFactor.
 
     This function is the single home of the principal-part convention.
     """
     beta = _effective_beta(beta)
     eps = np.array(eps_values, dtype=float).reshape(-1)
+    if not np.isfinite(eps).all():
+        raise InvalidFormFactorError(f"frequencies must be finite, got {eps.tolist()}")
     x_max = np.array([_density_cutoff(ff, e) for e in eps])
     val_a = np.array([_pv_contour(ff, beta, e) for e in eps])
     # The density's scale sets rule B's absolute tolerance and the agreement
@@ -657,11 +672,6 @@ def pv_coefficients(ff, beta, eps_values):
             raise DisagreementBetweenRulesError(
                 f"PV rules disagree at eps={e}: {a!r} vs {b!r}")
     return val_a
-
-
-def pv_coefficient(ff, beta, eps):
-    """The one-value form of :func:`pv_coefficients`."""
-    return float(pv_coefficients(ff, beta, [eps])[0])
 
 
 def _scalar_resolvent(ff, beta, eps_p, eps_reg):

@@ -6,9 +6,9 @@ dense eigensolve of F, the dense resolvent sum, the dense Riesz projection
 and eigenprojection, the Hungarian monodromy match, RK45 for a state and
 for tau(t, s), Kato's pairs-of-projections transform, the one-integral
 adaptive Gauss-Legendre rule, the strip-analyticity ladder one line at a
-time, and literal definitions (Choi matrix, spectral projection of L_at,
-glued function g and its continuation off the real axis, a `LowRank` as
-one dense matrix).
+time, the one-value PV coefficient, and literal definitions (Choi matrix,
+spectral projection of L_at, glued function g and its continuation off the
+real axis, a `LowRank` as one dense matrix).
 Private library helpers are imported, not copied.
 """
 
@@ -29,6 +29,7 @@ from pumped_lindblad import (
     Superoperator,
     bohr_spectrum,
     build_howland,
+    pv_coefficients,
     validate_state,
     vec,
 )
@@ -310,6 +311,11 @@ def glued_g(ff, beta, x):
     fvals = np.where(x >= 0, fvals, np.conj(fvals))
     out = np.abs(x) * fermi * fvals
     return out if out.shape else complex(out)
+
+
+def pv_coefficient(ff, beta, eps):
+    """The one-value form of ``reservoir.pv_coefficients``."""
+    return float(pv_coefficients(ff, beta, [eps])[0])
 
 
 # --------------------------------------------------------------------------

@@ -373,3 +373,10 @@ def test_stationary_state_traceless_kernel():
     proj_complement = np.eye(4, dtype=complex) - np.outer(v, v.conj())
     with pytest.raises(NonPositiveKernelError):
         stationary_state(Superoperator(proj_complement))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_stationary_state_of_a_non_finite_generator(bad):
+    # the SVD of a non-finite matrix does not converge: a typed refusal, not LinAlgError
+    with pytest.raises(DegenerateKernelError, match="non-finite"):
+        stationary_state(Superoperator(np.full((4, 4), bad, dtype=complex)))

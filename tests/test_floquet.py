@@ -21,18 +21,19 @@ under test:
   (through the left side of the kernel) of F^H, gives both sides from one
   inverse per block pivot, and factors nothing wider than one block;
 * contour-integral Riesz projections agree with eigensolver projections,
-  and the compressed block P F P matches its first-order model
-  center P0 + P0 (F - F0) P0, F0 = diag(i omega k + B0) from the free
+  and the compressed block P F P at the resonance 0 matches its
+  first-order model P0 (F - F0) P0, F0 = diag(i omega k + B0) from the free
   block B0 = L_at on F's modes, with a residual falling like lambda^4
   (two orders beyond the O(lambda^2) perturbation);
 * the Kato block probed on Range(P0) (P = X K^{-1} Y with thin factors)
   equals the dense projections and norms, factors nothing wider than
   max(d^2, 2 rank P0), and rejects a contour rule its M/2 half disowns;
-  at a real centre it solves only the nodes above the real axis (their
-  conjugates follow from conj(F) = R F R) and equals the full M-node sums;
-  it runs on the rows B, H and B0 reach from Range(P0) (5 x 5 pivots on
-  three_level) and equals the full-block probe; a contour radius that is
-  not finite and > 0 is refused;
+  around the resonance 0 it solves only the nodes above the real axis
+  (their conjugates follow from conj(F) = R F R), equals the full M-node
+  sums and refuses an F without that symmetry; it runs on the rows B, H
+  and B0 reach from Range(P0) (5 x 5 pivots on three_level) and equals
+  the full-block probe; a contour radius that is not finite and > 0 is
+  refused;
 * eigenvalues of the one-period propagator are e^{T mu} for Howland
   eigenvalues mu, matched by the Hungarian assignment;
 * the monodromy lattice mu_j + i omega m (copy on block m - k_j) gives the
@@ -75,9 +76,9 @@ from reference import (NearSingularPairError, _inv_sqrt_series, dense_low_rank, 
 GAP_3LVL = 0.0023519477809868226
 
 
-def _kato(f_op, b0, center, **kwargs):
+def _kato(f_op, b0, **kwargs):
     # kato_block with the dense spectrum of F for its annulus guard
-    return kato_block(f_op, b0, center, eigenvalues=np.linalg.eigvals(f_op.matrix), **kwargs)
+    return kato_block(f_op, b0, eigenvalues=np.linalg.eigvals(f_op.matrix), **kwargs)
 
 
 def _free(f_op, b0):
@@ -155,7 +156,7 @@ def test_block_forms_equal_the_dense_matrix(request, case):
         # ||F||_inf as the largest block row sum
         assert abs(op.norm_inf - np.linalg.norm(op.matrix, np.inf)) <= 1e-13 * op.norm_inf
     # F X from the weight rule w z, and (F - F0) Q0 from B - B0 and H
-    kb = _kato(f_op, inst.l_at.matrix, 0.0)
+    kb = _kato(f_op, inst.l_at.matrix)
     x, k_inv, y = kb.projection.left, kb.projection.core, kb.projection.right
     q0 = kb.first_order.left
     assert close(kb.block.core, k_inv @ (y @ (m @ x)) @ k_inv)
@@ -572,7 +573,7 @@ def test_riesz_and_kato_need_a_howland_operator(three_level):
     with pytest.raises(DimensionMismatchError):
         riesz_projection(f_op.matrix, 0.0)
     with pytest.raises(DimensionMismatchError):
-        kato_block(f_op.matrix, three_level.l_at.matrix, 0.0, eigenvalues=[])
+        kato_block(f_op.matrix, three_level.l_at.matrix, eigenvalues=[])
     # the independent eigensolver route keeps taking plain arrays
     assert eigenprojection_direct(f_op.matrix, 0.0, 1e-3).shape == f_op.matrix.shape
 
@@ -586,7 +587,7 @@ def test_kato_block_residual_scaling(three_level):
     for lam in (0.1, 0.05):
         f_op = build_howland(three_level.make_bundle(lam, three_level.eta
                                                      * (lam / 0.1) ** 2), 8)
-        res[lam] = _kato(f_op, three_level.l_at.matrix, 0.0).residual
+        res[lam] = _kato(f_op, three_level.l_at.matrix).residual
     ratio = res[0.05] / res[0.1]
     # The perturbation enters at O(lambda^2) and the center-0 block has no
     # first-order defect (the unperturbed projection commutes with the
@@ -601,7 +602,7 @@ def test_kato_order_check_matches_independent_blocks(three_level):
     check = kato_order_check(three_level.bundle, n)
     independent = [
         _kato(build_howland(three_level.make_bundle(0.1 * s, 0.01 * s**2), n),
-              three_level.l_at.matrix, 0.0).residual
+              three_level.l_at.matrix).residual
         for s in (1.0, 0.5)
     ]
     assert check["residual_at_lambda"] == independent[0]
@@ -623,13 +624,10 @@ def test_kato_order_check_ratio_is_none_at_roundoff(two_level):
     assert check["ratio"] is None
 
 
-@pytest.mark.parametrize("at_omega", [False, True], ids=["center-0", "center-omega"])
-@pytest.mark.parametrize("scale", [1.0, 0.5], ids=["lambda", "half-lambda"])
-def test_thin_kato_block_equals_dense_route(three_level, at_omega, scale):
-    bundle = three_level.make_bundle(0.1 * scale, 0.01 * scale**2)
-    center = 1j * bundle.omega if at_omega else 0.0
-    f_op = build_howland(bundle, 8)
-    kb = _kato(f_op, three_level.l_at.matrix, center)
+@pytest.mark.parametrize("scale", [1.0, 0.5], ids=["lambda-center-0", "half-lambda-center-0"])
+def test_thin_kato_block_equals_dense_route(three_level, scale):
+    f_op = build_howland(three_level.make_bundle(0.1 * scale, 0.01 * scale**2), 8)
+    kb = _kato(f_op, three_level.l_at.matrix)
     assert kb.projection.left.shape == (f_op.matrix.shape[0], 5)
     _assert_thin_equals_dense(kb, f_op, three_level.l_at.matrix)
 
@@ -637,9 +635,9 @@ def test_thin_kato_block_equals_dense_route(three_level, at_omega, scale):
 def _assert_thin_equals_dense(kb, f_op, b0):
     # the dense route: both projections materialized by the structured sum
     f0 = _free(f_op, b0)
-    center, m, m0 = kb.center, f_op.matrix, f0.matrix
-    p = riesz_projection(f_op, center, radius=kb.radius).matrix
-    p0 = riesz_projection(f0, center, radius=kb.radius).matrix
+    m, m0 = f_op.matrix, f0.matrix
+    p = riesz_projection(f_op, 0.0, radius=kb.radius).matrix
+    p0 = riesz_projection(f0, 0.0, radius=kb.radius).matrix
 
     def close(thin, dense, rel):
         return np.linalg.norm(thin - dense, 2) <= rel * np.linalg.norm(dense, 2)
@@ -647,7 +645,7 @@ def _assert_thin_equals_dense(kb, f_op, b0):
     assert close(dense_low_rank(kb.projection), p, 1e-12)
     assert close(dense_low_rank(kb.block), p @ m @ p, 1e-12)
     assert close(dense_low_rank(kb.first_order), p0 @ (m - m0) @ p0, 1e-12)
-    residual = np.linalg.norm(p @ m @ p - center * p0 - p0 @ (m - m0) @ p0, 2)
+    residual = np.linalg.norm(p @ m @ p - p0 @ (m - m0) @ p0, 2)
     separation = np.linalg.norm((p - p0) @ (p - p0), 2)
     assert abs(kb.residual - residual) <= 1e-10 * residual
     assert abs(kb.separation - separation) <= 1e-10 * separation
@@ -681,7 +679,7 @@ def _change_of_basis(u, *blocks):
 @pytest.mark.parametrize("case", ["two_level", "three_level"])
 def test_mirrored_kato_probe_equals_the_full_node_sums(request, case, m_points, basis,
                                                         monkeypatch):
-    # at a real centre the lower-half nodes come from the upper half by the
+    # around 0 the lower-half nodes come from the upper half by the
     # symmetry conj(F) = R F R; the result must be that of all M nodes
     inst = request.getfixturevalue(case)
     f_op, b0 = build_howland(inst.bundle, 8), inst.l_at.matrix
@@ -695,7 +693,7 @@ def test_mirrored_kato_probe_equals_the_full_node_sums(request, case, m_points, 
         base, coupling, b0 = _change_of_basis(u, f_op.base, f_op.coupling, b0)
         f_op = replace(f_op, base=base, coupling=coupling)
     inverses = _record_inverses(monkeypatch)
-    kb = _kato(f_op, b0, 0.0, m_points=m_points)
+    kb = _kato(f_op, b0, m_points=m_points)
     # one batched pivot inverse per mode and node, on the M/2 upper nodes only
     assert sum(shape[0] for shape in inverses if len(shape) == 3) == 17 * m_points // 2
 
@@ -716,35 +714,37 @@ def test_mirrored_kato_probe_equals_the_full_node_sums(request, case, m_points, 
     assert abs(kb.quadrature_gap - gap) <= 1e-13
 
 
-def test_kato_block_without_the_symmetry_solves_every_node(three_level, monkeypatch):
-    # a complex perturbation of B breaks conj(B) = S B S (B0 is unchanged):
-    # the probe factors all M nodes and still matches the dense route
+def test_kato_block_refuses_an_f_without_the_symmetry(three_level, monkeypatch):
+    # a complex perturbation of B, H or B0 breaks conj(A) = S A S, on which
+    # the mirrored probe rests: refused before any pivot is factored
     f_op, b0 = build_howland(three_level.bundle, 8), three_level.l_at.matrix
     rng = np.random.default_rng(3)
     s = f_op.block_size
-    f_op = replace(f_op, base=f_op.base + 1e-4 * (rng.standard_normal((s, s))
-                                                  + 1j * rng.standard_normal((s, s))))
+    kick = 1e-4 * (rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)))
     inverses = _record_inverses(monkeypatch)
-    kb = _kato(f_op, b0, 0.0)
-    assert inverses.count((16, s, s)) == 4 * 17
-    _assert_thin_equals_dense(kb, f_op, b0)
+    for op, free in ((replace(f_op, base=f_op.base + kick), b0),
+                     (replace(f_op, coupling=f_op.coupling + kick), b0),
+                     (f_op, b0 + kick - kick.conj().T)):
+        with pytest.raises(GeneratorStructureError, match="Hermitian matrices to Hermitian"):
+            kato_block(op, free, eigenvalues=np.zeros(0))
+    assert inverses == []
 
 
 def test_kato_probe_needs_an_even_converged_rule(three_level):
     f_op, b0 = build_howland(three_level.bundle, 8), three_level.l_at.matrix
-    fine = _kato(f_op, b0, 0.0)
+    fine = _kato(f_op, b0)
     # M = 16: the dense projection misses its 1e-6 idempotency limit, while
     # the probe passes and states its error estimate, the M vs M/2 gap
     with pytest.raises(IdempotencyFailureError):
         riesz_projection(f_op, 0.0, radius=fine.radius, m_points=16)
-    coarse = _kato(f_op, b0, 0.0, m_points=16)
+    coarse = _kato(f_op, b0, m_points=16)
     assert 1e-10 <= coarse.quadrature_gap <= 1e-6
     assert abs(coarse.residual - fine.residual) <= 1e-10 * fine.residual
     with pytest.raises(IdempotencyFailureError):
-        _kato(f_op, b0, 0.0, m_points=8)
+        _kato(f_op, b0, m_points=8)
     for m_points in (63, 1, 0):
         with pytest.raises(DimensionMismatchError):
-            _kato(f_op, b0, 0.0, m_points=m_points)
+            _kato(f_op, b0, m_points=m_points)
     with pytest.raises(DimensionMismatchError):
         kato_order_check(three_level.bundle, 8, m_points=63)
 
@@ -753,22 +753,18 @@ def test_kato_needs_a_skew_hermitian_b0_and_equal_ranks(three_level):
     f_op, b0 = build_howland(three_level.bundle, 4), three_level.l_at.matrix
     for damped in (f_op.base, three_level.make_bundle(0.1, 0.0).static_matrix):
         with pytest.raises(GeneratorStructureError):
-            _kato(f_op, damped, 0.0)             # lambda^2 L_R: not skew-Hermitian
+            _kato(f_op, damped)                  # lambda^2 L_R: not skew-Hermitian
     # a spectrum of F with one eigenvalue fewer inside the contour than rank P0
     w = np.linalg.eigvals(f_op.matrix)
     w = np.delete(w, np.argmin(np.abs(w)))
     with pytest.raises(ProjectionPairTooFarError):
-        kato_block(f_op, b0, 0.0, eigenvalues=w)
-    # a contour around no eigenvalue: P = P0 = 0 and the block is empty
-    empty = _kato(f_op, b0, 0.3j, radius=0.1)
-    assert empty.projection.left.shape[1] == 0
-    assert empty.residual == empty.quadrature_gap == 0.0
+        kato_block(f_op, b0, eigenvalues=w)
 
 
 def test_kato_block_has_no_dense_fallback(three_level):
     # F's spectrum is an input: leaving it out is a TypeError, not an eigensolve of F
     with pytest.raises(TypeError):
-        kato_block(build_howland(three_level.bundle, 4), three_level.l_at.matrix, 0.0)
+        kato_block(build_howland(three_level.bundle, 4), three_level.l_at.matrix)
 
 
 def test_kato_block_needs_b0_of_one_block(three_level, two_level):
@@ -777,7 +773,7 @@ def test_kato_block_needs_b0_of_one_block(three_level, two_level):
     f_op = build_howland(three_level.bundle, 4)
     for b0 in (f_op, f_op.matrix, two_level.l_at.matrix, three_level.l_at.matrix[:, :-1]):
         with pytest.raises(DimensionMismatchError):
-            _kato(f_op, b0, 0.0)
+            _kato(f_op, b0)
 
 
 def test_kato_order_check_factors_only_small_matrices(three_level, monkeypatch):
@@ -824,12 +820,6 @@ def test_kato_order_check_factors_each_pivot_once(three_level, monkeypatch):
     assert sorted(set(calls["inv"])) == [(5, 5), (16, 5, 5)]
     assert calls["inv"].count((5, 5)) == 2
     assert calls["solve"] == []
-    # a centre off the real axis has no conjugate node pairs: all M nodes
-    calls["inv"].clear()
-    f_op = build_howland(three_level.bundle, 8)
-    _kato(f_op, three_level.l_at.matrix, 1j * f_op.omega)
-    assert calls["inv"].count((16, 5, 5)) == 4 * 17
-    assert all(shape[-1] < 9 for shape in calls["inv"])
 
 
 def _pattern_closure(f_op, b0, q0):
@@ -846,10 +836,10 @@ def _pattern_closure(f_op, b0, q0):
         rows = grown
 
 
-@pytest.mark.parametrize("case,center,sector", [
-    ("two_level", 0.0, 4), ("three_level", 0.0, 5), ("three_level", "omega", 5),
-    ("degenerate", 0.0, 8), ("rotated", 0.0, 9)])
-def test_sector_probe_equals_the_full_block_probe(request, case, center, sector, monkeypatch):
+@pytest.mark.parametrize("case,sector", [
+    ("two_level", 4), ("three_level", 5), ("degenerate", 8), ("rotated", 9)],
+    ids=["two_level-0.0-4", "three_level-0.0-5", "degenerate-0.0-8", "rotated-0.0-9"])
+def test_sector_probe_equals_the_full_block_probe(request, case, sector, monkeypatch):
     # the probe runs on the rows B, H and B0 reach from Range(P0); with every
     # row it is the full-block probe, and both must give the same block to
     # roundoff.  Every row is the sector on two_level (omega is its one Bohr
@@ -861,9 +851,8 @@ def test_sector_probe_equals_the_full_block_probe(request, case, center, sector,
         u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
         base, coupling, b0 = _change_of_basis(u, f_op.base, f_op.coupling, b0)
         f_op = replace(f_op, base=base, coupling=coupling)
-    center = 1j * f_op.omega if center == "omega" else center
     s, d = f_op.block_size, f_op.dim
-    q0 = floquet._free_basis(f_op, b0, center)[0]
+    q0 = floquet._free_basis(f_op, b0)[0]
     rows, swap = floquet._sector_rows(f_op, b0, q0)
     assert rows.size == sector
     # the pattern alone closes the sector, and the vec-transpose swap maps it
@@ -872,10 +861,10 @@ def test_sector_probe_equals_the_full_block_probe(request, case, center, sector,
     assert np.array_equal(rows[swap], np.arange(s).reshape(d, d).T.ravel()[rows])
     assert np.array_equal(np.sort(swap), np.arange(rows.size))
 
-    kb = _kato(f_op, b0, center)
+    kb = _kato(f_op, b0)
     full_swap = np.arange(s).reshape(d, d).T.ravel()
     monkeypatch.setattr(floquet, "_sector_rows", lambda *_: (np.arange(s), full_swap))
-    ref = _kato(f_op, b0, center)
+    ref = _kato(f_op, b0)
 
     def close(got, want):
         return np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -897,10 +886,8 @@ def test_sector_probe_equals_the_full_block_probe(request, case, center, sector,
 def test_contour_radius_must_be_finite_and_positive(three_level):
     # a negative, zero or NaN radius encloses nothing and used to pass with
     # an empty block; an infinite one encloses everything
-    f_op, b0 = build_howland(three_level.bundle, 4), three_level.l_at.matrix
+    f_op = build_howland(three_level.bundle, 4)
     for radius in (-0.1, 0.0, np.nan, np.inf):
-        with pytest.raises(ContourHitsSpectrumError):
-            _kato(f_op, b0, 0.0, radius=radius)
         with pytest.raises(ContourHitsSpectrumError):
             riesz_projection(f_op, 0.0, radius=radius)
 

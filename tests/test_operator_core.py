@@ -152,6 +152,17 @@ def test_decompose_atom_flags_tolerance_sensitive_clustering():
         decompose_atom(h, cluster_tol=1e-6)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_clustering_tolerance_must_be_finite_and_non_negative(tol):
+    # NaN and inf merged all nine Bohr pairs of three levels into one
+    # frequency; -1 listed 0.0 three times, keeping only one of its pairs
+    h = np.diag([0.0, 0.9, 2.1])
+    with pytest.raises(ClusterAmbiguityError, match="cluster_tol must be finite"):
+        decompose_atom(h, cluster_tol=tol)
+    with pytest.raises(ClusterAmbiguityError, match="merge_tol must be finite"):
+        bohr_spectrum(decompose_atom(h), merge_tol=tol)
+
+
 # --------------------------------------------------------------------------
 # Bohr frequencies and spectral projections
 # --------------------------------------------------------------------------
@@ -171,6 +182,8 @@ def test_bohr_spectrum_flags_near_degenerate_differences():
     atom = decompose_atom(np.diag([0.0, 1.0, 2.0 + 1.5e-9]))
     with pytest.raises(ClusterAmbiguityError):
         bohr_spectrum(atom, merge_tol=1e-9)
+    # a zero tolerance identifies only equal differences: the three (k, k)
+    assert bohr_spectrum(atom, merge_tol=0.0).pairs[0.0] == ((1, 1), (2, 2), (3, 3))
 
 
 def test_spectral_projections_diagonalize_atomic_lindbladian():
@@ -268,6 +281,17 @@ def test_validate_pump_accepts_raising_rejects_other():
     sigma_x[0, 1] = sigma_x[1, 0] = 1.0   # touches the middle level
     with pytest.raises(PumpSupportViolationError):
         validate_pump(atom, sigma_x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_pump_rejects_non_finite_entries(bad):
+    # NaN fails both support tests (and inf turns them into NaN), so each
+    # guard alone let the pump through
+    atom = decompose_atom(np.diag([0.0, 1.0, 2.5]))
+    h_p = np.zeros((3, 3), dtype=complex)
+    h_p[2, 0] = bad
+    with pytest.raises(PumpSupportViolationError, match="non-finite"):
+        validate_pump(atom, h_p)
 
 
 def test_validate_pump_with_degenerate_sectors():

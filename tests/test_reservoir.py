@@ -26,7 +26,6 @@ from pumped_lindblad import (
     QuadratureNonConvergenceError,
     ReservoirSpec,
     check_assumptions,
-    pv_coefficient,
     pv_coefficients,
     rate_coefficient,
     spectral_density,
@@ -40,7 +39,7 @@ from pumped_lindblad.reservoir import (
     _line_integrand,
 )
 from reference import (adaptive_gauss_legendre_one, glued_g, glued_g_continued,
-                       strip_ladder_per_line)
+                       pv_coefficient, strip_ladder_per_line)
 
 
 def _random_form_factor(rng, n_terms=2, complex_weights=False):
@@ -906,6 +905,28 @@ def test_non_finite_beta_is_refused(beta):
              lambda: strip_analyticity_ladder([ff], beta, [0.1]),
              lambda: ReservoirSpec(beta=beta, lam=0.1, form_factors=(ff,),
                                    couplings=(np.eye(2),))]
+    for call in calls:
+        with pytest.raises(InvalidFormFactorError, match="finite"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_model_input_is_refused(bad):
+    # NaN fails every "> 0" and "> tol" test and inf passes "> 0": weights,
+    # decays, lambda and matrix entries used to be kept, a frequency to read
+    # NaN (rate) or fail untyped in the node count (PV)
+    ff = FormFactor(((1.0, 1, 1.0),))
+    q = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    q_bad = q.copy()
+    q_bad[0, 1] = q_bad[1, 0] = bad
+    calls = [lambda: FormFactor(((bad, 1, 1.0),)),
+             lambda: FormFactor(((1.0, 1, bad),)),
+             lambda: ReservoirSpec(beta=1.0, lam=bad, form_factors=(ff,), couplings=(q,)),
+             lambda: ReservoirSpec(beta=1.0, lam=0.1, form_factors=(ff,), couplings=(q_bad,)),
+             lambda: ReservoirSpec(beta=1.0, lam=0.1, form_factors=(), couplings=(),
+                                   gks_jumps=(q_bad,)),
+             lambda: pv_coefficients(ff, 1.0, [0.5, bad]),
+             lambda: rate_coefficient(ff, 1.0, bad)]
     for call in calls:
         with pytest.raises(InvalidFormFactorError, match="finite"):
             call()
