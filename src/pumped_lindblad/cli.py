@@ -245,8 +245,7 @@ class RunSetup:
         # the generator's frequency keys: an ambiguous Bohr spectrum is a config error
         self.bohr = None if has_gks else bohr_spectrum(self.atom)
 
-        self.h_p = _require_dim(h_p, self.atom.dim, "pump.h_p")
-        self.pump = validate_pump(self.atom, self.h_p)
+        self.pump = validate_pump(self.atom, _require_dim(h_p, self.atom.dim, "pump.h_p"))
         self.eta = _require_finite(pump_cfg.get("eta", 0.0), "pump.eta")
         omega = pump_cfg.get("omega")
         natural = self.atom.pump_freq
@@ -331,8 +330,8 @@ def _write_json(path, payload):
 
 
 def _run_check(setup, out_dir):
-    report = check_assumptions(setup.atom, setup.res, setup.h_p, setup.eta,
-                               seed=setup.seed, data=setup.data, pump=setup.pump)
+    report = check_assumptions(setup.atom, setup.res, setup.pump, setup.eta, setup.data,
+                               seed=setup.seed)
     payload = report.to_dict()
     payload["warnings"] = setup.warnings
     _write_json(out_dir / "report.json", payload)

@@ -34,6 +34,7 @@ import numpy as np
 from .errors import (
     DegenerateKernelError,
     DimensionMismatchError,
+    GeneratorStructureError,
     NonPositiveKernelError,
     PositivityBreachError,
     StepSizeUnderflowError,
@@ -68,6 +69,10 @@ class GeneratorBundle:
         d = self.l_at.dim
         if self.l_p.dim != d or self.l_r.dim != d:
             raise DimensionMismatchError("generator parts act on different spaces")
+        if not all(np.isfinite(x).all() for x in (self.lam, self.eta, self.omega,
+                                                  self.l_at.matrix, self.l_p.matrix,
+                                                  self.l_r.matrix)):
+            raise GeneratorStructureError("generator has a non-finite coupling or entry")
 
     @property
     def period(self):
@@ -92,9 +97,8 @@ def averaged_generator(bundle):
 class Trajectory:
     """States on an increasing time grid with per-point health metrics.
 
-    `meta` holds the method ("stroboscopic"), the positivity tolerance
-    `atol` and the solver's work: `steps`, the CF4 steps of every doubling
-    level.
+    `meta` holds the method ("stroboscopic") and the solver's work:
+    `steps`, the CF4 steps of every doubling level.
     """
 
     times: np.ndarray
@@ -150,14 +154,17 @@ def evolve(bundle, rho0, t_end, output_grid=None, atol=1e-10):
     product; `meta["steps"]` counts the CF4 steps of every doubling level.
 
     A state whose minimum eigenvalue falls below -100*atol aborts with
-    PositivityBreach; a grid that does not converge raises
+    PositivityBreach, and an `atol` that is not finite and >= 0 with
+    DimensionMismatch; a grid that does not converge raises
     StepSizeUnderflow.  The trace is never renormalized.
     """
+    if not 0.0 <= atol < np.inf:            # NaN would switch the positivity guard off
+        raise DimensionMismatchError(f"atol={atol!r} must be finite and >= 0")
     rho0 = validate_state(rho0)
     times = _output_grid(t_end, output_grid)
     rows, steps = _stroboscopic(bundle, vec(rho0), times)
     return _trajectory(times, _unvec_rows(rows, rho0.shape[0]), atol,
-                       {"method": "stroboscopic", "atol": atol, "steps": steps})
+                       {"method": "stroboscopic", "steps": steps})
 
 
 def _trajectory(times, states, atol, meta):
@@ -219,8 +226,8 @@ _TAYLOR_MAX_NORM = 0.25   # largest ||exponent||_1 of the unscaled Taylor series
 class _StepGrid:
     """tau(t_k, 0) - 1 and h L_{t_k} tau(t_k, 0) at t_k = k h, h = T/N, k = 0..N.
 
-    Both are written in the orthonormal Hermitian basis `basis` (columns
-    vec(G_a)), where a Hermiticity-preserving generator is real.
+    Both are written, real, in the orthonormal Hermitian basis `basis`
+    (columns vec(G_a)).
     """
 
     step: float
@@ -237,7 +244,7 @@ class _StepGrid:
         sum to 1, so the identity enters as `x` itself and the trace row
         stays that of the grid.
         """
-        if np.iscomplexobj(x) and not np.iscomplexobj(self.dev):
+        if np.iscomplexobj(x):
             return self.apply(phases, x.real) + 1j * self.apply(phases, x.imag)
         pos = np.asarray(phases, dtype=float) / self.step
         k = np.clip(np.floor(pos).astype(int), 0, self.dev.shape[0] - 2)
@@ -266,9 +273,18 @@ def _hermitian_basis(d):
 
 
 def _in_basis(a, basis):
-    """basis^H a basis, real when `a` preserves Hermiticity (to roundoff)."""
+    """basis^H a basis, real for a generator part that maps Hermitian matrices
+    to Hermitian ones; an imaginary part above 1e-14 relative (to max(1,
+    largest entry)) raises GeneratorStructure.  The one Hermiticity test of
+    the CF4 grid and of floquet's Kato probe.
+    """
     r = basis.conj().T @ a @ basis
-    return r.real if np.abs(r.imag).max() <= 1e-14 * max(1.0, np.abs(r).max()) else r
+    imag = np.abs(r.imag).max()
+    if imag > 1e-14 * max(1.0, np.abs(r).max()):
+        raise GeneratorStructureError(
+            "generator part does not map Hermitian matrices to Hermitian ones: "
+            f"imaginary part {imag:.3e} in the Hermitian basis")
+    return r.real
 
 
 def _taylor_expm1(x, theta):
@@ -327,8 +343,9 @@ def _cf4_steps(static, pump, omega, h, n_steps):
 def _step_grid(bundle):
     """The one-period CF4 step grid, N doubled from 64 until converged.
 
-    Everything runs in the Hermitian basis (real arithmetic for a
-    Hermiticity-preserving generator) and is kept as a deviation from 1.
+    Everything runs in real arithmetic in the Hermitian basis, where a
+    generator that fails :func:`_in_basis` raises GeneratorStructure, and
+    is kept as a deviation from 1.
     N doubles (skipping grids too coarse for the Taylor series) until the
     monodromies of N/2 and N steps differ by at most 15 * 1e-12 *
     max(1, ||M||_1) in the 1-norm, i.e. until the Richardson estimate of

@@ -384,7 +384,8 @@ def _free_basis(f_op, b0):
     i B0 gives its whole spectrum eig(B0) + i omega k for the radius rule
     and an orthonormal eigenbasis; P0 = Q0 Q0^H.  A `b0` that is not
     d^2 x d^2 raises DimensionMismatch, one that is not skew-Hermitian, or
-    an F or B0 that fails :func:`_preserves_hermiticity`, GeneratorStructure.
+    a B, H or B0 that fails the Hermiticity test of `evolution._in_basis`,
+    GeneratorStructure.
     """
     s = f_op.block_size
     b0 = np.asarray(b0)
@@ -392,9 +393,9 @@ def _free_basis(f_op, b0):
         raise DimensionMismatchError(f"B0 has shape {b0.shape}, F has {s} x {s} blocks")
     if np.linalg.norm(b0 + b0.conj().T) > 1e-12 * max(1.0, np.linalg.norm(b0)):
         raise GeneratorStructureError("B0 must be skew-Hermitian, as L_at is")
-    if not _preserves_hermiticity(f_op.dim, f_op.base, f_op.coupling, b0):
-        raise GeneratorStructureError(
-            "F and B0 must map Hermitian matrices to Hermitian ones, as L_t does")
+    basis = _hermitian_basis(f_op.dim)
+    for block in (f_op.base, f_op.coupling, b0):
+        _in_basis(block, basis)
     mu, vecs = np.linalg.eigh(1j * b0)                    # B0 v = -i mu v
     shifts = 1j * f_op.omega * np.arange(-f_op.n_modes, f_op.n_modes + 1)
     eigs = shifts[:, None] - 1j * mu                      # (modes, s), row order of F0
@@ -404,14 +405,6 @@ def _free_basis(f_op, b0):
     for j, (k, c) in enumerate(zip(modes, cols)):
         q0[k * s:(k + 1) * s, j] = vecs[:, c]
     return q0, radius
-
-
-def _preserves_hermiticity(dim, *blocks):
-    """Whether every d^2 x d^2 block maps Hermitian matrices to Hermitian
-    ones, conj(A) = S A S for the vec-transpose swap S: the test by which
-    `evolution._in_basis` picks a real basis (1e-14 relative)."""
-    basis = _hermitian_basis(dim)
-    return all(np.isrealobj(_in_basis(a, basis)) for a in blocks)
 
 
 def _sector_rows(f_op, b0, q0):

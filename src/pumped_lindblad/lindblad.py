@@ -50,8 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeneratorStructureError, NonHermitianError, QuadratureNonConvergenceError
-from .operator_core import (Superoperator, _clusters, _kron, bohr_spectrum,
-                            hamiltonian_lindbladian, validate_pump)
+from .operator_core import Superoperator, _clusters, _kron, bohr_spectrum, hamiltonian_lindbladian
 from .reservoir import (
     _effective_beta,
     _scalar_resolvent,
@@ -139,7 +138,6 @@ class LindbladData:
     lamb: np.ndarray      # H_Lamb
     l_d: Superoperator
     l_r: Superoperator
-    from_gks: bool = False
     pv: dict = field(default_factory=dict)   # (channel, eps) -> d, form-factor route
 
     def __post_init__(self):
@@ -181,8 +179,7 @@ def reservoir_lindbladian(atom, res):
             jumps.append((v, c, label))
     l_d = Superoperator(m)
     if gks:
-        return LindbladData(jumps=tuple(jumps), lamb=lamb, l_d=l_d,
-                            l_r=l_d, from_gks=True)
+        return LindbladData(jumps=tuple(jumps), lamb=lamb, l_d=l_d, l_r=l_d)
     lamb = 0.5 * (lamb + lamb.conj().T)
     comm_norm = np.linalg.norm(lamb @ atom.h_at - atom.h_at @ lamb, "fro")
     if comm_norm > 1e-10 * max(1.0, np.linalg.norm(lamb, "fro")):
@@ -353,12 +350,14 @@ class AssumptionReport:
         raise KeyError(name)
 
 
-def check_assumptions(atom, res, h_p, eta, seed=0, data=None, pump=None):
+def check_assumptions(atom, res, pump, eta, data, seed=0):
     """Verify the standing assumptions; report-only (never raises on fail).
 
-    `data` (``reservoir_lindbladian(atom, res)``) and `pump`
-    (``validate_pump(atom, h_p)``) are built here unless the caller passes
-    the ones it already has.
+    `pump` is ``validate_pump(atom, h_p)`` and `data` is
+    ``reservoir_lindbladian(atom, res)``; `seed` draws the commutant element
+    of the block-structure cross-check.  The analyticity ladder samples 5
+    lines per half-width against the bound 1e12
+    (``reservoir.strip_analyticity_ladder``).
 
     Records, in order:
       reservoir-analyticity : strip integrability of the glued functions,
@@ -385,7 +384,7 @@ def check_assumptions(atom, res, h_p, eta, seed=0, data=None, pump=None):
         beta = _effective_beta(res.beta)
         ladder = [r for r in (0.05, 0.1, 0.2, 0.4, 0.5) if r < 0.98 * np.pi / beta]
         best_r, best_val = 0.0, 0.0
-        rungs = strip_analyticity_ladder(res.form_factors, res.beta, ladder, n_lines=5)
+        rungs = strip_analyticity_ladder(res.form_factors, res.beta, ladder)
         for r, reports in zip(ladder, rungs):
             if all(rep.verdict == "finite" for rep in reports):
                 best_r = r
@@ -413,10 +412,6 @@ def check_assumptions(atom, res, h_p, eta, seed=0, data=None, pump=None):
     })
 
     # --- spectral gap of the averaged generator ----------------------------
-    if data is None:
-        data = reservoir_lindbladian(atom, res)
-    if pump is None:
-        pump = validate_pump(atom, h_p)
     if lam == 0:
         records.append({
             "name": "spectral-gap", "verdict": "attested",

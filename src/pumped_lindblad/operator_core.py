@@ -131,20 +131,10 @@ class Superoperator:
     def __add__(self, other):
         return Superoperator(self.matrix + other.matrix)
 
-    def __sub__(self, other):
-        return Superoperator(self.matrix - other.matrix)
-
     def __mul__(self, scalar):
         return Superoperator(self.matrix * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return Superoperator(-self.matrix)
-
-    def __matmul__(self, other):
-        """Composition (self after other)."""
-        return Superoperator(self.matrix @ other.matrix)
 
     @staticmethod
     def identity(d):
@@ -201,7 +191,6 @@ class AtomSpec:
     energies: tuple          # (E_1, ..., E_N), strictly increasing
     multiplicities: tuple    # (n_1, ..., n_N), sum = dim
     projections: tuple       # (P_1, ..., P_N), orthogonal projections
-    cluster_tol: float
 
     @property
     def n_levels(self):
@@ -223,13 +212,6 @@ def _clusters(values, tol):
     return [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def _require_tolerance(name, tol):
-    """Refuse a clustering tolerance that is not finite and >= 0 (NaN or inf
-    would merge every value, a negative one would split equal ones)."""
-    if not 0.0 <= tol < np.inf:
-        raise ClusterAmbiguityError(f"{name} must be finite and >= 0, got {tol!r}")
-
-
 def _stable_clusters(values, tol, ambiguity):
     """:func:`_clusters`, refused with ClusterAmbiguityError(ambiguity) if
     halving or doubling `tol` regroups the values."""
@@ -239,19 +221,21 @@ def _stable_clusters(values, tol, ambiguity):
     return groups
 
 
-def decompose_atom(h_at, cluster_tol=None):
+def decompose_atom(h_at):
     """Diagonalize ``h_at`` and cluster its eigenvalues into levels.
 
     Eigenvalues are grouped agglomeratively: consecutive (sorted)
-    eigenvalues closer than ``cluster_tol`` belong to the same level.  The
-    default tolerance is 1e-8 * ||h_at||.  If halving or doubling the
-    tolerance changes the grouping, the clustering is deemed ambiguous and
-    ClusterAmbiguityError is raised rather than guessing, as it is for a
-    tolerance that is not finite and >= 0.
+    eigenvalues closer than 1e-8 * max|E| belong to the same level.  If
+    halving or doubling that tolerance changes the grouping, the clustering
+    is deemed ambiguous and ClusterAmbiguityError is raised rather than
+    guessing.  A non-finite entry raises NonHermitianError before anything
+    is diagonalized.
     """
     h = np.asarray(h_at, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatchError(f"Hamiltonian has shape {h.shape}")
+    if not np.all(np.isfinite(h)):          # NaN passes the Hermiticity test below
+        raise NonHermitianError("Hamiltonian has a non-finite entry")
     d = h.shape[0]
     scale = max(1.0, np.linalg.norm(h, "fro"))
     herm = np.linalg.norm(h - h.conj().T, "fro")
@@ -262,17 +246,15 @@ def decompose_atom(h_at, cluster_tol=None):
     w, u = np.linalg.eigh(h)
     spread = w[-1] - w[0]
     norm = max(abs(w[0]), abs(w[-1]))
-    if cluster_tol is None:
-        cluster_tol = 1e-8 * max(norm, 1e-300)
-    _require_tolerance("cluster_tol", cluster_tol)
-    if spread <= cluster_tol:
+    tol = 1e-8 * max(norm, 1e-300)
+    if spread <= tol:
         raise ScalarHamiltonianError(
             "all eigenvalues within one cluster: H_at is a scalar plus noise"
         )
 
     levels = _stable_clusters(
-        w, cluster_tol,
-        f"eigenvalue grouping changes under perturbation of cluster_tol={cluster_tol:.3e}")
+        w, tol,
+        f"eigenvalue grouping changes when its tolerance {tol:.3e} is halved or doubled")
     energies = [float(np.mean(w[lv])) for lv in levels]
     projs = [u[:, lv] @ u[:, lv].conj().T for lv in levels]
     if len(energies) < 2:
@@ -280,7 +262,7 @@ def decompose_atom(h_at, cluster_tol=None):
 
     recon = sum(e * p for e, p in zip(energies, projs))
     err = np.linalg.norm(h - recon, "fro")
-    if err > cluster_tol * max(1.0, np.sqrt(d)):
+    if err > tol * max(1.0, np.sqrt(d)):
         raise ClusterAmbiguityError(
             f"reconstruction error {err:.3e} exceeds cluster tolerance (chained cluster?)"
         )
@@ -291,7 +273,6 @@ def decompose_atom(h_at, cluster_tol=None):
         energies=tuple(energies),
         multiplicities=tuple(lv.stop - lv.start for lv in levels),
         projections=tuple(projs),
-        cluster_tol=float(cluster_tol),
     )
 
 
@@ -312,20 +293,17 @@ class BohrIndex:
     pairs: dict = field(compare=False)   # eps -> tuple of (j, k)
 
 
-def bohr_spectrum(atom, merge_tol=None):
+def bohr_spectrum(atom):
     """All level differences E_j - E_k of `atom`, indexed by pair sets.
 
-    Differences closer than ``merge_tol`` (default 1e-9 * max|E|) are
-    identified; near-coincidences that flip under halving/doubling the
-    tolerance raise ClusterAmbiguityError, since the pair sets t_eps change
-    discontinuously when two differences merge, and so does a tolerance
-    that is not finite and >= 0.
+    Differences closer than 1e-9 * max|E| are identified; near-coincidences
+    that flip under halving/doubling that tolerance raise
+    ClusterAmbiguityError, since the pair sets t_eps change discontinuously
+    when two differences merge.
     """
     energies = atom.energies
     n = len(energies)
-    if merge_tol is None:
-        merge_tol = 1e-9 * max(max(abs(e) for e in energies), 1e-300)
-    _require_tolerance("merge_tol", merge_tol)
+    merge_tol = 1e-9 * max(max(abs(e) for e in energies), 1e-300)
 
     diffs = []
     for j in range(n):

@@ -104,6 +104,8 @@ _GL_REL_TOL = 1e-12
 _GL_MAX_LEVELS = 20
 _GL_MAX_OPEN = 4096
 _SIMPSON_REL_TOL = 1e-6  # the y=0 Simpson cross-check must agree to this
+_STRIP_LINES = 5         # sampled lines per strip half-width: y = 0, +-r/2, +-r
+_STRIP_BOUND = 1e12      # a line integral above this reads "exceeds-bound"
 
 
 def _logistic(x):
@@ -310,11 +312,9 @@ def rate_coefficient(ff, beta, eps):
 class AnalyticityReport:
     verdict: str              # "finite" | "exceeds-bound"
     r_max: float
-    n_lines: int
     max_line_value: float
     lines: tuple              # of (y, integral value)
     crosscheck_rel_err: float  # Simpson vs adaptive at y = 0
-    bound_ceiling: float
     notes: str = ""
 
 
@@ -371,12 +371,12 @@ def _line_cutoff(ff, beta, y):
     return 1.5 * (shift + np.sqrt(shift**2 + 37.0 / c)) + abs(y)
 
 
-def strip_analyticity_ladder(form_factors, beta, radii, n_lines=9, bound_ceiling=1e12):
+def strip_analyticity_ladder(form_factors, beta, radii):
     """Sample sup_{|y|<r} int (|g(x+iy)| + |e^{-beta(x+iy)/2} g#(x+iy)|)^2 dx
     for every form factor at each half-width r in `radii`.
 
-    A rung's lines are y = 0, the n_lines // 2 negative values of
-    linspace(-r, r, n_lines) (times 1 - 1e-12) and their exact negations.
+    A rung's _STRIP_LINES = 5 lines are y = 0, the two negative values of
+    linspace(-r, r, 5) (times 1 - 1e-12) and their exact negations.
     For real weights the integrand is even in y (g(conj z) = conj g(z)),
     so the line at +y takes the value of the line at -y and only one line
     per |y| is integrated; complex weights integrate every line.  Each
@@ -391,14 +391,14 @@ def strip_analyticity_ladder(form_factors, beta, radii, n_lines=9, bound_ceiling
 
     The ladder is then walked rung by rung, each rung form factor by form
     factor, each line in ascending y.  On first reaching a finite line
-    within `bound_ceiling`, its summed error estimate must be at most
+    within _STRIP_BOUND = 1e12, its summed error estimate must be at most
     max(1e-6 |value|, 1e-10), and it must not have hit the refinement cap,
     or QuadratureNonConvergence is raised; a line that overflows reads inf.
     After a form factor's lines of the first rung, its y=0 line is
     recomputed on a fixed Simpson grid as an independent cross-check: on a
-    finite line within `bound_ceiling` the two must agree to 1e-6 relative,
-    or DisagreementBetweenRules is raised.  A value above `bound_ceiling`
-    (or non-finite) gives the verdict "exceeds-bound", not an exception.
+    finite line within the bound the two must agree to 1e-6 relative, or
+    DisagreementBetweenRules is raised.  A value above the bound (or
+    non-finite) gives the verdict "exceeds-bound", not an exception.
 
     Returns one tuple of reports (one per form factor) per rung, in order,
     and stops after the first rung at which some report is not "finite".
@@ -412,7 +412,7 @@ def strip_analyticity_ladder(form_factors, beta, radii, n_lines=9, bound_ceiling
     for r_max in radii:
         if not r_max > 0:
             raise InvalidFormFactorError(f"strip half-width r_max={r_max} must be > 0")
-        below = np.linspace(-r_max, r_max, n_lines)[:n_lines // 2] * (1.0 - 1e-12)
+        below = np.linspace(-r_max, r_max, _STRIP_LINES)[:_STRIP_LINES // 2] * (1.0 - 1e-12)
         rung_ys.append([float(y) for y in np.concatenate([below, [0.0], -below[::-1]])])
     walk = list(dict.fromkeys(y for ys in rung_ys for y in ys))
     line_stacks = []            # per form factor: y -> (value, summed gap, capped)
@@ -428,7 +428,7 @@ def strip_analyticity_ladder(form_factors, beta, radii, n_lines=9, bound_ceiling
     def verified(y, val, err, capped):
         if capped:
             err = np.inf
-        if np.isfinite(val) and val <= bound_ceiling and not err <= max(1e-6 * abs(val), 1e-10):
+        if np.isfinite(val) and val <= _STRIP_BOUND and not err <= max(1e-6 * abs(val), 1e-10):
             raise QuadratureNonConvergenceError(
                 f"line y={y:.4g}: Gauss-Legendre error estimate {err:.3e} for value {val:.6e}"
                 + (" (refinement cap reached)" if capped else ""))
@@ -445,18 +445,15 @@ def strip_analyticity_ladder(form_factors, beta, radii, n_lines=9, bound_ceiling
         for i, lines in enumerate(line_stacks):
             values = [verified(y, *lines[y]) for y in ys]
             if rel_errs[i] is None:
-                rel_errs[i] = _simpson_rel_err(form_factors[i], beta, lines[0.0][0],
-                                               bound_ceiling)
+                rel_errs[i] = _simpson_rel_err(form_factors[i], beta, lines[0.0][0])
             vals = np.array(values)
-            exceeded = bool(np.any(~np.isfinite(vals) | (vals > bound_ceiling)))
+            exceeded = bool(np.any(~np.isfinite(vals) | (vals > _STRIP_BOUND)))
             reports.append(AnalyticityReport(
                 verdict="exceeds-bound" if exceeded else "finite",
                 r_max=float(r_max),
-                n_lines=len(ys),
                 max_line_value=float(np.max(vals)),
                 lines=tuple(zip(ys, values)),
                 crosscheck_rel_err=rel_errs[i],
-                bound_ceiling=float(bound_ceiling),
                 notes=notes,
             ))
         rungs.append(tuple(reports))
@@ -465,10 +462,10 @@ def strip_analyticity_ladder(form_factors, beta, radii, n_lines=9, bound_ceiling
     return rungs
 
 
-def _simpson_rel_err(ff, beta, ref, bound_ceiling):
+def _simpson_rel_err(ff, beta, ref):
     """Independent fixed-grid Simpson value of the y=0 line, relative to `ref`.
 
-    On a finite line within `bound_ceiling` the two rules must agree to
+    On a finite line within _STRIP_BOUND the two rules must agree to
     _SIMPSON_REL_TOL, or DisagreementBetweenRules is raised; a non-finite
     `ref` has no relative error (nan).
     """
@@ -481,7 +478,7 @@ def _simpson_rel_err(ff, beta, ref, bound_ceiling):
     simpson_val = (2.0 * x_max / 4096) / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum()
                                                  + 2.0 * y[2:-1:2].sum())
     rel_err = float(abs(simpson_val - ref) / max(abs(ref), 1e-300))
-    if ref <= bound_ceiling and not rel_err <= _SIMPSON_REL_TOL:
+    if ref <= _STRIP_BOUND and not rel_err <= _SIMPSON_REL_TOL:
         raise DisagreementBetweenRulesError(
             f"y=0 line: Simpson {simpson_val!r} vs Gauss-Legendre {ref!r} "
             f"(relative gap {rel_err:.3e})"

@@ -25,6 +25,7 @@ from pumped_lindblad import (
     DegenerateKernelError,
     DimensionMismatchError,
     GeneratorBundle,
+    GeneratorStructureError,
     InvalidDensityMatrixError,
     NonPositiveKernelError,
     PositivityBreachError,
@@ -32,6 +33,7 @@ from pumped_lindblad import (
     Superoperator,
     averaged_generator,
     evolve,
+    floquet_lattice,
     hamiltonian_lindbladian,
     populations,
     stationary_state,
@@ -111,16 +113,18 @@ def test_cf4_matches_adaptive_reference(three_level):
     assert np.max(np.abs(_grid_monodromy(evolution._step_grid(bundle)) - mono)) <= 1e-11
 
 
-def test_step_grid_keeps_a_generator_that_breaks_hermiticity(three_level):
+def test_step_grid_refuses_a_generator_that_breaks_hermiticity(three_level):
     # -i[h_p, .] with the non-Hermitian h_p is not real in the Hermitian
-    # basis, so the grid must run it in complex arithmetic
+    # basis: no Lindbladian of the model is, so the grid refuses it, and so
+    # do evolve and the Floquet lattice that run on the grid
     bundle = GeneratorBundle(l_at=three_level.l_at, l_p=hamiltonian_lindbladian(three_level.h_p),
                              l_r=three_level.data.l_r, lam=0.1, eta=0.04,
                              omega=three_level.atom.pump_freq)
-    grid = evolution._step_grid(bundle)
-    assert np.iscomplexobj(grid.dev)
-    mono = propagator(bundle, 0.0, bundle.period, rtol=1e-13, atol=1e-15).matrix
-    assert np.max(np.abs(_grid_monodromy(grid) - mono)) <= 1e-11
+    for run in (lambda: evolution._step_grid(bundle),
+                lambda: evolve(bundle, _ground(3), 1.0),
+                lambda: floquet_lattice(bundle, 4)):
+        with pytest.raises(GeneratorStructureError, match="Hermitian matrices to Hermitian"):
+            run()
 
 
 def test_cf4_is_fourth_order(two_level):
@@ -165,6 +169,17 @@ def test_step_grid_gives_up_past_its_cap(two_level):
 def test_evolve_input_validation(two_level):
     with pytest.raises(DimensionMismatchError):
         evolve(two_level.bundle, _ground(2), -1.0)
+
+
+@pytest.mark.parametrize("atol", [np.nan, np.inf, -1.0])
+def test_evolve_refuses_an_atol_that_is_not_finite_and_non_negative(two_level, atol):
+    # a NaN atol switched the positivity guard off: the time-reversed flow
+    # below reached a minimum eigenvalue of -0.993 and returned a trajectory
+    bad = GeneratorBundle(l_at=two_level.l_at, l_p=two_level.pump.lindbladian,
+                          l_r=-1.0 * two_level.data.l_r, lam=1.0, eta=0.0,
+                          omega=two_level.atom.pump_freq)
+    with pytest.raises(DimensionMismatchError, match="atol"):
+        evolve(bad, _ground(2), 5.0, atol=atol)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -282,6 +297,25 @@ def test_bundle_validation(two_level):
                         l_r=two_level.data.l_r, lam=0.1, eta=0.0, omega=1.0)
 
 
+@pytest.mark.parametrize("part, bad", [
+    ("lam", np.nan), ("eta", np.inf), ("omega", np.inf),
+    ("l_at", np.inf), ("l_p", np.nan), ("l_r", np.nan),
+])
+def test_bundle_refuses_non_finite_input(two_level, part, bad):
+    # a NaN in L_R or lambda doubled the CF4 grid to its cap and then read
+    # as StepSizeUnderflow; omega or eta = inf ran on with a RuntimeWarning
+    fields = dict(l_at=two_level.l_at, l_p=two_level.pump.lindbladian, l_r=two_level.data.l_r,
+                  lam=0.1, eta=0.01, omega=two_level.atom.pump_freq)
+    if part.startswith("l_"):
+        m = fields[part].matrix.copy()
+        m[0, 0] = bad
+        fields[part] = Superoperator(m)
+    else:
+        fields[part] = bad
+    with pytest.raises(GeneratorStructureError, match="non-finite"):
+        GeneratorBundle(**fields)
+
+
 # --------------------------------------------------------------------------
 # propagator, cocycle, monodromy interval
 # --------------------------------------------------------------------------
@@ -292,7 +326,7 @@ def test_propagator_cocycle_and_cp(three_level):
     tau_02 = propagator(bundle, 0.0, t2)
     tau_12 = propagator(bundle, t1, t2)
     tau_01 = propagator(bundle, 0.0, t1)
-    gap = np.linalg.norm((tau_12 @ tau_01).matrix - tau_02.matrix, 2)
+    gap = np.linalg.norm(tau_12.matrix @ tau_01.matrix - tau_02.matrix, 2)
     assert gap <= 1e-8
     # complete positivity and trace preservation of the flow
     c = choi_matrix(tau_02)

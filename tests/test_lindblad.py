@@ -314,22 +314,20 @@ def test_gauge_covariance_on_a_degenerate_level(degenerate, seed):
     inst = degenerate
     res = ReservoirSpec(beta=inst.beta, lam=inst.lam, form_factors=inst.res.form_factors,
                         couplings=tuple(u @ q @ u.conj().T for q in inst.res.couplings))
-    h_p = u @ inst.h_p @ u.conj().T
+    pump = validate_pump(inst.atom, u @ inst.h_p @ u.conj().T)
     data = reservoir_lindbladian(inst.atom, res)
 
     base = _oracle_errors(inst.atom, inst.res, inst.data.l_r)
     moved = _oracle_errors(inst.atom, res, data.l_r)
     assert np.max(np.abs(moved - base) / base) <= 1e-12
 
-    base_report = check_assumptions(inst.atom, inst.res, inst.h_p, inst.eta,
-                                    data=inst.data, pump=inst.pump)
+    base_report = check_assumptions(inst.atom, inst.res, inst.pump, inst.eta, inst.data)
     assert base_report.clean_pass
-    assert _verdicts(check_assumptions(inst.atom, res, h_p, inst.eta, data=data)) \
+    assert _verdicts(check_assumptions(inst.atom, res, pump, inst.eta, data)) \
         == _verdicts(base_report)
 
     eig, gap, pops, kato = _spectrum_side(inst, inst.data.l_r, inst.pump)
-    eig_u, gap_u, pops_u, kato_u = _spectrum_side(inst, data.l_r,
-                                                  validate_pump(inst.atom, h_p))
+    eig_u, gap_u, pops_u, kato_u = _spectrum_side(inst, data.l_r, pump)
     assert np.max(np.abs(eig_u - eig)) <= 1e-12
     assert abs(gap_u - gap) <= 1e-10 * gap
     assert np.max(np.abs(pops_u - pops)) <= 1e-13
@@ -391,7 +389,7 @@ def test_gks_route_builds_pure_dissipator(two_level):
     res = ReservoirSpec(beta=1.0, lam=0.1, form_factors=(), couplings=(),
                         gks_jumps=(lowering,))
     data = reservoir_lindbladian(two_level.atom, res)
-    assert data.from_gks
+    assert data.l_r is data.l_d and data.pv == {}
     assert np.linalg.norm(data.lamb) == 0.0
     # spontaneous decay: |2><2| decays at rate 1, trace preserved
     rho = np.diag([0.0, 1.0]).astype(complex)
@@ -440,8 +438,8 @@ def test_bundled_instance_jumps_are_irreducible(three_level):
 # --------------------------------------------------------------------------
 
 def test_assumptions_pass_on_bundled_instance(three_level):
-    rep = check_assumptions(three_level.atom, three_level.res,
-                            three_level.h_p, three_level.eta)
+    rep = check_assumptions(three_level.atom, three_level.res, three_level.pump,
+                            three_level.eta, three_level.data)
     names = [r["name"] for r in rep.records]
     assert names == ["reservoir-analyticity", "moderate-pump", "spectral-gap",
                      "jump-irreducibility", "no-first-order-coupling"]
@@ -456,12 +454,11 @@ def test_assumptions_pass_on_bundled_instance(three_level):
 @pytest.mark.parametrize("name", ["two_level", "three_level"])
 def test_analyticity_ladder_matches_rung_by_rung_checks(name, request):
     inst = request.getfixturevalue(name)
-    report = check_assumptions(inst.atom, inst.res, inst.h_p, inst.eta,
-                               data=inst.data, pump=inst.pump)
+    report = check_assumptions(inst.atom, inst.res, inst.pump, inst.eta, inst.data)
     evidence = report["reservoir-analyticity"]["evidence"]
     best_r, best_val = 0.0, 0.0
     for r in evidence["ladder"]:
-        reports = [strip_analyticity_ladder((ff,), inst.res.beta, (r,), n_lines=5)[0][0]
+        reports = [strip_analyticity_ladder((ff,), inst.res.beta, (r,))[0][0]
                    for ff in inst.res.form_factors]
         if not all(rep.verdict == "finite" for rep in reports):
             break
@@ -474,7 +471,8 @@ def test_analyticity_ladder_matches_rung_by_rung_checks(name, request):
 def test_assumptions_flag_reducible_gks_set(two_level):
     res = ReservoirSpec(beta=1.0, lam=0.1, form_factors=(), couplings=(),
                         gks_jumps=(SIGMA_X,))
-    rep = check_assumptions(two_level.atom, res, two_level.h_p, 0.0)
+    rep = check_assumptions(two_level.atom, res, two_level.pump, 0.0,
+                            reservoir_lindbladian(two_level.atom, res))
     assert rep["jump-irreducibility"]["verdict"] == "fail"
     assert not rep.hard_pass
     # raw GKS input: analyticity and parity can only be attested
@@ -483,8 +481,8 @@ def test_assumptions_flag_reducible_gks_set(two_level):
 
 
 def test_assumptions_flag_immoderate_pump(two_level):
-    rep = check_assumptions(two_level.atom, two_level.res, two_level.h_p,
-                            eta=10 * two_level.lam**2)
+    rep = check_assumptions(two_level.atom, two_level.res, two_level.pump,
+                            10 * two_level.lam**2, two_level.data)
     assert rep["moderate-pump"]["verdict"] == "fail"
     assert not rep.hard_pass
 
@@ -493,10 +491,11 @@ def test_assumptions_lambda_zero_semantics(two_level):
     res0 = ReservoirSpec(beta=1.0, lam=0.0,
                          form_factors=two_level.res.form_factors,
                          couplings=two_level.res.couplings)
-    rep = check_assumptions(two_level.atom, res0, two_level.h_p, eta=0.0)
+    data0 = reservoir_lindbladian(two_level.atom, res0)
+    rep = check_assumptions(two_level.atom, res0, two_level.pump, 0.0, data0)
     assert rep["spectral-gap"]["verdict"] == "attested"
     assert rep["moderate-pump"]["evidence"]["ratio"] == 0.0
     assert rep.hard_pass
     # eta != 0 with lambda = 0 is never moderate
-    rep2 = check_assumptions(two_level.atom, res0, two_level.h_p, eta=0.1)
+    rep2 = check_assumptions(two_level.atom, res0, two_level.pump, 0.1, data0)
     assert rep2["moderate-pump"]["verdict"] == "fail"

@@ -85,11 +85,10 @@ def test_superoperator_algebra_is_matrix_algebra():
     s1 = Superoperator(_random_matrix(rng, 4))
     s2 = Superoperator(_random_matrix(rng, 4))
     x = _random_matrix(rng, 2)
-    composed = s1 @ s2
-    assert np.linalg.norm(composed(x) - s1(s2(x))) <= 1e-12
-    ident = Superoperator.identity(2)
-    assert np.array_equal((ident @ s1).matrix, s1.matrix)
-    assert np.linalg.norm((s1 + (-s1)).matrix) == 0.0
+    assert np.linalg.norm(s1(s2(x)) - unvec(s1.matrix @ s2.matrix @ vec(x))) <= 1e-12
+    assert np.array_equal(Superoperator.identity(2)(x), x)
+    assert np.linalg.norm((s1 + (-1.0) * s1).matrix) == 0.0
+    assert np.array_equal((s1 + s2).matrix, s1.matrix + s2.matrix)
 
 
 def test_multiplication_superops_act_correctly():
@@ -145,22 +144,22 @@ def test_decompose_atom_rejects_scalar():
 
 
 def test_decompose_atom_flags_tolerance_sensitive_clustering():
-    # A gap of 1.5 * tol merges when the tolerance is doubled but not at tol:
-    # the grouping depends on the tolerance, which must be reported, not guessed.
-    h = np.diag([0.0, 1.5e-6, 1.0])
+    # The tolerance is 1e-8 max|E| = 1e-8 here.  A gap of 1.5e-8 merges when
+    # the tolerance is doubled but not at tol: the grouping depends on the
+    # tolerance, which must be reported, not guessed.
+    h = np.diag([0.0, 1.5e-8, 1.0])
     with pytest.raises(ClusterAmbiguityError):
-        decompose_atom(h, cluster_tol=1e-6)
+        decompose_atom(h)
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
-def test_clustering_tolerance_must_be_finite_and_non_negative(tol):
-    # NaN and inf merged all nine Bohr pairs of three levels into one
-    # frequency; -1 listed 0.0 three times, keeping only one of its pairs
-    h = np.diag([0.0, 0.9, 2.1])
-    with pytest.raises(ClusterAmbiguityError, match="cluster_tol must be finite"):
-        decompose_atom(h, cluster_tol=tol)
-    with pytest.raises(ClusterAmbiguityError, match="merge_tol must be finite"):
-        bohr_spectrum(decompose_atom(h), merge_tol=tol)
+@pytest.mark.parametrize("h", [[[0.0, 1.0], [1.0, np.nan]], np.diag([0.0, np.nan]),
+                               np.diag([0.0, np.inf])], ids=["nan-coupled", "nan", "inf"])
+def test_decompose_atom_refuses_a_non_finite_hamiltonian(h):
+    # NaN passes the Hermiticity test: [[0, 1], [1, nan]] read as levels
+    # +-sqrt 2, diag(0, nan) as a scalar Hamiltonian, and diag(0, inf) warned
+    # twice before the clustering refused it
+    with pytest.raises(NonHermitianError, match="non-finite"):
+        decompose_atom(np.array(h))
 
 
 # --------------------------------------------------------------------------
@@ -178,12 +177,11 @@ def test_bohr_spectrum_three_level():
 
 
 def test_bohr_spectrum_flags_near_degenerate_differences():
-    # E_2 - E_1 = 1.0 and E_3 - E_2 = 1.0 + 1.5e-9 collide at doubled tolerance.
-    atom = decompose_atom(np.diag([0.0, 1.0, 2.0 + 1.5e-9]))
+    # E_2 - E_1 = 1.0 and E_3 - E_2 = 1.0 + 3e-9 collide at doubled
+    # tolerance (1e-9 max|E| = 2e-9 here).
+    atom = decompose_atom(np.diag([0.0, 1.0, 2.0 + 3e-9]))
     with pytest.raises(ClusterAmbiguityError):
-        bohr_spectrum(atom, merge_tol=1e-9)
-    # a zero tolerance identifies only equal differences: the three (k, k)
-    assert bohr_spectrum(atom, merge_tol=0.0).pairs[0.0] == ((1, 1), (2, 2), (3, 3))
+        bohr_spectrum(atom)
 
 
 def test_spectral_projections_diagonalize_atomic_lindbladian():
@@ -209,7 +207,7 @@ def test_spectral_projections_diagonalize_atomic_lindbladian():
 
 
 def test_block_diag_projection_keeps_level_blocks():
-    atom = decompose_atom(np.diag([0.0, 0.0, 1.0]), cluster_tol=1e-8)
+    atom = decompose_atom(np.diag([0.0, 0.0, 1.0]))
     assert atom.multiplicities == (2, 1)
     rng = np.random.default_rng(18)
     x = _random_matrix(rng, 3)
@@ -226,7 +224,7 @@ def test_block_diag_projection_keeps_level_blocks():
 # --------------------------------------------------------------------------
 
 def test_gibbs_state_boltzmann_ratios_and_degeneracy():
-    atom = decompose_atom(np.diag([0.0, 0.0, 1.3]), cluster_tol=1e-8)
+    atom = decompose_atom(np.diag([0.0, 0.0, 1.3]))
     beta = 0.7
     rho = gibbs_state(atom, beta)
     assert abs(np.trace(rho) - 1.0) <= 1e-14
@@ -252,7 +250,7 @@ def test_gibbs_state_at_non_finite_beta():
     # beta = NaN is refused like beta < 0; beta = inf is the zero-temperature
     # limit P_1 / n_1, which beta = 1e308 already reaches, degenerate or not
     for energies in ([0.0, 1.0], [0.0, 0.0, 1.3]):
-        atom = decompose_atom(np.diag(energies), cluster_tol=1e-8)
+        atom = decompose_atom(np.diag(energies))
         with pytest.raises(InvalidDensityMatrixError):
             gibbs_state(atom, np.nan)
         ground = atom.projections[0] / atom.multiplicities[0]
@@ -295,7 +293,7 @@ def test_validate_pump_rejects_non_finite_entries(bad):
 
 
 def test_validate_pump_with_degenerate_sectors():
-    atom = decompose_atom(np.diag([0.0, 0.0, 2.0, 2.0]), cluster_tol=1e-8)
+    atom = decompose_atom(np.diag([0.0, 0.0, 2.0, 2.0]))
     h_p = np.zeros((4, 4), dtype=complex)
     h_p[2, 0] = 1.0
     h_p[3, 1] = 0.5

@@ -249,43 +249,43 @@ def test_infinite_temperature_floor():
 # strip analyticity report
 # --------------------------------------------------------------------------
 
-def _one_rung(ff, beta, r_max, **kwargs):
+def _one_rung(ff, beta, r_max):
     """The ladder's report for one form factor at one half-width."""
-    return strip_analyticity_ladder((ff,), beta, (r_max,), **kwargs)[0][0]
+    return strip_analyticity_ladder((ff,), beta, (r_max,))[0][0]
 
 
 def test_strip_analyticity_pinned_form_factor():
     ff = FormFactor(((1.0, 1, 1.0),))
     rep = _one_rung(ff, 1.0, 0.5)
     assert rep.verdict == "finite"
-    assert rep.n_lines >= 9
     assert rep.crosscheck_rel_err <= 1e-6
     assert np.isfinite(rep.max_line_value)
     assert rep.notes == ""
-    assert len(rep.lines) == rep.n_lines
+    below = [-0.5 * (1.0 - 1e-12), -0.25 * (1.0 - 1e-12)]
+    assert [y for y, _ in rep.lines] == below + [0.0] + [-y for y in below[::-1]]
 
 
 def test_strip_ladder_reports_equal_one_off_reports(three_level):
     beta = three_level.beta
     radii = (0.05, 0.1, 0.2, 0.4, 0.5)
-    rungs = strip_analyticity_ladder(three_level.res.form_factors, beta, radii,
-                                     n_lines=5)
+    rungs = strip_analyticity_ladder(three_level.res.form_factors, beta, radii)
     assert len(rungs) == len(radii)
     for r, reports in zip(radii, rungs):
         for ff, rep in zip(three_level.res.form_factors, reports):
-            assert rep == _one_rung(ff, beta, r, n_lines=5)
+            assert rep == _one_rung(ff, beta, r)
     # the two-term form factor passes the Simpson cross-check on every rung
     assert all(reports[1].crosscheck_rel_err <= 1e-6 for reports in rungs)
 
 
 def test_strip_ladder_stops_at_first_failing_rung():
-    ff = FormFactor(((1.0, 1, 1.0),))
-    low = _one_rung(ff, 1.0, 0.1, n_lines=5).max_line_value
-    high = _one_rung(ff, 1.0, 0.4, n_lines=5).max_line_value
-    assert high > low
-    rungs = strip_analyticity_ladder((ff,), 1.0, (0.1, 0.4, 0.8), n_lines=5,
-                                     bound_ceiling=0.5 * (low + high))
-    assert [reports[0].verdict for reports in rungs] == ["finite", "exceeds-bound"]
+    # a narrow form factor at beta = 4: the lines grow like e^{2 C y^2}, so
+    # the rungs read 2.9e-4 and 1.3e5, and across the branch line
+    # |Im z| = pi/beta far above the 1e12 bound; the last rung is never reported
+    ff = FormFactor(((1.0, 1, 50.0),))
+    beta = 4.0
+    rungs = strip_analyticity_ladder((ff,), beta, (0.1, 0.4, 1.05 * np.pi / beta, 2.0))
+    assert [reports[0].verdict for reports in rungs] == ["finite", "finite", "exceeds-bound"]
+    assert rungs[1][0].max_line_value < 1e12 < rungs[2][0].max_line_value
 
 
 def test_vectorized_line_integrand_matches_pointwise_loop(three_level):
@@ -331,7 +331,7 @@ def test_gauss_legendre_ladder_matches_quad_route(monkeypatch, beta):
     radii = ([r for r in (0.05, 0.1, 0.2, 0.4, 0.5) if r < cap]
              + [cap * (1.0 - 1e-9), 1.05 * np.pi / beta])
     for family in STRIP_FAMILIES:
-        rungs = strip_analyticity_ladder(family, beta, radii, n_lines=5)
+        rungs = strip_analyticity_ladder(family, beta, radii)
         stacks = []
 
         def quad_stack(h, edges):
@@ -340,7 +340,7 @@ def test_gauss_legendre_ladder_matches_quad_route(monkeypatch, beta):
 
         with monkeypatch.context() as m:
             m.setattr(reservoir, "_adaptive_gauss_legendre", quad_stack)
-            oracle = strip_analyticity_ladder(family, beta, radii, n_lines=5)
+            oracle = strip_analyticity_ladder(family, beta, radii)
         assert len(stacks) == len(family) and min(stacks) >= 3   # QUADPACK did the lines
         assert len(rungs) == len(oracle)                   # same stop rung
         for reports, expected in zip(rungs, oracle):
@@ -398,10 +398,10 @@ def test_strip_ladder_matches_literal_integrand(monkeypatch, beta):
     radii = ([r for r in (0.05, 0.1, 0.2, 0.4, 0.5) if r < cap]
              + [cap * (1.0 - 1e-9), 1.05 * np.pi / beta])
     for family in STRIP_FAMILIES + (COMPLEX_TWO_DECAY, COLD_FAMILY):
-        rungs = strip_analyticity_ladder(family, beta, radii, n_lines=5)
+        rungs = strip_analyticity_ladder(family, beta, radii)
         with monkeypatch.context() as m:
             m.setattr(reservoir, "_line_integrand", _literal_line_integrand)
-            oracle = strip_analyticity_ladder(family, beta, radii, n_lines=5)
+            oracle = strip_analyticity_ladder(family, beta, radii)
         assert len(rungs) == len(oracle)                   # same stop rung
         for reports, expected in zip(rungs, oracle):
             for rep, ref in zip(reports, expected):
@@ -422,7 +422,7 @@ def test_stacked_ladder_matches_the_per_line_64_panel_route(beta):
     radii = ([r for r in (0.05, 0.1, 0.2, 0.4, 0.5) if r < cap]
              + [cap * (1.0 - 1e-9), 1.05 * np.pi / beta])
     for family in STRIP_FAMILIES + (COMPLEX_TWO_DECAY, COLD_FAMILY):
-        rungs = strip_analyticity_ladder(family, beta, radii, n_lines=5)
+        rungs = strip_analyticity_ladder(family, beta, radii)
         oracle = strip_ladder_per_line(family, beta, radii, n_lines=5)
         assert len(rungs) == len(oracle)                   # same stop rung
         for reports, expected in zip(rungs, oracle):
@@ -457,18 +457,19 @@ def test_strip_ladder_makes_one_adaptive_call_per_form_factor(monkeypatch, famil
 def test_a_capped_line_beyond_the_stop_rung_raises_nothing(monkeypatch):
     # The lines with |y| > 0.15, which only the second rung holds, are made
     # 1e-9/|x|: not integrable across 0, so they reach the refinement cap
-    # inside the stack, with values far within the bound.  A bound of 0.5,
-    # below the first rung's values (0.64-0.67), stops the walk there, and
-    # the capped lines raise nothing; with the default bound the walk
-    # reaches them and raises.
+    # inside the stack, with values far within the 1e12 bound.  Scaled by
+    # 1e13, the first rung's lines (0.64-0.67 unscaled) exceed the bound and
+    # stop the walk there, and the capped lines raise nothing; unscaled, the
+    # walk reaches them and raises.
     integrand, engine, capped = reservoir._line_integrand, reservoir._adaptive_gauss_legendre, []
+    scale = [1e13]
 
     def forced(ff, beta, y):
         line, far = integrand(ff, beta, y), np.abs(y) > 0.15
 
         def h(x):
             with np.errstate(divide="ignore"):
-                return np.where(far, 1e-9 / np.abs(x), line(x))
+                return np.where(far, 1e-9 / np.abs(x), scale[0] * line(x))
         return h
 
     def recorded(h, edges):
@@ -479,11 +480,12 @@ def test_a_capped_line_beyond_the_stop_rung_raises_nothing(monkeypatch):
     monkeypatch.setattr(reservoir, "_line_integrand", forced)
     monkeypatch.setattr(reservoir, "_adaptive_gauss_legendre", recorded)
     ff = FormFactor(((1.0, 1, 1.0),))
-    rungs = strip_analyticity_ladder((ff,), 1.0, (0.1, 0.4), n_lines=5, bound_ceiling=0.5)
+    rungs = strip_analyticity_ladder((ff,), 1.0, (0.1, 0.4))
     assert [reports[0].verdict for reports in rungs] == ["exceeds-bound"]
     assert capped == [[False, False, False, True, True]]   # y = -0.1, -0.05, 0, -0.4, -0.2
+    scale[0] = 1.0
     with pytest.raises(QuadratureNonConvergenceError, match="y=-0.4: .* cap reached"):
-        strip_analyticity_ladder((ff,), 1.0, (0.1, 0.4), n_lines=5)
+        strip_analyticity_ladder((ff,), 1.0, (0.1, 0.4))
 
 
 class _ExpSqrtRecorder:
@@ -510,7 +512,7 @@ def test_strip_ladder_takes_no_complex_exp_or_sqrt(monkeypatch, three_level):
     monkeypatch.setattr(reservoir, "np", recorder)
     beta = three_level.beta
     radii = [r for r in (0.05, 0.1, 0.2, 0.4, 0.5) if r < 0.98 * np.pi / beta]
-    rungs = strip_analyticity_ladder(three_level.res.form_factors, beta, radii, n_lines=5)
+    rungs = strip_analyticity_ladder(three_level.res.form_factors, beta, radii)
     assert all(rep.verdict == "finite" for reports in rungs for rep in reports)
     assert {name for name, _ in recorder.dtypes} == {"exp", "sqrt"}
     assert [call for call in recorder.dtypes if call[1].kind == "c"] == []
@@ -553,7 +555,7 @@ def test_strip_ladder_integrates_one_line_per_abs_y(monkeypatch, three_level):
     radii = (0.05, 0.1, 0.2, 0.4, 0.5)
     for family in (real_families, COMPLEX_TWO_DECAY):
         stacks.clear()
-        rungs = strip_analyticity_ladder(family, beta, radii)      # nine lines a rung
+        rungs = strip_analyticity_ladder(family, beta, radii)      # five lines a rung
         assert [f for f, _, _ in stacks] == list(family)          # one stack per form factor
         for i, ff in enumerate(family):
             ys = set()
@@ -568,8 +570,8 @@ def test_strip_ladder_integrates_one_line_per_abs_y(monkeypatch, three_level):
             assert set(made) == ({-abs(y) for y in ys} if ff.is_real else ys)
     # `check` on three_level: eight distinct |y| per form factor
     stacks.clear()
-    check_assumptions(three_level.atom, three_level.res, three_level.h_p, three_level.eta,
-                      data=three_level.data, pump=three_level.pump)
+    check_assumptions(three_level.atom, three_level.res, three_level.pump, three_level.eta,
+                      three_level.data)
     assert [height for *_, height in stacks] == [8, 8]
 
 
@@ -590,8 +592,8 @@ def test_check_evaluates_at_most_15360_strip_nodes(monkeypatch, three_level):
         return h if np.ndim(y) else line
 
     monkeypatch.setattr(reservoir, "_line_integrand", counted)
-    check_assumptions(three_level.atom, three_level.res, three_level.h_p, three_level.eta,
-                      data=three_level.data, pump=three_level.pump)
+    check_assumptions(three_level.atom, three_level.res, three_level.pump, three_level.eta,
+                      three_level.data)
     assert 0 < sum(nodes) <= 15_360
 
 
@@ -625,7 +627,7 @@ def test_stack_of_one_reproduces_the_one_integral_rule(three_level):
     # line of the ladder's stack: its arithmetic ignores the other lines
     beta = three_level.beta
     for ff in three_level.res.form_factors:
-        rungs = strip_analyticity_ladder((ff,), beta, (0.37, 0.785), n_lines=3)
+        rungs = strip_analyticity_ladder((ff,), beta, (0.37, 0.785))
         ladder = {y: val for reports in rungs for y, val in reports[0].lines}
         for y in sorted(ladder)[:3]:
             x_max = _line_cutoff(ff, beta, y)
@@ -711,7 +713,7 @@ def test_simpson_crosscheck_rejects_a_biased_primary_rule(monkeypatch):
     monkeypatch.setattr(reservoir, "_adaptive_gauss_legendre", biased)
     with pytest.raises(DisagreementBetweenRulesError):
         _one_rung(FormFactor(((1.0, 1, 1.0),)), 1.0, 0.5)
-    assert stacks == [5]                 # the biased stack held the rung's lines
+    assert stacks == [3]                 # the biased stack held the rung's lines
 
 
 def test_pv_rule_b_rejects_a_biased_rule_a(monkeypatch):
@@ -726,7 +728,7 @@ def test_cold_reservoir_overflow_reads_inf():
     # At beta = 30, e^{-beta z/2} overflows where g# underflows (inf * 0 on
     # every line): each line reads inf and the first rung exceeds the bound.
     ff = FormFactor(((2.0, 3, 0.2),))
-    rungs = strip_analyticity_ladder((ff,), 30.0, (0.05, 0.1), n_lines=5)
+    rungs = strip_analyticity_ladder((ff,), 30.0, (0.05, 0.1))
     assert len(rungs) == 1
     rep = rungs[0][0]
     assert rep.verdict == "exceeds-bound"
@@ -737,7 +739,7 @@ def test_cold_reservoir_overflow_reads_inf():
 def test_strip_analyticity_branch_line_note():
     ff = FormFactor(((1.0, 1, 1.0),))
     beta = 1.0
-    rep = _one_rung(ff, beta, 1.05 * np.pi / beta, n_lines=5)
+    rep = _one_rung(ff, beta, 1.05 * np.pi / beta)
     assert "branch line" in rep.notes
 
 
@@ -793,7 +795,7 @@ def test_logistic_keeps_relative_accuracy_in_both_tails():
 
 def test_simpson_crosscheck_equals_scipy_simpson(three_level):
     for ff in three_level.res.form_factors:
-        rep = _one_rung(ff, three_level.beta, 0.1, n_lines=3)
+        rep = _one_rung(ff, three_level.beta, 0.1)
         ref = dict(rep.lines)[0.0]
         x_max = _line_cutoff(ff, three_level.beta, 0.0)
         grid = np.linspace(-x_max, x_max, 4097)
