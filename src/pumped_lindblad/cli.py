@@ -99,10 +99,14 @@ def load_config(path):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from None
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError("config is nested too deeply to parse") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
@@ -541,6 +545,9 @@ def _dispatch(command, config_path, out, force, order_check, sweep):
     except PumpedLindbladError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:                      # an --out that cannot be made or written
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 class _Parser(argparse.ArgumentParser):

@@ -37,8 +37,8 @@ reach from Range(P0): the weak-symmetry sector of S_T = e^{-T L_at}
 rows per mode on three_level, so its pivots are 5 x 5;
 F P comes from the same sum as F (z - F)^{-1} = z (z - F)^{-1} - 1, and
 every norm is taken on a 2r x 2r core.  The probe is that of the resonance
-0; F preserves Hermiticity, so it commutes with conj o R (R: mode reversal
-(x) the vec-transpose swap), and only the upper half of the node pairs is solved.
+0 and runs on the real blocks of the Hermitian basis, where F commutes with
+conj o J (J: mode reversal), so only the upper half of the node pairs is solved.
 """
 
 import random
@@ -277,7 +277,7 @@ def _resolvent_apply(f_op, nodes, weights, rhs=None, lhs=None):
     """
     n, s = 2 * f_op.n_modes + 1, f_op.block_size
     shifts = 1j * f_op.omega * np.arange(-f_op.n_modes, f_op.n_modes + 1)
-    h = f_op.coupling
+    h = np.asarray(f_op.coupling, dtype=complex)   # once: matmul would cast a real H per call
     nodes = np.asarray(nodes, dtype=complex)
     weights = np.asarray(weights, dtype=complex)
     rules = weights.reshape(int(np.prod(weights.shape[:-1])), nodes.size)
@@ -328,15 +328,15 @@ def _resolvent_apply(f_op, nodes, weights, rhs=None, lhs=None):
             None if lhs is None else np.swapaxes(next(out), -1, -2))
 
 
-def _contour_radius(eigenvalues, center, radius=None):
-    """Radius rule and annulus guard; returns the radius and the enclosed count.
+def _contour_radius(eigenvalues, radius=None):
+    """Radius rule and annulus guard at 0; returns the radius and the enclosed count.
 
-    Default radius: 0.45 times the isolation distance of the cluster at
-    `center`, capped at 0.45.  A radius that is not finite and > 0, or an
+    Default radius: 0.45 times the isolation distance of the cluster at 0,
+    capped at 0.45.  A radius that is not finite and > 0, or an
     eigenvalue inside the annulus [0.5 r, 1.5 r], aborts with
     ContourHitsSpectrum.
     """
-    dist = np.abs(eigenvalues - center)
+    dist = np.abs(eigenvalues)
     if radius is None:
         outside = dist[dist > 1e-6]
         isolation = float(np.min(outside)) if outside.size else np.inf
@@ -377,15 +377,17 @@ class KatoBlock:
 
 
 def _free_basis(f_op, b0):
-    """Orthonormal basis Q0 of Range(P0) and the contour radius at 0, exactly.
+    """F and B0 in the Hermitian basis, the orthonormal basis Q0 of Range(P0)
+    there and the contour radius at 0, exactly.
 
-    The free operator F0 = diag(i omega k + B0) on F's modes is block
-    diagonal with skew-Hermitian blocks, so one Hermitian eigensolve of
-    i B0 gives its whole spectrum eig(B0) + i omega k for the radius rule
-    and an orthonormal eigenbasis; P0 = Q0 Q0^H.  A `b0` that is not
-    d^2 x d^2 raises DimensionMismatch, one that is not skew-Hermitian, or
-    a B, H or B0 that fails the Hermiticity test of `evolution._in_basis`,
-    GeneratorStructure.
+    `evolution._in_basis` writes B, H and B0 as the real blocks of the CF4
+    grid, so the probe solves the real operator that grid integrates.  The
+    free operator F0 = diag(i omega k + B0) on F's modes is block diagonal
+    with real skew-symmetric B0, so one Hermitian eigensolve of i B0 gives
+    its whole spectrum eig(B0) + i omega k for the radius rule and an
+    orthonormal eigenbasis; P0 = Q0 Q0^H.  A `b0` that is not d^2 x d^2
+    raises DimensionMismatch, one that is not skew-Hermitian, or a B, H or
+    B0 that fails the Hermiticity test of `_in_basis`, GeneratorStructure.
     """
     s = f_op.block_size
     b0 = np.asarray(b0)
@@ -394,56 +396,49 @@ def _free_basis(f_op, b0):
     if np.linalg.norm(b0 + b0.conj().T) > 1e-12 * max(1.0, np.linalg.norm(b0)):
         raise GeneratorStructureError("B0 must be skew-Hermitian, as L_at is")
     basis = _hermitian_basis(f_op.dim)
-    for block in (f_op.base, f_op.coupling, b0):
-        _in_basis(block, basis)
+    base, coupling, b0 = (_in_basis(a, basis) for a in (f_op.base, f_op.coupling, b0))
     mu, vecs = np.linalg.eigh(1j * b0)                    # B0 v = -i mu v
     shifts = 1j * f_op.omega * np.arange(-f_op.n_modes, f_op.n_modes + 1)
     eigs = shifts[:, None] - 1j * mu                      # (modes, s), row order of F0
-    radius, _ = _contour_radius(eigs.ravel(), 0.0)
+    radius, _ = _contour_radius(eigs.ravel())
     modes, cols = np.nonzero(np.abs(eigs) < radius)
     q0 = np.zeros((eigs.size, modes.size), dtype=complex)
     for j, (k, c) in enumerate(zip(modes, cols)):
         q0[k * s:(k + 1) * s, j] = vecs[:, c]
-    return q0, radius
+    return replace(f_op, base=base, coupling=coupling), b0, q0, radius
 
 
 def _sector_rows(f_op, b0, q0):
     """The block rows of the probe: those where Q0 is nonzero, closed under
-    the exact nonzero pattern of B, H and B0 (both ways) and under the
-    vec-transpose swap S (passing the 1e-14 Hermiticity test does not make
-    the pattern swap-symmetric).
+    the exact nonzero pattern of B, H and B0 (both ways).
 
     z - F then has no entry between these rows and the others on any mode,
     so (z - F)^{-1} Q0 and Q0^H (z - F)^{-1} vanish exactly off them.  For
-    the covariant generators of this model the rows are the weak-symmetry
-    sector of S_T = e^{-T L_at} that holds Range(P0): the |m><n| whose Bohr
-    frequency is 0 mod omega (5 of 9 on three_level).  Returns the sorted
-    rows and S as their permutation.
+    the covariant generators of this model, in the Hermitian basis, the rows
+    are the weak-symmetry sector of S_T = e^{-T L_at} that holds Range(P0):
+    the E_jj and the two real combinations of |m><n| and |n><m| whose Bohr
+    frequency is 0 mod omega (5 of 9 on three_level).  Returns them sorted.
     """
-    s, d = f_op.block_size, f_op.dim
     link = (f_op.base != 0) | (f_op.coupling != 0) | (b0 != 0)
     link |= link.T
-    swap = np.arange(s).reshape(d, d).T.ravel()
-    rows = q0.reshape(-1, s, q0.shape[1]).any(axis=(0, 2))
+    rows = q0.reshape(-1, f_op.block_size, q0.shape[1]).any(axis=(0, 2))
     while True:
-        grown = rows | link[rows].any(axis=0) | rows[swap]
+        grown = rows | link[rows].any(axis=0)
         if np.array_equal(grown, rows):
-            rows = np.flatnonzero(rows)
-            return rows, np.searchsorted(rows, swap[rows])
+            return np.flatnonzero(rows)
         rows = grown
 
 
-def _mirrored_probe(f_op, q0, nodes, w, swap):
+def _mirrored_probe(f_op, q0, nodes, w):
     """The probe's sums X, X_half, F X, Y, Y_half from the upper half of the nodes.
 
-    B and H preserve Hermiticity, so conj(F) = R F R for R = mode
-    reversal (x) S (`swap`: S as a permutation of one block's rows), and
-    (z-bar - F)^{-1} = R conj((z - F)^{-1}) R; for F0 too, so
-    R conj(Q0) = Q0 G with G = Q0^H R conj(Q0) unitary.  On the circle
+    B and H are real, so conj(F) = J F J for J = mode reversal, and
+    (z-bar - F)^{-1} = J conj((z - F)^{-1}) J; for F0 too, so
+    J conj(Q0) = Q0 G with G = Q0^H J conj(Q0) unitary.  On the circle
     around 0 node M-1-j is the conjugate of node j, with weight conj(w_j).  A
     sum U = sum_j c_j (z_j - F)^{-1} Q0 over upper nodes thus has the
-    lower-half mirror sum_j conj(c_j) (z-bar_j - F)^{-1} Q0 = R conj(U) conj(G),
-    and Y-bar = G^T conj(Y) R is the same map on Y^H.  Odd upper nodes
+    lower-half mirror sum_j conj(c_j) (z-bar_j - F)^{-1} Q0 = J conj(U) conj(G),
+    and Y-bar = G^T conj(Y) J is the same map on Y^H.  Odd upper nodes
     mirror onto even lower ones, so with E, O the upper sums of 2w over
     even and odd nodes and Z that of w z: the M-node rule is A + mirror(A)
     with A = (E + O)/2, the M/2 rule E + mirror(O), and F X is Z + mirror(Z).
@@ -455,10 +450,10 @@ def _mirrored_probe(f_op, q0, nodes, w, swap):
                       upper * nodes[:half]])
     n = 2 * f_op.n_modes + 1
 
-    def reflect(a):                                   # R a for n s rows
-        return a.reshape(n, swap.size, -1)[::-1, swap].reshape(a.shape)
+    def reflect(a):                                   # J a for n blocks of rows
+        return a.reshape(n, -1, a.shape[-1])[::-1].reshape(a.shape)
 
-    g_bar = (q0.conj().T @ reflect(q0.conj())).conj()
+    g_bar = q0.T @ reflect(q0)                        # conj(G)
 
     def mirror(u):
         return reflect(u.conj()) @ g_bar
@@ -488,14 +483,16 @@ def kato_block(f_op, b0, m_points=64, *, eigenvalues):
     so with X = P Q0, Y = Q0^H P and K = Q0^H X, P = X K^{-1} Y.  X and Y
     are the two sides of one block-Thomas contour sum
     (:func:`_resolvent_apply` with rhs Q0 and lhs Q0^H), so each pivot is
-    factored once per node for both.  The sum runs on the sector rows I of
-    every mode (:func:`_sector_rows`: the rows B, H and B0 reach from
-    Range(P0), off which X and Y vanish exactly; 5 of 9 on three_level,
-    every row when the blocks are dense), so the pivots, QRs and cores are
-    those of n |I| rows, and X and Y come back on all n s rows.
-    Only the M/2 nodes above the real axis are solved and their conjugates
-    are mirrored (:func:`_mirrored_probe`), so an F or B0 that fails the
+    factored once per node for both.  The probe runs on the real blocks of
+    the Hermitian basis (:func:`_free_basis`), so an F or B0 that fails the
     Hermiticity test of `evolution._in_basis` (1e-14 relative) is refused.
+    The sum runs on the sector rows I of every mode (:func:`_sector_rows`:
+    the rows B, H and B0 reach from Range(P0), off which X and Y vanish
+    exactly; 5 of 9 on three_level, every row when the blocks are dense),
+    so the pivots, QRs and cores are those of n |I| rows; X, Y and Q0 come
+    back in the vec basis on all n s rows.  Only the M/2 nodes above the
+    real axis are solved and their conjugates are mirrored
+    (:func:`_mirrored_probe`).
     The residual, the pair separation and the idempotency defect are
     2-norms of 2r x 2r cores of the thin QRs of [X, Q0] and [Y^H, Q0].
     The thin form cannot see quadrature error off Range(P0), so X and Y are
@@ -510,9 +507,8 @@ def kato_block(f_op, b0, m_points=64, *, eigenvalues):
     if m_points < 2 or m_points % 2:
         raise DimensionMismatchError(
             f"the Kato probe needs an even number of contour nodes >= 2, got {m_points!r}")
-    b0 = np.asarray(b0)
-    q0, radius = _free_basis(f_op, b0)
-    _, enclosed = _contour_radius(eigenvalues, 0.0, radius)
+    real_op, b0, q0, radius = _free_basis(f_op, b0)
+    _, enclosed = _contour_radius(eigenvalues, radius)
     r = q0.shape[1]
     if enclosed != r:
         raise ProjectionPairTooFarError(
@@ -520,16 +516,16 @@ def kato_block(f_op, b0, m_points=64, *, eigenvalues):
 
     # the probe runs on the sector rows of every mode; X and Y are zero off them
     n, s = 2 * f_op.n_modes + 1, f_op.block_size
-    rows, swap = _sector_rows(f_op, b0, q0)
+    rows = _sector_rows(real_op, b0, q0)
     sector = np.ix_(rows, rows)
-    f_sec = replace(f_op, base=f_op.base[sector], coupling=f_op.coupling[sector])
+    f_sec = replace(real_op, base=real_op.base[sector], coupling=real_op.coupling[sector])
     q = q0.reshape(n, s, r)[:, rows].reshape(n * rows.size, r)
 
     phases = np.exp(2j * np.pi * (np.arange(m_points) + 0.5) / m_points)
     w = radius * phases / m_points
     nodes = radius * phases
     # F (z - F)^{-1} = z (z - F)^{-1} - 1 and sum w = 0: F X is the rule w z
-    x, x_half, fx, y, y_half = _mirrored_probe(f_sec, q, nodes, w, swap)
+    x, x_half, fx, y, y_half = _mirrored_probe(f_sec, q, nodes, w)
     gap = max(np.linalg.norm(full - half) / np.linalg.norm(full)
               for full, half in ((x, x_half), (y, y_half)))
     if gap > 1e-6:
@@ -570,12 +566,12 @@ def kato_block(f_op, b0, m_points=64, *, eigenvalues):
     first = q.conj().T @ ((f_sec.base - b0[sector]) @ qk + hq[:-2] + hq[2:]).reshape(q.shape)
     residual = float(np.linalg.norm(core(block, -first), 2))
 
-    def scatter(a):                                      # sector rows -> n s rows
-        out = np.zeros((n, s, r), dtype=complex)
-        out[:, rows] = a.reshape(n, rows.size, r)
-        return out.reshape(n * s, r)
+    columns = _hermitian_basis(f_op.dim)[:, rows]
 
-    x, y = scatter(x), scatter(y.T).T
+    def to_vec(a):                        # sector rows of the Hermitian basis -> n s vec rows
+        return (columns @ a.reshape(n, rows.size, r)).reshape(n * s, r)
+
+    x, y, q0 = to_vec(x), to_vec(y.conj().T).conj().T, to_vec(q)
     return KatoBlock(
         block=LowRank(x, block, y), first_order=LowRank(q0, first, q0.conj().T),
         projection=LowRank(x, k_inv, y), residual=residual, separation=sep,

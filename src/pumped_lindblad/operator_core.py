@@ -136,10 +136,6 @@ class Superoperator:
 
     __rmul__ = __mul__
 
-    @staticmethod
-    def identity(d):
-        return Superoperator(np.eye(d * d, dtype=complex))
-
 
 def hamiltonian_lindbladian(a):
     """The Hamiltonian Lindbladian -i[a, .] of a square matrix `a`."""

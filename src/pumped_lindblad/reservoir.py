@@ -311,7 +311,6 @@ def rate_coefficient(ff, beta, eps):
 @dataclass(frozen=True)
 class AnalyticityReport:
     verdict: str              # "finite" | "exceeds-bound"
-    r_max: float
     max_line_value: float
     lines: tuple              # of (y, integral value)
     crosscheck_rel_err: float  # Simpson vs adaptive at y = 0
@@ -450,7 +449,6 @@ def strip_analyticity_ladder(form_factors, beta, radii):
             exceeded = bool(np.any(~np.isfinite(vals) | (vals > _STRIP_BOUND)))
             reports.append(AnalyticityReport(
                 verdict="exceeds-bound" if exceeded else "finite",
-                r_max=float(r_max),
                 max_line_value=float(np.max(vals)),
                 lines=tuple(zip(ys, values)),
                 crosscheck_rel_err=rel_errs[i],

@@ -89,7 +89,7 @@ def riesz_projection(f_op, center, radius=None, m_points=64):
     block-Thomas kernel with the identity as right-hand side.
     """
     f_op = _require_howland(f_op)
-    radius, _ = _contour_radius(np.linalg.eigvals(f_op.matrix), center, radius)
+    radius, _ = _contour_radius(np.linalg.eigvals(f_op.matrix) - center, radius)
     phases = np.exp(2j * np.pi * (np.arange(m_points) + 0.5) / m_points)
     eye = np.eye(f_op.matrix.shape[0], dtype=complex)
     p = _resolvent_apply(f_op, center + radius * phases, radius * phases, eye)[0] / m_points
@@ -197,7 +197,7 @@ def propagator(bundle, s, t, rtol=1e-10, atol=1e-12):
         raise DimensionMismatchError(f"need t >= s, got s={s}, t={t}")
     d = bundle.l_at.dim
     if t == s:
-        return Superoperator.identity(d)
+        return Superoperator(np.eye(d * d))
     n = d * d
     sol = solve_ivp(_rhs(bundle), (s, t), np.eye(n, dtype=complex).reshape(-1),
                     method="RK45", rtol=rtol, atol=atol)

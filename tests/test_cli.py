@@ -529,6 +529,29 @@ def test_config_error_unreadable_file(runner, tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("content,reason", [
+    (b"\xff\xfe{}", "not UTF-8"), (b"[" * 100_000, "nested too deeply")],
+    ids=["not-utf8", "deeply-nested"])
+def test_config_error_undecodable_or_too_deep(runner, tmp_path, content, reason):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["check", str(path), "--out", str(out)])
+    _assert_one_config_error(result, out)
+    assert reason in result.output
+
+
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+def test_unusable_out_exits_1_with_one_line(runner, tmp_path, target):
+    (tmp_path / "file").write_text("")
+    result = runner.invoke(main, ["check", str(CONFIG_DIR / "two_level.json"),
+                                  "--out", str(tmp_path / target)])
+    assert result.exit_code == 1, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cannot write outputs:"), result.output
+    assert "Traceback" not in result.output
+
+
 def test_pump_support_violation_is_config_error(runner, tmp_path):
     cfg = _two_level_cfg()
     cfg["pump"]["h_p"] = [[[0.0, 0.0], [1.0, 0.0]],

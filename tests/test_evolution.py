@@ -10,11 +10,14 @@ coherences and obey the scalar rate equation
 an exact closed form used as the oracle for the default route.  The
 autonomous case is also compared against a direct matrix exponential, and
 the one-period commutator-free (CF4) step grid is verified to be
-fourth-order against a tight Runge-Kutta reference.  The default
+fourth-order against a tight Runge-Kutta reference and to keep the
+half-period symmetry of the drive, M = P M_h P^-1 M_h, to roundoff.  The default
 stroboscopic route (the step grid, then monodromy powers and one Hermite
 interpolated phase) is compared against adaptive Runge-Kutta over the
 whole interval on grids that do and do not fit the period.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,6 +114,39 @@ def test_cf4_matches_adaptive_reference(three_level):
     # the converged grid's monodromy against a tight RK45 propagator
     mono = propagator(bundle, 0.0, bundle.period, rtol=1e-13, atol=1e-15).matrix
     assert np.max(np.abs(_grid_monodromy(evolution._step_grid(bundle)) - mono)) <= 1e-11
+
+
+def _half_period_defect(inst, omega):
+    """||P M_h P^-1 M_h - M|| / ||M|| on the grid at pump frequency `omega`.
+
+    P = Ad(e^{i pi H_at / omega}) in the grid's Hermitian basis, M_h and M
+    the grid's tau(T/2, 0) and tau(T, 0).  P commutes with L_at and L_R
+    (both covariant) and flips L_p when every pumped Bohr frequency is an
+    odd multiple of omega, so cos(omega (t + T/2)) = -cos(omega t) gives
+    tau(T, T/2) = P M_h P^-1.
+    """
+    grid = evolution._step_grid(replace(inst.bundle, omega=omega))
+    u = expm(1j * np.pi * inst.atom.h_at / omega)
+    p = (grid.basis.conj().T @ np.kron(u.conj(), u) @ grid.basis).real
+    n = grid.dev.shape[0] - 1
+    eye = np.eye(p.shape[0])
+    m_half, m = eye + grid.dev[n // 2], eye + grid.dev[n]
+    return np.linalg.norm(p @ m_half @ p.T @ m_half - m) / np.linalg.norm(m)
+
+
+@pytest.mark.parametrize("case,ratio", [
+    ("two_level", 1.0), ("three_level", 1.0), ("degenerate", 1.0), ("three_level", 1.0 / 3.0)],
+    ids=["two_level", "three_level", "degenerate", "three_level-omega/3"])
+def test_monodromy_is_the_square_of_its_half_period_map(request, case, ratio):
+    # the CF4 grid keeps the half-period symmetry of the drive to roundoff,
+    # also at omega/3, where the pumped transition is three times omega
+    inst = request.getfixturevalue(case)
+    assert _half_period_defect(inst, ratio * inst.atom.pump_freq) <= 1e-14
+
+
+def test_half_period_symmetry_needs_an_odd_frequency_ratio(three_level):
+    # at 0.9 omega the pump is not flipped by P: the defect is far from roundoff
+    assert _half_period_defect(three_level, 0.9 * three_level.atom.pump_freq) > 1e-6
 
 
 def test_step_grid_refuses_a_generator_that_breaks_hermiticity(three_level):
@@ -293,7 +329,7 @@ def test_bundle_validation(two_level):
         GeneratorBundle(l_at=two_level.l_at, l_p=two_level.pump.lindbladian,
                         l_r=two_level.data.l_r, lam=0.1, eta=0.0, omega=0.0)
     with pytest.raises(DimensionMismatchError):
-        GeneratorBundle(l_at=two_level.l_at, l_p=Superoperator.identity(3),
+        GeneratorBundle(l_at=two_level.l_at, l_p=Superoperator(np.eye(9)),
                         l_r=two_level.data.l_r, lam=0.1, eta=0.0, omega=1.0)
 
 
@@ -334,7 +370,7 @@ def test_propagator_cocycle_and_cp(three_level):
     assert np.linalg.norm(tau_02.adjoint()(np.eye(3)) - np.eye(3)) <= 1e-10
     # identity at coincident times
     assert np.array_equal(propagator(bundle, 1.0, 1.0).matrix,
-                          Superoperator.identity(3).matrix)
+                          Superoperator(np.eye(9)).matrix)
 
 
 # --------------------------------------------------------------------------

@@ -29,8 +29,9 @@ under test:
   equals the dense projections and norms, factors nothing wider than
   max(d^2, 2 rank P0), and rejects a contour rule its M/2 half disowns;
   around the resonance 0 it solves only the nodes above the real axis
-  (their conjugates follow from conj(F) = R F R), equals the full M-node
-  sums and refuses an F without that symmetry; it runs on the rows B, H
+  (in the Hermitian basis F is real, so their conjugates follow from
+  conj(F) = J F J, J the mode reversal), equals the full M-node sums and
+  refuses an F that does not preserve Hermiticity; it runs on the rows B, H
   and B0 reach from Range(P0) (5 x 5 pivots on three_level) and equals
   the full-block probe; a contour radius that is not finite and > 0 is
   refused;
@@ -66,6 +67,7 @@ from pumped_lindblad import (
     reservoir_lindbladian,
 )
 from pumped_lindblad import floquet
+from pumped_lindblad.evolution import _hermitian_basis
 from pumped_lindblad.floquet import _resolvent_apply
 from reference import (NearSingularPairError, _inv_sqrt_series, dense_low_rank, dense_spectrum,
                        eigenprojection_direct, monodromy, pair_transform, resolvent_sum_dense,
@@ -668,8 +670,8 @@ def _change_of_basis(u, *blocks):
     # L -> W L W^H with W = conj(U) (x) U, as vec(U A U*) = W vec(A): the
     # same model in another atomic basis, Hermiticity preserved only to
     # roundoff.  A diagonal U commutes with the level-diagonal atom (the
-    # gauge of a conjugated config); a full one also rotates Q0 into a
-    # complex basis, so G = Q0^H R conj(Q0) is complex
+    # gauge of a conjugated config); a full one makes the blocks dense in
+    # the Hermitian basis too
     w = np.kron(u.conj(), u)
     return [w @ b @ w.conj().T for b in blocks]
 
@@ -680,7 +682,8 @@ def _change_of_basis(u, *blocks):
 def test_mirrored_kato_probe_equals_the_full_node_sums(request, case, m_points, basis,
                                                         monkeypatch):
     # around 0 the lower-half nodes come from the upper half by the
-    # symmetry conj(F) = R F R; the result must be that of all M nodes
+    # symmetry conj(F) = J F J of the real Hermitian-basis blocks; the
+    # result must be that of all M nodes on the vec-basis F
     inst = request.getfixturevalue(case)
     f_op, b0 = build_howland(inst.bundle, 8), inst.l_at.matrix
     rng = np.random.default_rng(5)
@@ -715,8 +718,9 @@ def test_mirrored_kato_probe_equals_the_full_node_sums(request, case, m_points, 
 
 
 def test_kato_block_refuses_an_f_without_the_symmetry(three_level, monkeypatch):
-    # a complex perturbation of B, H or B0 breaks conj(A) = S A S, on which
-    # the mirrored probe rests: refused before any pivot is factored
+    # a complex perturbation of B, H or B0 leaves an imaginary part in the
+    # Hermitian basis, whose real blocks the mirrored probe solves: refused
+    # before any pivot is factored
     f_op, b0 = build_howland(three_level.bundle, 8), three_level.l_at.matrix
     rng = np.random.default_rng(3)
     s = f_op.block_size
@@ -824,7 +828,7 @@ def test_kato_order_check_factors_each_pivot_once(three_level, monkeypatch):
 
 def _pattern_closure(f_op, b0, q0):
     # the rows Q0 touches, grown along the exact nonzeros of B, H, B0 (either
-    # direction) until nothing new is reached: no swap, no tolerance
+    # direction) until nothing new is reached: no tolerance
     s = f_op.block_size
     link = (f_op.base != 0) | (f_op.coupling != 0) | (b0 != 0)
     link |= link.T
@@ -843,7 +847,8 @@ def test_sector_probe_equals_the_full_block_probe(request, case, sector, monkeyp
     # the probe runs on the rows B, H and B0 reach from Range(P0); with every
     # row it is the full-block probe, and both must give the same block to
     # roundoff.  Every row is the sector on two_level (omega is its one Bohr
-    # frequency) and in a rotated basis (as atom.matrix gives: dense blocks)
+    # frequency) and in a rotated basis (as atom.matrix gives: dense blocks).
+    # The rows are those of the Hermitian basis, where the probe runs
     inst = request.getfixturevalue("three_level" if case == "rotated" else case)
     f_op, b0 = build_howland(inst.bundle, 8), inst.l_at.matrix
     if case == "rotated":
@@ -851,19 +856,14 @@ def test_sector_probe_equals_the_full_block_probe(request, case, sector, monkeyp
         u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
         base, coupling, b0 = _change_of_basis(u, f_op.base, f_op.coupling, b0)
         f_op = replace(f_op, base=base, coupling=coupling)
-    s, d = f_op.block_size, f_op.dim
-    q0 = floquet._free_basis(f_op, b0)[0]
-    rows, swap = floquet._sector_rows(f_op, b0, q0)
+    s = f_op.block_size
+    real_op, real_b0, q0, _ = floquet._free_basis(f_op, b0)
+    rows = floquet._sector_rows(real_op, real_b0, q0)
     assert rows.size == sector
-    # the pattern alone closes the sector, and the vec-transpose swap maps it
-    # onto itself: the mirror needs no extra row
-    assert np.array_equal(rows, _pattern_closure(f_op, b0, q0))
-    assert np.array_equal(rows[swap], np.arange(s).reshape(d, d).T.ravel()[rows])
-    assert np.array_equal(np.sort(swap), np.arange(rows.size))
+    assert np.array_equal(rows, _pattern_closure(real_op, real_b0, q0))
 
     kb = _kato(f_op, b0)
-    full_swap = np.arange(s).reshape(d, d).T.ravel()
-    monkeypatch.setattr(floquet, "_sector_rows", lambda *_: (np.arange(s), full_swap))
+    monkeypatch.setattr(floquet, "_sector_rows", lambda *_: np.arange(s))
     ref = _kato(f_op, b0)
 
     def close(got, want):
@@ -877,8 +877,10 @@ def test_sector_probe_equals_the_full_block_probe(request, case, sector, monkeyp
                       (kb.first_order, ref.first_order)):
         assert close(got.left, want.left) and close(got.right, want.right)
         assert close(got.core, want.core)
-    # X and Y are exactly zero off the sector rows on every mode
-    off = np.setdiff1d(np.arange(s), rows)
+    # X and Y are exactly zero, on every mode, off the vec rows that the
+    # sector's Hermitian basis columns touch
+    off = np.flatnonzero(~_hermitian_basis(f_op.dim)[:, rows].any(axis=1))
+    assert off.size == s - sector
     assert not kb.projection.left.reshape(-1, s, kb.projection.left.shape[1])[:, off].any()
     assert not kb.projection.right.reshape(kb.projection.right.shape[0], -1, s)[..., off].any()
 

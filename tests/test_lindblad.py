@@ -142,7 +142,7 @@ def test_semigroup_is_completely_positive(three_level):
 
 
 def test_choi_of_identity_channel_is_maximally_entangled():
-    ident = Superoperator.identity(3)
+    ident = Superoperator(np.eye(9))
     c = choi_matrix(ident)
     w = np.linalg.eigvalsh(c)
     assert abs(w[-1] - 3.0) <= 1e-12        # one eigenvalue d

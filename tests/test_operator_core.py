@@ -86,7 +86,7 @@ def test_superoperator_algebra_is_matrix_algebra():
     s2 = Superoperator(_random_matrix(rng, 4))
     x = _random_matrix(rng, 2)
     assert np.linalg.norm(s1(s2(x)) - unvec(s1.matrix @ s2.matrix @ vec(x))) <= 1e-12
-    assert np.array_equal(Superoperator.identity(2)(x), x)
+    assert np.array_equal(Superoperator(np.eye(4))(x), x)
     assert np.linalg.norm((s1 + (-1.0) * s1).matrix) == 0.0
     assert np.array_equal((s1 + s2).matrix, s1.matrix + s2.matrix)
 
