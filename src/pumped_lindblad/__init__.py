@@ -59,7 +59,6 @@ from .lindblad import (
 from .operator_core import (
     AtomSpec,
     BohrIndex,
-    PumpOperator,
     Superoperator,
     atomic_lindbladian,
     bohr_spectrum,

@@ -204,6 +204,8 @@ class RunSetup:
             diag = np.concatenate([[e] * n for e, n in zip(energies, degs)])
             h_at = np.diag(diag.astype(complex))
         else:
+            if "degeneracies" in atom_cfg:
+                raise ConfigError("atom: 'degeneracies' goes with 'energies', not 'matrix'")
             h_at = _as_matrix(atom_cfg["matrix"], "atom.matrix")
         self.atom = decompose_atom(h_at)
 
@@ -249,7 +251,7 @@ class RunSetup:
         # the generator's frequency keys: an ambiguous Bohr spectrum is a config error
         self.bohr = None if has_gks else bohr_spectrum(self.atom)
 
-        self.pump = validate_pump(self.atom, _require_dim(h_p, self.atom.dim, "pump.h_p"))
+        self.l_p = validate_pump(self.atom, _require_dim(h_p, self.atom.dim, "pump.h_p"))
         self.eta = _require_finite(pump_cfg.get("eta", 0.0), "pump.eta")
         omega = pump_cfg.get("omega")
         natural = self.atom.pump_freq
@@ -304,10 +306,11 @@ class RunSetup:
     def data(self):
         return reservoir_lindbladian(self.atom, self.res)
 
+    @cached_property
     def bundle(self):
         return GeneratorBundle(
             l_at=atomic_lindbladian(self.atom),
-            l_p=self.pump.lindbladian,
+            l_p=self.l_p,
             l_r=self.data.l_r,
             lam=self.res.lam, eta=self.eta, omega=self.omega,
         )
@@ -334,8 +337,7 @@ def _write_json(path, payload):
 
 
 def _run_check(setup, out_dir):
-    report = check_assumptions(setup.atom, setup.res, setup.pump, setup.eta, setup.data,
-                               seed=setup.seed)
+    report = check_assumptions(setup.res, setup.bundle, setup.data, seed=setup.seed)
     payload = report.to_dict()
     payload["warnings"] = setup.warnings
     _write_json(out_dir / "report.json", payload)
@@ -371,10 +373,10 @@ def _do_evolve(setup, out_dir, force=False, **_kw):
     if not _guard_assumptions(setup, out_dir, force):
         return EXIT_ASSUMPTION
     grid = np.linspace(0.0, setup.t_end, setup.n_out)
-    traj = evolve(setup.bundle(), setup.rho0, setup.t_end,
+    traj = evolve(setup.bundle, setup.rho0, setup.t_end,
                   output_grid=grid, atol=setup.atol)
     pops = populations(setup.atom, traj)
-    trajectory_to_csv(setup.atom, traj, out_dir / "trajectory.csv", pops=pops)
+    trajectory_to_csv(traj, pops, out_dir / "trajectory.csv")
     summary = {
         "final_populations": [float(x) for x in pops[-1]],
         "max_trace_drift": float(np.max(traj.trace_error)),
@@ -393,7 +395,7 @@ def _do_floquet(setup, out_dir, force=False, order_check=False, **_kw):
     """Spectrum, gap, resonances, monodromy; write floquet.json."""
     if not _guard_assumptions(setup, out_dir, force):
         return EXIT_ASSUMPTION
-    bundle = setup.bundle()
+    bundle = setup.bundle
     f_op = build_howland(bundle, setup.n_modes)
     lattice = floquet_lattice(bundle, setup.n_modes)
     spec = floquet_spectrum(f_op, lattice)

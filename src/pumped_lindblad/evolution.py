@@ -401,15 +401,12 @@ def populations(atom, traj):
     return np.einsum("kij,nji->nk", np.array(atom.projections), traj.states).real
 
 
-def trajectory_to_csv(atom, traj, path, pops=None):
+def trajectory_to_csv(traj, pops, path):
     """Write `t,pop_1..pop_N,trace,min_eig,purity` with 17-digit floats, LF.
 
-    `pops` is the `populations(atom, traj)` table when the caller already
-    has it.
+    `pops` is the `populations(atom, traj)` table.
     """
-    if pops is None:
-        pops = populations(atom, traj)
-    n = atom.n_levels
+    n = pops.shape[1]
     header = "t," + ",".join(f"pop_{k}" for k in range(1, n + 1)) + ",trace,min_eig,purity"
     trace = np.trace(traj.states, axis1=1, axis2=2).real
     table = np.column_stack([traj.times, pops, trace, traj.min_eig, traj.purity])

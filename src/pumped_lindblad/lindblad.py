@@ -49,7 +49,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeneratorStructureError, NonHermitianError, QuadratureNonConvergenceError
+from .errors import (
+    GeneratorStructureError,
+    InvalidFormFactorError,
+    NonHermitianError,
+    QuadratureNonConvergenceError,
+)
+from .evolution import averaged_generator
 from .operator_core import Superoperator, _clusters, _kron, bohr_spectrum, hamiltonian_lindbladian
 from .reservoir import (
     _effective_beta,
@@ -166,7 +172,6 @@ def reservoir_lindbladian(atom, res):
         source = ((np.asarray(v, dtype=complex), 1.0, None, (0, 0, a))
                   for a, v in enumerate(res.gks_jumps, start=1))
     else:
-        res.require_orthogonal()
         source, pv_table = _pair_coefficients(atom, res)
     lamb = np.zeros((d, d), dtype=complex)
     m = np.zeros((d * d, d * d), dtype=complex)
@@ -202,13 +207,15 @@ def resolvent_oracle(atom, res, eps_regs):
     Bohr frequencies its pairs carry at every regularization, and each pair's
     Kronecker terms are built once and reweighted for every rung.  The
     diagonal (E_j = E_k) pairs keep only the real part of w, since the
-    closed form's Lamb sum excludes zero frequencies.
+    closed form's Lamb sum excludes zero frequencies.  Raw GKS jumps carry
+    no form factors and raise InvalidFormFactorError.
     """
     eps_regs = [float(r) for r in eps_regs]
     for reg in eps_regs:
         if not reg > 0:
             raise QuadratureNonConvergenceError(f"regularization {reg} must be > 0")
-    res.require_orthogonal()
+    if res.gks_jumps is not None:
+        raise InvalidFormFactorError("the resolvent oracle needs form factors, not raw GKS jumps")
     d = atom.dim
     eye = np.eye(d, dtype=complex)
     ms = [np.zeros((d * d, d * d), dtype=complex) for _ in eps_regs]
@@ -350,20 +357,22 @@ class AssumptionReport:
         raise KeyError(name)
 
 
-def check_assumptions(atom, res, pump, eta, data, seed=0):
+def check_assumptions(res, bundle, data, seed=0):
     """Verify the standing assumptions; report-only (never raises on fail).
 
-    `pump` is ``validate_pump(atom, h_p)`` and `data` is
-    ``reservoir_lindbladian(atom, res)``; `seed` draws the commutant element
-    of the block-structure cross-check.  The analyticity ladder samples 5
-    lines per half-width against the bound 1e12
-    (``reservoir.strip_analyticity_ladder``).
+    `bundle` is the ``evolution.GeneratorBundle`` of the run, whose eta,
+    lambda, L_p and L_R the pump and gap records read, and `data` is
+    ``reservoir_lindbladian(atom, res)``, whose jumps the irreducibility
+    record reads; `seed` draws the commutant element of the block-structure
+    cross-check.  The analyticity ladder samples 5 lines per half-width
+    against the bound 1e12 (``reservoir.strip_analyticity_ladder``).
 
     Records, in order:
       reservoir-analyticity : strip integrability of the glued functions,
                               largest passing half-width on a ladder;
       moderate-pump         : |eta| <= _MODERATE_CONST * lambda^2;
-      spectral-gap          : spec((eta/2) L_p + lambda^2 L_R) has simple 0
+      spectral-gap          : spec of ``evolution.averaged_generator(bundle)``
+                              = (eta/2) L_p + lambda^2 L_R has simple 0
                               and the rest in Re <= -lambda^2 * _GAP_FLOOR;
       jump-irreducibility   : commutant of the jump set is trivial
                               (cross-checked two independent ways);
@@ -372,7 +381,7 @@ def check_assumptions(atom, res, pump, eta, data, seed=0):
                               GKS input, which carries no microscopic model).
     """
     records = []
-    lam = res.lam
+    lam, eta, d = bundle.lam, bundle.eta, bundle.l_at.dim
 
     # --- reservoir analyticity --------------------------------------------
     if res.gks_jumps is not None:
@@ -419,8 +428,7 @@ def check_assumptions(atom, res, pump, eta, data, seed=0):
             "notes": "lambda = 0: the gap statement is vacuous",
         })
     else:
-        avg = (0.5 * eta) * pump.lindbladian + lam**2 * data.l_r
-        mu = np.linalg.eigvals(avg.matrix)
+        mu = np.linalg.eigvals(averaged_generator(bundle).matrix)
         zero_mask = np.abs(mu) <= _ZERO_TOL
         n_zero = int(np.sum(zero_mask))
         rest = mu[~zero_mask]
@@ -441,12 +449,12 @@ def check_assumptions(atom, res, pump, eta, data, seed=0):
         dim_c, basis = commutant_dimension(jumps)
         dim_a = algebra_dimension(jumps)
         cross = _block_structure_check(jumps, basis, seed=seed)
-        agree = (dim_c == 1) == (dim_a == atom.dim**2)
+        agree = (dim_c == 1) == (dim_a == d**2)
         if cross.get("applicable"):
             agree = agree and ((dim_c == 1) == (cross["n_blocks"] == 1))
         verdict = "pass" if (dim_c == 1 and agree) else "fail"
         evidence = {"commutant_dim": dim_c, "algebra_dim": dim_a,
-                    "algebra_dim_full": atom.dim**2,
+                    "algebra_dim_full": d**2,
                     "methods_agree": bool(agree), "block_check": cross}
     else:
         verdict, evidence = "fail", {"commutant_dim": None,

@@ -41,7 +41,6 @@ from .errors import (
 __all__ = [
     "AtomSpec",
     "BohrIndex",
-    "PumpOperator",
     "Superoperator",
     "atomic_lindbladian",
     "bohr_spectrum",
@@ -350,17 +349,8 @@ def gibbs_state(atom, beta):
 
 
 # --------------------------------------------------------------------------
-# pump operator
+# pump
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PumpOperator:
-    """Validated pump: raising part h_p, Hermitian H_p, and L_p = -i[H_p, .]."""
-
-    h_p: np.ndarray
-    h_pump: np.ndarray
-    lindbladian: Superoperator
-
 
 def validate_pump(atom, h_p):
     """Check that h_p raises the ground sector into the top sector.
@@ -368,7 +358,7 @@ def validate_pump(atom, h_p):
     Accepts iff ker(h_p)^perp  is contained in the ground eigenspace and
     ran(h_p) in the top eigenspace, i.e. ||(1 - P_1) h_p^*|| <= 1e-10 and
     ||(1 - P_N) h_p|| <= 1e-10, and refuses a non-finite entry.  Returns the
-    pump H_p = h_p + h_p^* with its Hamiltonian Lindbladian.
+    pump Lindbladian L_p = -i[H_p, .] of H_p = h_p + h_p^*.
     """
     h_p = np.asarray(h_p, dtype=complex)
     d = atom.dim
@@ -389,6 +379,4 @@ def validate_pump(atom, h_p):
         raise PumpSupportViolationError(
             f"h_p does not map into the top sector: ||(1-P_N) h_p|| = {dst:.3e}"
         )
-    h_pump = h_p + h_p.conj().T
-    return PumpOperator(h_p=h_p, h_pump=h_pump,
-                        lindbladian=hamiltonian_lindbladian(h_pump))
+    return hamiltonian_lindbladian(h_p + h_p.conj().T)

@@ -68,7 +68,7 @@ oracle.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -202,10 +202,9 @@ class ReservoirSpec:
 
     `couplings` must be closed under conjugate transpose (the interaction
     Hamiltonian is self-adjoint).  A non-finite `lam` or matrix entry raises
-    InvalidFormFactorError.  `orthogonal`, computed and never passed,
-    records whether the form factors are pairwise L2-orthogonal; the
-    closed-form generator of ``lindblad.reservoir_lindbladian`` is only valid
-    when it holds, and it raises NonOrthogonalFamilyError otherwise.
+    InvalidFormFactorError.  The closed-form generator of
+    ``lindblad.reservoir_lindbladian`` needs pairwise L2-orthogonal form
+    factors, so a family that is not raises NonOrthogonalFamilyError here.
     """
 
     beta: float
@@ -213,7 +212,6 @@ class ReservoirSpec:
     form_factors: tuple
     couplings: tuple
     gks_jumps: tuple = None
-    orthogonal: bool = field(init=False)
 
     def __post_init__(self):
         if not math.isfinite(self.lam):
@@ -224,7 +222,6 @@ class ReservoirSpec:
             object.__setattr__(self, "gks_jumps", jumps)
             object.__setattr__(self, "form_factors", tuple(self.form_factors or ()))
             object.__setattr__(self, "couplings", tuple(self.couplings or ()))
-            object.__setattr__(self, "orthogonal", False)
             return
         _effective_beta(self.beta)
         ffs = tuple(self.form_factors)
@@ -240,15 +237,12 @@ class ReservoirSpec:
                 raise InvalidFormFactorError(
                     "coupling family not closed under conjugate transpose"
                 )
-        object.__setattr__(self, "form_factors", ffs)
-        object.__setattr__(self, "couplings", qs)
-        object.__setattr__(self, "orthogonal", _verify_orthogonality(ffs))
-
-    def require_orthogonal(self):
-        if not self.orthogonal:
+        if not _verify_orthogonality(ffs):
             raise NonOrthogonalFamilyError(
                 "closed-form coefficients need pairwise L2-orthogonal form factors"
             )
+        object.__setattr__(self, "form_factors", ffs)
+        object.__setattr__(self, "couplings", qs)
 
 
 def _require_finite(what, matrices):

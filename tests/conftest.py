@@ -49,7 +49,7 @@ def _instance(h_at, beta, lam, eta, form_factors, couplings, h_p):
     l_at = atomic_lindbladian(atom)
 
     def make_bundle(lam_=lam, eta_=eta):
-        return GeneratorBundle(l_at=l_at, l_p=pump.lindbladian, l_r=data.l_r,
+        return GeneratorBundle(l_at=l_at, l_p=pump, l_r=data.l_r,
                                lam=lam_, eta=eta_, omega=atom.pump_freq)
 
     return SimpleNamespace(

@@ -368,6 +368,15 @@ MALFORMED = [
     (("atom",), {"matrix": [[[0.0, 0.0], [1.0, 0.0]],
                             [[0.0, 0.0], [1.0, 0.0]]]}),              # not Hermitian
     (("atom", "energies"), [1, 1]),
+    # two form factors that are not L2-orthogonal (sigma_x and sigma_z channels)
+    (("reservoir",), {"beta": 1.0, "lambda": 0.1,
+                      "form_factors": [{"weight": 1.0, "exponent_p": 1, "decay_c": 1.0},
+                                       {"weight": 1.0, "exponent_p": 2, "decay_c": 1.0}],
+                      "couplings_Q": [[[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+                                      [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]]}),
+    (("atom",), {"matrix": [[[0.0, 0.0], [0.0, 0.0]],
+                            [[0.0, 0.0], [1.0, 0.0]]],
+                 "degeneracies": [5, 7]}),                            # read only with energies
     # misspelt keys, which would otherwise fall back to the defaults
     (("floquet", "n_mode"), 8),
     (("reservoir", "lamda"), 0.1),

@@ -183,7 +183,7 @@ def test_cf4_is_fourth_order(two_level):
 def test_positivity_breach_detected(two_level):
     # Time-reversed dissipation is not completely positive: evolving the
     # ground state backwards along the thermal flow must breach positivity.
-    bad = GeneratorBundle(l_at=two_level.l_at, l_p=two_level.pump.lindbladian,
+    bad = GeneratorBundle(l_at=two_level.l_at, l_p=two_level.pump,
                           l_r=-1.0 * two_level.data.l_r, lam=1.0, eta=0.0,
                           omega=two_level.atom.pump_freq)
     with pytest.raises(PositivityBreachError) as exc:
@@ -195,7 +195,7 @@ def test_positivity_breach_detected(two_level):
 def test_step_grid_gives_up_past_its_cap(two_level):
     # 1e4 L_R is too stiff for the unscaled Taylor series on every grid up
     # to the cap: no exponential is taken, and the run stops cleanly
-    stiff = GeneratorBundle(l_at=two_level.l_at, l_p=two_level.pump.lindbladian,
+    stiff = GeneratorBundle(l_at=two_level.l_at, l_p=two_level.pump,
                             l_r=1e4 * two_level.data.l_r, lam=1.0, eta=0.0,
                             omega=two_level.atom.pump_freq)
     with pytest.raises(StepSizeUnderflowError):
@@ -211,7 +211,7 @@ def test_evolve_input_validation(two_level):
 def test_evolve_refuses_an_atol_that_is_not_finite_and_non_negative(two_level, atol):
     # a NaN atol switched the positivity guard off: the time-reversed flow
     # below reached a minimum eigenvalue of -0.993 and returned a trajectory
-    bad = GeneratorBundle(l_at=two_level.l_at, l_p=two_level.pump.lindbladian,
+    bad = GeneratorBundle(l_at=two_level.l_at, l_p=two_level.pump,
                           l_r=-1.0 * two_level.data.l_r, lam=1.0, eta=0.0,
                           omega=two_level.atom.pump_freq)
     with pytest.raises(DimensionMismatchError, match="atol"):
@@ -326,7 +326,7 @@ def test_blocked_stroboscopic_walk_matches_per_point_loop(three_level, per_perio
 
 def test_bundle_validation(two_level):
     with pytest.raises(DimensionMismatchError):
-        GeneratorBundle(l_at=two_level.l_at, l_p=two_level.pump.lindbladian,
+        GeneratorBundle(l_at=two_level.l_at, l_p=two_level.pump,
                         l_r=two_level.data.l_r, lam=0.1, eta=0.0, omega=0.0)
     with pytest.raises(DimensionMismatchError):
         GeneratorBundle(l_at=two_level.l_at, l_p=Superoperator(np.eye(9)),
@@ -340,7 +340,7 @@ def test_bundle_validation(two_level):
 def test_bundle_refuses_non_finite_input(two_level, part, bad):
     # a NaN in L_R or lambda doubled the CF4 grid to its cap and then read
     # as StepSizeUnderflow; omega or eta = inf ran on with a RuntimeWarning
-    fields = dict(l_at=two_level.l_at, l_p=two_level.pump.lindbladian, l_r=two_level.data.l_r,
+    fields = dict(l_at=two_level.l_at, l_p=two_level.pump, l_r=two_level.data.l_r,
                   lam=0.1, eta=0.01, omega=two_level.atom.pump_freq)
     if part.startswith("l_"):
         m = fields[part].matrix.copy()
@@ -386,7 +386,7 @@ def test_populations_and_csv_roundtrip(tmp_path, three_level):
     assert np.allclose(pops[0], [1.0, 0.0, 0.0], atol=1e-14)
 
     path = tmp_path / "traj.csv"
-    trajectory_to_csv(three_level.atom, traj, path)
+    trajectory_to_csv(traj, pops, path)
     text = path.read_text()
     lines = text.splitlines()
     assert lines[0] == "t,pop_1,pop_2,pop_3,trace,min_eig,purity"
@@ -395,12 +395,8 @@ def test_populations_and_csv_roundtrip(tmp_path, three_level):
     assert "\r" not in text
     # determinism: a second export is byte-identical
     path2 = tmp_path / "traj2.csv"
-    trajectory_to_csv(three_level.atom, traj, path2)
+    trajectory_to_csv(traj, pops, path2)
     assert path.read_bytes() == path2.read_bytes()
-    # a precomputed population table writes the same bytes
-    path3 = tmp_path / "traj3.csv"
-    trajectory_to_csv(three_level.atom, traj, path3, pops=pops)
-    assert path.read_bytes() == path3.read_bytes()
 
 
 def test_batched_tables_match_per_state_loops(three_level):

@@ -284,12 +284,10 @@ def _verdicts(report):
     return [(r["name"], r["verdict"]) for r in report.records]
 
 
-def _spectrum_side(inst, l_r, pump):
+def _spectrum_side(inst, bundle):
     """The sorted Floquet eigenvalues and gap (n_modes = 8), the level
     populations of a 31-point evolve to t = 300 from the ground projection,
-    and both Kato residuals, of the degenerate instance with this L_R and pump."""
-    bundle = GeneratorBundle(l_at=inst.l_at, l_p=pump.lindbladian, l_r=l_r,
-                             lam=inst.lam, eta=inst.eta, omega=inst.atom.pump_freq)
+    and both Kato residuals, of the degenerate instance with this bundle."""
     lattice = floquet_lattice(bundle, 8)
     spec = floquet_spectrum(build_howland(bundle, 8), lattice)
     traj = evolve(bundle, inst.atom.projections[0], 300.0,
@@ -314,20 +312,21 @@ def test_gauge_covariance_on_a_degenerate_level(degenerate, seed):
     inst = degenerate
     res = ReservoirSpec(beta=inst.beta, lam=inst.lam, form_factors=inst.res.form_factors,
                         couplings=tuple(u @ q @ u.conj().T for q in inst.res.couplings))
-    pump = validate_pump(inst.atom, u @ inst.h_p @ u.conj().T)
     data = reservoir_lindbladian(inst.atom, res)
+    l_p = validate_pump(inst.atom, u @ inst.h_p @ u.conj().T)
+    bundle = GeneratorBundle(l_at=inst.l_at, l_p=l_p, l_r=data.l_r,
+                             lam=inst.lam, eta=inst.eta, omega=inst.atom.pump_freq)
 
     base = _oracle_errors(inst.atom, inst.res, inst.data.l_r)
     moved = _oracle_errors(inst.atom, res, data.l_r)
     assert np.max(np.abs(moved - base) / base) <= 1e-12
 
-    base_report = check_assumptions(inst.atom, inst.res, inst.pump, inst.eta, inst.data)
+    base_report = check_assumptions(inst.res, inst.bundle, inst.data)
     assert base_report.clean_pass
-    assert _verdicts(check_assumptions(inst.atom, res, pump, inst.eta, data)) \
-        == _verdicts(base_report)
+    assert _verdicts(check_assumptions(res, bundle, data)) == _verdicts(base_report)
 
-    eig, gap, pops, kato = _spectrum_side(inst, inst.data.l_r, inst.pump)
-    eig_u, gap_u, pops_u, kato_u = _spectrum_side(inst, data.l_r, pump)
+    eig, gap, pops, kato = _spectrum_side(inst, inst.bundle)
+    eig_u, gap_u, pops_u, kato_u = _spectrum_side(inst, bundle)
     assert np.max(np.abs(eig_u - eig)) <= 1e-12
     assert abs(gap_u - gap) <= 1e-10 * gap
     assert np.max(np.abs(pops_u - pops)) <= 1e-13
@@ -346,17 +345,16 @@ def test_couplings_must_be_adjoint_closed():
                       couplings=(raising,))
 
 
-def test_orthogonality_is_computed_not_passed(two_level):
+def test_orthogonality_is_computed_not_passed():
     # two identical channels are not orthogonal; no constructor argument can
-    # claim they are and so skip the closed-form generator's guard
+    # claim they are, and the family is refused where it is built
     ff = FormFactor(((1.0, 1, 1.0),))
     with pytest.raises(TypeError):
         ReservoirSpec(beta=1.0, lam=0.1, form_factors=(ff, ff),
                       couplings=(SIGMA_X, SIGMA_Z), orthogonal=True)
-    res = ReservoirSpec(beta=1.0, lam=0.1, form_factors=(ff, ff),
-                        couplings=(SIGMA_X, SIGMA_Z))
     with pytest.raises(NonOrthogonalFamilyError):
-        reservoir_lindbladian(two_level.atom, res)
+        ReservoirSpec(beta=1.0, lam=0.1, form_factors=(ff, ff),
+                      couplings=(SIGMA_X, SIGMA_Z))
 
 
 def test_negative_beta_rejected():
@@ -396,6 +394,9 @@ def test_gks_route_builds_pure_dissipator(two_level):
     drho = data.l_r(rho)
     assert abs(drho[1, 1] + 1.0) <= 1e-14
     assert abs(np.trace(drho)) <= 1e-14
+    # the oracle rebuilds L_R from form factors, which raw GKS jumps lack
+    with pytest.raises(InvalidFormFactorError, match="GKS"):
+        resolvent_oracle(two_level.atom, res, [1e-2])
 
 
 # --------------------------------------------------------------------------
@@ -438,8 +439,7 @@ def test_bundled_instance_jumps_are_irreducible(three_level):
 # --------------------------------------------------------------------------
 
 def test_assumptions_pass_on_bundled_instance(three_level):
-    rep = check_assumptions(three_level.atom, three_level.res, three_level.pump,
-                            three_level.eta, three_level.data)
+    rep = check_assumptions(three_level.res, three_level.bundle, three_level.data)
     names = [r["name"] for r in rep.records]
     assert names == ["reservoir-analyticity", "moderate-pump", "spectral-gap",
                      "jump-irreducibility", "no-first-order-coupling"]
@@ -454,7 +454,7 @@ def test_assumptions_pass_on_bundled_instance(three_level):
 @pytest.mark.parametrize("name", ["two_level", "three_level"])
 def test_analyticity_ladder_matches_rung_by_rung_checks(name, request):
     inst = request.getfixturevalue(name)
-    report = check_assumptions(inst.atom, inst.res, inst.pump, inst.eta, inst.data)
+    report = check_assumptions(inst.res, inst.bundle, inst.data)
     evidence = report["reservoir-analyticity"]["evidence"]
     best_r, best_val = 0.0, 0.0
     for r in evidence["ladder"]:
@@ -471,8 +471,10 @@ def test_analyticity_ladder_matches_rung_by_rung_checks(name, request):
 def test_assumptions_flag_reducible_gks_set(two_level):
     res = ReservoirSpec(beta=1.0, lam=0.1, form_factors=(), couplings=(),
                         gks_jumps=(SIGMA_X,))
-    rep = check_assumptions(two_level.atom, res, two_level.pump, 0.0,
-                            reservoir_lindbladian(two_level.atom, res))
+    data = reservoir_lindbladian(two_level.atom, res)
+    bundle = GeneratorBundle(l_at=two_level.l_at, l_p=two_level.pump, l_r=data.l_r,
+                             lam=res.lam, eta=0.0, omega=two_level.atom.pump_freq)
+    rep = check_assumptions(res, bundle, data)
     assert rep["jump-irreducibility"]["verdict"] == "fail"
     assert not rep.hard_pass
     # raw GKS input: analyticity and parity can only be attested
@@ -481,21 +483,17 @@ def test_assumptions_flag_reducible_gks_set(two_level):
 
 
 def test_assumptions_flag_immoderate_pump(two_level):
-    rep = check_assumptions(two_level.atom, two_level.res, two_level.pump,
-                            10 * two_level.lam**2, two_level.data)
+    rep = check_assumptions(two_level.res, two_level.make_bundle(eta_=10 * two_level.lam**2),
+                            two_level.data)
     assert rep["moderate-pump"]["verdict"] == "fail"
     assert not rep.hard_pass
 
 
 def test_assumptions_lambda_zero_semantics(two_level):
-    res0 = ReservoirSpec(beta=1.0, lam=0.0,
-                         form_factors=two_level.res.form_factors,
-                         couplings=two_level.res.couplings)
-    data0 = reservoir_lindbladian(two_level.atom, res0)
-    rep = check_assumptions(two_level.atom, res0, two_level.pump, 0.0, data0)
+    rep = check_assumptions(two_level.res, two_level.make_bundle(0.0, 0.0), two_level.data)
     assert rep["spectral-gap"]["verdict"] == "attested"
     assert rep["moderate-pump"]["evidence"]["ratio"] == 0.0
     assert rep.hard_pass
     # eta != 0 with lambda = 0 is never moderate
-    rep2 = check_assumptions(two_level.atom, res0, two_level.pump, 0.1, data0)
+    rep2 = check_assumptions(two_level.res, two_level.make_bundle(0.0, 0.1), two_level.data)
     assert rep2["moderate-pump"]["verdict"] == "fail"

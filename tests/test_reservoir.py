@@ -86,17 +86,11 @@ def test_orthogonal_family_detection():
     f2 = FormFactor(((1.0, 2, 1.0), (-0.75, 1, 1.0)))
     q1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     q2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-    res = ReservoirSpec(beta=1.0, lam=0.1, form_factors=(f1, f2),
-                        couplings=(q1, q2))
-    assert res.orthogonal
-    res.require_orthogonal()
+    ReservoirSpec(beta=1.0, lam=0.1, form_factors=(f1, f2), couplings=(q1, q2))   # accepted
 
     f3 = FormFactor(((1.0, 2, 1.0),))        # <f1, f3> != 0
-    res_bad = ReservoirSpec(beta=1.0, lam=0.1, form_factors=(f1, f3),
-                            couplings=(q1, q2))
-    assert not res_bad.orthogonal
     with pytest.raises(NonOrthogonalFamilyError):
-        res_bad.require_orthogonal()
+        ReservoirSpec(beta=1.0, lam=0.1, form_factors=(f1, f3), couplings=(q1, q2))
 
 
 def _quad_inner(f1, f2):
@@ -570,8 +564,7 @@ def test_strip_ladder_integrates_one_line_per_abs_y(monkeypatch, three_level):
             assert set(made) == ({-abs(y) for y in ys} if ff.is_real else ys)
     # `check` on three_level: eight distinct |y| per form factor
     stacks.clear()
-    check_assumptions(three_level.atom, three_level.res, three_level.pump, three_level.eta,
-                      three_level.data)
+    check_assumptions(three_level.res, three_level.bundle, three_level.data)
     assert [height for *_, height in stacks] == [8, 8]
 
 
@@ -592,8 +585,7 @@ def test_check_evaluates_at_most_15360_strip_nodes(monkeypatch, three_level):
         return h if np.ndim(y) else line
 
     monkeypatch.setattr(reservoir, "_line_integrand", counted)
-    check_assumptions(three_level.atom, three_level.res, three_level.pump, three_level.eta,
-                      three_level.data)
+    check_assumptions(three_level.res, three_level.bundle, three_level.data)
     assert 0 < sum(nodes) <= 15_360
 
 
