@@ -34,7 +34,9 @@ pairs of projections; the thin contour-integral pattern of Beyn,
 Lin. Alg. Appl. 436, 3839 (2012)) on only the block rows that B, H and B0
 reach from Range(P0): the weak-symmetry sector of S_T = e^{-T L_at}
 (Buca & Prosen, New J. Phys. 14, 073007 (2012)) that holds P0, 5 of 9
-rows per mode on three_level, so its pivots are 5 x 5;
+rows per mode on three_level, so its pivots are 5 x 5, and on only the
+modes its resolvent reaches before the coupling H has damped it below
+2^-60 (19 of 65 on three_level; the decay of banded inverses);
 F P comes from the same sum as F (z - F)^{-1} = z (z - F)^{-1} - 1, and
 every norm is taken on a 2r x 2r core.  The probe is that of the resonance
 0 and runs on the real blocks of the Hermitian basis, where F commutes with
@@ -378,7 +380,7 @@ class KatoBlock:
 
 def _free_basis(f_op, b0):
     """F and B0 in the Hermitian basis, the orthonormal basis Q0 of Range(P0)
-    there and the contour radius at 0, exactly.
+    there, the contour radius at 0, exactly, and the basis itself.
 
     `evolution._in_basis` writes B, H and B0 as the real blocks of the CF4
     grid, so the probe solves the real operator that grid integrates.  The
@@ -405,7 +407,7 @@ def _free_basis(f_op, b0):
     q0 = np.zeros((eigs.size, modes.size), dtype=complex)
     for j, (k, c) in enumerate(zip(modes, cols)):
         q0[k * s:(k + 1) * s, j] = vecs[:, c]
-    return replace(f_op, base=base, coupling=coupling), b0, q0, radius
+    return replace(f_op, base=base, coupling=coupling), b0, q0, radius, basis
 
 
 def _sector_rows(f_op, b0, q0):
@@ -427,6 +429,35 @@ def _sector_rows(f_op, b0, q0):
         if np.array_equal(grown, rows):
             return np.flatnonzero(rows)
         rows = grown
+
+
+def _reach(f_sec, support, radius):
+    """The last mode K the probe solves, from the blocks alone.
+
+    Off Q0's modes |k| <= `support` the probe's columns satisfy
+    x_k = (z - i omega k - B)^{-1} H (x_{k-1} + x_{k+1}), and for |z| = r
+    ||(z - i omega k - B)^{-1}|| <= 1 / (omega |k| - r - ||B||), so
+    (z - F)^{-1} Q0 and its left twin fall off by rho_j = 2 ||H|| /
+    (omega j - r - ||B||) per mode: the decay of banded inverses (Demko,
+    Moss & Smith, Math. Comp. 43, 491 (1984)).  K is the first mode with
+    prod_{j=support+1}^K rho_j <= 2^-60; when some rho_j >= 1 comes first,
+    or K would pass N, it is N and every mode is kept.  Both norms are the
+    bound sqrt(||A||_1 ||A||_inf) >= ||A||_2, which factors nothing.
+    """
+    def norm(a):
+        a = np.abs(a)
+        return np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max())
+
+    h, b = 2.0 * norm(f_sec.coupling), norm(f_sec.base)
+    tail = 1.0
+    for j in range(support + 1, f_sec.n_modes + 1):
+        room = f_sec.omega * j - radius - b
+        if h >= room:                                 # rho_j >= 1, or no room at all
+            break
+        tail *= h / room
+        if tail <= 2.0 ** -60:
+            return j
+    return f_sec.n_modes
 
 
 def _mirrored_probe(f_op, q0, nodes, w):
@@ -486,12 +517,15 @@ def kato_block(f_op, b0, m_points=64, *, eigenvalues):
     factored once per node for both.  The probe runs on the real blocks of
     the Hermitian basis (:func:`_free_basis`), so an F or B0 that fails the
     Hermiticity test of `evolution._in_basis` (1e-14 relative) is refused.
-    The sum runs on the sector rows I of every mode (:func:`_sector_rows`:
-    the rows B, H and B0 reach from Range(P0), off which X and Y vanish
-    exactly; 5 of 9 on three_level, every row when the blocks are dense),
-    so the pivots, QRs and cores are those of n |I| rows; X, Y and Q0 come
-    back in the vec basis on all n s rows.  Only the M/2 nodes above the
-    real axis are solved and their conjugates are mirrored
+    The sum runs on the sector rows I (:func:`_sector_rows`: the rows B, H
+    and B0 reach from Range(P0), off which X and Y vanish exactly; 5 of 9
+    on three_level, every row when the blocks are dense) of the modes
+    [-K, K] that it reaches (:func:`_reach`: past them the decay bound of
+    X and Y is below 2^-60; 19 of 65 modes on three_level), so the pivots,
+    QRs and cores are those of (2K + 1) |I| rows, and the cost does not
+    grow with n_modes once N >= K; X, Y and Q0 come back in the vec basis
+    on all n s rows, zero on the modes not solved.  Only the M/2 nodes
+    above the real axis are solved and their conjugates are mirrored
     (:func:`_mirrored_probe`).
     The residual, the pair separation and the idempotency defect are
     2-norms of 2r x 2r cores of the thin QRs of [X, Q0] and [Y^H, Q0].
@@ -507,19 +541,25 @@ def kato_block(f_op, b0, m_points=64, *, eigenvalues):
     if m_points < 2 or m_points % 2:
         raise DimensionMismatchError(
             f"the Kato probe needs an even number of contour nodes >= 2, got {m_points!r}")
-    real_op, b0, q0, radius = _free_basis(f_op, b0)
+    real_op, b0, q0, radius, basis = _free_basis(f_op, b0)
     _, enclosed = _contour_radius(eigenvalues, radius)
     r = q0.shape[1]
     if enclosed != r:
         raise ProjectionPairTooFarError(
             f"{enclosed} eigenvalue(s) of F inside the contour against rank P0 = {r}")
 
-    # the probe runs on the sector rows of every mode; X and Y are zero off them
+    # the probe runs on the sector rows of the modes [-K, K] it reaches: X
+    # and Y are zero off those rows, and their decay bound past those modes
+    # is below 2^-60
     n, s = 2 * f_op.n_modes + 1, f_op.block_size
     rows = _sector_rows(real_op, b0, q0)
     sector = np.ix_(rows, rows)
     f_sec = replace(real_op, base=real_op.base[sector], coupling=real_op.coupling[sector])
-    q = q0.reshape(n, s, r)[:, rows].reshape(n * rows.size, r)
+    modes = np.flatnonzero(q0.reshape(n, s, r).any(axis=(1, 2))) - f_op.n_modes
+    cut = _reach(f_sec, int(np.abs(modes).max()), radius)
+    f_sec = replace(f_sec, n_modes=cut)
+    kept, m = slice(f_op.n_modes - cut, f_op.n_modes + cut + 1), 2 * cut + 1
+    q = q0.reshape(n, s, r)[kept, rows].reshape(m * rows.size, r)
 
     phases = np.exp(2j * np.pi * (np.arange(m_points) + 0.5) / m_points)
     w = radius * phases / m_points
@@ -561,15 +601,17 @@ def kato_block(f_op, b0, m_points=64, *, eigenvalues):
         raise ProjectionPairTooFarError(f"||(P - P0)^2|| = {sep:.3f} >= 1")
     block = k_inv @ (y @ fx) @ k_inv
     # (F - F0) Q0: B - B0 on each column's own block, H on both neighbours (F0 has no H)
-    qk = q.reshape(n, rows.size, r)
+    qk = q.reshape(m, rows.size, r)
     hq = np.pad(f_sec.coupling @ qk, ((1, 1), (0, 0), (0, 0)))
     first = q.conj().T @ ((f_sec.base - b0[sector]) @ qk + hq[:-2] + hq[2:]).reshape(q.shape)
     residual = float(np.linalg.norm(core(block, -first), 2))
 
-    columns = _hermitian_basis(f_op.dim)[:, rows]
+    columns = basis[:, rows]
 
-    def to_vec(a):                        # sector rows of the Hermitian basis -> n s vec rows
-        return (columns @ a.reshape(n, rows.size, r)).reshape(n * s, r)
+    def to_vec(a):      # sector rows of the kept modes -> n s vec rows, zero elsewhere
+        out = np.zeros((n, s, r), dtype=complex)
+        out[kept] = columns @ a.reshape(m, rows.size, r)
+        return out.reshape(n * s, r)
 
     x, y, q0 = to_vec(x), to_vec(y.conj().T).conj().T, to_vec(q)
     return KatoBlock(

@@ -33,8 +33,11 @@ under test:
   conj(F) = J F J, J the mode reversal), equals the full M-node sums and
   refuses an F that does not preserve Hermiticity; it runs on the rows B, H
   and B0 reach from Range(P0) (5 x 5 pivots on three_level) and equals
-  the full-block probe; a contour radius that is not finite and > 0 is
-  refused;
+  the full-block probe, and on the Fourier modes its resolvent reaches (19
+  of 65 on three_level at n_modes = 32, so its pivot count does not grow
+  with n_modes) and equals the uncut probe, whose sums are below
+  2^-53 ||X|| on every dropped mode; a contour radius that is not finite
+  and > 0 is refused;
 * eigenvalues of the one-period propagator are e^{T mu} for Howland
   eigenvalues mu, matched by the Hungarian assignment;
 * the monodromy lattice mu_j + i omega m (copy on block m - k_j) gives the
@@ -68,7 +71,7 @@ from pumped_lindblad import (
 )
 from pumped_lindblad import floquet
 from pumped_lindblad.evolution import _hermitian_basis
-from pumped_lindblad.floquet import _resolvent_apply
+from pumped_lindblad.floquet import _lattice_copies, _resolvent_apply
 from reference import (NearSingularPairError, _inv_sqrt_series, dense_low_rank, dense_spectrum,
                        eigenprojection_direct, monodromy, pair_transform, resolvent_sum_dense,
                        riesz_projection)
@@ -676,6 +679,21 @@ def _change_of_basis(u, *blocks):
     return [w @ b @ w.conj().T for b in blocks]
 
 
+def _in_test_basis(f_op, b0, basis):
+    # F and B0 as given ("seed-0"), under a random diagonal gauge, or in a
+    # random rotated atomic basis
+    if basis == "seed-0":
+        return f_op, b0
+    rng = np.random.default_rng(5)
+    if basis == "gauge":
+        u = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, f_op.dim)))
+    else:
+        u = np.linalg.qr(rng.standard_normal((f_op.dim,) * 2)
+                         + 1j * rng.standard_normal((f_op.dim,) * 2))[0]
+    base, coupling, b0 = _change_of_basis(u, f_op.base, f_op.coupling, b0)
+    return replace(f_op, base=base, coupling=coupling), b0
+
+
 @pytest.mark.parametrize("basis", ["seed-0", "gauge", "rotated"])
 @pytest.mark.parametrize("m_points", [16, 64])
 @pytest.mark.parametrize("case", ["two_level", "three_level"])
@@ -685,20 +703,15 @@ def test_mirrored_kato_probe_equals_the_full_node_sums(request, case, m_points, 
     # symmetry conj(F) = J F J of the real Hermitian-basis blocks; the
     # result must be that of all M nodes on the vec-basis F
     inst = request.getfixturevalue(case)
-    f_op, b0 = build_howland(inst.bundle, 8), inst.l_at.matrix
-    rng = np.random.default_rng(5)
-    if basis == "gauge":
-        u = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, f_op.dim)))
-    elif basis == "rotated":
-        u = np.linalg.qr(rng.standard_normal((f_op.dim,) * 2)
-                         + 1j * rng.standard_normal((f_op.dim,) * 2))[0]
-    if basis != "seed-0":
-        base, coupling, b0 = _change_of_basis(u, f_op.base, f_op.coupling, b0)
-        f_op = replace(f_op, base=base, coupling=coupling)
+    f_op, b0 = _in_test_basis(build_howland(inst.bundle, 8), inst.l_at.matrix, basis)
     inverses = _record_inverses(monkeypatch)
     kb = _kato(f_op, b0, m_points=m_points)
-    # one batched pivot inverse per mode and node, on the M/2 upper nodes only
-    assert sum(shape[0] for shape in inverses if len(shape) == 3) == 17 * m_points // 2
+    # one batched pivot inverse per kept mode and node, on the M/2 upper
+    # nodes only: all 17 modes on three_level at n_modes = 8, and on
+    # two_level (eta = 0, so H = 0) the 3 modes of Q0 and one on each side;
+    # the rotated two_level blocks keep all 17 (see _KEPT_AT_32)
+    kept = 5 if (case, basis) in (("two_level", "seed-0"), ("two_level", "gauge")) else 17
+    assert sum(shape[0] for shape in inverses if len(shape) == 3) == kept * m_points // 2
 
     q0 = kb.first_order.left
     nodes, w = _contour(0.0, kb.radius, m_points)
@@ -815,15 +828,97 @@ def test_kato_order_check_factors_each_pivot_once(three_level, monkeypatch):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recording)
-    kato_order_check(three_level.bundle, 8, m_points=64)
-    # two rungs x two 16-node chunks (the M/2 upper nodes; the lower half
-    # is their mirror) x 17 modes: X and Y share every pivot inverse, each
-    # 5 x 5 on the sector rows (populations and the pumped coherences); the
-    # only other inverses are the two rank-5 K, and no 9 x 9 pivot is formed
-    assert calls["inv"].count((16, 5, 5)) == 2 * 2 * 17
-    assert sorted(set(calls["inv"])) == [(5, 5), (16, 5, 5)]
-    assert calls["inv"].count((5, 5)) == 2
-    assert calls["solve"] == []
+    # two 16-node chunks (the M/2 upper nodes; the lower half is their
+    # mirror) x the modes each rung keeps: all 17 at n_modes = 8; at 32 the
+    # 19 and 17 that the resolvent reaches at lambda and lambda/2.  X and Y
+    # share every pivot inverse, each 5 x 5 on the sector rows (populations
+    # and the pumped coherences); the only other inverses are the two
+    # rank-5 K, and no 9 x 9 pivot is formed
+    for n_modes, kept in ((8, (17, 17)), (32, (19, 17))):
+        for shapes in calls.values():
+            shapes.clear()
+        kato_order_check(three_level.bundle, n_modes, m_points=64)
+        assert calls["inv"].count((16, 5, 5)) == 2 * sum(kept)
+        assert sorted(set(calls["inv"])) == [(5, 5), (16, 5, 5)]
+        assert calls["inv"].count((5, 5)) == 2
+        assert calls["solve"] == []
+
+
+def test_kato_probe_cost_does_not_grow_with_n_modes(three_level, monkeypatch):
+    # the probe solves the modes its resolvent reaches, not F's n_modes
+    inverses, pivots = _record_inverses(monkeypatch), []
+    for n_modes in (32, 64):
+        inverses.clear()
+        kato_order_check(three_level.bundle, n_modes)
+        pivots.append(sum(shape[0] for shape in inverses if len(shape) == 3))
+    assert pivots[0] == pivots[1] == 32 * (19 + 17)
+
+
+# modes kept at n_modes = 32 (of 65): Q0 sits on |k| <= 1, and the cut adds
+# modes until prod rho_j <= 2^-60.  two_level has H = 0 (eta = 0), so one
+# mode on each side.  The dense real blocks of a rotated basis have a
+# larger sqrt(||B||_1 ||B||_inf) bound than the sparse ones, which leaves
+# no room at mode 2 when omega is small (two_level, omega = 1) or the
+# sector is wide (degenerate, 16 rows): every mode is kept there
+_KEPT_AT_32 = {"two_level": {"seed-0": 5, "gauge": 5, "rotated": 65},
+               "three_level": {"seed-0": 19, "gauge": 19, "rotated": 19},
+               "degenerate": {"seed-0": 19, "gauge": 19, "rotated": 65}}
+
+
+@pytest.mark.parametrize("basis", ["seed-0", "gauge", "rotated"])
+@pytest.mark.parametrize("case", ["two_level", "three_level", "degenerate"])
+def test_mode_cut_kato_probe_equals_the_uncut_probe(request, case, basis, monkeypatch):
+    # n_modes = 32, where the cut acts: the cut probe against the all-mode
+    # block-Thomas sums on the vec-basis F and against the probe with every
+    # mode kept.  The uncut X and Y must be below 2^-53 ||X|| on each dropped
+    # mode, so the 2^-60 bound is shown to be conservative
+    inst = request.getfixturevalue(case)
+    n = 32
+    f_op, b0 = _in_test_basis(build_howland(inst.bundle, n), inst.l_at.matrix, basis)
+    # the spectrum is gauge and basis invariant: one lattice serves all three
+    w_f = _lattice_copies(*floquet_lattice(inst.bundle, n), inst.bundle.omega, n).ravel()
+    inverses = _record_inverses(monkeypatch)
+    kb = kato_block(f_op, b0, eigenvalues=w_f)
+    # one batched inverse per kept mode and upper node
+    kept = _KEPT_AT_32[case][basis]
+    assert sum(shape[0] for shape in inverses if len(shape) == 3) == kept * 32
+
+    q0, m_points = kb.first_order.left, 64
+    nodes, w = _contour(0.0, kb.radius, m_points)
+    w = w / m_points
+    rules = np.stack([w, np.where(np.arange(m_points) % 2, 0.0, 2.0 * w), w * nodes])
+    (x, x_half, fx), (y, y_half, _) = _resolvent_apply(f_op, nodes, rules, q0, q0.conj().T)
+    k_inv = np.linalg.inv(q0.conj().T @ x)
+    gap = max(np.linalg.norm(full - half) / np.linalg.norm(full)
+              for full, half in ((x, x_half), (y, y_half)))
+
+    def close(got, want, rel):
+        return np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
+    assert close(kb.block.left, x, 1e-14) and close(kb.block.right, y, 1e-14)
+    assert abs(kb.quadrature_gap - gap) <= 1e-14
+    # the core differs from the vec-basis route by ~1e-14 at n_modes = 8 too,
+    # where nothing is cut (Hermitian basis, mirrored nodes): the bound of
+    # the mirrored-probe test
+    assert close(kb.block.core, k_inv @ (y @ fx) @ k_inv, 1e-13)
+
+    s = f_op.block_size
+    dropped = np.abs(np.arange(-n, n + 1)) > kept // 2
+    norm_x = np.linalg.norm(x)
+    assert not kb.block.left.reshape(2 * n + 1, s, -1)[dropped].any()
+    assert not kb.block.right.reshape(-1, 2 * n + 1, s)[:, dropped].any()
+    assert np.abs(x.reshape(2 * n + 1, s, -1)[dropped]).max(initial=0.0) <= 2.0**-53 * norm_x
+    assert np.abs(y.reshape(-1, 2 * n + 1, s)[:, dropped]).max(initial=0.0) <= 2.0**-53 * norm_x
+
+    monkeypatch.setattr(floquet, "_reach", lambda f_sec, *_: f_sec.n_modes)
+    ref = kato_block(f_op, b0, eigenvalues=w_f)
+    for got, want in ((kb.block, ref.block), (kb.projection, ref.projection),
+                      (kb.first_order, ref.first_order)):
+        assert close(got.left, want.left, 1e-14) and close(got.right, want.right, 1e-14)
+        assert close(got.core, want.core, 1e-14)
+    for field in ("residual", "separation"):
+        assert abs(getattr(kb, field) - getattr(ref, field)) <= 1e-14 * getattr(ref, field)
+    assert abs(kb.quadrature_gap - ref.quadrature_gap) <= 1e-14
 
 
 def _pattern_closure(f_op, b0, q0):
@@ -857,7 +952,7 @@ def test_sector_probe_equals_the_full_block_probe(request, case, sector, monkeyp
         base, coupling, b0 = _change_of_basis(u, f_op.base, f_op.coupling, b0)
         f_op = replace(f_op, base=base, coupling=coupling)
     s = f_op.block_size
-    real_op, real_b0, q0, _ = floquet._free_basis(f_op, b0)
+    real_op, real_b0, q0, _, _ = floquet._free_basis(f_op, b0)
     rows = floquet._sector_rows(real_op, real_b0, q0)
     assert rows.size == sector
     assert np.array_equal(rows, _pattern_closure(real_op, real_b0, q0))
