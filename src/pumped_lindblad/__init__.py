@@ -38,7 +38,6 @@ from .floquet import (
     FloquetOperator,
     FloquetSpectrum,
     KatoBlock,
-    LowRank,
     build_howland,
     floquet_lattice,
     floquet_spectrum,

@@ -26,8 +26,8 @@ rows (:func:`_resolvent_apply`): one stack of block pivot inverses per
 chunk of nodes serves both sides, each side's forward vectors are kept
 from its first nonzero block on, and the back sweeps add into the
 weighted sums block by block.  The perturbation block forms no
-(n s) x (n s) matrix: it takes the free block B0 = L_at, not a second
-Howland operator, since the free operator diag(i omega k + B0) on F's own
+(n s) x (n s) matrix: it reads F and the free block B0 = L_at from one
+GeneratorBundle, and the free operator diag(i omega k + B0) on F's own
 modes is block diagonal; its P0 is exact (one Hermitian eigensolve of
 i B0), P is probed on Range(P0) with rank P0 right-hand sides (Kato's
 pairs of projections; the thin contour-integral pattern of Beyn,
@@ -64,7 +64,6 @@ __all__ = [
     "FloquetOperator",
     "FloquetSpectrum",
     "KatoBlock",
-    "LowRank",
     "build_howland",
     "floquet_lattice",
     "floquet_spectrum",
@@ -359,18 +358,14 @@ def _contour_radius(eigenvalues, radius=None):
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LowRank:
-    """An n s x n s operator kept as thin factors: left @ core @ right."""
-    left: np.ndarray          # (n s, r)
-    core: np.ndarray          # (r, r)
-    right: np.ndarray         # (r, n s)
-
-
-@dataclass(frozen=True)
 class KatoBlock:
-    block: LowRank            # P F P
-    first_order: LowRank      # P0 (F - F0) P0
-    projection: LowRank       # P = X K^{-1} Y on the probe Range(P0)
+    """P = x k_inv y, P F P = x block y and P0 (F - F0) P0 = q0 first_order q0^H."""
+    x: np.ndarray             # X = P Q0, (n s, r)
+    y: np.ndarray             # Y = Q0^H P, (r, n s)
+    q0: np.ndarray            # Q0, (n s, r): P0 = Q0 Q0^H
+    k_inv: np.ndarray         # K^{-1}, K = Q0^H X
+    block: np.ndarray         # K^{-1} (Y F X) K^{-1}
+    first_order: np.ndarray   # Q0^H (F - F0) Q0
     residual: float
     separation: float         # ||(P - P0)^2||_2
     idempotency_defect: float
@@ -378,23 +373,23 @@ class KatoBlock:
     radius: float
 
 
-def _free_basis(f_op, b0):
-    """F and B0 in the Hermitian basis, the orthonormal basis Q0 of Range(P0)
-    there, the contour radius at 0, exactly, and the basis itself.
+def _free_basis(bundle, n_modes):
+    """F = build_howland(bundle, n_modes) and B0 = L_at in the Hermitian basis,
+    the orthonormal basis Q0 of Range(P0) there, the contour radius at 0 and
+    ||B0||_2, exactly, and the basis itself.
 
     `evolution._in_basis` writes B, H and B0 as the real blocks of the CF4
     grid, so the probe solves the real operator that grid integrates.  The
     free operator F0 = diag(i omega k + B0) on F's modes is block diagonal
     with real skew-symmetric B0, so one Hermitian eigensolve of i B0 gives
-    its whole spectrum eig(B0) + i omega k for the radius rule and an
-    orthonormal eigenbasis; P0 = Q0 Q0^H.  A `b0` that is not d^2 x d^2
-    raises DimensionMismatch, one that is not skew-Hermitian, or a B, H or
-    B0 that fails the Hermiticity test of `_in_basis`, GeneratorStructure.
+    its whole spectrum eig(B0) + i omega k for the radius rule, an
+    orthonormal eigenbasis (P0 = Q0 Q0^H) and ||B0||_2 = max |eig|.  A B0
+    that is not skew-Hermitian, a B, H or B0 that fails the Hermiticity
+    test of `_in_basis`, or a B0 with no eigenvalue at 0 (an empty P0; a
+    real L_at annihilates the identity) raises GeneratorStructure.
     """
+    f_op, b0 = build_howland(bundle, n_modes), bundle.l_at.matrix
     s = f_op.block_size
-    b0 = np.asarray(b0)
-    if b0.shape != (s, s):
-        raise DimensionMismatchError(f"B0 has shape {b0.shape}, F has {s} x {s} blocks")
     if np.linalg.norm(b0 + b0.conj().T) > 1e-12 * max(1.0, np.linalg.norm(b0)):
         raise GeneratorStructureError("B0 must be skew-Hermitian, as L_at is")
     basis = _hermitian_basis(f_op.dim)
@@ -404,10 +399,12 @@ def _free_basis(f_op, b0):
     eigs = shifts[:, None] - 1j * mu                      # (modes, s), row order of F0
     radius, _ = _contour_radius(eigs.ravel())
     modes, cols = np.nonzero(np.abs(eigs) < radius)
+    if not modes.size:
+        raise GeneratorStructureError("L_at has no eigenvalue at 0, so P0 is empty")
     q0 = np.zeros((eigs.size, modes.size), dtype=complex)
     for j, (k, c) in enumerate(zip(modes, cols)):
         q0[k * s:(k + 1) * s, j] = vecs[:, c]
-    return replace(f_op, base=base, coupling=coupling), b0, q0, radius, basis
+    return replace(f_op, base=base, coupling=coupling), b0, q0, radius, np.abs(mu).max(), basis
 
 
 def _sector_rows(f_op, b0, q0):
@@ -431,7 +428,7 @@ def _sector_rows(f_op, b0, q0):
         rows = grown
 
 
-def _reach(f_sec, support, radius):
+def _reach(f_sec, dev, b0_norm, support, radius):
     """The last mode K the probe solves, from the blocks alone.
 
     Off Q0's modes |k| <= `support` the probe's columns satisfy
@@ -441,14 +438,17 @@ def _reach(f_sec, support, radius):
     (omega j - r - ||B||) per mode: the decay of banded inverses (Demko,
     Moss & Smith, Math. Comp. 43, 491 (1984)).  K is the first mode with
     prod_{j=support+1}^K rho_j <= 2^-60; when some rho_j >= 1 comes first,
-    or K would pass N, it is N and every mode is kept.  Both norms are the
-    bound sqrt(||A||_1 ||A||_inf) >= ||A||_2, which factors nothing.
+    or K would pass N, it is N and every mode is kept.  ||B|| <= `b0_norm`
+    + ||B - B0|| in any atomic basis: B0's block on the sector rows (closed
+    under its pattern) is a summand of B0, of norm max |eig(B0)|.  ||H||
+    and ||B - B0|| (`dev`) take the bound sqrt(||A||_1 ||A||_inf) >=
+    ||A||_2, which factors nothing.
     """
     def norm(a):
         a = np.abs(a)
         return np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max())
 
-    h, b = 2.0 * norm(f_sec.coupling), norm(f_sec.base)
+    h, b = 2.0 * norm(f_sec.coupling), b0_norm + norm(dev)
     tail = 1.0
     for j in range(support + 1, f_sec.n_modes + 1):
         room = f_sec.omega * j - radius - b
@@ -497,13 +497,14 @@ def _mirrored_probe(f_op, q0, nodes, w):
             (yh + mirror(yh)).conj().T, (even_y + mirror(odd_y)).conj().T)
 
 
-def kato_block(f_op, b0, m_points=64, *, eigenvalues):
+def kato_block(bundle, n_modes, m_points=64, *, eigenvalues):
     """Compression P F P against its first-order model at the resonance 0.
 
-    P and P0 are the Riesz projections of F and of the free operator
-    F0 = diag(i omega k + B0) around 0 (same contour); `b0` is the d^2 x d^2
-    free block B0 = L_at, and F0 lives on F's modes, omega and d.  Returns
-    the thin factors of the blocks and
+    P and P0 are the Riesz projections of F = ``build_howland(bundle,
+    n_modes)`` and of the free operator F0 = diag(i omega k + B0) around 0
+    (same contour), with B0 = L_at read from the same bundle, so no B0 of
+    another model can be paired with F.  Returns the thin factors of the
+    blocks (:class:`KatoBlock`) and
 
         residual = || P F P - P0 (F - F0) P0 ||_2 ,
 
@@ -537,11 +538,10 @@ def kato_block(f_op, b0, m_points=64, *, eigenvalues):
     here) other than rank P0, a singular K, or a separation >= 1 raises
     ProjectionPairTooFar.
     """
-    f_op = _require_howland(f_op)
     if m_points < 2 or m_points % 2:
         raise DimensionMismatchError(
             f"the Kato probe needs an even number of contour nodes >= 2, got {m_points!r}")
-    real_op, b0, q0, radius, basis = _free_basis(f_op, b0)
+    real_op, b0, q0, radius, b0_norm, basis = _free_basis(bundle, n_modes)
     _, enclosed = _contour_radius(eigenvalues, radius)
     r = q0.shape[1]
     if enclosed != r:
@@ -551,14 +551,15 @@ def kato_block(f_op, b0, m_points=64, *, eigenvalues):
     # the probe runs on the sector rows of the modes [-K, K] it reaches: X
     # and Y are zero off those rows, and their decay bound past those modes
     # is below 2^-60
-    n, s = 2 * f_op.n_modes + 1, f_op.block_size
+    n, s = 2 * n_modes + 1, real_op.block_size
     rows = _sector_rows(real_op, b0, q0)
     sector = np.ix_(rows, rows)
     f_sec = replace(real_op, base=real_op.base[sector], coupling=real_op.coupling[sector])
-    modes = np.flatnonzero(q0.reshape(n, s, r).any(axis=(1, 2))) - f_op.n_modes
-    cut = _reach(f_sec, int(np.abs(modes).max()), radius)
+    dev = f_sec.base - b0[sector]                        # B - B0
+    modes = np.flatnonzero(q0.reshape(n, s, r).any(axis=(1, 2))) - n_modes
+    cut = _reach(f_sec, dev, b0_norm, int(np.abs(modes).max()), radius)
     f_sec = replace(f_sec, n_modes=cut)
-    kept, m = slice(f_op.n_modes - cut, f_op.n_modes + cut + 1), 2 * cut + 1
+    kept, m = slice(n_modes - cut, n_modes + cut + 1), 2 * cut + 1
     q = q0.reshape(n, s, r)[kept, rows].reshape(m * rows.size, r)
 
     phases = np.exp(2j * np.pi * (np.arange(m_points) + 0.5) / m_points)
@@ -603,7 +604,7 @@ def kato_block(f_op, b0, m_points=64, *, eigenvalues):
     # (F - F0) Q0: B - B0 on each column's own block, H on both neighbours (F0 has no H)
     qk = q.reshape(m, rows.size, r)
     hq = np.pad(f_sec.coupling @ qk, ((1, 1), (0, 0), (0, 0)))
-    first = q.conj().T @ ((f_sec.base - b0[sector]) @ qk + hq[:-2] + hq[2:]).reshape(q.shape)
+    first = q.conj().T @ (dev @ qk + hq[:-2] + hq[2:]).reshape(q.shape)
     residual = float(np.linalg.norm(core(block, -first), 2))
 
     columns = basis[:, rows]
@@ -613,35 +614,30 @@ def kato_block(f_op, b0, m_points=64, *, eigenvalues):
         out[kept] = columns @ a.reshape(m, rows.size, r)
         return out.reshape(n * s, r)
 
-    x, y, q0 = to_vec(x), to_vec(y.conj().T).conj().T, to_vec(q)
     return KatoBlock(
-        block=LowRank(x, block, y), first_order=LowRank(q0, first, q0.conj().T),
-        projection=LowRank(x, k_inv, y), residual=residual, separation=sep,
-        idempotency_defect=defect, quadrature_gap=float(gap), radius=float(radius))
+        x=to_vec(x), y=to_vec(y.conj().T).conj().T, q0=to_vec(q), k_inv=k_inv, block=block,
+        first_order=first, residual=residual, separation=sep, idempotency_defect=defect,
+        quadrature_gap=float(gap), radius=float(radius))
 
 
 def kato_order_check(bundle, n_modes, m_points=64, lattice=None):
     """Halving ratio of the Kato-block residual at 0 in the coupling.
 
     Residuals of :func:`kato_block` at (lambda, eta) and (lambda/2, eta/4),
-    so that eta stays proportional to lambda^2, both against the one free
-    block B0 = L_at (``bundle.l_at.matrix``).  Their annulus guards and
-    enclosed counts take the lattice copies mu_j + i omega m; `lattice`
-    (``floquet_lattice(bundle, n_modes)``) is the caller's at lambda,
-    computed here when not given.  When both residuals sit at roundoff
-    (<= 1e-13 ||F||_inf, as when the first-order model is exact), their
-    quotient is noise and `ratio` is None.
+    so that eta stays proportional to lambda^2; both bundles share
+    B0 = L_at.  Their annulus guards and enclosed counts take the lattice
+    copies mu_j + i omega m; `lattice` (``floquet_lattice(bundle,
+    n_modes)``) is the caller's at lambda, computed here when not given.
+    When both residuals sit at roundoff (<= 1e-13 ||F||_inf of F at
+    lambda, as when the first-order model is exact), their quotient is
+    noise and `ratio` is None.
     """
-    b0 = bundle.l_at.matrix
     half = replace(bundle, lam=bundle.lam * 0.5, eta=bundle.eta * 0.25)
-    rungs = []                                          # (residual, ||F||_inf)
-    for b, lat in ((bundle, lattice), (half, None)):
-        op = build_howland(b, n_modes)
-        w = _lattice_copies(*(lat or floquet_lattice(b, n_modes)), b.omega, n_modes).ravel()
-        rungs.append((kato_block(op, b0, m_points, eigenvalues=w).residual,
-                      op.norm_inf))
-    (at_lambda, norm), (at_half, _) = rungs
-    floor = 1e-13 * norm
+    at_lambda, at_half = (
+        kato_block(b, n_modes, m_points, eigenvalues=_lattice_copies(
+            *(lat or floquet_lattice(b, n_modes)), b.omega, n_modes).ravel()).residual
+        for b, lat in ((bundle, lattice), (half, None)))
+    floor = 1e-13 * build_howland(bundle, n_modes).norm_inf
     noise = at_lambda <= floor and at_half <= floor
     return {
         "residual_at_lambda": at_lambda,

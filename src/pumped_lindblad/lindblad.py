@@ -78,6 +78,7 @@ __all__ = [
 
 _RATE_FLOOR = 1e-14
 _COMMUTANT_TOL = 1e-10   # relative singular-value cutoff of the Sylvester stack
+_ALGEBRA_TOL = 1e-10     # relative singular-value cutoff of the word span
 _GAP_FLOOR = 1e-3        # spectral gap must reach lambda^2 times this
 _MODERATE_CONST = 1.0    # moderate pump: |eta| <= this times lambda^2
 _ZERO_TOL = 1e-10        # |mu| below this counts as a zero eigenvalue
@@ -287,10 +288,10 @@ def algebra_dimension(jumps):
     return len(basis)
 
 
-def _orthonormalize(vectors, tol=1e-10):
+def _orthonormalize(vectors):
     a = np.array(vectors).T
     _u, s, _vh = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > tol * max(1.0, s[0])))
+    rank = int(np.sum(s > _ALGEBRA_TOL * max(1.0, s[0])))
     return [_u[:, i] for i in range(rank)]
 
 

@@ -93,6 +93,7 @@ _MIN_BETA = 1e-12
 _PV_REL_TOL = 1e-7   # the two PV rules must agree to this, relative
 _PV_CHUNK = 2**16      # rule A nodes evaluated at once: bounds its memory
 _PV_MAX_NODES = 2**22  # rule A's node cap: bounds its time (64 chunks)
+_ORTHOGONAL_REL_TOL = 1e-8  # |<f, g>| <= this times ||f|| ||g|| counts as orthogonal
 
 # Adaptive quadrature: 20-node Gauss-Legendre panels (16 to start on a strip
 # line), bisected until each meets its share of _GL_REL_TOL.  The caps bound
@@ -250,8 +251,8 @@ def _require_finite(what, matrices):
         raise InvalidFormFactorError(f"a {what} has a non-finite entry")
 
 
-def _verify_orthogonality(ffs, rel_tol=1e-8):
-    return all(abs(_l2_inner(f, g)) <= rel_tol * f.l2_norm() * g.l2_norm()
+def _verify_orthogonality(ffs):
+    return all(abs(_l2_inner(f, g)) <= _ORTHOGONAL_REL_TOL * f.l2_norm() * g.l2_norm()
                for f, g in itertools.combinations(ffs, 2))
 
 

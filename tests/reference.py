@@ -8,7 +8,7 @@ for tau(t, s), Kato's pairs-of-projections transform, the one-integral
 adaptive Gauss-Legendre rule, the strip-analyticity ladder one line at a
 time, the one-value PV coefficient, and literal definitions (Choi matrix,
 spectral projection of L_at, glued function g and its continuation off the
-real axis, a `LowRank` as one dense matrix).
+real axis).
 Private library helpers are imported, not copied.
 """
 
@@ -43,11 +43,6 @@ from pumped_lindblad.reservoir import (_GL_MAX_LEVELS, _GL_MAX_OPEN, _GL_NODES, 
 # --------------------------------------------------------------------------
 # the dense Howland matrix: spectrum, Riesz projections, monodromy match
 # --------------------------------------------------------------------------
-
-def dense_low_rank(factors):
-    """The n s x n s matrix left @ core @ right of a `LowRank`."""
-    return factors.left @ factors.core @ factors.right
-
 
 def dense_spectrum(f_op):
     """`floquet_spectrum` of F from the eigensolve of its dense matrix.
